@@ -207,6 +207,8 @@ def load_cfg(text: str, *, synthetic_source: bool = False):
             if len(parts) != 2 or not parts[1].isdigit():
                 raise GraphFormatError("expected 'cfg <node_count>'", lineno)
             node_count = int(parts[1])
+            if node_count == 0:
+                raise GraphFormatError("a graph must have at least one node", lineno)
         elif node_count is None:
             raise GraphFormatError("file must start with 'cfg <node_count>'", lineno)
         elif parts[0] == "node":

@@ -87,9 +87,15 @@ def brute_safety(cfg: Cfg, problem: ExprProblem) -> SafetySolution:
     """Path-closure reference for invalidation enlargement.
 
     A node joins the enlarged set iff it is outside the use set and lies on
-    a directed path between two invalidating nodes whose nodes strictly
-    between the endpoints all avoid the use set.  Computed by forward and
-    backward reachability on the graph restricted to non-use nodes.
+    a directed path from an invalidating node to an invalidating non-use
+    node whose nodes strictly between the endpoints all avoid the use set.
+    A node that both uses and invalidates (``v = *v`` reads before it
+    writes) ends no corridor: computing the expression there is not
+    speculative.  Computed by forward reachability from the invalidation
+    set and backward reachability from its non-use part, both on the graph
+    restricted to non-use nodes.  On acyclic graphs this equals the greatest
+    fixpoint of ``safety.solve_safety``; on cyclic graphs the solver's set
+    may be larger.
     """
     n = cfg.node_count
     if n > 16:
@@ -113,7 +119,7 @@ def brute_safety(cfg: Cfg, problem: ExprProblem) -> SafetySolution:
 
     bwd = set()
     stack = []
-    for b in inv:
+    for b in inv - use:
         for x in cfg.predecessors(b):
             if x not in use and x not in bwd:
                 bwd.add(x)
@@ -225,8 +231,8 @@ class InstanceGenerator:
 
     All styles produce acyclic graphs with a unique source, and problems
     whose use set avoids the source, the sinks and the extra invalidating
-    nodes (use/invalidation overlap is where the enlargement formula and
-    the path-closure definition are not interchangeable).
+    nodes.  Tests that need use/invalidation overlap (a node such as
+    ``v = *v`` that uses and invalidates) add it to the generated problem.
     """
 
     seed: int

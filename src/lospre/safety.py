@@ -2,31 +2,28 @@
 
 An expression that may trap or touch I/O must never be computed on operand
 values the original program would not compute on.  That is enforced by
-enlarging the invalidation set: every node lying on an invalidation-to-
-invalidation path whose interior avoids the use set must itself become
-invalidating, which walls off exactly the unsafe speculation corridors.
+enlarging the invalidation set: nodes lying in unguarded corridors between
+invalidating nodes, whose interiors avoid the use set, become invalidating
+themselves, which walls off exactly the unsafe speculation corridors.
 
-The solver runs over the same nice decomposition as the main DP.  Each bag
-vertex carries one of five states: not added, or added with a pair of flags
-recording whether a successor witness (an added node or an invalidating
-non-use node) and a predecessor witness (an added or invalidating node)
-have already been seen among statically known neighbors or neighbors
-forgotten below.  Adding a node costs -1, so the minimum-cost assignment
-adds the unique maximal admissible set.  Cross-checked against the
-path-closure oracle; on acyclic graphs the two provably coincide (cycles of
-mutually supporting nodes, possible only in loops, can make the DP's set a
-safe superset of the closure).
+The added set is the largest set A of eligible nodes (outside both the use
+set and the invalidation set) in which every node v has
+  - a successor w != v with w in A, or w invalidating and not a use, and
+  - a predecessor u != v with u in A, or u invalidating.
+Both conditions are monotone in A, so admissible sets are closed under
+union and the largest one is the greatest fixpoint.  It is computed in
+O(|V| + |E|) by a peel: start from every eligible node, count each node's
+successor and predecessor witnesses, and remove any node whose count
+reaches zero, decrementing the counts of its neighbours.  No decomposition
+is needed.  On acyclic graphs the set equals the path closure of
+``oracle.brute_safety``; in loops, mutually supporting nodes can make it a
+superset of the closure.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .cfg import Cfg, ExprProblem, validate_problem
-from .errors import DecompositionError, WidthExceededError
-from .treedec import INTRODUCE, JOIN, LEAF, NiceTreeDec
-
-_INF = 1 << 60
 
 
 @dataclass(frozen=True)
@@ -42,208 +39,45 @@ def apply_safety(problem: ExprProblem, sol: SafetySolution) -> ExprProblem:
     return ExprProblem(use_set=problem.use_set, invalidation_set=sol.i_prime)
 
 
-def _digit(idx, stride, radix):
-    return (idx // stride) % radix
-
-
-def solve_safety(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, *,
+def solve_safety(cfg: Cfg, problem: ExprProblem, nice=None, *,
                  max_width: int = 16) -> SafetySolution:
-    """Compute the enlarged invalidation set on the decomposition.
+    """Compute the enlarged invalidation set as a greatest fixpoint.
 
-    Only nodes outside both the use set and the current invalidation set
-    are candidates; an invalidating node can always serve as a witness
-    directly, so marking it "added" would never change the result.
+    ``nice`` and ``max_width`` are unused: the peel runs in linear time on
+    any graph, so it needs neither a decomposition nor a width guard.  They
+    stay in the signature so that callers passing a decomposition, as the
+    pipeline does, keep working.
     """
     validate_problem(cfg, problem)
-    if nice.width > max_width:
-        raise WidthExceededError(f"decomposition width {nice.width} exceeds the guard {max_width}")
     use = problem.use_set
     inv = problem.invalidation_set
     n = cfg.node_count
+    succ, pred = cfg.successors, cfg.predecessors
 
-    eligible = [v not in use and v not in inv for v in range(n)]
-    static_succ = [any(w in inv and w not in use for w in cfg.successors(v)) for v in range(n)]
-    static_pred = [any(u in inv for u in cfg.predecessors(v)) for v in range(n)]
-    succ_sets = [frozenset(cfg.successors(v)) for v in range(n)]
-    pred_sets = [frozenset(cfg.predecessors(v)) for v in range(n)]
+    alive = [v not in use and v not in inv for v in range(n)]
+    succ_witness = [alive[w] or (w in inv and w not in use) for w in range(n)]
+    pred_witness = [alive[u] or u in inv for u in range(n)]
+    # a self-loop does not let a node witness itself
+    succ_count = [sum(succ_witness[w] for w in succ(v) if w != v) for v in range(n)]
+    pred_count = [sum(pred_witness[u] for u in pred(v) if u != v) for v in range(n)]
 
-    kinds = nice.kinds
-    vertex = nice.vertex
-    bags = nice.bags
-    children = nice.children
-
-    fm = nice.forget_map()
-    if set(fm) != set(range(n)):
-        missing = sorted(set(range(n)) - set(fm))
-        raise DecompositionError(f"decomposition does not cover vertices {missing[:8]}")
-
-    def layout(bag):
-        radixes = [5 if eligible[v] else 1 for v in bag]
-        strides = []
-        s = 1
-        for r in radixes:
-            strides.append(s)
-            s *= r
-        if s > (1 << 22):
-            raise WidthExceededError(
-                f"safety table with {s} entries exceeds the size guard; "
-                "the decomposition is too wide for the safety solver")
-        return radixes, strides, s
-
-    tables = [None] * nice.node_count
-    choices = {}
-
-    for i in nice.order:
-        kind = kinds[i]
-        bag = bags[i]
-        if kind == LEAF:
-            tables[i] = [0]
-        elif kind == INTRODUCE:
-            j = children[i][0]
-            child = tables[j]
-            v = vertex[i]
-            p = bag.index(v)
-            radixes, strides, size = layout(bag)
-            # the only reachable added state starts with the static flags
-            init_digit = 1 + (static_succ[v] << 1 | static_pred[v]) if eligible[v] else 0
-            table = [_INF] * size
-            span = strides[p] * radixes[p]
-            for m in range(size):
-                d = _digit(m, strides[p], radixes[p])
-                if d != 0 and d != init_digit:
-                    continue
-                cidx = (m // span) * strides[p] + (m % strides[p])
-                table[m] = child[cidx]
-            tables[i] = table
-            tables[j] = None
-        elif kind == JOIN:
-            j1, j2 = children[i]
-            t1, t2 = tables[j1], tables[j2]
-            radixes, strides, size = layout(bag)
-            table = [_INF] * size
-            choice = {}
-            positions = list(range(len(bag)))
-            for i1 in range(len(t1)):
-                c1 = t1[i1]
-                if c1 >= _INF:
-                    continue
-                # per added vertex, the partner may hold any flag pair; the
-                # combined flags are the union of witnesses from both subtrees
-                opts = []
-                for p in positions:
-                    d1 = _digit(i1, strides[p], radixes[p])
-                    if d1 == 0:
-                        opts.append(((0, 0),))
-                    else:
-                        s1, p1 = (d1 - 1) >> 1, (d1 - 1) & 1
-                        opts.append(tuple(
-                            (1 + (s2 << 1 | p2),
-                             1 + (((s1 | s2) << 1) | (p1 | p2)))
-                            for s2 in (0, 1) for p2 in (0, 1)))
-                for combo in product(*opts):
-                    i2 = 0
-                    ip = 0
-                    for p, (d2, dp) in enumerate(combo):
-                        i2 += d2 * strides[p]
-                        ip += dp * strides[p]
-                    c2 = t2[i2]
-                    if c2 >= _INF:
-                        continue
-                    val = c1 + c2
-                    if val < table[ip]:
-                        table[ip] = val
-                        choice[ip] = (i1, i2)
-            tables[i] = table
-            tables[j1] = tables[j2] = None
-            choices[i] = choice
-        else:  # forget
-            j = children[i][0]
-            child = tables[j]
-            v = vertex[i]
-            child_bag = bags[j]
-            p = child_bag.index(v)
-            cradix, cstride, csize = layout(child_bag)
-            pradix, pstride, psize = layout(bag)
-            other = [q for q in range(len(child_bag)) if q != p]
-            # in-bag neighbor positions for the departing vertex's own
-            # conditions, and flag updates it grants to surviving vertices;
-            # a self-loop does not let a node witness itself
-            succ_pos = [q for q in other if child_bag[q] in succ_sets[v]]
-            pred_pos = [q for q in other if child_bag[q] in pred_sets[v]]
-            updates = []
-            for out_pos, q in enumerate(other):
-                u = child_bag[q]
-                if not eligible[u]:
-                    continue
-                grant = 0
-                if u in succ_sets[v]:  # v -> u: v is a predecessor witness for u
-                    grant |= 1
-                if u in pred_sets[v]:  # u -> v: v is a successor witness for u
-                    grant |= 2
-                if grant:
-                    updates.append((out_pos, grant))
-            table = [_INF] * psize
-            choice = {}
-            for cidx in range(csize):
-                cval = child[cidx]
-                if cval >= _INF:
-                    continue
-                d = _digit(cidx, cstride[p], cradix[p])
-                digits = [_digit(cidx, cstride[q], cradix[q]) for q in other]
-                if d == 0:
-                    add = 0
-                else:
-                    flags = d - 1
-                    succ_ok = (flags >> 1) or any(digits[k] != 0 for k, q in enumerate(other) if q in succ_pos)
-                    pred_ok = (flags & 1) or any(digits[k] != 0 for k, q in enumerate(other) if q in pred_pos)
-                    if not (succ_ok and pred_ok):
-                        continue
-                    add = -1
-                    for out_pos, grant in updates:
-                        if digits[out_pos] != 0:
-                            digits[out_pos] = 1 + ((digits[out_pos] - 1) | grant)
-                pidx = 0
-                for k in range(len(other)):
-                    pidx += digits[k] * pstride[k]
-                val = cval + add
-                if val < table[pidx]:
-                    table[pidx] = val
-                    choice[pidx] = cidx
-            tables[i] = table
-            tables[j] = None
-            choices[i] = choice
-
-    root_table = tables[nice.root]
-    if len(root_table) != 1:
-        raise DecompositionError("root bag of the nice decomposition must be empty")
-
-    added = set()
-    stack = [(nice.root, 0)]
+    stack = [v for v in range(n) if alive[v] and not (succ_count[v] and pred_count[v])]
+    for v in stack:
+        alive[v] = False
     while stack:
-        i, m = stack.pop()
-        kind = kinds[i]
-        if kind == LEAF:
-            continue
-        if kind == JOIN:
-            i1, i2 = choices[i][m]
-            stack.append((children[i][0], i1))
-            stack.append((children[i][1], i2))
-        elif kind == INTRODUCE:
-            v = vertex[i]
-            bag = bags[i]
-            p = bag.index(v)
-            radixes, strides, _ = layout(bag)
-            span = strides[p] * radixes[p]
-            stack.append((children[i][0], (m // span) * strides[p] + (m % strides[p])))
-        else:  # forget
-            cidx = choices[i][m]
-            child_bag = bags[children[i][0]]
-            p = child_bag.index(vertex[i])
-            cradix, cstride, _ = layout(child_bag)
-            if _digit(cidx, cstride[p], cradix[p]) != 0:
-                added.add(vertex[i])
-            stack.append((children[i][0], cidx))
+        v = stack.pop()
+        for u in pred(v):
+            if alive[u]:
+                succ_count[u] -= 1
+                if not succ_count[u]:
+                    alive[u] = False
+                    stack.append(u)
+        for w in succ(v):
+            if alive[w]:
+                pred_count[w] -= 1
+                if not pred_count[w]:
+                    alive[w] = False
+                    stack.append(w)
 
-    if len(added) != -root_table[0]:
-        raise DecompositionError("internal error: reconstructed set disagrees with table cost")
-    return SafetySolution(i_prime=frozenset(inv | added), added=frozenset(added))
+    added = frozenset(v for v in range(n) if alive[v])
+    return SafetySolution(i_prime=frozenset(inv | added), added=added)

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lospre.cfg import Cfg, make_problem
+from lospre.cfg import Cfg, ExprProblem, make_problem
 from lospre.cli import RunConfig, bench_sizes, run_pipeline
 from lospre.cost import CostVec
 from lospre.dp import eliminated_count, solve, solve_extended
@@ -84,6 +84,8 @@ def test_lifetime_optimality(optimality_suite):
 
 
 def test_safety_equivalence():
+    """Every generated instance, and again with some uses also invalidating
+    (as ``v = *v`` does), against the path closure."""
     failures = 0
     checked = 0
     for style in STYLES:
@@ -91,15 +93,21 @@ def test_safety_equivalence():
         for seed in range(334):
             cfg, problem = generate(InstanceGenerator(seed=seed, node_range=rng_range, style=style))
             nice = make_nice(decompose(cfg))
-            sol = solve_safety(cfg, problem, nice)
-            ref = brute_safety(cfg, problem)
-            checked += 1
-            if sol.i_prime != ref.i_prime or sol.added != ref.added:
-                failures += 1
-                continue
-            again = solve_safety(cfg, apply_safety(problem, sol), nice)
-            if again.added:
-                failures += 1
+            rng = random.Random(seed)
+            overlap = frozenset(v for v in sorted(problem.use_set) if rng.random() < 0.5)
+            variants = [problem]
+            if overlap:
+                variants.append(ExprProblem(problem.use_set, problem.invalidation_set | overlap))
+            for problem in variants:
+                sol = solve_safety(cfg, problem, nice)
+                ref = brute_safety(cfg, problem)
+                checked += 1
+                if sol.i_prime != ref.i_prime or sol.added != ref.added:
+                    failures += 1
+                    continue
+                again = solve_safety(cfg, apply_safety(problem, sol), nice)
+                if again.added:
+                    failures += 1
     _report("safety-equivalence", failures == 0 and checked >= 1000,
             f"({checked} instances, {failures} failures)")
 

@@ -67,6 +67,8 @@ def test_parse_error_exit_code(tmp_path, capsys):
     src2 = tmp_path / "bad.graph"
     src2.write_text("nonsense\n")
     assert main(["graph", str(src2)]) == EXIT_PARSE
+    src2.write_text("cfg 0\n")
+    assert main(["graph", str(src2)]) == EXIT_PARSE
     capsys.readouterr()
 
 
@@ -140,6 +142,15 @@ def test_verify_detects_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     src.write_text("cfg 3\nedge 0 1 c=[1,0]\nedge 1 2 c=[1,0]\nproblem use=1 invalidate=\n")
     assert main(["graph", str(src), "--verify"]) == EXIT_VERIFY
     assert main(["graph", str(src)]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_verify_safety_with_use_inv_overlap(tmp_path, capsys):
+    # v2 = *v2 reads memory before it writes v2: it uses and invalidates the
+    # load, so it ends no unsafe corridor and the oracle must agree
+    src = tmp_path / "f.ir"
+    src.write_text("v3 = v4\nv2 = *v2\nv1 = *9\nret\n")
+    assert main(["run", str(src), "--verify"]) == EXIT_OK
     capsys.readouterr()
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lospre.cfg import Cfg, make_problem
@@ -9,6 +11,53 @@ from lospre.treedec import decompose, make_nice
 
 def solved(cfg, problem):
     return solve_safety(cfg, problem, make_nice(decompose(cfg)))
+
+
+def exhaustive_safety(cfg, problem):
+    """Largest set of eligible nodes meeting both witness conditions.
+
+    Enumerates every subset of the nodes outside the use and invalidation
+    sets, so it is limited to 12 nodes.  Written from the definition alone,
+    independent of the solver's peel.
+    """
+    assert cfg.node_count <= 12
+    use, inv = problem.use_set, problem.invalidation_set
+    eligible = [v for v in range(cfg.node_count) if v not in use and v not in inv]
+    succ = {v: [w for (x, w) in cfg.edges if x == v and w != v] for v in eligible}
+    pred = {v: [u for (u, x) in cfg.edges if x == v and u != v] for v in eligible}
+    best = frozenset()
+    for mask in range(1 << len(eligible)):
+        added = frozenset(v for k, v in enumerate(eligible) if mask >> k & 1)
+        if len(added) <= len(best):
+            continue
+        if all(any(w in added or (w in inv and w not in use) for w in succ[v]) and
+               any(u in added or u in inv for u in pred[v]) for v in added):
+            best = added
+    return best
+
+
+def cyclic_variant(seed, style):
+    """A generated instance with back edges and self-loops added.
+
+    Every third seed also drops the extra invalidating nodes, and every
+    other seed makes some uses invalidating too, as ``v = *v`` does.  About
+    a third of the instances hold a loop with no use in it.
+    """
+    rng = random.Random(f"cyclic/{style}/{seed}")
+    cfg, problem = generate(InstanceGenerator(seed=seed, node_range=(4, 12), style=style))
+    n = cfg.node_count
+    edges = set(cfg.edges)
+    for _ in range(rng.randint(1, 3)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if v != cfg.source and u >= v:
+            edges.add((u, v))
+    cyclic = Cfg(n, edges)
+    inv = problem.invalidation_set - {cfg.source} - cfg.sinks
+    if seed % 3 == 0:
+        inv = frozenset()
+    if seed % 2:
+        inv |= {v for v in sorted(problem.use_set) if rng.random() < 0.5}
+    return cyclic, make_problem(cyclic, problem.use_set, inv)
 
 
 def line(n):
@@ -131,3 +180,34 @@ def test_safety_blocks_speculative_hoist():
     assert guarded.cost == CostVec(9, 0)
     ref = brute_lospre(cfg, apply_safety(problem, sol))
     assert (ref.cost, ref.life_set) == (guarded.cost, guarded.life_set)
+
+
+def test_loop_that_reaches_no_use_is_added():
+    # 1 <-> 2 never exits: each node witnesses the other, and the source
+    # witnesses 1 from above; a use-free cycle is an unguarded corridor
+    cfg = Cfg(4, [(0, 1), (1, 2), (2, 1), (0, 3)])
+    problem = make_problem(cfg, use=[])
+    assert solved(cfg, problem).added == {1, 2}
+    assert exhaustive_safety(cfg, problem) == {1, 2}
+
+
+def test_self_loop_is_not_its_own_witness():
+    # the sink 2 both uses and invalidates, so node 1's only other successor
+    # witness would be itself
+    cfg = Cfg(3, [(0, 1), (1, 1), (1, 2)])
+    assert solved(cfg, make_problem(cfg, use=[2])).added == frozenset()
+    assert solved(cfg, make_problem(cfg, use=[])).added == {1}
+
+
+def test_exhaustive_oracle_on_cyclic_and_overlap_instances():
+    counts = {"cyclic": 0, "self-loop": 0, "overlap": 0}
+    for style in STYLES:
+        for seed in range(200):
+            cfg, problem = cyclic_variant(seed, style)
+            sol = solve_safety(cfg, problem)
+            assert sol.added == exhaustive_safety(cfg, problem), (style, seed)
+            assert sol.i_prime == problem.invalidation_set | sol.added
+            counts["cyclic"] += not cfg.is_acyclic()
+            counts["self-loop"] += any(u == v for (u, v) in cfg.edges)
+            counts["overlap"] += bool(problem.use_set & problem.invalidation_set)
+    assert min(counts.values()) >= 50, counts

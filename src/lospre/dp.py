@@ -1,19 +1,26 @@
 """Optimal life-set computation by dynamic programming over a nice decomposition.
 
-Bag assignments are bitmasks over the sorted bag (one bit per vertex in the
-base variant, a three-bit group per vertex in the extended variant).  Leaf
-tables hold the single zero entry; introduce nodes reindex the child table;
-join nodes add the two child tables entrywise; forget nodes minimize over
-the departing vertex's bit(s), charging that vertex's liveness cost and the
-costs of its incident edges whose other endpoint is still in the bag.  Every
-graph edge is charged at exactly one forget node: the one where the earlier
-forgotten endpoint departs with the other endpoint still present.
+Bag assignments are bitmasks over the sorted bag, one liveness bit per
+vertex.  Leaf tables hold the single zero entry; introduce nodes reindex the
+child table; join nodes add the two child tables entrywise; forget nodes
+minimize over the departing vertex's bit, charging that vertex's dead or
+live cost and the costs of its incident edges whose other endpoint is still
+in the bag.  Every graph edge is charged at exactly one forget node: the one
+where the earlier forgotten endpoint departs with the other endpoint still
+present.
+
+Both solvers share this kernel.  ``solve`` charges nothing for a dead
+vertex and the node's liveness cost for a live one.  ``solve_extended``
+adds two operand bits per vertex, but they enter only the vertex's own cost
+table, so for each value bit it picks the cheapest permitted operand bits
+up front and hands the kernel the resulting (dead, live) cost pair.
 
 Costs travel through the tables in the packed integer form from ``cost``;
-tie-breaking prefers a dead vertex.  On graphs small enough to compare
-against brute force, an extra low-order key (2**(n-1-v) per live vertex v)
-makes the reported solution the unique lexicographic minimum among optimal
-assignments, scanning vertex ids upward and preferring absence.
+tie-breaking prefers a dead vertex unless the caller marks it otherwise.
+On graphs small enough to compare against brute force, an extra low-order
+key (2**(n-1-v) per live vertex v) makes the reported solution the unique
+lexicographic minimum among optimal assignments, scanning vertex ids upward
+and preferring absence.
 """
 from __future__ import annotations
 
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .cfg import Cfg, ExprProblem, calc_set, total_cost, validate_problem
-from .cost import (CostVec, PACKED_INF, PACKED_ZERO, format_cost, pack_cost,
+from .cost import (PACKED_INF, PACKED_ZERO, ZERO, CostVec, format_cost, pack_cost,
                    packed_add, packed_add_saturating, parse_cost)
 from .errors import (DecompositionError, LospreError, NoFeasibleSolutionError,
                      WidthExceededError)
@@ -80,26 +87,24 @@ def assign_edges_to_forgets(cfg: Cfg, nice: NiceTreeDec) -> dict:
     return assignment
 
 
-def _resolve_canonical(canonical_ties, node_count, bits_per_node) -> int:
-    """Return the tie-key bit count (0 disables the canonical key)."""
+def _resolve_canonical(canonical_ties, node_count) -> bool:
+    """Return whether the canonical tie-break key is on."""
     if canonical_ties is None:
         canonical_ties = node_count <= CANONICAL_TIES_MAX_NODES
-    if not canonical_ties:
-        return 0
-    if node_count > 64:
+    if canonical_ties and node_count > 64:
         raise LospreError(
             "canonical tie-breaking is limited to 64 nodes; pass canonical_ties=False")
-    return node_count * bits_per_node
+    return bool(canonical_ties)
 
 
-def _pick_padd(cfg: Cfg, extra=()) -> Callable:
+def _pick_padd(costs) -> Callable:
     """Use the fast packed add unless worst-case component sums could overflow.
 
     The saturating fallback clamps per addition, which is not associative,
     so callers must skip exact cross-checks when it is selected.
     """
     bound = 0
-    for c in list(cfg.edge_cost.values()) + list(cfg.node_cost.values()) + list(extra):
+    for c in costs:
         if not c.infinite:
             bound += max(abs(c.primary), abs(c.secondary))
     if bound < (1 << 61):
@@ -107,14 +112,14 @@ def _pick_padd(cfg: Cfg, extra=()) -> Callable:
     return packed_add_saturating
 
 
-def solve(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, *,
-          max_width: int = 16, canonical_ties: Optional[bool] = None) -> LospreSolution:
-    """Minimize the objective exactly over all life sets.
+def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list,
+             live_costs: list, live_first, *, max_width: int, canonical: bool, padd: Callable):
+    """Minimize edge costs plus each vertex's dead or live cost; the shared kernel.
 
-    Requires a valid nice decomposition of ``cfg``; raises
-    WidthExceededError when its width exceeds ``max_width`` (the tables grow
-    as 2**width) and NoFeasibleSolutionError when every assignment has
-    infinite cost.
+    ``dead_costs[v]`` and ``live_costs[v]`` are the packed costs of vertex v
+    dead and live; either may be PACKED_INF.  Exact ties keep the vertex
+    dead unless ``live_first[v]`` is set.  Returns (life set, packed
+    optimum, transitions).
     """
     validate_problem(cfg, problem)
     width = nice.width
@@ -123,9 +128,7 @@ def solve(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, *,
     use = problem.use_set
     inv = problem.invalidation_set
     n = cfg.node_count
-    shift = _resolve_canonical(canonical_ties, n, 1)
-    padd = _pick_padd(cfg)
-    exact = padd is packed_add
+    shift = n if canonical else 0
 
     pzero = PACKED_ZERO << shift
     pinf = PACKED_INF << shift
@@ -178,19 +181,25 @@ def solve(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, *,
                 cx = -1 if x in inv else pos[x]
                 cy = -1 if y in use else pos[y]
                 edges_local.append((cx, cy, pack_cost(cfg.edge_cost[(x, y)]) << shift))
-            lv = pack_cost(cfg.node_cost[v]) << shift
+            dead = dead_costs[v] << shift
+            live = live_costs[v] << shift
             if shift:
-                lv += 1 << (n - 1 - v)
+                live += 1 << (n - 1 - v)
             low = (1 << p) - 1
             bit = 1 << p
+            # (bit offset, value bit, cost) in tie order: strict < below
+            # keeps the first option on an exact tie
+            options = ((0, 0, dead), (bit, 1, live))
+            if live_first and live_first[v]:
+                options = options[::-1]
             size = 1 << len(bags[i])
             table = [0] * size
             choice = bytearray(size)
             for m in range(size):
                 g0 = ((m >> p) << (p + 1)) | (m & low)
-                g1 = g0 | bit
-                best = None
-                for b, g, extra in ((0, g0, pzero), (1, g1, lv)):
+                best = pinf
+                for off, b, extra in options:
+                    g = g0 | off
                     c = child[g]
                     if c >= pinf:
                         continue
@@ -198,15 +207,10 @@ def solve(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, *,
                     for (cx, cy, pc) in edges_local:
                         if (cx < 0 or not (g >> cx) & 1) and (cy < 0 or (g >> cy) & 1):
                             c = padd(c, pc)
-                    if best is None or c < best:
+                    if c < best:
                         best = c
-                        chosen = b
-                if best is None:
-                    table[m] = pinf
-                else:
-                    # strict < above keeps the dead bit on ties
-                    table[m] = best
-                    choice[m] = chosen
+                        choice[m] = b
+                table[m] = best
             tables[i] = table
             tables[j] = None
             choices[i] = choice
@@ -238,38 +242,53 @@ def solve(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, *,
             if b:
                 life.add(vertex[i])
             stack.append((children[i][0], ((m >> p) << (p + 1)) | (m & ((1 << p) - 1)) | (b << p)))
+    return frozenset(life), root_cost >> shift, transitions
 
-    life = frozenset(life)
-    cost = total_cost(cfg, problem, life)
+
+def _check_optimum(padd: Callable, cost: CostVec, root_cost: int) -> None:
     # saturating adds are not associative, so the cross-check only holds on
     # the exact path (always taken for realistic cost magnitudes)
-    if exact and pack_cost(cost) != (root_cost >> shift if shift else root_cost):
+    if padd is packed_add and pack_cost(cost) != root_cost:
         raise LospreError("internal error: table cost disagrees with recomputed objective")
+
+
+def solve(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, *,
+          max_width: int = 16, canonical_ties: Optional[bool] = None) -> LospreSolution:
+    """Minimize the objective exactly over all life sets.
+
+    Requires a valid nice decomposition of ``cfg``; raises
+    WidthExceededError when its width exceeds ``max_width`` (the tables grow
+    as 2**width) and NoFeasibleSolutionError when every assignment has
+    infinite cost.
+    """
+    n = cfg.node_count
+    padd = _pick_padd(list(cfg.edge_cost.values()) + list(cfg.node_cost.values()))
+    live_costs = [pack_cost(cfg.node_cost[v]) for v in range(n)]
+    life, root_cost, transitions = _life_dp(
+        cfg, problem, nice, [PACKED_ZERO] * n, live_costs, None, max_width=max_width,
+        canonical=_resolve_canonical(canonical_ties, n), padd=padd)
+    cost = total_cost(cfg, problem, life)
+    _check_optimum(padd, cost, root_cost)
     return LospreSolution(life_set=life, calc_set=calc_set(cfg, problem, life),
                           cost=cost, transitions=transitions)
 
 
 # Extended variant: each vertex carries three bits (value life, left operand
 # life, right operand life).  Only the value bit feeds the calculation-set
-# predicate; the per-node cost table is consulted for all eight combinations,
-# including all-dead, at the vertex's forget node.
+# predicate; the operand bits enter only the vertex's own cost table.  So for
+# each value bit the cheapest permitted operand bits are fixed per vertex,
+# and the one-bit kernel runs on the resulting (dead, live) cost pairs.
+# Combinations are stored as digits d = b | bl << 1 | br << 2.
 
-_GROUP = 3
-
-
-def _combo_of_digit(d: int) -> tuple:
-    # storage order: bit0 = value life, bit1 = left, bit2 = right
-    return (d & 1, (d >> 1) & 1, (d >> 2) & 1)
-
-
-def _canonical_rank(d: int) -> int:
-    b, bl, br = _combo_of_digit(d)
-    return (b << 2) | (bl << 1) | br
+_COMBOS = [(d & 1, (d >> 1) & 1, (d >> 2) & 1) for d in range(8)]
+# digits per value bit in tie order: the canonical order takes the lowest
+# (b, bl, br) triple, the other order the lowest digit
+_TIE_ORDER = {True: ((0, 4, 2, 6), (1, 5, 3, 7)), False: ((0, 2, 4, 6), (1, 3, 5, 7))}
 
 
 def solve_extended(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec,
                    lifetime_cost: Callable[[int, int, int, int], CostVec], *,
-                   max_width: int = 8, canonical_ties: Optional[bool] = None,
+                   max_width: int = 16, canonical_ties: Optional[bool] = None,
                    allowed_combos: Optional[dict] = None) -> LospreSolution:
     """Minimize edge costs plus ``lifetime_cost(v, b, bl, br)`` summed over all nodes.
 
@@ -278,170 +297,43 @@ def solve_extended(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec,
     permitted (b, bl, br) triples, as a feasibility-coupling hook; by
     default all eight are permitted.
     """
-    validate_problem(cfg, problem)
-    width = nice.width
-    if width > max_width:
-        raise WidthExceededError(f"decomposition width {width} exceeds the guard {max_width}")
-    use = problem.use_set
-    inv = problem.invalidation_set
     n = cfg.node_count
-
-    node_tables = []
+    canonical = _resolve_canonical(canonical_ties, n)
+    order = _TIE_ORDER[canonical]
+    allowed = {v: set(map(tuple, combos)) for v, combos in (allowed_combos or {}).items()}
+    if any(not 0 <= v < n for v in allowed):
+        raise LospreError("allowed_combos names a node outside the graph")
+    rows, picks, dead_costs, live_costs = [], [], [], []
+    live_first = bytearray(n)
     for v in range(n):
-        row = []
-        for d in range(8):
-            c = lifetime_cost(v, *_combo_of_digit(d))
-            if not isinstance(c, CostVec):
-                raise LospreError("lifetime_cost must return CostVec values")
-            row.append(c)
-        node_tables.append(row)
-    allowed = [255] * n
-    if allowed_combos:
-        for v, combos in allowed_combos.items():
-            mask = 0
-            for (b, bl, br) in combos:
-                mask |= 1 << (b | (bl << 1) | (br << 2))
-            allowed[v] = mask
+        row = [lifetime_cost(v, *combo) for combo in _COMBOS]
+        if not all(isinstance(c, CostVec) for c in row):
+            raise LospreError("lifetime_cost must return CostVec values")
+        packed = [pack_cost(c) for c in row]
+        permitted = allowed.get(v)
+        # min keeps the first of equal costs, so tie order decides ties
+        d0, d1 = pick = [min((d for d in order[b] if permitted is None or _COMBOS[d] in permitted),
+                             key=packed.__getitem__, default=None) for b in (0, 1)]
+        rows.append(row)
+        picks.append(pick)
+        dead_costs.append(PACKED_INF if d0 is None else packed[d0])
+        live_costs.append(PACKED_INF if d1 is None else packed[d1])
+        # a dead and a live pick of equal total cost: the lower digit wins
+        live_first[v] = not canonical and d0 is not None and d1 is not None and d1 < d0
 
-    shift = _resolve_canonical(canonical_ties, n, _GROUP)
-    padd = _pick_padd(cfg, extra=[c for row in node_tables for c in row])
-    exact = padd is packed_add
-    pzero = PACKED_ZERO << shift
-    pinf = PACKED_INF << shift
-    if shift:
-        base_add = padd
+    padd = _pick_padd(list(cfg.edge_cost.values())
+                      + [rows[v][d] for v in range(n) for d in picks[v] if d is not None])
+    life, root_cost, transitions = _life_dp(
+        cfg, problem, nice, dead_costs, live_costs, live_first, max_width=max_width,
+        canonical=canonical, padd=padd)
 
-        def padd(a, b, _add=base_add, _sh=shift, _mask=(1 << shift) - 1):
-            return (_add(a >> _sh, b >> _sh) << _sh) | ((a & _mask) + (b & _mask))
-
-    edge_assignment = assign_edges_to_forgets(cfg, nice)
-
-    kinds = nice.kinds
-    vertex = nice.vertex
-    bags = nice.bags
-    children = nice.children
-    tables = [None] * nice.node_count
-    choices = {}
-    transitions = 0
-    G = _GROUP
-
-    for i in nice.order:
-        kind = kinds[i]
-        if kind == LEAF:
-            tables[i] = [pzero]
-            transitions += 1
-        elif kind == INTRODUCE:
-            j = children[i][0]
-            child = tables[j]
-            p = G * bags[i].index(vertex[i])
-            low = (1 << p) - 1
-            size = 1 << (G * len(bags[i]))
-            tables[i] = [child[((m >> (p + G)) << p) | (m & low)] for m in range(size)]
-            tables[j] = None
-            transitions += size
-        elif kind == JOIN:
-            j1, j2 = children[i]
-            a, b = tables[j1], tables[j2]
-            tables[i] = [padd(a[m], b[m]) for m in range(len(a))]
-            tables[j1] = tables[j2] = None
-            transitions += len(a)
-        else:  # forget
-            j = children[i][0]
-            child = tables[j]
-            v = vertex[i]
-            child_bag = bags[j]
-            p = G * child_bag.index(v)
-            pos = {u: G * q for q, u in enumerate(child_bag)}
-            edges_local = []
-            for (x, y) in edge_assignment.get(i, ()):
-                cx = -1 if x in inv else pos[x]
-                cy = -1 if y in use else pos[y]
-                edges_local.append((cx, cy, pack_cost(cfg.edge_cost[(x, y)]) << shift))
-            digit_cost = []
-            for d in range(8):
-                if not (allowed[v] >> d) & 1:
-                    digit_cost.append(None)
-                    continue
-                c = pack_cost(node_tables[v][d]) << shift
-                if shift:
-                    c += _canonical_rank(d) << (G * (n - 1 - v))
-                digit_cost.append(c)
-            low = (1 << p) - 1
-            size = 1 << (G * len(bags[i]))
-            table = [0] * size
-            choice = bytearray(size)
-            for m in range(size):
-                gbase = ((m >> p) << (p + G)) | (m & low)
-                best = None
-                for d in range(8):
-                    dc = digit_cost[d]
-                    if dc is None:
-                        continue
-                    g = gbase | (d << p)
-                    c = child[g]
-                    if c >= pinf:
-                        continue
-                    c = padd(c, dc)
-                    for (cx, cy, pc) in edges_local:
-                        if (cx < 0 or not (g >> cx) & 1) and (cy < 0 or (g >> cy) & 1):
-                            c = padd(c, pc)
-                    if best is None or c < best:
-                        best = c
-                        bd = d
-                if best is None:
-                    table[m] = pinf
-                else:
-                    table[m] = best
-                    choice[m] = bd
-            tables[i] = table
-            tables[j] = None
-            choices[i] = choice
-            transitions += 8 * size * (1 + len(edges_local))
-
-    root_table = tables[nice.root]
-    if len(root_table) != 1:
-        raise DecompositionError("root bag of the nice decomposition must be empty")
-    if root_table[0] >= pinf:
-        raise NoFeasibleSolutionError("no feasible solution: all assignments have infinite cost")
-    root_cost = root_table[0]
-
-    life, life_l, life_r = set(), set(), set()
-    stack = [(nice.root, 0)]
-    while stack:
-        i, m = stack.pop()
-        kind = kinds[i]
-        if kind == LEAF:
-            continue
-        if kind == JOIN:
-            stack.append((children[i][0], m))
-            stack.append((children[i][1], m))
-        elif kind == INTRODUCE:
-            p = G * bags[i].index(vertex[i])
-            stack.append((children[i][0], ((m >> (p + G)) << p) | (m & ((1 << p) - 1))))
-        else:
-            p = G * bags[children[i][0]].index(vertex[i])
-            d = choices[i][m]
-            b, bl, br = _combo_of_digit(d)
-            v = vertex[i]
-            if b:
-                life.add(v)
-            if bl:
-                life_l.add(v)
-            if br:
-                life_r.add(v)
-            stack.append((children[i][0], ((m >> p) << (p + G)) | (m & ((1 << p) - 1)) | (d << p)))
-
-    life = frozenset(life)
+    chosen = [picks[v][v in life] for v in range(n)]
     cset = calc_set(cfg, problem, life)
-    cost = CostVec(0, 0)
-    for e in cset:
-        cost = cost + cfg.edge_cost[e]
-    for v in range(n):
-        cost = cost + node_tables[v][(v in life) | ((v in life_l) << 1) | ((v in life_r) << 2)]
-    if exact and pack_cost(cost) != (root_cost >> shift if shift else root_cost):
-        raise LospreError("internal error: table cost disagrees with recomputed objective")
+    cost = sum([cfg.edge_cost[e] for e in cset] + [rows[v][d] for v, d in enumerate(chosen)], ZERO)
+    _check_optimum(padd, cost, root_cost)
     return LospreSolution(life_set=life, calc_set=cset, cost=cost,
-                          life_left=frozenset(life_l), life_right=frozenset(life_r),
+                          life_left=frozenset(v for v in range(n) if chosen[v] & 2),
+                          life_right=frozenset(v for v in range(n) if chosen[v] & 4),
                           transitions=transitions)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .cfg import Cfg, DEFAULT_EDGE_COST, DEFAULT_NODE_COST, ExprProblem, calc_set, make_problem, total_cost
 from .cost import CostVec
 from .dp import LospreSolution
-from .errors import SizeGuardError
+from .errors import NoFeasibleSolutionError, SizeGuardError
 from .safety import SafetySolution
 
 
@@ -135,18 +135,43 @@ def brute_safety(cfg: Cfg, problem: ExprProblem) -> SafetySolution:
     return SafetySolution(i_prime=frozenset(inv | added), added=added)
 
 
+def _permits(allowed_combos):
+    """Predicate (v, (b, bl, br)) -> bool for an ``allowed_combos`` map."""
+    allowed = {v: {tuple(c) for c in combos} for v, combos in (allowed_combos or {}).items()}
+    return lambda v, combo: v not in allowed or combo in allowed[v]
+
+
+def _extended_solution(cfg, problem, bits, lifetime_cost) -> LospreSolution:
+    """The solution for per-node (b, bl, br) bits, its cost recomputed."""
+    life = frozenset(v for v, t in enumerate(bits) if t[0])
+    cset = calc_set(cfg, problem, life)
+    cost = CostVec(0, 0)
+    for e in cset:
+        cost = cost + cfg.edge_cost[e]
+    for v, t in enumerate(bits):
+        cost = cost + lifetime_cost(v, *t)
+    return LospreSolution(life_set=life, calc_set=cset, cost=cost,
+                          life_left=frozenset(v for v, t in enumerate(bits) if t[1]),
+                          life_right=frozenset(v for v, t in enumerate(bits) if t[2]))
+
+
 def brute_extended(cfg: Cfg, problem: ExprProblem,
-                   lifetime_cost: Callable[[int, int, int, int], CostVec]) -> LospreSolution:
+                   lifetime_cost: Callable[[int, int, int, int], CostVec],
+                   allowed_combos=None) -> LospreSolution:
     """Global minimum over all 8**|V| (value, left, right) liveness assignments.
 
     The edge term depends only on the value bits, and the node term is a
     per-node table lookup, so the enumeration iterates the 2**|V| value
     masks and minimizes the operand bits per node exactly; the result and
     its tie-breaking equal full enumeration (cross-checked in tests).
+    ``allowed_combos`` maps a node to its permitted (b, bl, br) triples, as
+    in ``solve_extended``; NoFeasibleSolutionError when no assignment is
+    permitted.
     """
     n = cfg.node_count
     if n > 8:
         raise SizeGuardError(f"brute_extended is limited to 8 nodes, got {n}")
+    permits = _permits(allowed_combos)
     tables = [[lifetime_cost(v, b, bl, br) for b in (0, 1) for bl in (0, 1) for br in (0, 1)]
               for v in range(n)]
     # tables[v][b*4 + bl*2 + br]
@@ -162,33 +187,30 @@ def brute_extended(cfg: Cfg, problem: ExprProblem,
         for v in range(n):
             b = (mask >> v) & 1
             row = tables[v]
-            cand = [(row[b * 4 + bl * 2 + br], (bl, br)) for bl in (0, 1) for br in (0, 1)]
+            cand = [(row[b * 4 + bl * 2 + br], (bl, br)) for bl in (0, 1) for br in (0, 1)
+                    if permits(v, (b, bl, br))]
+            if not cand:
+                break
             c, bits = min(cand, key=lambda t: (t[0], t[1]))
             node_cost = node_cost + c
             op_bits.append((b, bits[0], bits[1]))
-        key = (edge_cost + node_cost, tuple(op_bits))
-        if best is None or key < best[0]:
-            best = (key, mask, op_bits)
+        else:
+            key = (edge_cost + node_cost, tuple(op_bits))
+            if best is None or key < best[0]:
+                best = (key, op_bits)
 
-    _, mask, op_bits = best
-    life = frozenset(v for v in range(n) if (mask >> v) & 1)
-    life_l = frozenset(v for v in range(n) if op_bits[v][1])
-    life_r = frozenset(v for v in range(n) if op_bits[v][2])
-    cost = CostVec(0, 0)
-    for e in calc_set(cfg, problem, life):
-        cost = cost + cfg.edge_cost[e]
-    for v in range(n):
-        b, bl, br = op_bits[v]
-        cost = cost + tables[v][b * 4 + bl * 2 + br]
-    return LospreSolution(life_set=life, calc_set=calc_set(cfg, problem, life),
-                          cost=cost, life_left=life_l, life_right=life_r)
+    if best is None:
+        raise NoFeasibleSolutionError("no permitted assignment")
+    return _extended_solution(cfg, problem, best[1], lifetime_cost)
 
 
-def brute_extended_full(cfg: Cfg, problem: ExprProblem, lifetime_cost) -> LospreSolution:
+def brute_extended_full(cfg: Cfg, problem: ExprProblem, lifetime_cost,
+                        allowed_combos=None) -> LospreSolution:
     """Literal 8**|V| enumeration, for cross-checking brute_extended on tiny graphs."""
     n = cfg.node_count
     if n > 5:
         raise SizeGuardError(f"brute_extended_full is limited to 5 nodes, got {n}")
+    permits = _permits(allowed_combos)
     best = None
     for assign in range(8 ** n):
         bits = []
@@ -197,26 +219,15 @@ def brute_extended_full(cfg: Cfg, problem: ExprProblem, lifetime_cost) -> Lospre
             d = a % 8
             bits.append(((d >> 2) & 1, (d >> 1) & 1, d & 1))  # (b, bl, br)
             a //= 8
-        life = frozenset(v for v in range(n) if bits[v][0])
-        cost = CostVec(0, 0)
-        for e in calc_set(cfg, problem, life):
-            cost = cost + cfg.edge_cost[e]
-        for v in range(n):
-            cost = cost + lifetime_cost(v, *bits[v])
-        key = (cost, tuple(bits))
+        if not all(permits(v, bits[v]) for v in range(n)):
+            continue
+        sol = _extended_solution(cfg, problem, bits, lifetime_cost)
+        key = (sol.cost, tuple(bits))
         if best is None or key < best[0]:
-            best = (key, bits)
-    _, bits = best
-    life = frozenset(v for v in range(n) if bits[v][0])
-    life_l = frozenset(v for v in range(n) if bits[v][1])
-    life_r = frozenset(v for v in range(n) if bits[v][2])
-    cost = CostVec(0, 0)
-    for e in calc_set(cfg, problem, life):
-        cost = cost + cfg.edge_cost[e]
-    for v in range(n):
-        cost = cost + lifetime_cost(v, *bits[v])
-    return LospreSolution(life_set=life, calc_set=calc_set(cfg, problem, life),
-                          cost=cost, life_left=life_l, life_right=life_r)
+            best = (key, sol)
+    if best is None:
+        raise NoFeasibleSolutionError("no permitted assignment")
+    return best[1]
 
 
 # ---------------------------------------------------------------------------

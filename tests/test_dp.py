@@ -4,7 +4,7 @@ from lospre.cfg import Cfg, calc_set, make_problem, total_cost
 from lospre.cost import CostVec, INFINITY
 from lospre.dp import (assign_edges_to_forgets, eliminated_count, format_solution,
                        parse_solution, solve, solve_extended)
-from lospre.errors import NoFeasibleSolutionError, WidthExceededError
+from lospre.errors import LospreError, NoFeasibleSolutionError, WidthExceededError
 from lospre.ir import ExprCandidate
 from lospre.oracle import (InstanceGenerator, STYLES, brute_extended,
                            brute_extended_full, brute_lospre, generate)
@@ -239,6 +239,145 @@ def test_extended_allowed_combos_hook():
                          allowed_combos=allowed)
     assert 1 not in ext.life_set
     assert ext.cost == CostVec(2, 0)
+
+
+def test_extended_non_canonical_tie_keeps_lowest_digit():
+    # every cost is zero.  Node 1 ties between dead with the left operand
+    # live, (0, 1, 0), and live with both operands dead, (1, 0, 0); without
+    # the canonical key the lower storage digit (b | bl << 1 | br << 2) wins,
+    # so the value stays live.  Node 2 ties between (0, 0, 1) and (0, 1, 0)
+    # and keeps the left operand live.  Frozen from the three-bit kernel this
+    # solver replaced; the canonical order picks the lowest triples instead.
+    cfg = Cfg(4, [(0, 1), (1, 2), (2, 3)])
+    p = make_problem(cfg, use=[2])
+    nice = make_nice(decompose(cfg))
+    allowed = {1: [(0, 1, 0), (1, 0, 0)], 2: [(0, 0, 1), (0, 1, 0)]}
+    zero = lambda v, b, bl, br: CostVec(0, 0)
+    ext = solve_extended(cfg, p, nice, zero, canonical_ties=False, allowed_combos=allowed)
+    assert (ext.cost, ext.life_set, ext.calc_set, ext.life_left, ext.life_right) == \
+        (CostVec(1, 0), {1}, {(0, 1)}, {2}, frozenset())
+    ext = solve_extended(cfg, p, nice, zero, canonical_ties=True, allowed_combos=allowed)
+    assert (ext.cost, ext.life_set, ext.calc_set, ext.life_left, ext.life_right) == \
+        (CostVec(1, 0), frozenset(), {(1, 2)}, {1}, {2})
+
+
+def test_extended_forbidden_dead_forces_live(diamond):
+    p = make_problem(diamond, use=[2, 3])
+    nice = make_nice(decompose(diamond))
+    ext = solve_extended(diamond, p, nice, lambda v, b, bl, br: CostVec(0, b),
+                         allowed_combos={3: [(1, 0, 1), (1, 1, 1)]})
+    assert ext.life_set == {1, 3}
+    assert ext.life_right == {3} and ext.life_left == frozenset()
+    assert ext.cost == CostVec(1, 2)
+
+
+def test_extended_infinite_dead_cost_forces_live(diamond):
+    p = make_problem(diamond, use=[2, 3])
+    nice = make_nice(decompose(diamond))
+    lc = lambda v, b, bl, br: INFINITY if (v == 3 and not b) else CostVec(0, b)
+    ext = solve_extended(diamond, p, nice, lc)
+    assert ext.life_set == {1, 3}
+    assert ext.cost == CostVec(1, 2)
+    ref = brute_extended(diamond, p, lc)
+    assert (ext.cost, ext.life_set, ext.life_left, ext.life_right) == \
+        (ref.cost, ref.life_set, ref.life_left, ref.life_right)
+
+
+def test_extended_no_permitted_combo_is_infeasible(diamond):
+    p = make_problem(diamond, use=[2, 3])
+    nice = make_nice(decompose(diamond))
+    with pytest.raises(NoFeasibleSolutionError):
+        solve_extended(diamond, p, nice, lambda v, b, bl, br: CostVec(0, b),
+                       allowed_combos={2: []})
+
+
+def test_extended_allowed_combos_unknown_node(diamond):
+    p = make_problem(diamond, use=[2, 3])
+    nice = make_nice(decompose(diamond))
+    for v in (5, -1):
+        with pytest.raises(LospreError):
+            solve_extended(diamond, p, nice, lambda v, b, bl, br: CostVec(0, b),
+                           allowed_combos={v: [(0, 0, 0)]})
+
+
+def _random_allowed(rng, n):
+    combos = [(b, bl, br) for b in (0, 1) for bl in (0, 1) for br in (0, 1)]
+    allowed = {}
+    for v in range(n):
+        r = rng.random()
+        if r < 0.3:
+            allowed[v] = rng.sample(combos, rng.randint(1, 7))
+        elif r < 0.4:
+            allowed[v] = [c for c in combos if c[0] == rng.randint(0, 1)]
+    return allowed
+
+
+def test_extended_allowed_combos_match_oracle():
+    import random
+    checked = 0
+    for seed in range(150):
+        cfg, problem = generate(InstanceGenerator(seed=seed, node_range=(3, 8),
+                                                  style=STYLES[seed % 3]))
+        if cfg.node_count > 8:
+            continue
+        rng = random.Random(seed * 7919 + 11)
+        table = {(v, b, bl, br): CostVec(rng.randint(-1, 2), rng.randint(-2, 2))
+                 for v in range(cfg.node_count)
+                 for b in (0, 1) for bl in (0, 1) for br in (0, 1)}
+        lc = lambda v, b, bl, br: table[(v, b, bl, br)]
+        allowed = _random_allowed(rng, cfg.node_count)
+        try:
+            ref = brute_extended(cfg, problem, lc, allowed_combos=allowed)
+        except NoFeasibleSolutionError:
+            with pytest.raises(NoFeasibleSolutionError):
+                solve_extended(cfg, problem, make_nice(decompose(cfg)), lc,
+                               allowed_combos=allowed)
+            continue
+        ext = solve_extended(cfg, problem, make_nice(decompose(cfg)), lc,
+                             allowed_combos=allowed)
+        assert (ext.cost, ext.life_set, ext.life_left, ext.life_right) == \
+            (ref.cost, ref.life_set, ref.life_left, ref.life_right), seed
+        for v, combos in allowed.items():
+            combo = (int(v in ext.life_set), int(v in ext.life_left), int(v in ext.life_right))
+            assert combo in combos, (seed, v)
+        checked += 1
+    assert checked >= 100
+
+
+def _complete_dag(n):
+    return Cfg(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def test_extended_width_guard():
+    # tables have 2**(width+1) entries, as in solve, so the guard matches
+    # solve's default of 16
+    cfg = _complete_dag(11)
+    p = make_problem(cfg, use=[3, 5, 7])
+    nice = make_nice(decompose(cfg))
+    assert nice.width >= 9
+    ext = solve_extended(cfg, p, nice, lambda v, b, bl, br: CostVec(0, b))
+    base = solve(cfg, p, nice)
+    assert (ext.cost, ext.life_set) == (base.cost, base.life_set)
+    big = _complete_dag(19)
+    nice = make_nice(decompose(big))
+    assert nice.width > 16
+    with pytest.raises(WidthExceededError):
+        solve_extended(big, make_problem(big, use=[4]), nice,
+                       lambda v, b, bl, br: CostVec(0, b))
+
+
+def test_extended_transitions_equal_base():
+    # with an operand-blind table the extended solver does exactly the base
+    # solver's table work, at every size
+    for n in (1024, 4096, 16384):
+        cfg, problem = generate(InstanceGenerator(seed=0, node_range=(n, n),
+                                                  style="chained-diamonds"))
+        nice = make_nice(decompose(cfg))
+        base = solve(cfg, problem, nice)
+        ext = solve_extended(cfg, problem, nice,
+                             lambda v, b, bl, br: cfg.node_cost[v] if b else CostVec(0, 0))
+        assert ext.transitions == base.transitions, n
+        assert (ext.cost, ext.life_set) == (base.cost, base.life_set), n
 
 
 # -- statistics ---------------------------------------------------------------

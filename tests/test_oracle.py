@@ -2,7 +2,7 @@ import pytest
 
 from lospre.cfg import Cfg, make_problem, total_cost
 from lospre.cost import CostVec
-from lospre.errors import SizeGuardError
+from lospre.errors import NoFeasibleSolutionError, SizeGuardError
 from lospre.oracle import (InstanceGenerator, brute_extended, brute_extended_full,
                            brute_lospre, brute_safety, generate,
                            generate_program_text)
@@ -103,6 +103,34 @@ def test_brute_extended_matches_full_enumeration():
         full = brute_extended_full(cfg, problem, lc)
         assert (fast.cost, fast.life_set, fast.life_left, fast.life_right) == \
             (full.cost, full.life_set, full.life_left, full.life_right), seed
+
+
+def test_brute_extended_allowed_combos_match_full_enumeration():
+    import random
+    combos = [(b, bl, br) for b in (0, 1) for bl in (0, 1) for br in (0, 1)]
+    infeasible = 0
+    for seed in range(30):
+        cfg, problem = generate(InstanceGenerator(seed=seed, node_range=(3, 5)))
+        if cfg.node_count > 5:
+            continue
+        rng = random.Random(seed + 500)
+        table = {(v, b, bl, br): CostVec(rng.randint(-1, 1), rng.randint(-1, 1))
+                 for v in range(cfg.node_count)
+                 for b in (0, 1) for bl in (0, 1) for br in (0, 1)}
+        lc = lambda v, b, bl, br: table[(v, b, bl, br)]
+        allowed = {v: rng.sample(combos, rng.randint(0, 5))
+                   for v in range(cfg.node_count) if rng.random() < 0.5}
+        try:
+            fast = brute_extended(cfg, problem, lc, allowed_combos=allowed)
+        except NoFeasibleSolutionError:
+            with pytest.raises(NoFeasibleSolutionError):
+                brute_extended_full(cfg, problem, lc, allowed_combos=allowed)
+            infeasible += 1
+            continue
+        full = brute_extended_full(cfg, problem, lc, allowed_combos=allowed)
+        assert (fast.cost, fast.life_set, fast.life_left, fast.life_right) == \
+            (full.cost, full.life_set, full.life_left, full.life_right), seed
+    assert 0 < infeasible < 20
 
 
 def test_brute_safety_line_cases():

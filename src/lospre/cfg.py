@@ -88,6 +88,10 @@ class Cfg:
     def sinks(self) -> frozenset:
         return self._sinks
 
+    def has_finite_costs(self) -> bool:
+        return not any(c.infinite for c in self.edge_cost.values()) and \
+            not any(c.infinite for c in self.node_cost.values())
+
     def is_acyclic(self) -> bool:
         indeg = [len(self._pred[v]) for v in range(self.node_count)]
         stack = [v for v in range(self.node_count) if indeg[v] == 0]
@@ -147,6 +151,64 @@ def calc_set(cfg: Cfg, problem: ExprProblem, life: Iterable[int]) -> frozenset:
     inv = problem.invalidation_set
     return frozenset((x, y) for (x, y) in cfg.edges
                      if not (x in life and x not in inv) and (y in use or y in life))
+
+
+def min_calc_count(cfg: Cfg, problem: ExprProblem, limit: int) -> int:
+    """Fewest calculation edges that any life set has, capped at ``limit``.
+
+    A path that leaves an invalidating node, passes only through nodes
+    outside the invalidation set and ends at the first use it enters holds
+    a calculation edge under every life set: walking back from the use, the
+    first edge whose tail is not live-and-valid is one.  Conversely the
+    edges of a minimum cut between the invalidating nodes and the uses
+    contain the calculation set of the life set made of the
+    non-invalidating nodes on the use side.  So the count is the maximum
+    number of edge-disjoint such paths (Menger), the minimum edge cut of
+    MC-PRE, found here as a unit-capacity flow by BFS augmenting paths.
+    Under unit edge costs and zero primary node costs it equals the
+    optimum's calculation count; under any finite costs it is a lower bound
+    for it.
+    """
+    use, inv = problem.use_set, problem.invalidation_set
+    n = cfg.node_count
+    source, sink = n, n + 1
+    flow = 0
+    head = []                       # arc a runs to head[a]; a ^ 1 is its reverse
+    out = [[] for _ in range(n + 2)]
+    for (x, y) in cfg.edges:
+        u = source if x in inv else None if x in use else x
+        w = sink if y in use else None if y in inv else y
+        if u is None or w is None or u == w:
+            continue
+        if u == source and w == sink:
+            flow += 1
+            continue
+        out[u].append(len(head))
+        head.append(w)
+        out[w].append(len(head))
+        head.append(u)
+    cap = [1, 0] * (len(head) // 2)
+    while flow < limit:
+        via = [-1] * (n + 2)        # arc that first reached each vertex
+        queue = [source]
+        for v in queue:
+            for a in out[v]:
+                w = head[a]
+                if cap[a] and via[w] < 0 and w != source:
+                    via[w] = a
+                    queue.append(w)
+            if via[sink] >= 0:
+                break
+        if via[sink] < 0:
+            break
+        w = sink
+        while w != source:
+            a = via[w]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            w = head[a ^ 1]
+        flow += 1
+    return min(flow, limit)
 
 
 def total_cost(cfg: Cfg, problem: ExprProblem, life: Iterable[int]) -> CostVec:

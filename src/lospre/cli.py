@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import ir as irmod
-from .cfg import dump_dot, load_cfg
+from .cfg import DEFAULT_EDGE_COST, dump_dot, load_cfg, min_calc_count
 from .dp import eliminated_count, format_solution, solve
 from .errors import (GraphFormatError, IrParseError, LospreError,
                      VerificationError, WidthExceededError)
-from .oracle import InstanceGenerator, brute_lospre, brute_safety, generate
+from .oracle import (InstanceGenerator, brute_lospre, brute_safety, brute_safety_fixpoint,
+                     generate)
 from .safety import apply_safety, solve_safety
 from .treedec import decompose, dump_dot_treedec, make_nice
 
@@ -32,6 +33,7 @@ EXIT_VERIFY = 4
 
 VERIFY_MAX_NODES = 12
 VERIFY_SAFETY_MAX_NODES = 16
+VERIFY_FIXPOINT_MAX_NODES = 12
 
 
 @dataclass
@@ -76,6 +78,39 @@ class PipelineResult:
     verify_failures: list
 
 
+def _safety_oracle(cfg):
+    """The brute-force safety reference that ``--verify`` can afford on ``cfg``, or None."""
+    if cfg.node_count <= VERIFY_SAFETY_MAX_NODES and cfg.is_acyclic():
+        return brute_safety
+    if cfg.node_count <= VERIFY_FIXPOINT_MAX_NODES:
+        return brute_safety_fixpoint
+    return None
+
+
+def _unit_costs(cfg) -> bool:
+    """Every edge costs [1,0] and every node cost has primary 0: the cut is the optimum."""
+    return all(c == DEFAULT_EDGE_COST for c in cfg.edge_cost.values()) and \
+        all(not c.infinite and c.primary == 0 for c in cfg.node_cost.values())
+
+
+def _verify_solution(cfg, problem, candidate, solution) -> list:
+    """Failures found by checking one solve against brute force and the cut bound."""
+    failures = []
+    if cfg.node_count <= VERIFY_MAX_NODES:
+        oracle_sol = brute_lospre(cfg, problem)
+        if (oracle_sol.cost, oracle_sol.life_set) != (solution.cost, solution.life_set):
+            failures.append(
+                f"optimality mismatch for {candidate.display()}: "
+                f"cost {solution.cost} vs oracle {oracle_sol.cost}")
+    calcs = len(solution.calc_set)
+    cut = min_calc_count(cfg, problem, calcs + 1)
+    if cut > calcs or (cut < calcs and _unit_costs(cfg)):
+        failures.append(
+            f"certificate mismatch for {candidate.display()}: "
+            f"minimum cut {cut} vs {calcs} calculations")
+    return failures
+
+
 def run_pipeline(program, config: RunConfig) -> PipelineResult:
     """Eliminate candidates to fixpoint.
 
@@ -83,7 +118,10 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     first one whose solution uses fewer calculations than it has
     occurrences; a rewrite strictly reduces the static computation count,
     which bounds the number of passes.  Safety routing follows the config:
-    auto enlarges the invalidation set for loads and divisions.
+    auto enlarges the invalidation set for loads and divisions.  When every
+    cost of the pass's graph is finite, a candidate whose minimum cut
+    (``min_calc_count``) reaches its occurrence count cannot gain under any
+    costs and is not solved; --verify solves every candidate.
     """
     applied = []
     verify_failures = []
@@ -93,9 +131,12 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
         passes += 1
         cfg = irmod.build_cfg(program)
         nice = _decompose_for(cfg, config)
+        certify = not config.verify and cfg.has_finite_costs()
+        safety_oracle = _safety_oracle(cfg) if config.verify else None
         chosen = None
         for candidate, problem in irmod.derive_problems(program, cfg):
-            if len(candidate.occurrence_nodes) < 2 and not config.verify:
+            occurrences = len(candidate.occurrence_nodes)
+            if occurrences < 2 and not config.verify:
                 # a reachable use forces at least one calculation edge, so a
                 # single occurrence can never shrink
                 continue
@@ -103,21 +144,21 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
                             (config.safety == "auto" and candidate.safety_required))
             if wants_safety:
                 safety_sol = solve_safety(cfg, problem, nice, max_width=config.max_width)
-                if config.verify and cfg.node_count <= VERIFY_SAFETY_MAX_NODES and cfg.is_acyclic():
-                    oracle_sol = brute_safety(cfg, problem)
+                if safety_oracle is not None:
+                    oracle_sol = safety_oracle(cfg, problem)
                     if oracle_sol.i_prime != safety_sol.i_prime:
                         verify_failures.append(
                             f"safety mismatch for {candidate.display()}: "
                             f"{sorted(safety_sol.i_prime)} vs oracle {sorted(oracle_sol.i_prime)}")
                 problem = apply_safety(problem, safety_sol)
+            if certify and min_calc_count(cfg, problem, occurrences) >= occurrences:
+                # every life set has at least as many calculation edges as
+                # there are occurrences, the optimum included
+                continue
             solution = solve(cfg, problem, nice, max_width=config.max_width)
-            if config.verify and cfg.node_count <= VERIFY_MAX_NODES:
-                oracle_sol = brute_lospre(cfg, problem)
-                if (oracle_sol.cost, oracle_sol.life_set) != (solution.cost, solution.life_set):
-                    verify_failures.append(
-                        f"optimality mismatch for {candidate.display()}: "
-                        f"cost {solution.cost} vs oracle {oracle_sol.cost}")
-            if len(solution.calc_set) < len(candidate.occurrence_nodes):
+            if config.verify:
+                verify_failures.extend(_verify_solution(cfg, problem, candidate, solution))
+            if len(solution.calc_set) < occurrences:
                 chosen = (candidate, solution)
                 break
         if chosen is None:

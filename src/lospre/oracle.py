@@ -29,17 +29,12 @@ def _life_key(cfg, mask):
     return tuple((mask >> v) & 1 for v in range(cfg.node_count))
 
 
-def _finite_costs(cfg) -> bool:
-    return not any(c.infinite for c in cfg.edge_cost.values()) and \
-        not any(c.infinite for c in cfg.node_cost.values())
-
-
 def brute_lospre(cfg: Cfg, problem: ExprProblem) -> LospreSolution:
     """Global minimum of the objective over all 2**|V| life sets."""
     n = cfg.node_count
     if n > 20:
         raise SizeGuardError(f"brute_lospre is limited to 20 nodes, got {n}")
-    if _finite_costs(cfg) and n >= 4:
+    if cfg.has_finite_costs() and n >= 4:
         best_mask = _brute_lospre_vectorized(cfg, problem)
     else:
         best = None
@@ -133,6 +128,35 @@ def brute_safety(cfg: Cfg, problem: ExprProblem) -> SafetySolution:
 
     added = frozenset((fwd & bwd) - inv)
     return SafetySolution(i_prime=frozenset(inv | added), added=added)
+
+
+def brute_safety_fixpoint(cfg: Cfg, problem: ExprProblem) -> SafetySolution:
+    """Largest set of eligible nodes meeting both witness conditions.
+
+    A node outside the use and invalidation sets is eligible.  In the set,
+    every node needs a successor other than itself that is in the set or
+    invalidates without using, and a predecessor other than itself that is
+    in the set or invalidates.  Enumerates every subset of the eligible
+    nodes, so it is limited to 12 nodes.  Written from the definition alone,
+    independent of the solver's peel; unlike the path closure of
+    ``brute_safety`` it matches that definition on cyclic graphs too.
+    """
+    n = cfg.node_count
+    if n > 12:
+        raise SizeGuardError(f"brute_safety_fixpoint is limited to 12 nodes, got {n}")
+    use, inv = problem.use_set, problem.invalidation_set
+    eligible = [v for v in range(n) if v not in use and v not in inv]
+    succ = {v: [w for (x, w) in cfg.edges if x == v and w != v] for v in eligible}
+    pred = {v: [u for (u, x) in cfg.edges if x == v and u != v] for v in eligible}
+    best = frozenset()
+    for mask in range(1 << len(eligible)):
+        added = frozenset(v for k, v in enumerate(eligible) if mask >> k & 1)
+        if len(added) <= len(best):
+            continue
+        if all(any(w in added or (w in inv and w not in use) for w in succ[v]) and
+               any(u in added or u in inv for u in pred[v]) for v in added):
+            best = added
+    return SafetySolution(i_prime=frozenset(inv | best), added=best)
 
 
 def _permits(allowed_combos):

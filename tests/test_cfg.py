@@ -1,10 +1,17 @@
+import random
+import warnings
+
 import pytest
 
+from lospre import ir as irmod
 from lospre.cfg import (Cfg, ExprProblem, calc_set, dump_dot, load_cfg,
-                        make_problem, total_cost)
+                        make_problem, min_calc_count, total_cost)
 from lospre.cost import CostVec, INFINITY
-from lospre.dp import LospreSolution
+from lospre.dp import LospreSolution, solve
 from lospre.errors import CfgError, GraphFormatError
+from lospre.oracle import STYLES, InstanceGenerator, generate, generate_program_text
+from lospre.safety import apply_safety, solve_safety
+from lospre.treedec import decompose, make_nice
 
 
 @pytest.fixture
@@ -156,3 +163,103 @@ def test_dump_dot_markers(diamond):
     assert 'fillcolor="gray75"' in dot  # invalidating nodes
     assert 'color="red"' in dot         # calculation edges
     assert dot == dump_dot(diamond, p, sol)  # deterministic
+
+
+# ---------------------------------------------------------------------------
+# min_calc_count: the minimum cut that certifies "no gain"
+
+def _cyclic_instance(seed, style, cost_style="unit"):
+    """A generated instance with back edges, self-loops and use/inv overlap."""
+    rng = random.Random(f"cut/{style}/{seed}")
+    cfg, problem = generate(InstanceGenerator(seed=seed, node_range=(4, 14), style=style,
+                                              cost_style=cost_style))
+    n = cfg.node_count
+    edges = set(cfg.edges)
+    for _ in range(rng.randint(0, 4)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if v != cfg.source and u >= v:
+            edges.add((u, v))
+    extra = CostVec(1, 0) if cost_style == "unit" else CostVec(rng.randint(0, 5), 0)
+    edge_cost = {e: cfg.edge_cost.get(e, extra) for e in edges}
+    cyclic = Cfg(n, edges, edge_cost, cfg.node_cost)
+    inv = problem.invalidation_set - {cfg.source} - cfg.sinks
+    if seed % 2:
+        inv |= {v for v in sorted(problem.use_set) if rng.random() < 0.5}
+    return cyclic, make_problem(cyclic, problem.use_set, inv)
+
+
+def _solved(cfg, problem):
+    return solve(cfg, problem, make_nice(decompose(cfg)))
+
+
+def _ir_candidates(seeds):
+    for seed in seeds:
+        program = irmod.parse_ir(generate_program_text(seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", irmod.UnreachableCodeWarning)
+            cfg = irmod.build_cfg(program)
+        for candidate, problem in irmod.derive_problems(program, cfg):
+            yield cfg, problem
+            if candidate.safety_required:
+                yield cfg, apply_safety(problem, solve_safety(cfg, problem))
+
+
+def test_min_calc_count_equals_optimum_under_unit_costs():
+    counts = {"cyclic": 0, "overlap": 0, "ir": 0}
+    for style in STYLES:
+        for seed in range(100):
+            cfg, problem = _cyclic_instance(seed, style)
+            assert min_calc_count(cfg, problem, 10 ** 6) == \
+                len(_solved(cfg, problem).calc_set), (style, seed)
+            counts["cyclic"] += not cfg.is_acyclic()
+            counts["overlap"] += bool(problem.use_set & problem.invalidation_set)
+    for cfg, problem in _ir_candidates(range(60)):
+        assert min_calc_count(cfg, problem, 10 ** 6) == len(_solved(cfg, problem).calc_set)
+        counts["ir"] += 1
+    assert min(counts.values()) >= 50, counts
+
+
+def test_min_calc_count_bounds_optimum_under_finite_costs():
+    below = 0
+    for style in STYLES:
+        for seed in range(100):
+            cfg, problem = _cyclic_instance(seed, style, cost_style="random")
+            cut = min_calc_count(cfg, problem, 10 ** 6)
+            calcs = len(_solved(cfg, problem).calc_set)
+            assert cut <= calcs, (style, seed)
+            below += cut < calcs
+    assert below > 0  # the costs do move the optimum off the minimum cut
+
+
+def test_min_calc_count_limit_caps_the_search():
+    cfg, problem = _cyclic_instance(10, "random-sparse")
+    full = min_calc_count(cfg, problem, 10 ** 6)
+    assert full >= 4
+    for limit in range(full + 3):
+        assert min_calc_count(cfg, problem, limit) == min(full, limit)
+    # edges from an invalidating node straight into a use count before the search
+    fan = Cfg(4, [(0, 1), (0, 2), (0, 3)])
+    assert min_calc_count(fan, make_problem(fan, use=[1, 2]), 1) == 1
+
+
+def test_min_calc_count_hand_cases(diamond):
+    # the two uses merge above the branch: one calculation on 0->1 serves both
+    assert min_calc_count(diamond, make_problem(diamond, use=[2, 3]), 9) == 1
+    # invalidating the branch node splits them again
+    assert min_calc_count(diamond, make_problem(diamond, use=[2, 3], invalidate=[1]), 9) == 2
+    assert min_calc_count(diamond, make_problem(diamond, use=[]), 9) == 0
+    # node 1 uses and invalidates (v = *v): its own entry and the edge to the
+    # next use each need a calculation
+    line = Cfg(4, [(0, 1), (1, 2), (2, 3)])
+    assert min_calc_count(line, make_problem(line, use=[1, 2]), 9) == 1
+    assert min_calc_count(line, make_problem(line, use=[1, 2], invalidate=[1]), 9) == 2
+    # a self-loop on such a node is a calculation edge of its own
+    loop = Cfg(3, [(0, 1), (1, 1), (1, 2)])
+    assert min_calc_count(loop, make_problem(loop, use=[1], invalidate=[1]), 9) == 2
+    assert min_calc_count(loop, make_problem(loop, use=[1]), 9) == 1
+    # the unique shortest path 0-1-2-7 blocks both disjoint paths 0-1-3-4-8
+    # and 0-5-6-2-7; only the residual reverse arc 2->1 finds the second
+    ladder = Cfg(10, [(0, 1), (1, 2), (2, 7), (1, 3), (3, 4), (4, 8), (0, 5), (5, 6),
+                      (6, 2), (7, 9), (8, 9)])
+    problem = make_problem(ladder, use=[7, 8])
+    assert min_calc_count(ladder, problem, 9) == 2 == len(_solved(ladder, problem).calc_set)

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from lospre.cli import (EXIT_OK, EXIT_PARSE, EXIT_VERIFY, EXIT_WIDTH, RunConfig,
+from lospre.cli import (EXIT_ERROR, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, EXIT_WIDTH, RunConfig,
                         bench_sizes, main, run_pipeline)
 from lospre.ir import parse_ir
 
@@ -204,3 +204,53 @@ def test_pipeline_store_blocks_load_reuse_across_iterations():
             "z = *20\nret\n")
     res = run_pipeline(parse_ir(text), RunConfig())
     assert res.applied == []
+
+
+def test_infinite_costs_still_surface_infeasibility(tmp_path, capsys):
+    # every edge costs inf, so every life set of a + b is infeasible; the
+    # minimum cut (a = 1 forces 2 calculations for 2 occurrences) must not
+    # skip the solve that reports it
+    src = tmp_path / "f.ir"
+    src.write_text("!edgecost inf\nx = a + b\na = 1\ny = a + b\nret\n")
+    assert main(["run", str(src)]) == EXIT_ERROR
+    assert "no feasible solution" in capsys.readouterr().err
+
+
+def test_verify_checks_the_cut_certificate(tmp_path, capsys, monkeypatch):
+    # sabotage min_calc_count: above the solver's calculation count is always
+    # wrong, below it is wrong only under unit costs
+    import lospre.cli as cli
+
+    src = tmp_path / "f.ir"
+    src.write_text(TWO_ARM)
+    assert main(["run", str(src), "--verify"]) == EXIT_OK
+    monkeypatch.setattr(cli, "min_calc_count", lambda cfg, problem, limit: limit)
+    assert main(["run", str(src), "--verify"]) == EXIT_VERIFY
+    assert "certificate mismatch" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "min_calc_count", lambda cfg, problem, limit: 0)
+    assert main(["run", str(src), "--verify"]) == EXIT_VERIFY
+    src.write_text("!edgecost [2,0]\n" + TWO_ARM)
+    assert main(["run", str(src), "--verify"]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_verify_checks_safety_on_cyclic_graphs(tmp_path, capsys, monkeypatch):
+    # the counter loop 2 <-> 3 holds no use of *5: the greatest fixpoint
+    # adds it, the path closure does not (its only entry passes the use at
+    # node 1), so only the fixpoint oracle agrees with the solver
+    import lospre.cli as cli
+    from lospre.ir import build_cfg, derive_problems
+    from lospre.oracle import brute_safety, brute_safety_fixpoint
+
+    text = "x = *5\nL: c = c - 1\nif c goto L\ny = *5\nret\n"
+    program = parse_ir(text)
+    cfg = build_cfg(program)
+    [problem] = [p for c, p in derive_problems(program, cfg) if c.safety_required]
+    assert not cfg.is_acyclic()
+    assert brute_safety_fixpoint(cfg, problem).i_prime != brute_safety(cfg, problem).i_prime
+    src = tmp_path / "f.ir"
+    src.write_text(text)
+    assert main(["run", str(src), "--verify"]) == EXIT_OK
+    monkeypatch.setattr(cli, "brute_safety_fixpoint", brute_safety)
+    assert main(["run", str(src), "--verify"]) == EXIT_VERIFY
+    assert "safety mismatch" in capsys.readouterr().err

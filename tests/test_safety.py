@@ -4,36 +4,14 @@ import pytest
 
 from lospre.cfg import Cfg, make_problem
 from lospre.errors import SizeGuardError
-from lospre.oracle import InstanceGenerator, STYLES, brute_safety, generate
+from lospre.oracle import (InstanceGenerator, STYLES, brute_safety, brute_safety_fixpoint,
+                           generate)
 from lospre.safety import apply_safety, solve_safety
 from lospre.treedec import decompose, make_nice
 
 
 def solved(cfg, problem):
     return solve_safety(cfg, problem, make_nice(decompose(cfg)))
-
-
-def exhaustive_safety(cfg, problem):
-    """Largest set of eligible nodes meeting both witness conditions.
-
-    Enumerates every subset of the nodes outside the use and invalidation
-    sets, so it is limited to 12 nodes.  Written from the definition alone,
-    independent of the solver's peel.
-    """
-    assert cfg.node_count <= 12
-    use, inv = problem.use_set, problem.invalidation_set
-    eligible = [v for v in range(cfg.node_count) if v not in use and v not in inv]
-    succ = {v: [w for (x, w) in cfg.edges if x == v and w != v] for v in eligible}
-    pred = {v: [u for (u, x) in cfg.edges if x == v and u != v] for v in eligible}
-    best = frozenset()
-    for mask in range(1 << len(eligible)):
-        added = frozenset(v for k, v in enumerate(eligible) if mask >> k & 1)
-        if len(added) <= len(best):
-            continue
-        if all(any(w in added or (w in inv and w not in use) for w in succ[v]) and
-               any(u in added or u in inv for u in pred[v]) for v in added):
-            best = added
-    return best
 
 
 def cyclic_variant(seed, style):
@@ -188,7 +166,7 @@ def test_loop_that_reaches_no_use_is_added():
     cfg = Cfg(4, [(0, 1), (1, 2), (2, 1), (0, 3)])
     problem = make_problem(cfg, use=[])
     assert solved(cfg, problem).added == {1, 2}
-    assert exhaustive_safety(cfg, problem) == {1, 2}
+    assert brute_safety_fixpoint(cfg, problem).added == {1, 2}
 
 
 def test_self_loop_is_not_its_own_witness():
@@ -205,9 +183,17 @@ def test_exhaustive_oracle_on_cyclic_and_overlap_instances():
         for seed in range(200):
             cfg, problem = cyclic_variant(seed, style)
             sol = solve_safety(cfg, problem)
-            assert sol.added == exhaustive_safety(cfg, problem), (style, seed)
+            assert sol.added == brute_safety_fixpoint(cfg, problem).added, (style, seed)
             assert sol.i_prime == problem.invalidation_set | sol.added
             counts["cyclic"] += not cfg.is_acyclic()
             counts["self-loop"] += any(u == v for (u, v) in cfg.edges)
             counts["overlap"] += bool(problem.use_set & problem.invalidation_set)
     assert min(counts.values()) >= 50, counts
+
+
+def test_fixpoint_oracle_size_guard():
+    cfg = line(13)
+    with pytest.raises(SizeGuardError):
+        brute_safety_fixpoint(cfg, make_problem(cfg, use=[]))
+    assert brute_safety_fixpoint(line(12), make_problem(line(12), use=[])).added == \
+        frozenset(range(1, 11))

@@ -344,8 +344,7 @@ def load_cfg(text: str, *, synthetic_source: bool = False):
     return cfg, problems
 
 
-def dump_dot(cfg: Cfg, problem: Optional[ExprProblem] = None, solution=None,
-             *, graph_name: str = "cfg") -> str:
+def dump_dot(cfg: Cfg, problem: Optional[ExprProblem] = None, solution=None) -> str:
     """Render the graph in DOT.
 
     Use nodes get a double border, invalidating nodes are filled, life-set
@@ -356,7 +355,7 @@ def dump_dot(cfg: Cfg, problem: Optional[ExprProblem] = None, solution=None,
     inv = problem.invalidation_set if problem else frozenset()
     life = solution.life_set if solution is not None else frozenset()
     calc = solution.calc_set if solution is not None else frozenset()
-    lines = [f"digraph {graph_name} {{"]
+    lines = ["digraph cfg {"]
     for v in range(cfg.node_count):
         attrs = [f'label="{v}\\nl={format_cost(cfg.node_cost[v])}"']
         styles = []

@@ -1,8 +1,9 @@
 """Command-line front-end.
 
 Subcommands: run (IR pipeline), graph (solve problems from a graph file),
-decompose, safety, oracle-check, bench.  Exit codes: 0 success, 2 parse
-error, 3 width guard exceeded, 4 verification mismatch, 1 anything else.
+decompose, safety, oracle-check, bench; each takes only the options it
+reads.  Exit codes: 0 success, 2 parse error or usage error, 3 width guard
+exceeded, 4 verification mismatch, 1 anything else.
 Emitted artifacts are byte-identical across runs for identical inputs and
 flags; --verify only ever changes the exit status.
 """
@@ -12,7 +13,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import ir as irmod
@@ -44,7 +45,6 @@ class RunConfig:
     max_width: int = 16
     emit: set = field(default_factory=set)  # dot, solution, stats, rewritten-ir
     verify: bool = False
-    seed: int = 0
     out_dir: Path = Path(".")
 
 
@@ -53,19 +53,18 @@ def _emit(config: RunConfig, name: str, text: str) -> None:
     (config.out_dir / name).write_text(text)
 
 
-def _decompose_for(cfg, config: RunConfig):
-    nice = make_nice(decompose(cfg))
+def _nice_within(td, config: RunConfig):
+    """The nice form of ``td``, refused when it is wider than --max-width."""
+    nice = make_nice(td)
     if nice.width > config.max_width:
         raise WidthExceededError(
             f"decomposition width {nice.width} exceeds --max-width {config.max_width}")
     return nice
 
 
-def _check_goal(config: RunConfig, program=None) -> None:
-    if config.goal != "speed":
-        return
+def _check_goal(config: RunConfig, program) -> None:
     # speed optimization needs user-supplied execution weights
-    if program is not None and program.default_edge_cost == irmod.DEFAULT_EDGE_COST \
+    if config.goal == "speed" and program.default_edge_cost == DEFAULT_EDGE_COST \
             and not program.edge_cost_overrides:
         raise IrParseError("--goal speed requires edge weights (!edgecost directives)")
 
@@ -93,22 +92,41 @@ def _unit_costs(cfg) -> bool:
         all(not c.infinite and c.primary == 0 for c in cfg.node_cost.values())
 
 
-def _verify_solution(cfg, problem, candidate, solution) -> list:
+def _enlarge(cfg, problem, label: str, safety_oracle, failures: list):
+    """The problem with its safety-enlarged invalidation set, checked against
+    ``safety_oracle`` unless it is None; a mismatch is appended to ``failures``."""
+    safety_sol = solve_safety(cfg, problem)
+    if safety_oracle is not None:
+        oracle_sol = safety_oracle(cfg, problem)
+        if oracle_sol.i_prime != safety_sol.i_prime:
+            failures.append(
+                f"safety mismatch for {label}: "
+                f"{sorted(safety_sol.i_prime)} vs oracle {sorted(oracle_sol.i_prime)}")
+    return apply_safety(problem, safety_sol)
+
+
+def _verify_solution(cfg, problem, label: str, solution) -> list:
     """Failures found by checking one solve against brute force and the cut bound."""
     failures = []
     if cfg.node_count <= VERIFY_MAX_NODES:
         oracle_sol = brute_lospre(cfg, problem)
         if (oracle_sol.cost, oracle_sol.life_set) != (solution.cost, solution.life_set):
             failures.append(
-                f"optimality mismatch for {candidate.display()}: "
+                f"optimality mismatch for {label}: "
                 f"cost {solution.cost} vs oracle {oracle_sol.cost}")
     calcs = len(solution.calc_set)
     cut = min_calc_count(cfg, problem, calcs + 1)
     if cut > calcs or (cut < calcs and _unit_costs(cfg)):
         failures.append(
-            f"certificate mismatch for {candidate.display()}: "
+            f"certificate mismatch for {label}: "
             f"minimum cut {cut} vs {calcs} calculations")
     return failures
+
+
+def _report(failures: list) -> int:
+    for msg in failures:
+        sys.stderr.write(msg + "\n")
+    return EXIT_VERIFY if failures else EXIT_OK
 
 
 def run_pipeline(program, config: RunConfig) -> PipelineResult:
@@ -130,7 +148,7 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     while passes < pass_limit:
         passes += 1
         cfg = irmod.build_cfg(program)
-        nice = _decompose_for(cfg, config)
+        nice = _nice_within(decompose(cfg), config)
         certify = not config.verify and cfg.has_finite_costs()
         safety_oracle = _safety_oracle(cfg) if config.verify else None
         chosen = None
@@ -143,21 +161,16 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
             wants_safety = (config.safety == "always" or
                             (config.safety == "auto" and candidate.safety_required))
             if wants_safety:
-                safety_sol = solve_safety(cfg, problem, nice, max_width=config.max_width)
-                if safety_oracle is not None:
-                    oracle_sol = safety_oracle(cfg, problem)
-                    if oracle_sol.i_prime != safety_sol.i_prime:
-                        verify_failures.append(
-                            f"safety mismatch for {candidate.display()}: "
-                            f"{sorted(safety_sol.i_prime)} vs oracle {sorted(oracle_sol.i_prime)}")
-                problem = apply_safety(problem, safety_sol)
+                problem = _enlarge(cfg, problem, candidate.display(), safety_oracle,
+                                   verify_failures)
             if certify and min_calc_count(cfg, problem, occurrences) >= occurrences:
                 # every life set has at least as many calculation edges as
                 # there are occurrences, the optimum included
                 continue
             solution = solve(cfg, problem, nice, max_width=config.max_width)
             if config.verify:
-                verify_failures.extend(_verify_solution(cfg, problem, candidate, solution))
+                verify_failures.extend(
+                    _verify_solution(cfg, problem, candidate.display(), solution))
             if len(solution.calc_set) < occurrences:
                 chosen = (candidate, solution)
                 break
@@ -196,32 +209,24 @@ def cmd_run(config: RunConfig, path: Path) -> int:
         text = "".join(format_solution(sol, index=k)
                        for k, (_, sol) in enumerate(result.applied))
         _emit(config, f"{stem}.solution", text)
-
-    if result.verify_failures:
-        for msg in result.verify_failures:
-            sys.stderr.write(msg + "\n")
-        return EXIT_VERIFY
-    return EXIT_OK
+    return _report(result.verify_failures)
 
 
 def cmd_graph(config: RunConfig, path: Path) -> int:
     cfg, problems = load_cfg(path.read_text(), synthetic_source=True)
-    nice = _decompose_for(cfg, config)
-    out = []
-    mismatches = []
+    nice = _nice_within(decompose(cfg), config)
+    safety_oracle = _safety_oracle(cfg) if config.verify else None
+    failures = []
     solutions = []
     for k, problem in enumerate(problems):
+        label = f"problem {k}"
         if config.safety == "always":
-            problem = apply_safety(problem, solve_safety(cfg, problem, nice,
-                                                         max_width=config.max_width))
+            problem = _enlarge(cfg, problem, label, safety_oracle, failures)
         solution = solve(cfg, problem, nice, max_width=config.max_width)
+        if config.verify:
+            failures.extend(_verify_solution(cfg, problem, label, solution))
         solutions.append(solution)
-        out.append(format_solution(solution, index=k))
-        if config.verify and cfg.node_count <= VERIFY_MAX_NODES:
-            oracle_sol = brute_lospre(cfg, problem)
-            if (oracle_sol.cost, oracle_sol.life_set) != (solution.cost, solution.life_set):
-                mismatches.append(f"problem {k}: cost {solution.cost} vs oracle {oracle_sol.cost}")
-    text = "".join(out)
+    text = "".join(format_solution(solution, index=k) for k, solution in enumerate(solutions))
     sys.stdout.write(text)
     stem = path.stem
     if "solution" in config.emit:
@@ -229,27 +234,17 @@ def cmd_graph(config: RunConfig, path: Path) -> int:
     if "dot" in config.emit:
         for k, (problem, solution) in enumerate(zip(problems, solutions)):
             _emit(config, f"{stem}.{k}.dot", dump_dot(cfg, problem, solution))
-    if mismatches:
-        for msg in mismatches:
-            sys.stderr.write(msg + "\n")
-        return EXIT_VERIFY
-    return EXIT_OK
-
-
-def _load_any(config: RunConfig, path: Path):
-    if config.mode == "ir" or (config.mode == "auto" and path.suffix == ".ir"):
-        return irmod.build_cfg(irmod.parse_ir(path.read_text()))
-    cfg, _ = load_cfg(path.read_text(), synthetic_source=True)
-    return cfg
+    return _report(failures)
 
 
 def cmd_decompose(config: RunConfig, path: Path) -> int:
-    cfg = _load_any(config, path)
+    text = path.read_text()
+    if config.mode == "ir":
+        cfg = irmod.build_cfg(irmod.parse_ir(text))
+    else:
+        cfg, _ = load_cfg(text, synthetic_source=True)
     td = decompose(cfg)
-    nice = make_nice(td)
-    if nice.width > config.max_width:
-        raise WidthExceededError(
-            f"decomposition width {nice.width} exceeds --max-width {config.max_width}")
+    nice = _nice_within(td, config)
     sys.stdout.write(f"nodes={cfg.node_count} bags={len(td.bags)} width={td.width} "
                      f"nice_nodes={nice.node_count}\n")
     for i, bag in enumerate(td.bags):
@@ -263,48 +258,39 @@ def cmd_safety(config: RunConfig, path: Path) -> int:
     if config.mode == "ir":
         program = irmod.parse_ir(path.read_text())
         cfg = irmod.build_cfg(program)
-        nice = _decompose_for(cfg, config)
-        for candidate, problem in irmod.derive_problems(program, cfg):
-            if not (candidate.safety_required or config.safety == "always"):
-                continue
-            sol = solve_safety(cfg, problem, nice, max_width=config.max_width)
-            sys.stdout.write(f"candidate {candidate.display()}\n")
-            sys.stdout.write("i_prime " + " ".join(map(str, sorted(sol.i_prime))) + "\n")
-            sys.stdout.write("added " + " ".join(map(str, sorted(sol.added))) + "\n")
-        return EXIT_OK
-    cfg, problems = load_cfg(path.read_text(), synthetic_source=True)
-    nice = _decompose_for(cfg, config)
-    for k, problem in enumerate(problems):
-        sol = solve_safety(cfg, problem, nice, max_width=config.max_width)
-        sys.stdout.write(f"problem {k}\n")
-        sys.stdout.write("i_prime " + " ".join(map(str, sorted(sol.i_prime))) + "\n")
-        sys.stdout.write("added " + " ".join(map(str, sorted(sol.added))) + "\n")
+        pairs = [(f"candidate {candidate.display()}", problem)
+                 for candidate, problem in irmod.derive_problems(program, cfg)
+                 if candidate.safety_required or config.safety == "always"]
+    else:
+        cfg, problems = load_cfg(path.read_text(), synthetic_source=True)
+        pairs = [(f"problem {k}", problem) for k, problem in enumerate(problems)]
+    for header, problem in pairs:
+        sol = solve_safety(cfg, problem)
+        sys.stdout.write(f"{header}\n"
+                         f"i_prime {' '.join(map(str, sorted(sol.i_prime)))}\n"
+                         f"added {' '.join(map(str, sorted(sol.added)))}\n")
     return EXIT_OK
 
 
-def cmd_oracle_check(config: RunConfig, seeds: str, size: int, style: str) -> int:
+def cmd_oracle_check(seeds: str, size: int, style: str) -> int:
     try:
         first, _, last = seeds.partition("..")
         lo, hi = int(first), int(last if last else first)
     except ValueError:
         raise LospreError(f"malformed seed range {seeds!r}; expected A..B")
     failed = 0
-    checked = 0
-    for seed in range(lo, hi + 1):
+    checked = range(lo, hi + 1)
+    for seed in checked:
         cfg, problem = generate(InstanceGenerator(seed=seed, node_range=(4, size), style=style))
         nice = make_nice(decompose(cfg))
         solution = solve(cfg, problem, nice)
         reference = brute_lospre(cfg, problem)
         ok = (solution.cost, solution.life_set) == (reference.cost, reference.life_set)
         if ok and cfg.node_count <= VERIFY_SAFETY_MAX_NODES:
-            ssol = solve_safety(cfg, problem, nice)
-            sref = brute_safety(cfg, problem)
-            ok = ssol.i_prime == sref.i_prime
-        checked += 1
-        if not ok:
-            failed += 1
+            ok = solve_safety(cfg, problem).i_prime == brute_safety(cfg, problem).i_prime
+        failed += not ok
         sys.stdout.write(f"seed {seed} {'ok' if ok else 'FAIL'}\n")
-    sys.stdout.write(f"checked {checked} failed {failed}\n")
+    sys.stdout.write(f"checked {len(checked)} failed {failed}\n")
     return EXIT_VERIFY if failed else EXIT_OK
 
 
@@ -351,14 +337,14 @@ def bench_sizes(sizes, seed=0):
     return rows, slope
 
 
-def cmd_bench(config: RunConfig, sizes_text: str) -> int:
+def cmd_bench(sizes_text: str, seed: int) -> int:
     try:
         sizes = [int(t) for t in sizes_text.split(",")]
     except ValueError:
         raise LospreError(f"malformed size list {sizes_text!r}")
     if sizes != sorted(sizes):
         raise LospreError("bench sizes must be ascending")
-    rows, slope = bench_sizes(sizes, seed=config.seed)
+    rows, slope = bench_sizes(sizes, seed=seed)
     for n, t, width in rows:
         sys.stdout.write(f"n={n} width={width} time={t:.4f}s\n")
     if slope is not None:
@@ -366,84 +352,91 @@ def cmd_bench(config: RunConfig, sizes_text: str) -> int:
     return EXIT_OK
 
 
+_OPTIONS = {
+    "--goal": dict(choices=("size", "speed"), default="size"),
+    "--safety": dict(choices=("auto", "always", "never"), default="auto"),
+    "--max-width": dict(type=int, default=16),
+    "--emit": dict(default=""),
+    "--verify": dict(action="store_true"),
+    "--out-dir": dict(type=Path, default=Path(".")),
+    "--mode": dict(choices=("auto", "ir", "graph"), default="auto"),
+    "--seeds": dict(default="0..99"),
+    "--size": dict(type=int, default=10),
+    "--style": dict(default="random-sparse"),
+    "--sizes": dict(default="1024,2048,4096,8192,16384,32768,65536"),
+    "--seed": dict(type=int, default=0),
+}
+
+# subcommand: (help, takes an input file, its options, the artifacts --emit may name)
+_COMMANDS = {
+    "run": ("IR pipeline: derive, solve, rewrite to fixpoint", True,
+            ("--goal", "--safety", "--max-width", "--emit", "--verify", "--out-dir"),
+            ("dot", "solution", "stats", "rewritten-ir")),
+    "graph": ("solve every problem in a graph file", True,
+              ("--safety", "--max-width", "--emit", "--verify", "--out-dir"),
+              ("dot", "solution")),
+    "decompose": ("report the tree-decomposition", True,
+                  ("--mode", "--max-width", "--emit", "--out-dir"), ("dot",)),
+    "safety": ("print enlarged invalidation sets", True, ("--mode", "--safety"), ()),
+    "oracle-check": ("batch compare solver against brute force", False,
+                     ("--seeds", "--size", "--style"), ()),
+    "bench": ("time diamond-chain instances and report scaling", False,
+              ("--sizes", "--seed"), ()),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lospre",
                                      description="speculative redundancy elimination "
                                                  "on bounded-treewidth control-flow graphs")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
+    for command, (help_text, takes_input, options, artifacts) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if takes_input:
             p.add_argument("input", type=Path)
-        p.add_argument("--goal", choices=("size", "speed"), default="size")
-        p.add_argument("--safety", choices=("auto", "always", "never"), default="auto")
-        p.add_argument("--max-width", type=int, default=16)
-        p.add_argument("--emit", default="", help="comma list: dot,solution,stats,rewritten-ir")
-        p.add_argument("--verify", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out-dir", type=Path, default=Path("."))
-        p.add_argument("--mode", choices=("auto", "ir", "graph"), default="auto")
-
-    common(sub.add_parser("run", help="IR pipeline: derive, solve, rewrite to fixpoint"))
-    common(sub.add_parser("graph", help="solve every problem in a graph file"))
-    common(sub.add_parser("decompose", help="report the tree-decomposition"))
-    common(sub.add_parser("safety", help="print enlarged invalidation sets"))
-    oc = sub.add_parser("oracle-check", help="batch compare solver against brute force")
-    common(oc, needs_input=False)
-    oc.add_argument("--seeds", default="0..99")
-    oc.add_argument("--size", type=int, default=10)
-    oc.add_argument("--style", default="random-sparse")
-    be = sub.add_parser("bench", help="time diamond-chain instances and report scaling")
-    common(be, needs_input=False)
-    be.add_argument("--sizes", default="1024,2048,4096,8192,16384,32768,65536")
+        for option in options:
+            spec = dict(_OPTIONS[option])
+            if option == "--emit":
+                spec["help"] = "comma list: " + ",".join(artifacts)
+            p.add_argument(option, **spec)
     return parser
 
 
 def _config_from(args) -> RunConfig:
-    emit = {t for t in args.emit.split(",") if t}
-    unknown = emit - {"dot", "solution", "stats", "rewritten-ir"}
-    if unknown:
-        raise LospreError(f"unknown --emit values: {sorted(unknown)}")
-    mode = args.mode
-    if mode == "auto" and getattr(args, "input", None) is not None:
-        mode = "ir" if args.input.suffix == ".ir" else "graph"
-    return RunConfig(mode=mode, goal=args.goal, safety=args.safety,
-                     max_width=args.max_width, emit=emit, verify=args.verify,
-                     seed=args.seed, out_dir=args.out_dir)
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    if "emit" in given:
+        emit = {t for t in args.emit.split(",") if t}
+        unknown = emit - set(_COMMANDS[args.command][3])
+        if unknown:
+            raise LospreError(f"unknown --emit values: {sorted(unknown)}")
+        given["emit"] = emit
+    if given.get("mode") == "auto":
+        given["mode"] = "ir" if args.input.suffix == ".ir" else "graph"
+    return RunConfig(**given)
+
+
+_DISPATCH = {
+    "run": lambda args: cmd_run(_config_from(args), args.input),
+    "graph": lambda args: cmd_graph(_config_from(args), args.input),
+    "decompose": lambda args: cmd_decompose(_config_from(args), args.input),
+    "safety": lambda args: cmd_safety(_config_from(args), args.input),
+    "oracle-check": lambda args: cmd_oracle_check(args.seeds, args.size, args.style),
+    "bench": lambda args: cmd_bench(args.sizes, args.seed),
+}
+
+# checked in order, so a subclass precedes its base
+_EXIT_CODES = ((GraphFormatError, EXIT_PARSE), (IrParseError, EXIT_PARSE),
+               (WidthExceededError, EXIT_WIDTH), (VerificationError, EXIT_VERIFY),
+               (LospreError, EXIT_ERROR), (FileNotFoundError, EXIT_PARSE))
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from(args)
-        if args.command == "run":
-            return cmd_run(config, args.input)
-        if args.command == "graph":
-            return cmd_graph(config, args.input)
-        if args.command == "decompose":
-            return cmd_decompose(config, args.input)
-        if args.command == "safety":
-            return cmd_safety(config, args.input)
-        if args.command == "oracle-check":
-            return cmd_oracle_check(config, args.seeds, args.size, args.style)
-        if args.command == "bench":
-            return cmd_bench(config, args.sizes)
-        raise LospreError(f"unknown command {args.command!r}")
-    except (GraphFormatError, IrParseError) as exc:
+        return _DISPATCH[args.command](args)
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except WidthExceededError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_WIDTH
-    except VerificationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VERIFY
-    except LospreError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

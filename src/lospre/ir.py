@@ -265,8 +265,7 @@ def node_instr(node: int) -> int:
 
 
 def _successor_indices(program) -> list:
-    labels = program.labels() if isinstance(program, Program) else \
-        {ins.label: i for i, ins in enumerate(program) if ins.label}
+    labels = {ins.label: i for i, ins in enumerate(program) if ins.label}
     n = len(program)
     succ = []
     for i, ins in enumerate(program):
@@ -284,7 +283,7 @@ def _successor_indices(program) -> list:
     return succ
 
 
-def build_cfg(program) -> Cfg:
+def build_cfg(program: Program) -> Cfg:
     """Extract the weighted graph.
 
     Instructions that are unreachable from the entry are kept as nodes and
@@ -324,22 +323,15 @@ def build_cfg(program) -> Cfg:
             if instr_node(i) not in has_pred:
                 edges.add((SOURCE_NODE, instr_node(i)))
 
-    if isinstance(program, Program):
-        def_edge, def_node = program.default_edge_cost, program.default_node_cost
-        edge_over, node_over = program.edge_cost_overrides, program.node_cost_overrides
-    else:
-        def_edge, def_node = DEFAULT_EDGE_COST, DEFAULT_NODE_COST
-        edge_over, node_over = {}, {}
-
-    edge_cost = {e: def_edge for e in edges}
-    node_cost = {v: def_node for v in range(sink + 1)}
-    labels = {ins.label: i for i, ins in enumerate(instructions) if ins.label}
-    for (a, b), c in edge_over.items():
+    edge_cost = {e: program.default_edge_cost for e in edges}
+    node_cost = {v: program.default_node_cost for v in range(sink + 1)}
+    labels = program.labels()
+    for (a, b), c in program.edge_cost_overrides.items():
         e = (instr_node(labels[a]), instr_node(labels[b]))
         if e not in edge_cost:
             raise LospreError(f"!edgecost {a} {b}: no such edge in the extracted graph")
         edge_cost[e] = c
-    for a, c in node_over.items():
+    for a, c in program.node_cost_overrides.items():
         node_cost[instr_node(labels[a])] = c
     return Cfg(sink + 1, edges, edge_cost, node_cost)
 
@@ -402,7 +394,11 @@ def derive_problems(program, cfg: Cfg) -> list:
 
     occurrences = {}
     order = []
+    defining_nodes = {}  # variable -> nodes assigning to it
     for i, ins in enumerate(instructions):
+        dest = ins.defines()
+        if dest is not None:
+            defining_nodes.setdefault(dest, []).append(instr_node(i))
         key = candidate_key(ins)
         if key is None:
             continue
@@ -416,9 +412,8 @@ def derive_problems(program, cfg: Cfg) -> list:
         op, left, right = key
         operand_vars = [o for o in (left, right) if isinstance(o, str)]
         inv = set()
-        for i, ins in enumerate(instructions):
-            if ins.defines() in operand_vars:
-                inv.add(instr_node(i))
+        for var in operand_vars:
+            inv.update(defining_nodes.get(var, ()))
         if op == "load":
             inv.update(store_nodes)
         if any(o in load_results for o in operand_vars):
@@ -462,8 +457,7 @@ def next_tmp_name(program) -> str:
     return _fresh_names(program, "__lospre", 1)[0]
 
 
-def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution,
-            *, tmp_name: Optional[str] = None) -> Program:
+def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> Program:
     """Apply a solution: subdivide every calculation edge with a fresh
     computation of the candidate into a new temporary, and replace every
     occurrence with an assignment from that temporary.
@@ -484,7 +478,7 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution,
     if not candidate.occurrence_nodes:
         return program
 
-    tmp = tmp_name or next_tmp_name(program)
+    tmp = next_tmp_name(program)
     comp = _computation_instr(candidate, tmp)
     labels_in_use = {ins.label for ins in instructions if ins.label}
 

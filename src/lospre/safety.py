@@ -39,14 +39,11 @@ def apply_safety(problem: ExprProblem, sol: SafetySolution) -> ExprProblem:
     return ExprProblem(use_set=problem.use_set, invalidation_set=sol.i_prime)
 
 
-def solve_safety(cfg: Cfg, problem: ExprProblem, nice=None, *,
-                 max_width: int = 16) -> SafetySolution:
+def solve_safety(cfg: Cfg, problem: ExprProblem, nice=None) -> SafetySolution:
     """Compute the enlarged invalidation set as a greatest fixpoint.
 
-    ``nice`` and ``max_width`` are unused: the peel runs in linear time on
-    any graph, so it needs neither a decomposition nor a width guard.  They
-    stay in the signature so that callers passing a decomposition, as the
-    pipeline does, keep working.
+    ``nice`` is accepted and ignored: the peel runs in linear time on any
+    graph, so it needs no decomposition and has no width limit.
     """
     validate_problem(cfg, problem)
     use = problem.use_set

@@ -335,9 +335,9 @@ def validate_nice(cfg: Cfg, nice: NiceTreeDec) -> Optional[str]:
     return validate(cfg, td)
 
 
-def dump_dot_treedec(td, *, graph_name: str = "treedec") -> str:
+def dump_dot_treedec(td) -> str:
     """DOT rendering of a TreeDec or NiceTreeDec."""
-    lines = [f"graph {graph_name} {{"]
+    lines = ["graph treedec {"]
     if isinstance(td, NiceTreeDec):
         for i in range(td.node_count):
             tag = td.kinds[i]

@@ -254,3 +254,81 @@ def test_verify_checks_safety_on_cyclic_graphs(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "brute_safety_fixpoint", brute_safety)
     assert main(["run", str(src), "--verify"]) == EXIT_VERIFY
     assert "safety mismatch" in capsys.readouterr().err
+
+
+DIAMOND = ("cfg 5\nedge 0 1 c=[1,0]\nedge 1 2 c=[1,0]\nedge 1 3 c=[1,0]\n"
+           "edge 2 4 c=[1,0]\nedge 3 4 c=[1,0]\n"
+           "problem use=2,3 invalidate=0,4\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--verify"],
+    ["run", "x.ir", "--seed", "1"],
+    ["oracle-check", "--max-width", "4"],
+    ["decompose", "g.graph", "--verify"],
+    ["safety", "g.graph", "--emit", "dot"],
+    ["graph", "g.graph", "--goal", "speed"],
+])
+def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    capsys.readouterr()
+
+
+def test_emit_accepts_only_the_subcommand_artifacts(tmp_path, capsys):
+    src = tmp_path / "g.graph"
+    src.write_text(DIAMOND)
+    assert main(["graph", str(src), "--emit", "stats", "--out-dir", str(tmp_path)]) == EXIT_ERROR
+    assert "unknown --emit values: ['stats']" in capsys.readouterr().err
+    assert main(["decompose", str(src), "--emit", "solution"]) == EXIT_ERROR
+    assert main(["graph", str(src), "--emit", "solution,dot",
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "g.solution").exists() and (tmp_path / "g.0.dot").exists()
+    assert not (tmp_path / "g.stats").exists()
+    capsys.readouterr()
+
+
+def test_safety_needs_no_decomposition(tmp_path, capsys):
+    # a complete DAG on 19 nodes has treewidth 18, above the default
+    # --max-width of 16; the peel runs on it all the same
+    n = 19
+    edges = "".join(f"edge {u} {v} c=[1,0]\n" for u in range(n) for v in range(u + 1, n))
+    src = tmp_path / "k19.graph"
+    src.write_text(f"cfg {n}\n{edges}problem use=5,9 invalidate=2,14\n")
+    assert main(["decompose", str(src)]) == EXIT_WIDTH
+    capsys.readouterr()
+    assert main(["safety", str(src)]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "problem 0"
+    assert out[1].startswith("i_prime ") and out[2].startswith("added ")
+    assert {2, 14} <= set(map(int, out[1].split()[1:]))
+
+
+def test_graph_verify_checks_the_cut_certificate(tmp_path, capsys, monkeypatch):
+    import lospre.cli as cli
+
+    src = tmp_path / "g.graph"
+    src.write_text(DIAMOND)
+    assert main(["graph", str(src), "--verify"]) == EXIT_OK
+    monkeypatch.setattr(cli, "min_calc_count", lambda cfg, problem, limit: limit)
+    assert main(["graph", str(src), "--verify"]) == EXIT_VERIFY
+    assert "certificate mismatch for problem 0" in capsys.readouterr().err
+    assert main(["graph", str(src)]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_graph_verify_checks_the_safety_set(tmp_path, capsys, monkeypatch):
+    import lospre.cli as cli
+    from lospre.safety import SafetySolution
+
+    src = tmp_path / "g.graph"
+    src.write_text(DIAMOND)
+    assert main(["graph", str(src), "--safety", "always", "--verify"]) == EXIT_OK
+    monkeypatch.setattr(cli, "brute_safety",
+                        lambda cfg, problem: SafetySolution(frozenset(), frozenset()))
+    assert main(["graph", str(src), "--safety", "always", "--verify"]) == EXIT_VERIFY
+    assert "safety mismatch for problem 0" in capsys.readouterr().err
+    assert main(["graph", str(src), "--safety", "always"]) == EXIT_OK
+    assert main(["graph", str(src), "--verify"]) == EXIT_OK
+    capsys.readouterr()

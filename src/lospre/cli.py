@@ -261,6 +261,11 @@ def cmd_safety(config: RunConfig, path: Path) -> int:
         pairs = [(f"candidate {candidate.display()}", problem)
                  for candidate, problem in irmod.derive_problems(program, cfg)
                  if candidate.safety_required or config.safety == "always"]
+    elif config.safety == "always":
+        # graph files carry no "safety required" mark: auto already enlarges every problem
+        sys.stderr.write("error: --safety always needs IR input; "
+                         "on a graph file every problem is enlarged\n")
+        return EXIT_PARSE
     else:
         cfg, problems = load_cfg(path.read_text(), synthetic_source=True)
         pairs = [(f"problem {k}", problem) for k, problem in enumerate(problems)]
@@ -354,7 +359,7 @@ def cmd_bench(sizes_text: str, seed: int) -> int:
 
 _OPTIONS = {
     "--goal": dict(choices=("size", "speed"), default="size"),
-    "--safety": dict(choices=("auto", "always", "never"), default="auto"),
+    "--safety": dict(),
     "--max-width": dict(type=int, default=16),
     "--emit": dict(default=""),
     "--verify": dict(action="store_true"),
@@ -366,6 +371,12 @@ _OPTIONS = {
     "--sizes": dict(default="1024,2048,4096,8192,16384,32768,65536"),
     "--seed": dict(type=int, default=0),
 }
+
+# --safety values per subcommand, the default first: graph files carry no
+# "safety required" mark, so graph has no auto; safety selects which
+# candidates to print, and never would print what auto prints
+_SAFETY = {"run": ("auto", "always", "never"), "graph": ("never", "always"),
+           "safety": ("auto", "always")}
 
 # subcommand: (help, takes an input file, its options, the artifacts --emit may name)
 _COMMANDS = {
@@ -398,6 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
             spec = dict(_OPTIONS[option])
             if option == "--emit":
                 spec["help"] = "comma list: " + ",".join(artifacts)
+            elif option == "--safety":
+                spec.update(choices=_SAFETY[command], default=_SAFETY[command][0])
             p.add_argument(option, **spec)
     return parser
 

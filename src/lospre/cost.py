@@ -1,10 +1,10 @@
 """Cost values: lexicographically ordered integer pairs with an absorbing infinity.
 
 The primary component counts computation cost units (edge subdivisions),
-the secondary component lifetime cost units (temporary liveness).  The
-safety solver uses the same type with the secondary component pinned to
-zero.  Component arithmetic saturates at +/-2**62 instead of wrapping, so
-sums over every edge and node of a graph can never silently overflow.
+the secondary component lifetime cost units (temporary liveness).
+Components are exact Python integers of any size: sums never overflow and
+never lose precision.  The solvers map each solve's costs to
+one integer key of their own (see ``dp``).
 """
 from __future__ import annotations
 
@@ -12,24 +12,14 @@ import functools
 import re
 from dataclasses import dataclass
 
-SATURATION_BOUND = 1 << 62
-
-
-def _clamp(x: int) -> int:
-    if x > SATURATION_BOUND:
-        return SATURATION_BOUND
-    if x < -SATURATION_BOUND:
-        return -SATURATION_BOUND
-    return x
-
 
 @functools.total_ordering
 @dataclass(frozen=True)
 class CostVec:
     """An immutable cost pair, compared lexicographically.
 
-    INFINITY is strictly greater than every finite value and absorbs
-    addition.  Instances are freely shareable across threads.
+    INFINITY is strictly greater than every finite value, absorbs addition
+    and has both components 0.  Instances are freely shareable across threads.
     """
 
     primary: int = 0
@@ -40,9 +30,6 @@ class CostVec:
         if self.infinite:
             object.__setattr__(self, "primary", 0)
             object.__setattr__(self, "secondary", 0)
-        else:
-            object.__setattr__(self, "primary", _clamp(self.primary))
-            object.__setattr__(self, "secondary", _clamp(self.secondary))
 
     def __add__(self, other: "CostVec") -> "CostVec":
         if self.infinite or other.infinite:
@@ -80,45 +67,3 @@ def parse_cost(text: str) -> CostVec:
 def format_cost(c: CostVec) -> str:
     return "inf" if c.infinite else f"[{c.primary},{c.secondary}]"
 
-
-# ---------------------------------------------------------------------------
-# Packed representation used by the solvers' inner loops.
-#
-# A finite pair packs into one integer as (primary+OFF) << 64 | (secondary+OFF)
-# with OFF = 2**63, so lexicographic comparison of pairs is plain integer
-# comparison and componentwise addition is a single add with one offset
-# correction.  Infinity is a sentinel far above every finite packing.  The
-# fast add is only valid while component magnitudes stay below 2**62; the
-# solvers check worst-case sums up front and fall back to the saturating
-# add when inputs are extreme.
-
-_OFF = 1 << 63
-PACKED_ZERO = (_OFF << 64) | _OFF
-PACKED_INF = 1 << 140
-_INF_THRESHOLD = 1 << 139
-
-
-def pack_cost(c: CostVec) -> int:
-    if c.infinite:
-        return PACKED_INF
-    return ((c.primary + _OFF) << 64) | (c.secondary + _OFF)
-
-
-def unpack_cost(p: int) -> CostVec:
-    if p >= _INF_THRESHOLD:
-        return INFINITY
-    return CostVec((p >> 64) - _OFF, (p & ((1 << 64) - 1)) - _OFF)
-
-
-def packed_add(a: int, b: int) -> int:
-    t = a + b - PACKED_ZERO
-    return PACKED_INF if t >= _INF_THRESHOLD else t
-
-
-def packed_add_saturating(a: int, b: int) -> int:
-    """Slow path: componentwise saturating add, used when magnitudes may overflow."""
-    if a >= _INF_THRESHOLD or b >= _INF_THRESHOLD:
-        return PACKED_INF
-    p = _clamp(((a >> 64) - _OFF) + ((b >> 64) - _OFF))
-    s = _clamp((a & ((1 << 64) - 1)) - _OFF + (b & ((1 << 64) - 1)) - _OFF)
-    return ((p + _OFF) << 64) | (s + _OFF)

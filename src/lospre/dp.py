@@ -15,12 +15,14 @@ adds two operand bits per vertex, but they enter only the vertex's own cost
 table, so for each value bit it picks the cheapest permitted operand bits
 up front and hands the kernel the resulting (dead, live) cost pair.
 
-Costs travel through the tables in the packed integer form from ``cost``;
-tie-breaking prefers a dead vertex unless the caller marks it otherwise.
-On graphs small enough to compare against brute force, an extra low-order
-key (2**(n-1-v) per live vertex v) makes the reported solution the unique
-lexicographic minimum among optimal assignments, scanning vertex ids upward
-and preferring absence.
+Costs are exact integers of any size.  Each solve maps its own costs to
+one integer key (``cost_keys``), so the tables hold plain integers that
+add with ``+`` and compare with ``<`` exactly as the cost pairs do, however
+large the pairs are.  Tie-breaking prefers a dead vertex unless the caller
+marks it otherwise.  On graphs small enough to compare against brute
+force, an extra low-order key (2**(n-1-v) per live vertex v) makes the
+reported solution the unique lexicographic minimum among optimal
+assignments, scanning vertex ids upward and preferring absence.
 """
 from __future__ import annotations
 
@@ -28,16 +30,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .cfg import Cfg, ExprProblem, calc_set, total_cost, validate_problem
-from .cost import (PACKED_INF, PACKED_ZERO, ZERO, CostVec, format_cost, pack_cost,
-                   packed_add, packed_add_saturating, parse_cost)
+from .cost import INFINITY, ZERO, CostVec, format_cost, parse_cost
 from .errors import (DecompositionError, LospreError, NoFeasibleSolutionError,
                      WidthExceededError)
 from .treedec import INTRODUCE, JOIN, LEAF, NiceTreeDec
 
 # Beyond this size the canonical tie-break key is disabled by default: the
-# key needs one low-order bit per graph node and would dominate the packed
-# arithmetic on large graphs.  Results stay optimal and deterministic either
-# way; only the choice among equal-cost optima changes.
+# key needs one low-order bit per graph node, so on large graphs every table
+# entry would be an integer of that many bits.  Results stay optimal and
+# deterministic either way; only the choice among equal-cost optima changes.
 CANONICAL_TIES_MAX_NODES = 24
 
 
@@ -87,39 +88,36 @@ def assign_edges_to_forgets(cfg: Cfg, nice: NiceTreeDec) -> dict:
     return assignment
 
 
-def _resolve_canonical(canonical_ties, node_count) -> bool:
-    """Return whether the canonical tie-break key is on."""
-    if canonical_ties is None:
-        canonical_ties = node_count <= CANONICAL_TIES_MAX_NODES
-    if canonical_ties and node_count > 64:
-        raise LospreError(
-            "canonical tie-breaking is limited to 64 nodes; pass canonical_ties=False")
-    return bool(canonical_ties)
+def _canonical(canonical_ties, node_count) -> bool:
+    """Whether the canonical tie-break key is on; by default only on small graphs."""
+    return node_count <= CANONICAL_TIES_MAX_NODES if canonical_ties is None else bool(canonical_ties)
 
 
-def _pick_padd(costs) -> Callable:
-    """Use the fast packed add unless worst-case component sums could overflow.
+def cost_keys(costs) -> tuple:
+    """The exact integer key of one solve over ``costs``: ``(key, bound)``.
 
-    The saturating fallback clamps per addition, which is not associative,
-    so callers must skip exact cross-checks when it is selected.
+    A finite (p, s) maps to p*scale + s with scale = 2*sum|s| + 1, so two
+    sums of distinct members of ``costs`` compare as their keys do; INFINITY
+    maps to 2*bound, with bound above every finite key sum in absolute
+    value, so a key sum holding an infinity is >= bound and one holding
+    none is < bound.
     """
-    bound = 0
-    for c in costs:
-        if not c.infinite:
-            bound += max(abs(c.primary), abs(c.secondary))
-    if bound < (1 << 61):
-        return packed_add
-    return packed_add_saturating
+    # INFINITY's components are 0, so it adds nothing to scale or bound
+    scale = 2 * sum(abs(c.secondary) for c in costs) + 1
+    bound = (sum(abs(c.primary) for c in costs) + 1) * scale
+    inf = 2 * bound
+    return (lambda c: inf if c.infinite else c.primary * scale + c.secondary), bound
 
 
 def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list,
-             live_costs: list, live_first, *, max_width: int, canonical: bool, padd: Callable):
+             live_costs: list, live_first, *, max_width: int, canonical: bool):
     """Minimize edge costs plus each vertex's dead or live cost; the shared kernel.
 
-    ``dead_costs[v]`` and ``live_costs[v]`` are the packed costs of vertex v
-    dead and live; either may be PACKED_INF.  Exact ties keep the vertex
-    dead unless ``live_first[v]`` is set.  Returns (life set, packed
-    optimum, transitions).
+    ``dead_costs[v]`` and ``live_costs[v]`` are the costs of vertex v dead
+    and live; either may be INFINITY.  Exact ties keep the vertex dead
+    unless ``live_first[v]`` is set.  Returns (life set, optimum key, key
+    map, transitions); the caller checks the optimum key against the key of
+    the cost it recomputes.
     """
     validate_problem(cfg, problem)
     width = nice.width
@@ -129,14 +127,10 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
     inv = problem.invalidation_set
     n = cfg.node_count
     shift = n if canonical else 0
-
-    pzero = PACKED_ZERO << shift
-    pinf = PACKED_INF << shift
-    if shift:
-        base_add = padd
-
-        def padd(a, b, _add=base_add, _sh=shift, _mask=(1 << shift) - 1):
-            return (_add(a >> _sh, b >> _sh) << _sh) | ((a & _mask) + (b & _mask))
+    key, bound = cost_keys(list(cfg.edge_cost.values()) + dead_costs + live_costs)
+    # a table entry is infinite iff it is >= inf; none_key starts a minimum
+    inf = bound << shift
+    none_key = key(INFINITY) << shift
 
     edge_assignment = assign_edges_to_forgets(cfg, nice)
 
@@ -151,7 +145,7 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
     for i in nice.order:
         kind = kinds[i]
         if kind == LEAF:
-            tables[i] = [pzero]
+            tables[i] = [0]
             transitions += 1
         elif kind == INTRODUCE:
             j = children[i][0]
@@ -165,7 +159,7 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
         elif kind == JOIN:
             j1, j2 = children[i]
             a, b = tables[j1], tables[j2]
-            tables[i] = [padd(a[m], b[m]) for m in range(len(a))]
+            tables[i] = [x + y for x, y in zip(a, b)]
             tables[j1] = tables[j2] = None
             transitions += len(a)
         else:  # forget
@@ -175,14 +169,14 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
             child_bag = bags[j]
             p = child_bag.index(v)
             pos = {u: q for q, u in enumerate(child_bag)}
-            # (x_pos, y_pos, packed cost); -1 marks a statically true side
+            # (x_pos, y_pos, cost key); -1 marks a statically true side
             edges_local = []
             for (x, y) in edge_assignment.get(i, ()):
                 cx = -1 if x in inv else pos[x]
                 cy = -1 if y in use else pos[y]
-                edges_local.append((cx, cy, pack_cost(cfg.edge_cost[(x, y)]) << shift))
-            dead = dead_costs[v] << shift
-            live = live_costs[v] << shift
+                edges_local.append((cx, cy, key(cfg.edge_cost[(x, y)]) << shift))
+            dead = key(dead_costs[v]) << shift
+            live = key(live_costs[v]) << shift
             if shift:
                 live += 1 << (n - 1 - v)
             low = (1 << p) - 1
@@ -197,16 +191,16 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
             choice = bytearray(size)
             for m in range(size):
                 g0 = ((m >> p) << (p + 1)) | (m & low)
-                best = pinf
+                best = none_key
                 for off, b, extra in options:
                     g = g0 | off
                     c = child[g]
-                    if c >= pinf:
+                    if c >= inf:
                         continue
-                    c = padd(c, extra)
+                    c += extra
                     for (cx, cy, pc) in edges_local:
                         if (cx < 0 or not (g >> cx) & 1) and (cy < 0 or (g >> cy) & 1):
-                            c = padd(c, pc)
+                            c += pc
                     if c < best:
                         best = c
                         choice[m] = b
@@ -220,7 +214,7 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
     if len(root_table) != 1:
         raise DecompositionError("root bag of the nice decomposition must be empty")
     root_cost = root_table[0]
-    if root_cost >= pinf:
+    if root_cost >= inf:
         raise NoFeasibleSolutionError("no feasible solution: all assignments have infinite cost")
 
     life = set()
@@ -242,13 +236,11 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
             if b:
                 life.add(vertex[i])
             stack.append((children[i][0], ((m >> p) << (p + 1)) | (m & ((1 << p) - 1)) | (b << p)))
-    return frozenset(life), root_cost >> shift, transitions
+    return frozenset(life), root_cost >> shift, key, transitions
 
 
-def _check_optimum(padd: Callable, cost: CostVec, root_cost: int) -> None:
-    # saturating adds are not associative, so the cross-check only holds on
-    # the exact path (always taken for realistic cost magnitudes)
-    if padd is packed_add and pack_cost(cost) != root_cost:
+def _check_optimum(key: Callable, cost: CostVec, root_key: int) -> None:
+    if key(cost) != root_key:
         raise LospreError("internal error: table cost disagrees with recomputed objective")
 
 
@@ -262,13 +254,11 @@ def solve(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, *,
     infinite cost.
     """
     n = cfg.node_count
-    padd = _pick_padd(list(cfg.edge_cost.values()) + list(cfg.node_cost.values()))
-    live_costs = [pack_cost(cfg.node_cost[v]) for v in range(n)]
-    life, root_cost, transitions = _life_dp(
-        cfg, problem, nice, [PACKED_ZERO] * n, live_costs, None, max_width=max_width,
-        canonical=_resolve_canonical(canonical_ties, n), padd=padd)
+    life, root_key, key, transitions = _life_dp(
+        cfg, problem, nice, [ZERO] * n, [cfg.node_cost[v] for v in range(n)], None,
+        max_width=max_width, canonical=_canonical(canonical_ties, n))
     cost = total_cost(cfg, problem, life)
-    _check_optimum(padd, cost, root_cost)
+    _check_optimum(key, cost, root_key)
     return LospreSolution(life_set=life, calc_set=calc_set(cfg, problem, life),
                           cost=cost, transitions=transitions)
 
@@ -298,7 +288,7 @@ def solve_extended(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec,
     default all eight are permitted.
     """
     n = cfg.node_count
-    canonical = _resolve_canonical(canonical_ties, n)
+    canonical = _canonical(canonical_ties, n)
     order = _TIE_ORDER[canonical]
     allowed = {v: set(map(tuple, combos)) for v, combos in (allowed_combos or {}).items()}
     if any(not 0 <= v < n for v in allowed):
@@ -309,28 +299,25 @@ def solve_extended(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec,
         row = [lifetime_cost(v, *combo) for combo in _COMBOS]
         if not all(isinstance(c, CostVec) for c in row):
             raise LospreError("lifetime_cost must return CostVec values")
-        packed = [pack_cost(c) for c in row]
         permitted = allowed.get(v)
         # min keeps the first of equal costs, so tie order decides ties
         d0, d1 = pick = [min((d for d in order[b] if permitted is None or _COMBOS[d] in permitted),
-                             key=packed.__getitem__, default=None) for b in (0, 1)]
+                             key=row.__getitem__, default=None) for b in (0, 1)]
         rows.append(row)
         picks.append(pick)
-        dead_costs.append(PACKED_INF if d0 is None else packed[d0])
-        live_costs.append(PACKED_INF if d1 is None else packed[d1])
+        dead_costs.append(INFINITY if d0 is None else row[d0])
+        live_costs.append(INFINITY if d1 is None else row[d1])
         # a dead and a live pick of equal total cost: the lower digit wins
         live_first[v] = not canonical and d0 is not None and d1 is not None and d1 < d0
 
-    padd = _pick_padd(list(cfg.edge_cost.values())
-                      + [rows[v][d] for v in range(n) for d in picks[v] if d is not None])
-    life, root_cost, transitions = _life_dp(
+    life, root_key, key, transitions = _life_dp(
         cfg, problem, nice, dead_costs, live_costs, live_first, max_width=max_width,
-        canonical=canonical, padd=padd)
+        canonical=canonical)
 
     chosen = [picks[v][v in life] for v in range(n)]
     cset = calc_set(cfg, problem, life)
     cost = sum([cfg.edge_cost[e] for e in cset] + [rows[v][d] for v, d in enumerate(chosen)], ZERO)
-    _check_optimum(padd, cost, root_cost)
+    _check_optimum(key, cost, root_key)
     return LospreSolution(life_set=life, calc_set=cset, cost=cost,
                           life_left=frozenset(v for v in range(n) if chosen[v] & 2),
                           life_right=frozenset(v for v in range(n) if chosen[v] & 4),

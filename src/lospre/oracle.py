@@ -34,7 +34,10 @@ def brute_lospre(cfg: Cfg, problem: ExprProblem) -> LospreSolution:
     n = cfg.node_count
     if n > 20:
         raise SizeGuardError(f"brute_lospre is limited to 20 nodes, got {n}")
-    if cfg.has_finite_costs() and n >= 4:
+    costs = list(cfg.edge_cost.values()) + list(cfg.node_cost.values())
+    # the vectorized sums are int64 and would wrap silently beyond it
+    if cfg.has_finite_costs() and n >= 4 and sum(abs(c.primary) for c in costs) < 1 << 63 \
+            and sum(abs(c.secondary) for c in costs) < 1 << 63:
         best_mask = _brute_lospre_vectorized(cfg, problem)
     else:
         best = None

@@ -332,3 +332,51 @@ def test_graph_verify_checks_the_safety_set(tmp_path, capsys, monkeypatch):
     assert main(["graph", str(src), "--safety", "always"]) == EXIT_OK
     assert main(["graph", str(src), "--verify"]) == EXIT_OK
     capsys.readouterr()
+
+
+# a diamond whose right arm can leave through 3 -> 6 without reaching a use,
+# so only a speculative solution computes above the branch
+ESCAPE = ("cfg 7\nedge 0 1 c=[1,0]\nedge 1 2 c=[1,0]\nedge 1 3 c=[1,0]\nedge 2 4 c=[1,0]\n"
+          "edge 3 4 c=[1,0]\nedge 4 5 c=[1,0]\nedge 3 6 c=[1,0]\nedge 5 6 c=[1,0]\n"
+          "problem use=2,5 invalidate=\n")
+
+
+def test_graph_safety_values_each_do_something(tmp_path, capsys):
+    src = tmp_path / "g.graph"
+    src.write_text(ESCAPE)
+    outs = {}
+    for flags in ([], ["--safety", "never"], ["--safety", "always"]):
+        assert main(["graph", str(src), *flags]) == EXIT_OK
+        outs[tuple(flags)] = capsys.readouterr().out
+    assert outs[()] == outs[("--safety", "never")] == \
+        "problem 0\ncost [1,4]\nlife 1 2 3 4\ncalc 0->1\n"
+    assert outs[("--safety", "always")] == "problem 0\ncost [2,0]\nlife \ncalc 1->2 4->5\n"
+    # a graph file has no "safety required" mark for auto to read
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", str(src), "--safety", "auto"])
+    assert exc.value.code == EXIT_PARSE
+    capsys.readouterr()
+
+
+def test_safety_values_each_do_something(tmp_path, capsys):
+    graph = tmp_path / "g.graph"
+    graph.write_text(ESCAPE)
+    for flags in ([], ["--safety", "auto"]):
+        assert main(["safety", str(graph), *flags]) == EXIT_OK
+        assert capsys.readouterr().out == "problem 0\ni_prime 0 1 3 6\nadded 1 3\n"
+    assert main(["safety", str(graph), "--safety", "always"]) == EXIT_PARSE
+    assert "--safety always needs IR input" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["safety", str(graph), "--safety", "never"])
+    assert exc.value.code == EXIT_PARSE
+    capsys.readouterr()
+    # in IR mode auto prints the load only, always every candidate
+    program = tmp_path / "f.ir"
+    program.write_text(TWO_ARM)
+    heads = {}
+    for value in ("auto", "always"):
+        assert main(["safety", str(program), "--safety", value]) == EXIT_OK
+        heads[value] = [line for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("candidate")]
+    assert heads["auto"] == ["candidate *t2"]
+    assert len(heads["always"]) > 1 and set(heads["auto"]) < set(heads["always"])

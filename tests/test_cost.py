@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from lospre.cost import (CostVec, INFINITY, SATURATION_BOUND, ZERO, format_cost,
-                         pack_cost, packed_add, packed_add_saturating, parse_cost,
-                         unpack_cost)
+from lospre.cost import CostVec, INFINITY, ZERO, format_cost, parse_cost
+from lospre.dp import cost_keys
 
 finite = st.builds(CostVec, st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
 costs = st.one_of(finite, st.just(INFINITY))
+unbounded = st.one_of(st.builds(CostVec, st.integers(), st.integers()), st.just(INFINITY))
 
 
 def test_componentwise_addition():
@@ -30,11 +30,10 @@ def test_lexicographic_order():
     assert CostVec(10**15, 10**15) < INFINITY
 
 
-def test_saturation_instead_of_overflow():
-    big = CostVec(SATURATION_BOUND - 1, 0)
-    assert (big + CostVec(1000, 0)).primary == SATURATION_BOUND
-    small = CostVec(-SATURATION_BOUND, 0)
-    assert (small + CostVec(-5, 0)).primary == -SATURATION_BOUND
+def test_addition_is_exact_at_any_size():
+    total = CostVec(2**62, 0) + CostVec(2**62, 0)
+    assert total == CostVec(2**63, 0)
+    assert total.primary == 2**63
 
 
 @given(costs, costs, costs)
@@ -50,8 +49,8 @@ def test_total_order(a, b):
 
 @given(finite, finite, costs)
 def test_monotonicity(a, b, c):
-    # below the saturation bound, strict order survives addition of any
-    # finite value and collapses only at infinity
+    # strict order survives addition of any finite value and collapses only
+    # at infinity
     if a < b:
         assert a + c < b + c or c == INFINITY
 
@@ -71,13 +70,18 @@ def test_parse_cost_formats():
         parse_cost("[3]")
 
 
-@given(finite, finite)
-def test_packed_matches_costvec(a, b):
-    assert unpack_cost(pack_cost(a)) == a
-    assert unpack_cost(packed_add(pack_cost(a), pack_cost(b))) == a + b
-    assert (pack_cost(a) < pack_cost(b)) == (a < b)
-
-
-@given(costs, costs)
-def test_packed_saturating_matches_costvec(a, b):
-    assert unpack_cost(packed_add_saturating(pack_cost(a), pack_cost(b))) == a + b
+@given(st.lists(unbounded, min_size=1, max_size=8), st.data())
+def test_cost_keys_order_and_add_exactly(cs, data):
+    # two sums of distinct members of one solve's costs, as the DP forms them
+    key, bound = cost_keys(cs)
+    subsets = st.sets(st.integers(0, len(cs) - 1))
+    a, b = data.draw(subsets), data.draw(subsets)
+    ta, tb = (sum((cs[i] for i in s), ZERO) for s in (a, b))
+    ka, kb = (sum(key(cs[i]) for i in s) for s in (a, b))
+    # a key sum holding an infinity stays >= bound whatever the finite addends
+    assert (ka >= bound) == ta.infinite
+    assert (kb >= bound) == tb.infinite
+    if not ta.infinite:
+        assert ka == key(ta)
+    if not (ta.infinite and tb.infinite):
+        assert (ka < kb) == (ta < tb)

@@ -151,6 +151,33 @@ def test_oracle_equivalence_negative_node_costs():
         assert (sol.cost, sol.life_set) == (ref.cost, ref.life_set), seed
 
 
+def test_costs_beyond_int64_stay_exact():
+    # two arms at 2**62 sum to 2**63: hoisting to node 1 is cheaper by about
+    # 2**62, which a clamp at 2**62 or an int64 sum would hide
+    big = 2**62
+    cfg = Cfg(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)],
+              edge_cost={(0, 1): CostVec(big + 3, 0), (1, 2): CostVec(big, 0),
+                         (1, 3): CostVec(big, 0)})
+    p = make_problem(cfg, use=[2, 3])
+    sol = solved(cfg, p)
+    ref = brute_lospre(cfg, p)
+    assert (sol.cost, sol.life_set, sol.calc_set) == (ref.cost, ref.life_set, ref.calc_set)
+    assert sol.life_set == {1}
+    assert sol.cost == CostVec(big + 3, 1)
+
+
+def test_canonical_ties_beyond_64_nodes():
+    # 23 diamonds sharing their join nodes (70 nodes), a use on every arm
+    edges = [e for a in range(0, 69, 3) for e in ((a, a + 1), (a, a + 2), (a + 1, a + 3),
+                                                   (a + 2, a + 3))]
+    cfg = Cfg(70, edges)
+    p = make_problem(cfg, use=[v for v in range(70) if v % 3])
+    nice = make_nice(decompose(cfg))
+    canon = solve(cfg, p, nice, canonical_ties=True)
+    assert canon.cost == solve(cfg, p, nice, canonical_ties=False).cost
+    assert canon.cost == total_cost(cfg, p, canon.life_set)
+
+
 def test_root_table_entry_is_unique(diamond):
     nice = make_nice(decompose(diamond))
     assert nice.bags[nice.root] == ()

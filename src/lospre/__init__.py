@@ -24,7 +24,7 @@ from .ir import (ExprCandidate, Instruction, Program, build_cfg, copy_propagate,
 from .interp import InterpResult, equivalent_states, interpret
 from .errors import (CfgError, DecompositionError, GraphFormatError,
                      IrParseError, LospreError, NoFeasibleSolutionError,
-                     SizeGuardError, VerificationError, WidthExceededError)
+                     SizeGuardError, WidthExceededError)
 
 __all__ = [
     "CostVec", "ZERO", "INFINITY", "parse_cost", "format_cost",
@@ -42,7 +42,7 @@ __all__ = [
     "InterpResult", "interpret", "equivalent_states",
     "LospreError", "CfgError", "GraphFormatError", "IrParseError",
     "DecompositionError", "WidthExceededError", "SizeGuardError",
-    "NoFeasibleSolutionError", "VerificationError",
+    "NoFeasibleSolutionError",
 ]
 
 __version__ = "0.1.0"

@@ -19,10 +19,9 @@ from pathlib import Path
 from . import ir as irmod
 from .cfg import DEFAULT_EDGE_COST, dump_dot, load_cfg, min_calc_count
 from .dp import eliminated_count, format_solution, solve
-from .errors import (GraphFormatError, IrParseError, LospreError,
-                     VerificationError, WidthExceededError)
-from .oracle import (InstanceGenerator, brute_lospre, brute_safety, brute_safety_fixpoint,
-                     generate)
+from .errors import GraphFormatError, IrParseError, LospreError, WidthExceededError
+from .oracle import (BRUTE_LOSPRE_MAX_NODES, STYLES, InstanceGenerator, brute_lospre,
+                     brute_safety, brute_safety_fixpoint, generate)
 from .safety import apply_safety, solve_safety
 from .treedec import decompose, dump_dot_treedec, make_nice
 
@@ -277,14 +276,17 @@ def cmd_safety(config: RunConfig, path: Path) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_check(seeds: str, size: int, style: str) -> int:
-    try:
-        first, _, last = seeds.partition("..")
-        lo, hi = int(first), int(last if last else first)
-    except ValueError:
-        raise LospreError(f"malformed seed range {seeds!r}; expected A..B")
+def seed_range(text: str) -> range:
+    """``--seeds A..B`` (or one seed A) as a non-empty range of seeds."""
+    first, _, last = text.partition("..")
+    seeds = range(int(first), int(last or first) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}: A > B")
+    return seeds
+
+
+def cmd_oracle_check(checked: range, size: int, style: str) -> int:
     failed = 0
-    checked = range(lo, hi + 1)
     for seed in checked:
         cfg, problem = generate(InstanceGenerator(seed=seed, node_range=(4, size), style=style))
         nice = make_nice(decompose(cfg))
@@ -365,9 +367,10 @@ _OPTIONS = {
     "--verify": dict(action="store_true"),
     "--out-dir": dict(type=Path, default=Path(".")),
     "--mode": dict(choices=("auto", "ir", "graph"), default="auto"),
-    "--seeds": dict(default="0..99"),
-    "--size": dict(type=int, default=10),
-    "--style": dict(default="random-sparse"),
+    "--seeds": dict(type=seed_range, default="0..99"),
+    "--size": dict(type=int, choices=range(4, BRUTE_LOSPRE_MAX_NODES + 1),
+                   metavar=f"4..{BRUTE_LOSPRE_MAX_NODES}", default=10),
+    "--style": dict(choices=STYLES, default="random-sparse"),
     "--sizes": dict(default="1024,2048,4096,8192,16384,32768,65536"),
     "--seed": dict(type=int, default=0),
 }
@@ -439,8 +442,8 @@ _DISPATCH = {
 
 # checked in order, so a subclass precedes its base
 _EXIT_CODES = ((GraphFormatError, EXIT_PARSE), (IrParseError, EXIT_PARSE),
-               (WidthExceededError, EXIT_WIDTH), (VerificationError, EXIT_VERIFY),
-               (LospreError, EXIT_ERROR), (FileNotFoundError, EXIT_PARSE))
+               (WidthExceededError, EXIT_WIDTH), (LospreError, EXIT_ERROR),
+               (FileNotFoundError, EXIT_PARSE))
 
 
 def main(argv=None) -> int:

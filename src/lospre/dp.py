@@ -18,11 +18,14 @@ up front and hands the kernel the resulting (dead, live) cost pair.
 Costs are exact integers of any size.  Each solve maps its own costs to
 one integer key (``cost_keys``), so the tables hold plain integers that
 add with ``+`` and compare with ``<`` exactly as the cost pairs do, however
-large the pairs are.  Tie-breaking prefers a dead vertex unless the caller
-marks it otherwise.  On graphs small enough to compare against brute
+large the pairs are.  One tie rule picks the reported optimum among
+equal-cost ones, for both solvers.  On graphs of at most
+``CANONICAL_TIES_MAX_NODES`` nodes, small enough to compare against brute
 force, an extra low-order key (2**(n-1-v) per live vertex v) makes the
-reported solution the unique lexicographic minimum among optimal
-assignments, scanning vertex ids upward and preferring absence.
+life set the lexicographic minimum among optimal ones, scanning vertex
+ids upward and preferring dead; on larger graphs an exact tie at a forget
+node keeps the vertex dead.  ``solve_extended`` then gives every node the
+lowest permitted (bl, br) pair of minimum cost for its value bit.
 """
 from __future__ import annotations
 
@@ -35,10 +38,8 @@ from .errors import (DecompositionError, LospreError, NoFeasibleSolutionError,
                      WidthExceededError)
 from .treedec import INTRODUCE, JOIN, LEAF, NiceTreeDec
 
-# Beyond this size the canonical tie-break key is disabled by default: the
-# key needs one low-order bit per graph node, so on large graphs every table
-# entry would be an integer of that many bits.  Results stay optimal and
-# deterministic either way; only the choice among equal-cost optima changes.
+# The canonical tie key adds one low-order bit per graph node to every table
+# entry, so beyond this size it is off; only the optimum reported changes.
 CANONICAL_TIES_MAX_NODES = 24
 
 
@@ -88,11 +89,6 @@ def assign_edges_to_forgets(cfg: Cfg, nice: NiceTreeDec) -> dict:
     return assignment
 
 
-def _canonical(canonical_ties, node_count) -> bool:
-    """Whether the canonical tie-break key is on; by default only on small graphs."""
-    return node_count <= CANONICAL_TIES_MAX_NODES if canonical_ties is None else bool(canonical_ties)
-
-
 def cost_keys(costs) -> tuple:
     """The exact integer key of one solve over ``costs``: ``(key, bound)``.
 
@@ -110,14 +106,13 @@ def cost_keys(costs) -> tuple:
 
 
 def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list,
-             live_costs: list, live_first, *, max_width: int, canonical: bool):
+             live_costs: list, *, max_width: int = 16):
     """Minimize edge costs plus each vertex's dead or live cost; the shared kernel.
 
     ``dead_costs[v]`` and ``live_costs[v]`` are the costs of vertex v dead
-    and live; either may be INFINITY.  Exact ties keep the vertex dead
-    unless ``live_first[v]`` is set.  Returns (life set, optimum key, key
-    map, transitions); the caller checks the optimum key against the key of
-    the cost it recomputes.
+    and live; either may be INFINITY.  Ties follow the module's one rule.
+    Returns (life set, optimum key, key map, transitions); the caller checks
+    the optimum key against the key of the cost it recomputes.
     """
     validate_problem(cfg, problem)
     width = nice.width
@@ -126,7 +121,7 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
     use = problem.use_set
     inv = problem.invalidation_set
     n = cfg.node_count
-    shift = n if canonical else 0
+    shift = n if n <= CANONICAL_TIES_MAX_NODES else 0
     key, bound = cost_keys(list(cfg.edge_cost.values()) + dead_costs + live_costs)
     # a table entry is infinite iff it is >= inf; none_key starts a minimum
     inf = bound << shift
@@ -142,7 +137,7 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
     choices = {}
     transitions = 0
 
-    for i in nice.order:
+    for i in range(nice.node_count):
         kind = kinds[i]
         if kind == LEAF:
             tables[i] = [0]
@@ -181,11 +176,9 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
                 live += 1 << (n - 1 - v)
             low = (1 << p) - 1
             bit = 1 << p
-            # (bit offset, value bit, cost) in tie order: strict < below
-            # keeps the first option on an exact tie
+            # (bit offset, value bit, cost): strict < below keeps the vertex
+            # dead on an exact tie
             options = ((0, 0, dead), (bit, 1, live))
-            if live_first and live_first[v]:
-                options = options[::-1]
             size = 1 << len(bags[i])
             table = [0] * size
             choice = bytearray(size)
@@ -245,7 +238,7 @@ def _check_optimum(key: Callable, cost: CostVec, root_key: int) -> None:
 
 
 def solve(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, *,
-          max_width: int = 16, canonical_ties: Optional[bool] = None) -> LospreSolution:
+          max_width: int = 16) -> LospreSolution:
     """Minimize the objective exactly over all life sets.
 
     Requires a valid nice decomposition of ``cfg``; raises
@@ -255,8 +248,7 @@ def solve(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, *,
     """
     n = cfg.node_count
     life, root_key, key, transitions = _life_dp(
-        cfg, problem, nice, [ZERO] * n, [cfg.node_cost[v] for v in range(n)], None,
-        max_width=max_width, canonical=_canonical(canonical_ties, n))
+        cfg, problem, nice, [ZERO] * n, [cfg.node_cost[v] for v in range(n)], max_width=max_width)
     cost = total_cost(cfg, problem, life)
     _check_optimum(key, cost, root_key)
     return LospreSolution(life_set=life, calc_set=calc_set(cfg, problem, life),
@@ -271,14 +263,12 @@ def solve(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, *,
 # Combinations are stored as digits d = b | bl << 1 | br << 2.
 
 _COMBOS = [(d & 1, (d >> 1) & 1, (d >> 2) & 1) for d in range(8)]
-# digits per value bit in tie order: the canonical order takes the lowest
-# (b, bl, br) triple, the other order the lowest digit
-_TIE_ORDER = {True: ((0, 4, 2, 6), (1, 5, 3, 7)), False: ((0, 2, 4, 6), (1, 3, 5, 7))}
+# digits per value bit, lowest (bl, br) pair first
+_TIE_ORDER = ((0, 4, 2, 6), (1, 5, 3, 7))
 
 
 def solve_extended(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec,
                    lifetime_cost: Callable[[int, int, int, int], CostVec], *,
-                   max_width: int = 16, canonical_ties: Optional[bool] = None,
                    allowed_combos: Optional[dict] = None) -> LospreSolution:
     """Minimize edge costs plus ``lifetime_cost(v, b, bl, br)`` summed over all nodes.
 
@@ -288,31 +278,25 @@ def solve_extended(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec,
     default all eight are permitted.
     """
     n = cfg.node_count
-    canonical = _canonical(canonical_ties, n)
-    order = _TIE_ORDER[canonical]
     allowed = {v: set(map(tuple, combos)) for v, combos in (allowed_combos or {}).items()}
     if any(not 0 <= v < n for v in allowed):
         raise LospreError("allowed_combos names a node outside the graph")
     rows, picks, dead_costs, live_costs = [], [], [], []
-    live_first = bytearray(n)
     for v in range(n):
         row = [lifetime_cost(v, *combo) for combo in _COMBOS]
         if not all(isinstance(c, CostVec) for c in row):
             raise LospreError("lifetime_cost must return CostVec values")
         permitted = allowed.get(v)
-        # min keeps the first of equal costs, so tie order decides ties
-        d0, d1 = pick = [min((d for d in order[b] if permitted is None or _COMBOS[d] in permitted),
+        # min keeps the first of equal costs: the lowest (bl, br) pair
+        d0, d1 = pick = [min((d for d in _TIE_ORDER[b]
+                              if permitted is None or _COMBOS[d] in permitted),
                              key=row.__getitem__, default=None) for b in (0, 1)]
         rows.append(row)
         picks.append(pick)
         dead_costs.append(INFINITY if d0 is None else row[d0])
         live_costs.append(INFINITY if d1 is None else row[d1])
-        # a dead and a live pick of equal total cost: the lower digit wins
-        live_first[v] = not canonical and d0 is not None and d1 is not None and d1 < d0
 
-    life, root_key, key, transitions = _life_dp(
-        cfg, problem, nice, dead_costs, live_costs, live_first, max_width=max_width,
-        canonical=canonical)
+    life, root_key, key, transitions = _life_dp(cfg, problem, nice, dead_costs, live_costs)
 
     chosen = [picks[v][v in life] for v in range(n)]
     cset = calc_set(cfg, problem, life)

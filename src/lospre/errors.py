@@ -43,7 +43,3 @@ class SizeGuardError(LospreError):
 
 class NoFeasibleSolutionError(LospreError):
     """Every assignment has infinite cost (possible only with user-supplied infinities)."""
-
-
-class VerificationError(LospreError):
-    """Solver output disagreed with a brute-force oracle under --verify."""

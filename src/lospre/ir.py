@@ -465,7 +465,9 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> P
     Fallthrough edges are subdivided inline; jump and branch edges get a
     fresh labeled block at the end of the program with the computation and
     a jump to the original target.  An edge out of a ret (into the sink)
-    becomes a jump to a trailing block that computes and returns.
+    becomes a jump to a trailing block that computes and returns.  A
+    subdivided edge loses its ``!edgecost`` override: the edges that replace
+    it take the default cost, like every edge a rewrite creates.
     """
     instructions = list(program.instructions)
     n = len(instructions)
@@ -553,8 +555,11 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> P
         out.extend(inserts_after.get(i, ()))
     for block in appended:
         out.extend(block)
+    labels = program.labels()
+    overrides = {(a, b): c for (a, b), c in program.edge_cost_overrides.items()
+                 if (instr_node(labels[a]), instr_node(labels[b])) not in solution.calc_set}
     return Program(out, program.default_edge_cost, program.default_node_cost,
-                   dict(program.edge_cost_overrides), dict(program.node_cost_overrides))
+                   overrides, dict(program.node_cost_overrides))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ code with the solver modules beyond the objective definition itself
 vectorized restatement of the objective, and the reported optimum is
 re-validated through ``total_cost`` before being returned.
 
-Tie-breaking matches the solvers' canonical rule so whole solutions, not
-just costs, are comparable: among equal-cost assignments, scan node ids
-upward and prefer the dead state (lexicographically smallest bit string).
+Tie-breaking matches the solvers' one tie rule on the graphs the oracles
+accept (at most 20 nodes, where the solvers' canonical key is on), so whole
+solutions, not just costs, are comparable: among equal-cost assignments,
+scan node ids upward and prefer the dead state (lexicographically smallest
+bit string), and give each node the lowest permitted (bl, br) pair of
+minimum cost for its value bit.
 """
 from __future__ import annotations
 
@@ -29,11 +32,14 @@ def _life_key(cfg, mask):
     return tuple((mask >> v) & 1 for v in range(cfg.node_count))
 
 
+BRUTE_LOSPRE_MAX_NODES = 20
+
+
 def brute_lospre(cfg: Cfg, problem: ExprProblem) -> LospreSolution:
     """Global minimum of the objective over all 2**|V| life sets."""
     n = cfg.node_count
-    if n > 20:
-        raise SizeGuardError(f"brute_lospre is limited to 20 nodes, got {n}")
+    if n > BRUTE_LOSPRE_MAX_NODES:
+        raise SizeGuardError(f"brute_lospre is limited to {BRUTE_LOSPRE_MAX_NODES} nodes, got {n}")
     costs = list(cfg.edge_cost.values()) + list(cfg.node_cost.values())
     # the vectorized sums are int64 and would wrap silently beyond it
     if cfg.has_finite_costs() and n >= 4 and sum(abs(c.primary) for c in costs) < 1 << 63 \

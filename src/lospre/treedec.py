@@ -11,7 +11,7 @@ preserving the width exactly.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .cfg import Cfg
@@ -47,7 +47,9 @@ class NiceTreeDec:
     """Rooted decomposition with typed nodes and sorted-tuple bags.
 
     ``vertex[i]`` is the vertex introduced or forgotten at node ``i`` (None
-    for leaves and joins).  ``order`` lists nodes children-before-parents.
+    for leaves and joins).  Children are numbered before their parents
+    (every child id is below its parent's), so ascending ids sweep the tree
+    bottom-up.
     """
 
     kinds: list
@@ -55,7 +57,6 @@ class NiceTreeDec:
     bags: list
     children: list
     root: int
-    order: list = field(default_factory=list)
 
     @property
     def node_count(self) -> int:
@@ -280,10 +281,10 @@ def make_nice(td: TreeDec) -> NiceTreeDec:
                 acc = b.add(JOIN, None, bag, (acc, nxt))
             result[a] = acc
 
+    # the builder appends children before their parents
     root = b.lift(result[root_td], set(td.bags[root_td]), set())
-    order = list(range(len(b.kinds)))  # builder appends children before parents
     nice = NiceTreeDec(kinds=b.kinds, vertex=b.vertex, bags=b.bags,
-                       children=b.children, root=root, order=order)
+                       children=b.children, root=root)
     if nice.width != td.width:
         raise DecompositionError("internal error: width changed during nice conversion")
     return nice
@@ -299,6 +300,8 @@ def validate_nice(cfg: Cfg, nice: NiceTreeDec) -> Optional[str]:
         bag = set(nice.bags[i])
         ch = nice.children[i]
         referenced.update(ch)
+        if any(c >= i for c in ch):
+            return f"node {i} is numbered before its child"
         if kind == LEAF:
             if ch or bag:
                 return f"leaf node {i} has children or a non-empty bag"

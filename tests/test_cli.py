@@ -114,6 +114,17 @@ def test_oracle_check_command(capsys):
     assert "checked 16 failed 0" in out
 
 
+def test_run_drops_the_override_of_a_subdivided_edge(tmp_path, capsys):
+    # pass 1 computes a + b on A -> B; the override named that edge, which
+    # no longer exists when pass 2 extracts the graph
+    src = tmp_path / "f.ir"
+    src.write_text("!edgecost A B [2,0]\nA: a = 1\nB: y = a + b\nC: z = a + b\nret\n")
+    rc = main(["run", str(src), "--emit", "rewritten-ir", "--out-dir", str(tmp_path)])
+    assert rc == EXIT_OK
+    assert "total eliminated=1" in capsys.readouterr().out
+    assert "!edgecost A B" not in (tmp_path / "f.out.ir").read_text()
+
+
 def test_bench_single_size(capsys):
     rc = main(["bench", "--sizes", "64"])
     out = capsys.readouterr().out
@@ -268,6 +279,12 @@ DIAMOND = ("cfg 5\nedge 0 1 c=[1,0]\nedge 1 2 c=[1,0]\nedge 1 3 c=[1,0]\n"
     ["decompose", "g.graph", "--verify"],
     ["safety", "g.graph", "--emit", "dot"],
     ["graph", "g.graph", "--goal", "speed"],
+    # values a flag cannot take are usage errors too
+    ["oracle-check", "--size", "3"],
+    ["oracle-check", "--size", "21"],
+    ["oracle-check", "--style", "bogus"],
+    ["oracle-check", "--seeds", "5..2"],
+    ["oracle-check", "--seeds", "x..2"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:

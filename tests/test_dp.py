@@ -166,18 +166,6 @@ def test_costs_beyond_int64_stay_exact():
     assert sol.cost == CostVec(big + 3, 1)
 
 
-def test_canonical_ties_beyond_64_nodes():
-    # 23 diamonds sharing their join nodes (70 nodes), a use on every arm
-    edges = [e for a in range(0, 69, 3) for e in ((a, a + 1), (a, a + 2), (a + 1, a + 3),
-                                                   (a + 2, a + 3))]
-    cfg = Cfg(70, edges)
-    p = make_problem(cfg, use=[v for v in range(70) if v % 3])
-    nice = make_nice(decompose(cfg))
-    canon = solve(cfg, p, nice, canonical_ties=True)
-    assert canon.cost == solve(cfg, p, nice, canonical_ties=False).cost
-    assert canon.cost == total_cost(cfg, p, canon.life_set)
-
-
 def test_root_table_entry_is_unique(diamond):
     nice = make_nice(decompose(diamond))
     assert nice.bags[nice.root] == ()
@@ -268,24 +256,19 @@ def test_extended_allowed_combos_hook():
     assert ext.cost == CostVec(2, 0)
 
 
-def test_extended_non_canonical_tie_keeps_lowest_digit():
+def test_extended_tie_rule_does_not_depend_on_graph_size():
     # every cost is zero.  Node 1 ties between dead with the left operand
-    # live, (0, 1, 0), and live with both operands dead, (1, 0, 0); without
-    # the canonical key the lower storage digit (b | bl << 1 | br << 2) wins,
-    # so the value stays live.  Node 2 ties between (0, 0, 1) and (0, 1, 0)
-    # and keeps the left operand live.  Frozen from the three-bit kernel this
-    # solver replaced; the canonical order picks the lowest triples instead.
-    cfg = Cfg(4, [(0, 1), (1, 2), (2, 3)])
-    p = make_problem(cfg, use=[2])
-    nice = make_nice(decompose(cfg))
+    # live, (0, 1, 0), and live with both operands dead, (1, 0, 0); node 2
+    # ties between (0, 0, 1) and (0, 1, 0).  Above 24 nodes the canonical
+    # key is off, and the reported optimum must not change with it
     allowed = {1: [(0, 1, 0), (1, 0, 0)], 2: [(0, 0, 1), (0, 1, 0)]}
     zero = lambda v, b, bl, br: CostVec(0, 0)
-    ext = solve_extended(cfg, p, nice, zero, canonical_ties=False, allowed_combos=allowed)
-    assert (ext.cost, ext.life_set, ext.calc_set, ext.life_left, ext.life_right) == \
-        (CostVec(1, 0), {1}, {(0, 1)}, {2}, frozenset())
-    ext = solve_extended(cfg, p, nice, zero, canonical_ties=True, allowed_combos=allowed)
-    assert (ext.cost, ext.life_set, ext.calc_set, ext.life_left, ext.life_right) == \
-        (CostVec(1, 0), frozenset(), {(1, 2)}, {1}, {2})
+    for n in (4, 30):
+        cfg = Cfg(n, [(v, v + 1) for v in range(n - 1)])
+        p = make_problem(cfg, use=[2])
+        ext = solve_extended(cfg, p, make_nice(decompose(cfg)), zero, allowed_combos=allowed)
+        assert (ext.cost, ext.life_set, ext.calc_set, ext.life_left, ext.life_right) == \
+            (CostVec(1, 0), frozenset(), {(1, 2)}, {1}, {2}), n
 
 
 def test_extended_forbidden_dead_forces_live(diamond):

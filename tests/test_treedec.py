@@ -1,10 +1,12 @@
 import pytest
 
-from lospre.cfg import Cfg
+from lospre.cfg import Cfg, make_problem
+from lospre.cost import CostVec
+from lospre.dp import solve
 from lospre.errors import DecompositionError
 from lospre.oracle import InstanceGenerator, STYLES, generate
-from lospre.treedec import (TreeDec, decompose, dump_dot_treedec, make_nice,
-                            validate, validate_nice)
+from lospre.treedec import (FORGET, INTRODUCE, LEAF, NiceTreeDec, TreeDec, decompose,
+                            dump_dot_treedec, make_nice, validate, validate_nice)
 
 
 def path_graph(n):
@@ -77,6 +79,23 @@ def test_make_nice_handbuilt_decomposition_preserves_width():
     nice = make_nice(td)
     assert validate_nice(cfg, nice) is None
     assert nice.width == td.width == 3
+
+
+def test_validate_nice_requires_children_numbered_first():
+    # a nice decomposition of one edge, valid but numbered root first
+    cfg = Cfg(2, [(0, 1)])
+    nice = NiceTreeDec(kinds=[FORGET, FORGET, INTRODUCE, INTRODUCE, LEAF],
+                       vertex=[1, 0, 1, 0, None],
+                       bags=[(), (1,), (0, 1), (0,), ()],
+                       children=[(1,), (2,), (3,), (4,), ()], root=0)
+    msg = validate_nice(cfg, nice)
+    assert msg is not None and "numbered before its child" in msg
+    bottom_up = NiceTreeDec(kinds=nice.kinds[::-1], vertex=nice.vertex[::-1],
+                            bags=nice.bags[::-1], children=[(), (0,), (1,), (2,), (3,)],
+                            root=4)
+    assert validate_nice(cfg, bottom_up) is None
+    # the solver sweeps a hand-built decomposition in id order
+    assert solve(cfg, make_problem(cfg, use=[]), bottom_up).cost == CostVec(0, 0)
 
 
 def test_make_nice_rejects_broken_tree():

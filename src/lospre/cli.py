@@ -138,7 +138,9 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     auto enlarges the invalidation set for loads and divisions.  When every
     cost of the pass's graph is finite, a candidate whose minimum cut
     (``min_calc_count``) reaches its occurrence count cannot gain under any
-    costs and is not solved; --verify solves every candidate.
+    costs and is not solved; --verify solves every candidate.  A pass
+    decomposes its graph only when it first solves, so the width guard
+    (exit 3) fires only on a pass that solves.
     """
     applied = []
     verify_failures = []
@@ -147,7 +149,7 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     while passes < pass_limit:
         passes += 1
         cfg = irmod.build_cfg(program)
-        nice = _nice_within(decompose(cfg), config)
+        nice = None  # decomposed when the pass first solves
         certify = not config.verify and cfg.has_finite_costs()
         safety_oracle = _safety_oracle(cfg) if config.verify else None
         chosen = None
@@ -166,6 +168,8 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
                 # every life set has at least as many calculation edges as
                 # there are occurrences, the optimum included
                 continue
+            if nice is None:
+                nice = _nice_within(decompose(cfg), config)
             solution = solve(cfg, problem, nice, max_width=config.max_width)
             if config.verify:
                 verify_failures.extend(

@@ -105,6 +105,11 @@ def cost_keys(costs) -> tuple:
     return (lambda c: inf if c.infinite else c.primary * scale + c.secondary), bound
 
 
+def _unswept(i: int, j: int) -> DecompositionError:
+    return DecompositionError(f"node {i} has no table for its child {j}: children must be "
+                              "numbered below their parents, and each used once")
+
+
 def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list,
              live_costs: list, *, max_width: int = 16):
     """Minimize edge costs plus each vertex's dead or live cost; the shared kernel.
@@ -145,6 +150,8 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
         elif kind == INTRODUCE:
             j = children[i][0]
             child = tables[j]
+            if child is None:
+                raise _unswept(i, j)
             p = bags[i].index(vertex[i])
             low = (1 << p) - 1
             size = 1 << len(bags[i])
@@ -154,12 +161,16 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
         elif kind == JOIN:
             j1, j2 = children[i]
             a, b = tables[j1], tables[j2]
+            if a is None or b is None:
+                raise _unswept(i, j1 if a is None else j2)
             tables[i] = [x + y for x, y in zip(a, b)]
             tables[j1] = tables[j2] = None
             transitions += len(a)
         else:  # forget
             j = children[i][0]
             child = tables[j]
+            if child is None:
+                raise _unswept(i, j)
             v = vertex[i]
             child_bag = bags[j]
             p = child_bag.index(v)

@@ -289,6 +289,11 @@ def build_cfg(program: Program) -> Cfg:
     Instructions that are unreachable from the entry are kept as nodes and
     reported with an UnreachableCodeWarning; heads of unreachable regions
     get an edge from the source so the unique-source invariant holds.
+    Symmetrically, as GCC's ``connect_infinite_loops_to_exit`` does, every
+    region that cannot reach the sink gets one fake edge to it, from the
+    highest-index instruction that does not reach the sink yet, until all
+    do.  A program whose every instruction can reach a ret gets none.
+    ``rewrite`` refuses a computation on a fake edge.
     """
     instructions = list(program)
     n = len(instructions)
@@ -303,25 +308,42 @@ def build_cfg(program: Program) -> Cfg:
             for o in outs:
                 edges.add((instr_node(i), sink if o == n else instr_node(o)))
 
-    reachable = {SOURCE_NODE}
-    stack = [SOURCE_NODE]
-    adj = {}
-    for (u, v) in edges:
-        adj.setdefault(u, []).append(v)
+    # floods over instruction indices; index n stands for the sink
+    preds = [[] for _ in range(n + 1)]
+    for i, outs in enumerate(succ):
+        for o in outs:
+            preds[o].append(i)
+    reachable = [False] * (n + 1)
+    stack = [0] if n else []
     while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):
-            if v not in reachable:
-                reachable.add(v)
-                stack.append(v)
-    unreachable = [i for i in range(n) if instr_node(i) not in reachable]
+        i = stack.pop()
+        if not reachable[i]:
+            reachable[i] = True
+            stack.extend(succ[i] if i < n else ())
+    unreachable = [i for i in range(n) if not reachable[i]]
     if unreachable:
         warnings.warn(f"unreachable instructions at indices {unreachable}",
                       UnreachableCodeWarning, stacklevel=2)
-        has_pred = {v for (_, v) in edges}
         for i in unreachable:
-            if instr_node(i) not in has_pred:
+            if not preds[i]:
                 edges.add((SOURCE_NODE, instr_node(i)))
+
+    # connect every region that cannot reach the sink (an infinite loop)
+    # with one fake edge to the sink, from its highest-index instruction:
+    # flood backwards from the sink, then from each instruction, highest
+    # index first, that the flood has not reached yet, adding its edge
+    reaches_sink = [False] * (n + 1)
+    for start in range(n, -1, -1):
+        if reaches_sink[start]:
+            continue
+        if start < n:
+            edges.add((instr_node(start), sink))
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            if not reaches_sink[i]:
+                reaches_sink[i] = True
+                stack.extend(preds[i])
 
     edge_cost = {e: program.default_edge_cost for e in edges}
     node_cost = {v: program.default_node_cost for v in range(sink + 1)}
@@ -472,11 +494,15 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> P
     instructions = list(program.instructions)
     n = len(instructions)
     sink = instr_node(n)
+    if cfg.node_count != sink + 1:
+        raise LospreError("solution/graph/program size mismatch")
     for (u, v) in solution.calc_set:
         if (u, v) not in cfg.edges:
             raise LospreError(f"solution edge ({u}, {v}) is not an edge of the graph")
-    if cfg.node_count != sink + 1:
-        raise LospreError("solution/graph/program size mismatch")
+        # a real edge into the sink leaves a ret or falls off the end
+        if v == sink and u != SOURCE_NODE and instructions[node_instr(u)].kind != RET and \
+                (u != instr_node(n - 1) or instructions[-1].kind == JUMP):
+            raise LospreError(f"solution edge ({u}, {v}) is a fake edge out of an infinite loop")
     if not candidate.occurrence_nodes:
         return program
 
@@ -575,45 +601,48 @@ def copy_propagate(program: Program) -> Program:
     become candidates in the next pass.
     """
     instructions = list(program.instructions)
+    n = len(instructions)
+    succ = preds = None
     changed = True
     while changed:
         changed = False
-        n = len(instructions)
-        succ = _successor_indices(instructions)
-        preds = [[] for _ in range(n)]
-        for i, outs in enumerate(succ):
-            for o in outs:
-                if o < n:
-                    preds[o].append(i)
-
         # availability is over (dest, source) pairs, so identical copies on
         # different paths merge at joins
-        copies = []
         pair_id = {}
         for ins in instructions:
             if ins.kind == ASSIGN and ins.dest != ins.left:
-                pair = (ins.dest, ins.left)
-                if pair not in pair_id:
-                    pair_id[pair] = len(copies)
-                    copies.append(pair)
-        if not copies:
+                pair_id.setdefault((ins.dest, ins.left), len(pair_id))
+        if not pair_id:
             break
+        if succ is None:
+            # propagation never touches control flow, so the graph is built once
+            succ = _successor_indices(instructions)
+            preds = [[] for _ in range(n)]
+            for i, outs in enumerate(succ):
+                for o in outs:
+                    if o < n:
+                        preds[o].append(i)
+        copies = list(pair_id)
         all_mask = (1 << len(copies)) - 1
+        dest_mask = {}     # variable -> copies writing it
+        touch_mask = {}    # variable -> copies that a write to it kills
+        for c, (dest, src) in enumerate(copies):
+            dest_mask[dest] = dest_mask.get(dest, 0) | 1 << c
+            touch_mask[dest] = touch_mask.get(dest, 0) | 1 << c
+            touch_mask[src] = touch_mask.get(src, 0) | 1 << c
         gen = [0] * n
         kill = [0] * n
         for i, ins in enumerate(instructions):
             d = ins.defines()
             if d is None:
                 continue
-            for c, (dest, src) in enumerate(copies):
-                if d == dest or d == src:
-                    kill[i] |= 1 << c
+            kill[i] = touch_mask.get(d, 0)
             if ins.kind == ASSIGN and ins.dest != ins.left:
-                gen[i] |= 1 << pair_id[(ins.dest, ins.left)]
+                gen[i] = 1 << pair_id[(ins.dest, ins.left)]
         # forward must analysis: IN = AND of predecessor OUTs
         out_sets = [all_mask] * n
         in_sets = [0] * n
-        work = list(range(n))
+        work = list(range(n - 1, -1, -1))  # popped in program order
         while work:
             i = work.pop()
             if preds[i]:
@@ -630,36 +659,16 @@ def copy_propagate(program: Program) -> Program:
                     if o < n:
                         work.append(o)
 
-        source_of = {}
-        for i in range(n):
-            avail = {}
-            m = in_sets[i]
-            c = 0
-            while m:
-                if m & 1:
-                    dest, src = copies[c]
-                    avail[dest] = src
-                m >>= 1
-                c += 1
-            if avail:
-                source_of[i] = avail
-
         def sub(i, o):
-            nonlocal changed
-            if isinstance(o, str) and i in source_of and o in source_of[i]:
-                changed = True
-                return source_of[i][o]
-            return o
+            # of several available copies into one variable, the latest-numbered wins
+            m = in_sets[i] & dest_mask.get(o, 0)
+            return copies[m.bit_length() - 1][1] if m else o
 
-        new_instructions = []
         for i, ins in enumerate(instructions):
-            if ins.kind == ASSIGN:
-                ins = replace(ins, left=sub(i, ins.left))
-            elif ins.kind in (BINOP, STORE):
-                ins = replace(ins, left=sub(i, ins.left), right=sub(i, ins.right))
-            elif ins.kind in (UNOP, LOAD, BRANCH):
-                ins = replace(ins, left=sub(i, ins.left))
-            new_instructions.append(ins)
-        instructions = new_instructions
+            if in_sets[i]:
+                left, right = sub(i, ins.left), sub(i, ins.right)
+                if left != ins.left or right != ins.right:
+                    instructions[i] = replace(ins, left=left, right=right)
+                    changed = True
     return Program(instructions, program.default_edge_cost, program.default_node_cost,
                    dict(program.edge_cost_overrides), dict(program.node_cost_overrides))

@@ -2,7 +2,15 @@
 
 ``decompose`` runs a greedy minimum-fill elimination ordering (minimum
 degree, then lowest id as tie-breakers), which is deterministic and gives
-small widths on the sparse graphs produced from structured programs.  The
+small widths on the sparse graphs produced from structured programs.
+Keys are kept up to date incrementally, with the same order as
+recomputing every key at every step: eliminating v removes v's edges and
+adds fill edges among N(v), so only the degree and fill of N(v) change,
+plus the fill of the common neighbours of each new fill edge (a vertex
+outside N(v) keeps its neighbours and gains an edge among them exactly
+when it is adjacent to both ends of a fill edge).  Each vertex's current
+key is stored, a heap entry that differs from it is stale and skipped,
+and the heap minimum is the least current (fill, degree, id).  The
 solvers are correct for any valid decomposition, so the heuristic only
 affects table sizes, never results.  ``make_nice`` converts to a rooted
 form with empty root and leaf bags and only introduce/forget/join steps,
@@ -88,52 +96,46 @@ def _undirected_adjacency(cfg: Cfg) -> list:
 
 
 def _fill_in(adj, v) -> int:
-    nb = list(adj[v])
-    missing = 0
-    for i in range(len(nb)):
-        ai = adj[nb[i]]
-        for j in range(i + 1, len(nb)):
-            if nb[j] not in ai:
-                missing += 1
-    return missing
+    """Missing edges among v's neighbours: C(d,2) minus the edges between them."""
+    nb = adj[v]
+    d = len(nb)
+    return d * (d - 1) // 2 - sum(len(adj[a] & nb) for a in nb) // 2
 
 
 def decompose(cfg: Cfg) -> TreeDec:
     """Heuristic tree-decomposition of the underlying undirected graph."""
     n = cfg.node_count
     adj = _undirected_adjacency(cfg)
-    heap = []
-    for v in range(n):
-        heapq.heappush(heap, (_fill_in(adj, v), len(adj[v]), v))
-    eliminated = [False] * n
+    key = [(_fill_in(adj, v), len(adj[v])) for v in range(n)]   # None once eliminated
+    heap = [(fill, deg, v) for v, (fill, deg) in enumerate(key)]
+    heapq.heapify(heap)
     order = []
     elim_bags = []
     while len(order) < n:
         fill, deg, v = heapq.heappop(heap)
-        if eliminated[v]:
-            continue
-        cur = (_fill_in(adj, v), len(adj[v]))
-        if (fill, deg) != cur:
-            heapq.heappush(heap, (cur[0], cur[1], v))
-            continue
+        if key[v] != (fill, deg):
+            continue  # stale entry: v was eliminated or its key changed
         order.append(v)
         elim_bags.append(frozenset(adj[v]) | {v})
-        eliminated[v] = True
+        key[v] = None
         nb = sorted(adj[v])
-        touched = set(nb)
-        for i in range(len(nb)):
-            a = nb[i]
+        added = []
+        for i, a in enumerate(nb):
             adj[a].discard(v)
-            for j in range(i + 1, len(nb)):
-                b = nb[j]
+            for b in nb[i + 1:]:
                 if b not in adj[a]:
                     adj[a].add(b)
                     adj[b].add(a)
-            touched.update(adj[a])
+                    added.append((a, b))
         adj[v] = set()
-        for u in touched:
-            if not eliminated[u]:
-                heapq.heappush(heap, (_fill_in(adj, u), len(adj[u]), u))
+        dirty = set(nb)
+        for a, b in added:
+            dirty |= adj[a] & adj[b]
+        for u in dirty:
+            k = (_fill_in(adj, u), len(adj[u]))
+            if k != key[u]:
+                key[u] = k
+                heapq.heappush(heap, (k[0], k[1], u))
 
     position = {v: i for i, v in enumerate(order)}
     edges = []

@@ -397,3 +397,28 @@ def test_safety_values_each_do_something(tmp_path, capsys):
                         if line.startswith("candidate")]
     assert heads["auto"] == ["candidate *t2"]
     assert len(heads["always"]) > 1 and set(heads["auto"]) < set(heads["always"])
+
+
+def test_width_guard_fires_only_on_a_pass_that_solves(tmp_path, capsys):
+    # both programs are if/else diamonds of width 2; a pass decomposes its
+    # graph only when it solves, so --max-width 1 refuses only the program
+    # whose a + b is worth solving
+    src = tmp_path / "f.ir"
+    src.write_text("if c goto L\nx = a + b\ngoto J\nL: x = 2\nJ: ret\n")
+    assert main(["decompose", str(src)]) == EXIT_OK
+    assert "width=2" in capsys.readouterr().out
+    assert main(["run", str(src), "--max-width", "1"]) == EXIT_OK
+    src.write_text("if c goto L\nx = a + b\ngoto J\nL: x = a + b\nJ: y = a + b\nret\n")
+    assert main(["run", str(src), "--max-width", "1"]) == EXIT_WIDTH
+    assert "exceeds --max-width 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_function_ending_in_an_infinite_loop_runs(tmp_path, capsys, verify):
+    src = tmp_path / "f.ir"
+    src.write_text("x = a / d\nL: y = a / d\ngoto L\n")
+    assert main(["run", str(src), "--emit", "rewritten-ir", "--out-dir", str(tmp_path)]
+                + verify) == EXIT_OK
+    assert "total eliminated=1" in capsys.readouterr().out
+    out = (tmp_path / "f.out.ir").read_text()
+    assert out.count("a / d") == 1 and "goto L" in out

@@ -420,3 +420,17 @@ def test_solution_serialization_roundtrip(diamond):
     assert back.life_set == sol.life_set
     assert back.calc_set == sol.calc_set
     assert back.cost == sol.cost
+
+
+def test_solve_rejects_a_root_first_decomposition():
+    # a valid nice decomposition of one edge, numbered root first: the
+    # bottom-up sweep meets node 0 before its child's table exists
+    from lospre.errors import DecompositionError
+    from lospre.treedec import FORGET, INTRODUCE, LEAF, NiceTreeDec
+    cfg = Cfg(2, [(0, 1)])
+    nice = NiceTreeDec(kinds=[FORGET, FORGET, INTRODUCE, INTRODUCE, LEAF],
+                       vertex=[1, 0, 1, 0, None],
+                       bags=[(), (1,), (0, 1), (0,), ()],
+                       children=[(1,), (2,), (3,), (4,), ()], root=0)
+    with pytest.raises(DecompositionError, match="node 0 has no table for its child 1"):
+        solve(cfg, make_problem(cfg, use=[1]), nice)

@@ -108,6 +108,42 @@ def test_unreachable_code_warns_but_keeps_nodes():
     assert cfg.source == 0
 
 
+def test_infinite_loop_gets_one_fake_edge_to_the_sink():
+    # instructions 1 and 2 loop forever; the loop's highest-index
+    # instruction (goto L, node 3) is linked to the sink (node 4)
+    cfg = build_cfg(parse_ir("x = 1\nL: y = 2\ngoto L\n"))
+    assert cfg.edges == {(0, 1), (1, 2), (2, 3), (3, 2), (3, 4)}
+    assert cfg.sinks == {4}
+    # two separate loops, the second unreachable, get one edge each
+    with pytest.warns(UnreachableCodeWarning):
+        cfg = build_cfg(parse_ir("L: goto L\nM: x = 1\ngoto M\n"))
+    assert {e for e in cfg.edges if e[1] == 4} == {(1, 4), (3, 4)}
+    # a loop with an exit gets none
+    cfg = build_cfg(parse_ir("L: x = 1\nif x goto L\nret\n"))
+    assert {e for e in cfg.edges if e[1] == cfg.node_count - 1} == {(3, 4)}
+
+
+def test_rewrite_refuses_a_computation_on_a_fake_edge():
+    from lospre.dp import LospreSolution
+    from lospre.errors import LospreError
+    prog = parse_ir("x = a / d\nL: y = a / d\ngoto L\n")
+    cfg = build_cfg(prog)
+    cand, problem = derive_problems(prog, cfg)[0]
+    sol = LospreSolution(life_set=frozenset({4}), calc_set=frozenset({(3, 4)}),
+                         cost=CostVec(1, 1))
+    with pytest.raises(LospreError, match="fake edge"):
+        rewrite(prog, cfg, cand, sol)
+    # the same loop followed by an unreachable ret: goto L (node 2) is not last
+    with pytest.warns(UnreachableCodeWarning):
+        prog = parse_ir("L: y = a / d\ngoto L\nret\n")
+        cfg = build_cfg(prog)
+    assert (2, 4) in cfg.edges
+    sol = LospreSolution(life_set=frozenset({4}), calc_set=frozenset({(2, 4)}),
+                         cost=CostVec(1, 1))
+    with pytest.raises(LospreError, match="fake edge"):
+        rewrite(prog, cfg, derive_problems(prog, cfg)[0][0], sol)
+
+
 def test_empty_function():
     cfg = build_cfg(parse_ir("ret\n"))
     assert cfg.node_count == 3
@@ -289,6 +325,37 @@ def test_copy_propagation_blocked_by_redefinition():
     out = copy_propagate(parse_ir(text))
     add = [ins for ins in out if ins.kind == BINOP][0]
     assert "x" in (add.left, add.right)  # t was clobbered, x must stay
+
+
+def test_copy_propagation_killed_by_redefining_its_source():
+    # t = 9 kills x = t on the one path through it; the other read keeps t
+    text = "x = t\ny = x + 1\nt = 9\nz = x + 2\nret\n"
+    out = [ins for ins in copy_propagate(parse_ir(text)) if ins.kind == BINOP]
+    assert (out[0].left, out[1].left) == ("t", "x")
+
+
+def test_copy_propagation_killed_by_redefining_its_destination():
+    text = "x = t\nif c goto L\nx = 4\nL: y = x + 1\nret\n"
+    out = copy_propagate(parse_ir(text))
+    add = [ins for ins in out if ins.kind == BINOP][0]
+    assert add.left == "x"  # x = t is not available on the path through x = 4
+    assert [ins.left for ins in out if ins.kind == ASSIGN] == ["t", 4]
+
+
+def test_copy_propagation_same_copy_on_both_arms_of_a_join():
+    # the same copy x = t on both arms meets at the join; a different source
+    # on one arm (x = u) blocks it
+    both = "if c goto L\nx = t\ngoto J\nL: x = t\nJ: y = x + 1\nret\n"
+    add = [ins for ins in copy_propagate(parse_ir(both)) if ins.kind == BINOP][0]
+    assert add.left == "t"
+    mixed = "if c goto L\nx = t\ngoto J\nL: x = u\nJ: y = x + 1\nret\n"
+    add = [ins for ins in copy_propagate(parse_ir(mixed)) if ins.kind == BINOP][0]
+    assert add.left == "x"
+
+
+def test_copy_propagation_without_copies_returns_the_instructions():
+    prog = parse_ir("y = a + 1\nif y goto L\nL: ret\n")
+    assert copy_propagate(prog).instructions == prog.instructions
 
 
 def test_copy_propagation_preserves_semantics():

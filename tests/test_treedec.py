@@ -142,3 +142,59 @@ def test_structured_program_graphs_stay_narrow():
         cfg = build_cfg(parse_ir(generate_program_text(seed)))
         worst = max(worst, decompose(cfg).width)
     assert worst <= 7
+
+
+def _min_fill_reference_bags(cfg):
+    """Elimination bags of greedy min-fill, recomputing (fill, degree, id)
+    of every remaining vertex from scratch at each step."""
+    adj = {v: set() for v in range(cfg.node_count)}
+    for (u, v) in cfg.edges:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+
+    def key(v):
+        nb = sorted(adj[v])
+        fill = sum(1 for i, a in enumerate(nb) for b in nb[i + 1:] if b not in adj[a])
+        return (fill, len(nb), v)
+
+    bags = []
+    while adj:
+        v = min(adj, key=key)
+        nb = adj.pop(v)
+        bags.append(frozenset(nb) | {v})
+        for a in nb:
+            adj[a].discard(v)
+            adj[a] |= nb - {a}
+    return bags
+
+
+def _cyclic_instances():
+    # generator graphs of every style, then with back edges and self-loops added
+    import random
+    for style in STYLES:
+        for seed in range(50):
+            cfg, _ = generate(InstanceGenerator(seed=seed, node_range=(4, 30), style=style))
+            yield cfg
+            rng = random.Random(seed)
+            edges = set(cfg.edges)
+            for _ in range(rng.randint(1, 4)):
+                v = rng.randrange(1, cfg.node_count)
+                edges.add((rng.randrange(v, cfg.node_count), v))
+            yield Cfg(cfg.node_count, edges)
+
+
+def test_decompose_matches_from_scratch_min_fill():
+    # the incremental key updates must give the elimination order that
+    # recomputing every key at every step gives
+    import warnings
+    from lospre.ir import build_cfg, parse_ir
+    from lospre.oracle import generate_program_text
+
+    warnings.simplefilter("ignore")
+    graphs = list(_cyclic_instances())
+    graphs += [build_cfg(parse_ir(generate_program_text(seed, max_statements=30)))
+               for seed in range(40)]
+    assert len(graphs) >= 300
+    for cfg in graphs:
+        assert decompose(cfg).bags == _min_fill_reference_bags(cfg), cfg

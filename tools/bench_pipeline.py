@@ -8,8 +8,8 @@ tree is measured in its own process per program (``PYTHONPATH`` set to that
 tree, the two trees alternating which runs first, so a slow phase of the
 host does not land on one side only): one counting run of
 ``run_pipeline(parse_ir(text), RunConfig())`` that records passes,
-rewrites, ``solve`` calls and ``min_calc_count`` calls (0 where the tree
-has no such function), then best-of-N seconds of the same call with the
+rewrites, ``decompose``, ``solve`` and ``min_calc_count`` calls (0 where
+the tree has no such function), then best-of-N seconds of the same call with the
 garbage collector off, and a digest of the rewritten IR and the applied
 solutions, so the rows show whether both trees produce the same output.
 The loglog slope of seconds against instructions is given per seed.
@@ -35,7 +35,7 @@ def measure(seed, size, repeats):
     from lospre.oracle import generate_program_text
 
     text = generate_program_text(seed, max_statements=size)
-    calls = {"solve": 0, "min_calc_count": 0}
+    calls = {"decompose": 0, "solve": 0, "min_calc_count": 0}
 
     def counted(name):
         inner = getattr(cli, name)
@@ -67,7 +67,8 @@ def measure(seed, size, repeats):
     return {"seed": seed, "max_statements": size,
             "instructions": len(parse_ir(text).instructions),
             "passes": result.passes, "rewrites": len(result.applied),
-            "solves": calls["solve"], "certificate_calls": calls["min_calc_count"],
+            "decompositions": calls["decompose"], "solves": calls["solve"],
+            "certificate_calls": calls["min_calc_count"],
             "seconds": round(best, 4),
             "output_sha256": hashlib.sha256(output.encode()).hexdigest()[:16]}
 
@@ -123,6 +124,7 @@ def main():
                         "speedup": round(old["seconds"] / row["seconds"], 2),
                         "baseline_passes": old["passes"],
                         "baseline_rewrites": old["rewrites"],
+                        "baseline_decompositions": old["decompositions"],
                         "baseline_solves": old["solves"],
                         "same_output": old["output_sha256"] == row["output_sha256"]})
             rows.append(row)

@@ -21,7 +21,8 @@ extracting a graph (``[p,s]`` or ``inf`` syntax)::
     !nodecost L [p,s]          cost of one labeled instruction's node
 
 The extracted graph has one node per instruction plus a synthetic source
-before the first instruction and a synthetic sink after every ret.
+before the first instruction and a synthetic sink after every ret; a region
+that never reaches a ret is linked to the sink by one fake edge.
 """
 from __future__ import annotations
 
@@ -328,10 +329,8 @@ def build_cfg(program: Program) -> Cfg:
             if not preds[i]:
                 edges.add((SOURCE_NODE, instr_node(i)))
 
-    # connect every region that cannot reach the sink (an infinite loop)
-    # with one fake edge to the sink, from its highest-index instruction:
-    # flood backwards from the sink, then from each instruction, highest
-    # index first, that the flood has not reached yet, adding its edge
+    # fake edges: flood backwards from the sink, then from each instruction
+    # not reached yet, highest index first, after linking it to the sink
     reaches_sink = [False] * (n + 1)
     for start in range(n, -1, -1):
         if reaches_sink[start]:

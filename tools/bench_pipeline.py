@@ -9,8 +9,8 @@ tree, the two trees alternating which runs first, so a slow phase of the
 host does not land on one side only): one counting run of
 ``run_pipeline(parse_ir(text), RunConfig())`` that records passes,
 rewrites, ``decompose``, ``solve`` and ``min_calc_count`` calls (0 where
-the tree has no such function), then best-of-N seconds of the same call with the
-garbage collector off, and a digest of the rewritten IR and the applied
+the tree has no such function), then best-of-N seconds of the same call
+with the garbage collector off, and a digest of the rewritten IR and the applied
 solutions, so the rows show whether both trees produce the same output.
 The loglog slope of seconds against instructions is given per seed.
 """

@@ -1,8 +1,8 @@
 """Command-line front-end.
 
 Subcommands: run (IR pipeline), graph (solve problems from a graph file),
-decompose, safety, oracle-check, bench; each takes only the options it
-reads.  Exit codes: 0 success, 2 parse error or usage error, 3 width guard
+decompose, safety, oracle-check; each takes only the options it reads.
+Exit codes: 0 success, 2 parse error or usage error, 3 width guard
 exceeded, 4 verification mismatch, 1 anything else.
 Emitted artifacts are byte-identical across runs for identical inputs and
 flags; --verify only ever changes the exit status.
@@ -10,9 +10,7 @@ flags; --verify only ever changes the exit status.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -305,64 +303,6 @@ def cmd_oracle_check(checked: range, size: int, style: str) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
-def bench_sizes(sizes, seed=0):
-    """Time decompose+convert+solve on diamond chains; returns (rows, slope).
-
-    Rows are (size, seconds, width).  The slope is the least-squares slope
-    of log time against log size (None for a single size).  Each size is
-    timed best-of-N with the garbage collector quiesced so allocator noise
-    from earlier runs does not distort the scaling estimate.
-    """
-    import gc
-    rows = []
-    for n in sizes:
-        if n <= 0:
-            raise LospreError("bench sizes must be positive")
-        if n % 4:
-            raise LospreError("bench sizes must be multiples of 4 (diamond chains)")
-        cfg, problem = generate(InstanceGenerator(seed=seed, node_range=(n, n),
-                                                  style="chained-diamonds"))
-        repeats = 3 if n < 8192 else 2
-        best = math.inf
-        width = 0
-        for _ in range(repeats):
-            gc.collect()
-            gc.disable()
-            try:
-                t0 = time.perf_counter()
-                nice = make_nice(decompose(cfg))
-                solve(cfg, problem, nice)
-                best = min(best, time.perf_counter() - t0)
-            finally:
-                gc.enable()
-            width = nice.width
-        rows.append((n, best, width))
-    slope = None
-    if len(rows) >= 2:
-        xs = [math.log(n) for n, _, _ in rows]
-        ys = [math.log(t) for _, t, _ in rows]
-        mx = sum(xs) / len(xs)
-        my = sum(ys) / len(ys)
-        slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / \
-            sum((x - mx) ** 2 for x in xs)
-    return rows, slope
-
-
-def cmd_bench(sizes_text: str, seed: int) -> int:
-    try:
-        sizes = [int(t) for t in sizes_text.split(",")]
-    except ValueError:
-        raise LospreError(f"malformed size list {sizes_text!r}")
-    if sizes != sorted(sizes):
-        raise LospreError("bench sizes must be ascending")
-    rows, slope = bench_sizes(sizes, seed=seed)
-    for n, t, width in rows:
-        sys.stdout.write(f"n={n} width={width} time={t:.4f}s\n")
-    if slope is not None:
-        sys.stdout.write(f"loglog_slope={slope:.3f}\n")
-    return EXIT_OK
-
-
 _OPTIONS = {
     "--goal": dict(choices=("size", "speed"), default="size"),
     "--safety": dict(),
@@ -375,8 +315,6 @@ _OPTIONS = {
     "--size": dict(type=int, choices=range(4, BRUTE_LOSPRE_MAX_NODES + 1),
                    metavar=f"4..{BRUTE_LOSPRE_MAX_NODES}", default=10),
     "--style": dict(choices=STYLES, default="random-sparse"),
-    "--sizes": dict(default="1024,2048,4096,8192,16384,32768,65536"),
-    "--seed": dict(type=int, default=0),
 }
 
 # --safety values per subcommand, the default first: graph files carry no
@@ -398,8 +336,6 @@ _COMMANDS = {
     "safety": ("print enlarged invalidation sets", True, ("--mode", "--safety"), ()),
     "oracle-check": ("batch compare solver against brute force", False,
                      ("--seeds", "--size", "--style"), ()),
-    "bench": ("time diamond-chain instances and report scaling", False,
-              ("--sizes", "--seed"), ()),
 }
 
 
@@ -441,7 +377,6 @@ _DISPATCH = {
     "decompose": lambda args: cmd_decompose(_config_from(args), args.input),
     "safety": lambda args: cmd_safety(_config_from(args), args.input),
     "oracle-check": lambda args: cmd_oracle_check(args.seeds, args.size, args.style),
-    "bench": lambda args: cmd_bench(args.sizes, args.seed),
 }
 
 # checked in order, so a subclass precedes its base

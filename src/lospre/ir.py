@@ -461,21 +461,13 @@ def _computation_instr(candidate: ExprCandidate, tmp: str) -> Instruction:
                        left=candidate.left, right=candidate.right)
 
 
-def _fresh_names(program, prefix, count):
-    existing = {ins.label for ins in program if ins.label}
-    existing |= program.variables()
-    names = []
-    k = 0
-    while len(names) < count:
-        name = f"{prefix}{k}"
-        if name not in existing:
-            names.append(name)
-        k += 1
-    return names
-
-
 def next_tmp_name(program) -> str:
-    return _fresh_names(program, "__lospre", 1)[0]
+    """The first ``__lospreK`` that is neither a label nor a variable of ``program``."""
+    taken = set(program.labels()) | program.variables()
+    k = 0
+    while f"__lospre{k}" in taken:
+        k += 1
+    return f"__lospre{k}"
 
 
 def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> Program:
@@ -507,7 +499,8 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> P
 
     tmp = next_tmp_name(program)
     comp = _computation_instr(candidate, tmp)
-    labels_in_use = {ins.label for ins in instructions if ins.label}
+    labels = program.labels()
+    labels_in_use = set(labels)
 
     label_counter = [0]
 
@@ -546,7 +539,7 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> P
         fallthrough = ui + 1 if ui + 1 < n else n
         fall_node = sink if fallthrough == n else instr_node(fallthrough)
         if ins.kind == BRANCH:
-            taken_node = instr_node(program.labels()[ins.target])
+            taken_node = instr_node(labels[ins.target])
             if v == fall_node and v == taken_node:
                 # collapsed two-way edge: route the taken path through the insert
                 lbl = fresh_label()
@@ -580,7 +573,6 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> P
         out.extend(inserts_after.get(i, ()))
     for block in appended:
         out.extend(block)
-    labels = program.labels()
     overrides = {(a, b): c for (a, b), c in program.edge_cost_overrides.items()
                  if (instr_node(labels[a]), instr_node(labels[b])) not in solution.calc_set}
     return Program(out, program.default_edge_cost, program.default_node_cost,

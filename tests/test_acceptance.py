@@ -5,6 +5,7 @@ The random suites are seeded and span all three instance generator styles,
 so every run checks the identical population.  Brute-force references are
 recomputed live; nothing here trusts solver-side numbers.
 """
+import gc
 import math
 import random
 import time
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from lospre.cfg import Cfg, ExprProblem, make_problem
-from lospre.cli import RunConfig, bench_sizes, run_pipeline
+from lospre.cli import RunConfig, run_pipeline
 from lospre.cost import CostVec
 from lospre.dp import eliminated_count, solve, solve_extended
 from lospre.interp import equivalent_states, interpret
@@ -161,13 +162,57 @@ def test_decomposition_validity_and_width():
             f"diamond={decompose(diamond).width})")
 
 
+def _loglog_slope(xs, ys):
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    mx = sum(lx) / len(lx)
+    my = sum(ly) / len(ly)
+    return sum((x - mx) * (y - my) for x, y in zip(lx, ly)) / sum((x - mx) ** 2 for x in lx)
+
+
+def _chain_times(sizes, seed=0):
+    """Time decompose+make_nice+solve on diamond chains.
+
+    Returns rows of (size, seconds, {layer: seconds}).  Each size is timed
+    best-of-N with the garbage collector quiesced so allocator noise from
+    earlier runs does not distort the scaling estimate; the layer times are
+    those of the best run, so they sum to its total.
+    """
+    rows = []
+    for n in sizes:
+        cfg, problem = generate(InstanceGenerator(seed=seed, node_range=(n, n),
+                                                  style="chained-diamonds"))
+        repeats = 3 if n < 8192 else 2
+        best = (math.inf, None)
+        for _ in range(repeats):
+            gc.collect()
+            gc.disable()
+            try:
+                t0 = time.perf_counter()
+                td = decompose(cfg)
+                t1 = time.perf_counter()
+                nice = make_nice(td)
+                t2 = time.perf_counter()
+                solve(cfg, problem, nice)
+                t3 = time.perf_counter()
+            finally:
+                gc.enable()
+            best = min(best, (t3 - t0, {"decompose": t1 - t0, "make_nice": t2 - t1,
+                                        "solve": t3 - t2}), key=lambda b: b[0])
+        rows.append((n, *best))
+    return rows
+
+
 def test_linear_scaling():
     sizes = [1024, 2048, 4096, 8192, 16384, 32768, 65536]
-    rows, slope = bench_sizes(sizes)
+    rows = _chain_times(sizes)
+    slope = _loglog_slope(sizes, [t for _, t, _ in rows])
+    layers = ", ".join(f"{layer}={_loglog_slope(sizes, [lt[layer] for _, _, lt in rows]):.3f}"
+                       for layer in ("decompose", "make_nice", "solve"))
     t64k = rows[-1][1]
     ok = slope <= 1.15 and t64k < 10.0
     _report("linear-scaling", ok,
-            f"(slope={slope:.3f}, t(65536)={t64k:.2f}s)")
+            f"(slope={slope:.3f}, t(65536)={t64k:.2f}s; layer slopes {layers})")
 
 
 def test_work_bound(optimality_suite):

@@ -1,0 +1,48 @@
+"""The ladder tool's rows repeat exactly apart from their times."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from lospre.dp import solve
+from lospre.oracle import InstanceGenerator, generate
+from lospre.treedec import decompose, make_nice
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench.py"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench_tool", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def smallest_rows(bench):
+    """Each family's smallest row, measured twice."""
+    return {name: [family.measure(*family.rows[0]) for _ in range(2)]
+            for name, family in bench.FAMILIES.items()}
+
+
+@pytest.mark.parametrize("family", ["pipeline", "extended", "chain"])
+def test_counts_and_digest_repeat(smallest_rows, family):
+    first, second = smallest_rows[family]
+    assert first["counts"] == second["counts"]
+    assert first["digest"] == second["digest"]
+
+
+def test_pipeline_decomposes_once_per_rewrite(smallest_rows):
+    counts = smallest_rows["pipeline"][0]["counts"]
+    assert counts["rewrites"] > 0
+    assert counts["decompositions"] == counts["rewrites"]
+
+
+def test_chain_transitions_are_the_solvers(smallest_rows):
+    row = smallest_rows["chain"][0]
+    cfg, problem = generate(InstanceGenerator(seed=0, node_range=(row["n"], row["n"]),
+                                              style="chained-diamonds"))
+    assert row["counts"]["transitions"] == solve(cfg, problem,
+                                                 make_nice(decompose(cfg))).transitions
+    assert set(row["seconds"]) == {"decompose", "make_nice", "solve", "total"}

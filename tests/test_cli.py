@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from lospre.cli import (EXIT_ERROR, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, EXIT_WIDTH, RunConfig,
-                        bench_sizes, main, run_pipeline)
+                        main, run_pipeline)
 from lospre.ir import parse_ir
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -123,19 +123,6 @@ def test_run_drops_the_override_of_a_subdivided_edge(tmp_path, capsys):
     assert rc == EXIT_OK
     assert "total eliminated=1" in capsys.readouterr().out
     assert "!edgecost A B" not in (tmp_path / "f.out.ir").read_text()
-
-
-def test_bench_single_size(capsys):
-    rc = main(["bench", "--sizes", "64"])
-    out = capsys.readouterr().out
-    assert rc == EXIT_OK
-    assert "n=64" in out and "loglog_slope" not in out
-
-
-def test_bench_rejects_bad_sizes(capsys):
-    assert main(["bench", "--sizes", "0"]) != EXIT_OK
-    assert main(["bench", "--sizes", "128,64"]) != EXIT_OK
-    capsys.readouterr()
 
 
 def test_verify_detects_mismatch_exit_code(tmp_path, capsys, monkeypatch):
@@ -273,7 +260,7 @@ DIAMOND = ("cfg 5\nedge 0 1 c=[1,0]\nedge 1 2 c=[1,0]\nedge 1 3 c=[1,0]\n"
 
 
 @pytest.mark.parametrize("argv", [
-    ["bench", "--verify"],
+    ["bench", "--sizes", "64"],
     ["run", "x.ir", "--seed", "1"],
     ["oracle-check", "--max-width", "4"],
     ["decompose", "g.graph", "--verify"],

@@ -245,13 +245,13 @@ def _parse_ids(text: str, line: int) -> list:
         raise GraphFormatError(f"malformed id list {text!r}", line)
 
 
-def load_cfg(text: str, *, synthetic_source: bool = False):
+def load_cfg(text: str):
     """Parse the graph file format.
 
-    Returns ``(cfg, problems)``.  With ``synthetic_source`` a new node is
-    appended when the file has zero or several nodes without predecessors,
-    restoring the unique-source invariant; otherwise that is an error.
-    Problem invalidation sets are augmented with the source and sinks.
+    Returns ``(cfg, problems)``.  A new source node is appended when the
+    file has zero or several nodes without predecessors, restoring the
+    unique-source invariant.  Problem invalidation sets are augmented with
+    the source and sinks.
     """
     node_count = None
     edges = []
@@ -323,10 +323,6 @@ def load_cfg(text: str, *, synthetic_source: bool = False):
         has_pred[v] = True
     sources = [v for v in range(node_count) if not has_pred[v]]
     if len(sources) != 1:
-        if not synthetic_source:
-            raise GraphFormatError(
-                f"graph has {len(sources)} nodes without predecessors; "
-                "pass synthetic_source=True to repair")
         new = node_count
         node_count += 1
         targets = sources if sources else [0]

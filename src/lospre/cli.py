@@ -18,7 +18,8 @@ from . import ir as irmod
 from .cfg import DEFAULT_EDGE_COST, dump_dot, load_cfg, min_calc_count
 from .dp import eliminated_count, format_solution, solve
 from .errors import GraphFormatError, IrParseError, LospreError, WidthExceededError
-from .oracle import (BRUTE_LOSPRE_MAX_NODES, STYLES, InstanceGenerator, brute_lospre,
+from .oracle import (BRUTE_LOSPRE_MAX_NODES, BRUTE_SAFETY_FIXPOINT_MAX_NODES,
+                     BRUTE_SAFETY_MAX_NODES, STYLES, InstanceGenerator, brute_lospre,
                      brute_safety, brute_safety_fixpoint, generate)
 from .safety import apply_safety, solve_safety
 from .treedec import decompose, dump_dot_treedec, make_nice
@@ -30,14 +31,11 @@ EXIT_WIDTH = 3
 EXIT_VERIFY = 4
 
 VERIFY_MAX_NODES = 12
-VERIFY_SAFETY_MAX_NODES = 16
-VERIFY_FIXPOINT_MAX_NODES = 12
 
 
 @dataclass
 class RunConfig:
     mode: str = "ir"            # ir | graph
-    goal: str = "size"          # size | speed
     safety: str = "auto"        # auto | always | never
     max_width: int = 16
     emit: set = field(default_factory=set)  # dot, solution, stats, rewritten-ir
@@ -59,13 +57,6 @@ def _nice_within(td, config: RunConfig):
     return nice
 
 
-def _check_goal(config: RunConfig, program) -> None:
-    # speed optimization needs user-supplied execution weights
-    if config.goal == "speed" and program.default_edge_cost == DEFAULT_EDGE_COST \
-            and not program.edge_cost_overrides:
-        raise IrParseError("--goal speed requires edge weights (!edgecost directives)")
-
-
 @dataclass
 class PipelineResult:
     program: object
@@ -76,9 +67,9 @@ class PipelineResult:
 
 def _safety_oracle(cfg):
     """The brute-force safety reference that ``--verify`` can afford on ``cfg``, or None."""
-    if cfg.node_count <= VERIFY_SAFETY_MAX_NODES and cfg.is_acyclic():
+    if cfg.node_count <= BRUTE_SAFETY_MAX_NODES and cfg.is_acyclic():
         return brute_safety
-    if cfg.node_count <= VERIFY_FIXPOINT_MAX_NODES:
+    if cfg.node_count <= BRUTE_SAFETY_FIXPOINT_MAX_NODES:
         return brute_safety_fixpoint
     return None
 
@@ -134,9 +125,10 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     occurrences; a rewrite strictly reduces the static computation count,
     which bounds the number of passes.  Safety routing follows the config:
     auto enlarges the invalidation set for loads and divisions.  When every
-    cost of the pass's graph is finite, a candidate whose minimum cut
-    (``min_calc_count``) reaches its occurrence count cannot gain under any
-    costs and is not solved; --verify solves every candidate.  A pass
+    cost of the pass's graph is finite and --verify is off, a candidate with
+    one occurrence, or whose minimum cut (``min_calc_count``) reaches its
+    occurrence count, cannot gain under any costs and is not solved;
+    otherwise every candidate is solved, so an infeasible one fails.  A pass
     decomposes its graph only when it first solves, so the width guard
     (exit 3) fires only on a pass that solves.
     """
@@ -153,7 +145,7 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
         chosen = None
         for candidate, problem in irmod.derive_problems(program, cfg):
             occurrences = len(candidate.occurrence_nodes)
-            if occurrences < 2 and not config.verify:
+            if occurrences < 2 and certify:
                 # a reachable use forces at least one calculation edge, so a
                 # single occurrence can never shrink
                 continue
@@ -187,7 +179,6 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
 
 def cmd_run(config: RunConfig, path: Path) -> int:
     program = irmod.parse_ir(path.read_text())
-    _check_goal(config, program)
     result = run_pipeline(program, config)
 
     stats = eliminated_count(result.applied)
@@ -214,7 +205,7 @@ def cmd_run(config: RunConfig, path: Path) -> int:
 
 
 def cmd_graph(config: RunConfig, path: Path) -> int:
-    cfg, problems = load_cfg(path.read_text(), synthetic_source=True)
+    cfg, problems = load_cfg(path.read_text())
     nice = _nice_within(decompose(cfg), config)
     safety_oracle = _safety_oracle(cfg) if config.verify else None
     failures = []
@@ -243,7 +234,7 @@ def cmd_decompose(config: RunConfig, path: Path) -> int:
     if config.mode == "ir":
         cfg = irmod.build_cfg(irmod.parse_ir(text))
     else:
-        cfg, _ = load_cfg(text, synthetic_source=True)
+        cfg, _ = load_cfg(text)
     td = decompose(cfg)
     nice = _nice_within(td, config)
     sys.stdout.write(f"nodes={cfg.node_count} bags={len(td.bags)} width={td.width} "
@@ -268,7 +259,7 @@ def cmd_safety(config: RunConfig, path: Path) -> int:
                          "on a graph file every problem is enlarged\n")
         return EXIT_PARSE
     else:
-        cfg, problems = load_cfg(path.read_text(), synthetic_source=True)
+        cfg, problems = load_cfg(path.read_text())
         pairs = [(f"problem {k}", problem) for k, problem in enumerate(problems)]
     for header, problem in pairs:
         sol = solve_safety(cfg, problem)
@@ -295,7 +286,7 @@ def cmd_oracle_check(checked: range, size: int, style: str) -> int:
         solution = solve(cfg, problem, nice)
         reference = brute_lospre(cfg, problem)
         ok = (solution.cost, solution.life_set) == (reference.cost, reference.life_set)
-        if ok and cfg.node_count <= VERIFY_SAFETY_MAX_NODES:
+        if ok and cfg.node_count <= BRUTE_SAFETY_MAX_NODES:
             ok = solve_safety(cfg, problem).i_prime == brute_safety(cfg, problem).i_prime
         failed += not ok
         sys.stdout.write(f"seed {seed} {'ok' if ok else 'FAIL'}\n")
@@ -304,7 +295,6 @@ def cmd_oracle_check(checked: range, size: int, style: str) -> int:
 
 
 _OPTIONS = {
-    "--goal": dict(choices=("size", "speed"), default="size"),
     "--safety": dict(),
     "--max-width": dict(type=int, default=16),
     "--emit": dict(default=""),
@@ -326,7 +316,7 @@ _SAFETY = {"run": ("auto", "always", "never"), "graph": ("never", "always"),
 # subcommand: (help, takes an input file, its options, the artifacts --emit may name)
 _COMMANDS = {
     "run": ("IR pipeline: derive, solve, rewrite to fixpoint", True,
-            ("--goal", "--safety", "--max-width", "--emit", "--verify", "--out-dir"),
+            ("--safety", "--max-width", "--emit", "--verify", "--out-dir"),
             ("dot", "solution", "stats", "rewritten-ir")),
     "graph": ("solve every problem in a graph file", True,
               ("--safety", "--max-width", "--emit", "--verify", "--out-dir"),

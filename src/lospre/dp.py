@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .cfg import Cfg, ExprProblem, calc_set, total_cost, validate_problem
-from .cost import INFINITY, ZERO, CostVec, format_cost, parse_cost
+from .cost import INFINITY, ZERO, CostVec, format_cost
 from .errors import (DecompositionError, LospreError, NoFeasibleSolutionError,
                      WidthExceededError)
 from .treedec import INTRODUCE, JOIN, LEAF, NiceTreeDec
@@ -351,31 +351,3 @@ def format_solution(solution: LospreSolution, *, index: Optional[int] = None) ->
     if solution.life_right is not None:
         lines.append("life_right " + " ".join(str(v) for v in sorted(solution.life_right)))
     return "\n".join(lines) + "\n"
-
-
-def parse_solution(text: str) -> LospreSolution:
-    cost = None
-    life = frozenset()
-    calc = frozenset()
-    life_l = life_r = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("problem"):
-            continue
-        head, _, rest = line.partition(" ")
-        if head == "cost":
-            cost = parse_cost(rest)
-        elif head == "life":
-            life = frozenset(int(t) for t in rest.split())
-        elif head == "calc":
-            calc = frozenset(tuple(int(x) for x in t.split("->")) for t in rest.split())
-        elif head == "life_left":
-            life_l = frozenset(int(t) for t in rest.split())
-        elif head == "life_right":
-            life_r = frozenset(int(t) for t in rest.split())
-        else:
-            raise LospreError(f"unknown solution line {line!r}")
-    if cost is None:
-        raise LospreError("solution text has no cost line")
-    return LospreSolution(life_set=life, calc_set=calc, cost=cost,
-                          life_left=life_l, life_right=life_r)

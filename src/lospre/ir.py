@@ -487,12 +487,11 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> P
     sink = instr_node(n)
     if cfg.node_count != sink + 1:
         raise LospreError("solution/graph/program size mismatch")
+    succ = _successor_indices(instructions)
     for (u, v) in solution.calc_set:
         if (u, v) not in cfg.edges:
             raise LospreError(f"solution edge ({u}, {v}) is not an edge of the graph")
-        # a real edge into the sink leaves a ret or falls off the end
-        if v == sink and u != SOURCE_NODE and instructions[node_instr(u)].kind != RET and \
-                (u != instr_node(n - 1) or instructions[-1].kind == JUMP):
+        if v == sink and u != SOURCE_NODE and n not in succ[node_instr(u)]:
             raise LospreError(f"solution edge ({u}, {v}) is a fake edge out of an infinite loop")
     if not candidate.occurrence_nodes:
         return program
@@ -531,7 +530,8 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> P
         ui = node_instr(u)
         ins = instructions[ui]
         if ins.kind == RET:
-            # only edge out of a ret is the sink edge; compute after returning
+            # the only edge out of a ret is the sink edge: the ret becomes a
+            # jump to a block that computes and returns
             block_label = fresh_label()
             retarget[ui] = block_label
             appended.append([replace(comp, label=block_label), Instruction(RET)])
@@ -566,7 +566,7 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> P
     out = list(inserts_top)
     for i, ins in enumerate(instructions):
         if i in retarget:
-            ins = replace(ins, target=retarget[i])
+            ins = replace(ins, kind=JUMP if ins.kind == RET else ins.kind, target=retarget[i])
         if i in occurrence_indices:
             ins = Instruction(ASSIGN, label=ins.label, dest=ins.dest, left=tmp)
         out.append(ins)

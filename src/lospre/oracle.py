@@ -33,6 +33,8 @@ def _life_key(cfg, mask):
 
 
 BRUTE_LOSPRE_MAX_NODES = 20
+BRUTE_SAFETY_MAX_NODES = 16
+BRUTE_SAFETY_FIXPOINT_MAX_NODES = 12
 
 
 def brute_lospre(cfg: Cfg, problem: ExprProblem) -> LospreSolution:
@@ -102,8 +104,8 @@ def brute_safety(cfg: Cfg, problem: ExprProblem) -> SafetySolution:
     may be larger.
     """
     n = cfg.node_count
-    if n > 16:
-        raise SizeGuardError(f"brute_safety is limited to 16 nodes, got {n}")
+    if n > BRUTE_SAFETY_MAX_NODES:
+        raise SizeGuardError(f"brute_safety is limited to {BRUTE_SAFETY_MAX_NODES} nodes, got {n}")
     use = problem.use_set
     inv = problem.invalidation_set
 
@@ -146,13 +148,15 @@ def brute_safety_fixpoint(cfg: Cfg, problem: ExprProblem) -> SafetySolution:
     every node needs a successor other than itself that is in the set or
     invalidates without using, and a predecessor other than itself that is
     in the set or invalidates.  Enumerates every subset of the eligible
-    nodes, so it is limited to 12 nodes.  Written from the definition alone,
-    independent of the solver's peel; unlike the path closure of
-    ``brute_safety`` it matches that definition on cyclic graphs too.
+    nodes, so it is limited to ``BRUTE_SAFETY_FIXPOINT_MAX_NODES`` nodes.
+    Written from the definition alone, independent of the solver's peel;
+    unlike the path closure of ``brute_safety`` it matches that definition
+    on cyclic graphs too.
     """
     n = cfg.node_count
-    if n > 12:
-        raise SizeGuardError(f"brute_safety_fixpoint is limited to 12 nodes, got {n}")
+    if n > BRUTE_SAFETY_FIXPOINT_MAX_NODES:
+        raise SizeGuardError(f"brute_safety_fixpoint is limited to "
+                             f"{BRUTE_SAFETY_FIXPOINT_MAX_NODES} nodes, got {n}")
     use, inv = problem.use_set, problem.invalidation_set
     eligible = [v for v in range(n) if v not in use and v not in inv]
     succ = {v: [w for (x, w) in cfg.edges if x == v and w != v] for v in eligible}

@@ -19,6 +19,7 @@ preserving the width exactly.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
 from typing import Optional
 
@@ -187,77 +188,22 @@ def validate(cfg: Cfg, td: TreeDec) -> Optional[str]:
     return None
 
 
-def _check_tree(td: TreeDec) -> None:
-    m = len(td.bags)
-    if m == 0:
-        raise DecompositionError("decomposition has no bags")
-    if len(td.edges) != m - 1:
-        raise DecompositionError("decomposition tree must have exactly len(bags)-1 edges")
-    nb = td.neighbors()
-    seen = [False] * m
-    stack = [0]
-    seen[0] = True
-    count = 0
-    while stack:
-        a = stack.pop()
-        count += 1
-        for b in nb[a]:
-            if not seen[b]:
-                seen[b] = True
-                stack.append(b)
-    if count != m:
-        raise DecompositionError("decomposition tree is not connected")
-
-
-class _NiceBuilder:
-    def __init__(self):
-        self.kinds = []
-        self.vertex = []
-        self.bags = []
-        self.children = []
-
-    def add(self, kind, vertex, bag, children=()):
-        self.kinds.append(kind)
-        self.vertex.append(vertex)
-        self.bags.append(tuple(sorted(bag)))
-        self.children.append(tuple(children))
-        return len(self.kinds) - 1
-
-    def leaf_chain(self, bag):
-        nid = self.add(LEAF, None, ())
-        cur = []
-        for v in sorted(bag):
-            cur.append(v)
-            nid = self.add(INTRODUCE, v, cur, (nid,))
-        return nid
-
-    def lift(self, nid, from_bag, to_bag):
-        """Forget then introduce, one vertex per step, to turn from_bag into to_bag."""
-        cur = set(from_bag)
-        for v in sorted(from_bag - to_bag):
-            cur.discard(v)
-            nid = self.add(FORGET, v, cur, (nid,))
-        for v in sorted(to_bag - from_bag):
-            cur.add(v)
-            nid = self.add(INTRODUCE, v, cur, (nid,))
-        return nid
-
-
 def make_nice(td: TreeDec) -> NiceTreeDec:
     """Convert to a nice decomposition of the same width.
 
     The node count is linear in the total bag size of the input.  Joins are
     binarized; introduce steps add exactly one vertex each.
     """
-    _check_tree(td)
+    m = len(td.bags)
+    if m == 0:
+        raise DecompositionError("decomposition has no bags")
+    if len(td.edges) != m - 1:
+        raise DecompositionError("decomposition tree must have exactly len(bags)-1 edges")
     nb = td.neighbors()
-    b = _NiceBuilder()
-
-    root_td = 0
-    parent = [-1] * len(td.bags)
-    parent[root_td] = root_td
-    topo = [root_td]
-    stack = [root_td]
+    parent = [-1] * m
+    parent[0] = 0
+    topo = [0]
+    stack = [0]
     while stack:
         a = stack.pop()
         for c in nb[a]:
@@ -265,28 +211,46 @@ def make_nice(td: TreeDec) -> NiceTreeDec:
                 parent[c] = a
                 topo.append(c)
                 stack.append(c)
-    kids = [[] for _ in td.bags]
+    if len(topo) != m:
+        raise DecompositionError("decomposition tree is not connected")
+    kids = [[] for _ in range(m)]
     for a in topo[1:]:
         kids[parent[a]].append(a)
 
-    result = {}
+    kinds, vertex, bags, children = [], [], [], []
+
+    def add(kind, v, bag, ch):
+        kinds.append(kind)
+        vertex.append(v)
+        bags.append(bag)
+        children.append(ch)
+        return len(kinds) - 1
+
+    def lift(nid, to_bag):
+        """Forget then introduce, one vertex per step, to turn node nid's bag into to_bag."""
+        cur = list(bags[nid])  # kept sorted
+        for v in [v for v in cur if v not in to_bag]:
+            cur.remove(v)
+            nid = add(FORGET, v, tuple(cur), (nid,))
+        for v in sorted(to_bag.difference(cur)):
+            insort(cur, v)
+            nid = add(INTRODUCE, v, tuple(cur), (nid,))
+        return nid
+
+    # children are appended before their parents
+    top = [None] * m
     for a in reversed(topo):
-        bag = set(td.bags[a])
-        adapted = []
-        for c in sorted(kids[a]):
-            adapted.append(b.lift(result[c], set(td.bags[c]), bag))
+        bag = frozenset(td.bags[a])
+        adapted = [lift(top[c], bag) for c in sorted(kids[a])]
         if not adapted:
-            result[a] = b.leaf_chain(bag)
+            top[a] = lift(add(LEAF, None, (), ()), bag)
         else:
             acc = adapted[0]
             for nxt in adapted[1:]:
-                acc = b.add(JOIN, None, bag, (acc, nxt))
-            result[a] = acc
-
-    # the builder appends children before their parents
-    root = b.lift(result[root_td], set(td.bags[root_td]), set())
-    nice = NiceTreeDec(kinds=b.kinds, vertex=b.vertex, bags=b.bags,
-                       children=b.children, root=root)
+                acc = add(JOIN, None, bags[acc], (acc, nxt))
+            top[a] = acc
+    root = lift(top[0], frozenset())
+    nice = NiceTreeDec(kinds=kinds, vertex=vertex, bags=bags, children=children, root=root)
     if nice.width != td.width:
         raise DecompositionError("internal error: width changed during nice conversion")
     return nice
@@ -340,24 +304,13 @@ def validate_nice(cfg: Cfg, nice: NiceTreeDec) -> Optional[str]:
     return validate(cfg, td)
 
 
-def dump_dot_treedec(td) -> str:
-    """DOT rendering of a TreeDec or NiceTreeDec."""
+def dump_dot_treedec(td: TreeDec) -> str:
+    """DOT rendering of a TreeDec."""
     lines = ["graph treedec {"]
-    if isinstance(td, NiceTreeDec):
-        for i in range(td.node_count):
-            tag = td.kinds[i]
-            if td.vertex[i] is not None:
-                tag += f" {td.vertex[i]}"
-            bag = ",".join(str(v) for v in td.bags[i])
-            lines.append(f'  b{i} [shape=box label="{tag}\\n{{{bag}}}"];')
-        for i in range(td.node_count):
-            for c in td.children[i]:
-                lines.append(f"  b{i} -- b{c};")
-    else:
-        for i, bag in enumerate(td.bags):
-            label = ",".join(str(v) for v in sorted(bag))
-            lines.append(f'  b{i} [shape=box label="{{{label}}}"];')
-        for (a, b) in td.edges:
-            lines.append(f"  b{a} -- b{b};")
+    for i, bag in enumerate(td.bags):
+        label = ",".join(str(v) for v in sorted(bag))
+        lines.append(f'  b{i} [shape=box label="{{{label}}}"];')
+    for (a, b) in td.edges:
+        lines.append(f"  b{a} -- b{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

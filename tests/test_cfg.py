@@ -133,9 +133,7 @@ def test_load_cfg_errors_carry_line_numbers():
 
 def test_synthetic_source():
     text = "cfg 4\nedge 0 2 c=[1,0]\nedge 1 2 c=[1,0]\nedge 2 3 c=[1,0]\n"
-    with pytest.raises(GraphFormatError):
-        load_cfg(text)
-    cfg, _ = load_cfg(text, synthetic_source=True)
+    cfg, _ = load_cfg(text)
     assert cfg.node_count == 5
     assert cfg.source == 4
     assert (4, 0) in cfg.edges and (4, 1) in cfg.edges
@@ -143,7 +141,7 @@ def test_synthetic_source():
 
 def test_synthetic_source_pure_cycle():
     text = "cfg 2\nedge 0 1 c=[1,0]\nedge 1 0 c=[1,0]\n"
-    cfg, _ = load_cfg(text, synthetic_source=True)
+    cfg, _ = load_cfg(text)
     assert cfg.source == 2
 
 

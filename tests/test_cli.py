@@ -80,15 +80,6 @@ def test_width_guard_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_speed_goal_requires_weights(tmp_path, capsys):
-    src = tmp_path / "f.ir"
-    src.write_text("x = a + b\nret\n")
-    assert main(["run", str(src), "--goal", "speed"]) == EXIT_PARSE
-    src.write_text("!edgecost [3,0]\nx = a + b\nret\n")
-    assert main(["run", str(src), "--goal", "speed"]) == EXIT_OK
-    capsys.readouterr()
-
-
 def test_decompose_command(tmp_path, capsys):
     src = tmp_path / "g.graph"
     src.write_text("cfg 3\nedge 0 1 c=[1,0]\nedge 1 2 c=[1,0]\n")
@@ -205,13 +196,16 @@ def test_pipeline_store_blocks_load_reuse_across_iterations():
 
 
 def test_infinite_costs_still_surface_infeasibility(tmp_path, capsys):
-    # every edge costs inf, so every life set of a + b is infeasible; the
-    # minimum cut (a = 1 forces 2 calculations for 2 occurrences) must not
-    # skip the solve that reports it
+    # every edge costs inf, so every life set of a + b is infeasible; neither
+    # the minimum cut (a = 1 forces 2 calculations for 2 occurrences) nor a
+    # single occurrence may skip the solve that reports it
     src = tmp_path / "f.ir"
-    src.write_text("!edgecost inf\nx = a + b\na = 1\ny = a + b\nret\n")
-    assert main(["run", str(src)]) == EXIT_ERROR
-    assert "no feasible solution" in capsys.readouterr().err
+    for text in ("!edgecost inf\nx = a + b\na = 1\ny = a + b\nret\n",
+                 "!edgecost inf\nx = a + b\nret\n"):
+        src.write_text(text)
+        for flags in ([], ["--verify"]):
+            assert main(["run", str(src), *flags]) == EXIT_ERROR
+            assert "no feasible solution" in capsys.readouterr().err
 
 
 def test_verify_checks_the_cut_certificate(tmp_path, capsys, monkeypatch):
@@ -272,6 +266,7 @@ DIAMOND = ("cfg 5\nedge 0 1 c=[1,0]\nedge 1 2 c=[1,0]\nedge 1 3 c=[1,0]\n"
     ["oracle-check", "--style", "bogus"],
     ["oracle-check", "--seeds", "5..2"],
     ["oracle-check", "--seeds", "x..2"],
+    ["run", "x.ir", "--goal", "speed"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -2,8 +2,7 @@ import pytest
 
 from lospre.cfg import Cfg, calc_set, make_problem, total_cost
 from lospre.cost import CostVec, INFINITY
-from lospre.dp import (assign_edges_to_forgets, eliminated_count, format_solution,
-                       parse_solution, solve, solve_extended)
+from lospre.dp import assign_edges_to_forgets, eliminated_count, solve, solve_extended
 from lospre.errors import LospreError, NoFeasibleSolutionError, WidthExceededError
 from lospre.ir import ExprCandidate
 from lospre.oracle import (InstanceGenerator, STYLES, brute_extended,
@@ -411,15 +410,6 @@ def test_eliminated_count():
     assert stats.per_candidate[0][3] == 1
     assert stats.per_candidate[1][3] == 0
     assert eliminated_count([]).total == 0
-
-
-def test_solution_serialization_roundtrip(diamond):
-    sol = solved(diamond, make_problem(diamond, use=[2, 3]))
-    text = format_solution(sol, index=0)
-    back = parse_solution(text)
-    assert back.life_set == sol.life_set
-    assert back.calc_set == sol.calc_set
-    assert back.cost == sol.cost
 
 
 def test_solve_rejects_a_root_first_decomposition():

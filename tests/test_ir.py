@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from lospre.cfg import calc_set
@@ -302,6 +304,26 @@ def test_rewrite_loop_edge():
     r0 = interpret(prog, {"a": 2, "b": 5})
     r1 = interpret(out, {"a": 2, "b": 5})
     assert equivalent_states(r0, r1, ["x", "y", "n", "a", "b"])
+
+
+def test_rewrite_turns_a_ret_into_a_jump_to_its_computation():
+    # the node costs make the optimum compute a + b on R's edge into the
+    # sink; the block that computes and returns must be reachable
+    text = ("!nodecost [-2,0]\n!nodecost R [5,0]\nx = a + b\nif c goto L\n"
+            "y = a + b\nR: ret\nL: z = a + b\nret\n")
+    prog = parse_ir(text)
+    cfg = build_cfg(prog)
+    ((cand, problem),) = derive_problems(prog, cfg)
+    sol = _solve_for(prog, cfg, cand, problem)
+    assert sol.calc_set == {(0, 1), (4, 7)}
+    out = rewrite(prog, cfg, cand, sol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UnreachableCodeWarning)
+        build_cfg(out)
+    for c in (0, 1):
+        init = {"a": 3, "b": 4, "c": c}
+        assert equivalent_states(interpret(prog, init), interpret(out, init),
+                                 ["a", "b", "c", "x", "y", "z"])
 
 
 # -- copy propagation ---------------------------------------------------------

@@ -7,7 +7,8 @@ of the rewritten IR, the stats text and the solution text that
 (``max_statements=60``), 100 programs (``max_statements=24``) with random
 finite ``!edgecost`` and ``!nodecost`` directives, and
 ``samples/redundant_load.ir``.  A change that
-only avoids work must leave every digest as it is.  After an intended change
+only avoids work must leave every digest as it is, and ``--verify`` may
+change only the exit status, never an artifact.  After an intended change
 of output, rewrite ``data/pipeline_digests.json`` with
 
     PYTHONPATH=src python tests/test_pipeline_frozen.py --write
@@ -59,19 +60,28 @@ def cases():
     yield "samples/redundant_load", SAMPLE.read_text()
 
 
-def run_digest(text, work_dir):
-    """sha256 over the exit status and the three artifacts of one run."""
+ARTIFACTS = ("case.out.ir", "case.stats", "case.solution")
+
+
+def run_artifacts(text, work_dir, *flags):
+    """The exit status and the three artifacts (b"" if not written) of one run."""
     src = work_dir / "case.ir"
     src.write_text(text)
-    for name in ("case.out.ir", "case.stats", "case.solution"):
+    for name in ARTIFACTS:
         (work_dir / name).unlink(missing_ok=True)
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         rc = main(["run", str(src), "--emit", "stats,rewritten-ir,solution",
-                   "--out-dir", str(work_dir)])
+                   "--out-dir", str(work_dir), *flags])
+    paths = [work_dir / name for name in ARTIFACTS]
+    return rc, [path.read_bytes() if path.exists() else b"" for path in paths]
+
+
+def run_digest(text, work_dir):
+    """sha256 over the exit status and the three artifacts of one run."""
+    rc, blobs = run_artifacts(text, work_dir)
     h = hashlib.sha256(f"exit {rc}\n".encode())
-    for name in ("case.out.ir", "case.stats", "case.solution"):
-        path = work_dir / name
-        h.update(b"\0" + (path.read_bytes() if path.exists() else b""))
+    for blob in blobs:
+        h.update(b"\0" + blob)
     return h.hexdigest()
 
 
@@ -81,6 +91,16 @@ def test_pipeline_outputs_are_frozen(tmp_path):
     assert set(got) == set(frozen)
     changed = sorted(name for name in got if got[name] != frozen[name])
     assert not changed, f"{len(changed)} programs changed output: {changed[:10]}"
+
+
+def test_verify_changes_only_the_exit_status(tmp_path):
+    texts = [generate_program_text(seed) for seed in range(200)]
+    texts += [generate_program_text(seed, max_statements=60) for seed in range(20)]
+    texts += [cost_variant(seed) for seed in range(60)]
+    for text in texts:
+        plain = run_artifacts(text, tmp_path)
+        assert plain[0] == 0
+        assert run_artifacts(text, tmp_path, "--verify") == plain
 
 
 if __name__ == "__main__":

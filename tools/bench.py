@@ -173,7 +173,7 @@ FAMILIES = {
     "pipeline": Family(
         "cli.run_pipeline",
         "generate_program_text(seed, max_statements=size), default RunConfig "
-        "(safety auto, goal size)",
+        "(safety auto)",
         f"best of {PIPELINE_REPEATS}, gc off, parse_ir included", "instructions",
         [(seed, size) for seed in (0, 7) for size in (25, 50, 100, 200, 400, 800)],
         measure_pipeline),

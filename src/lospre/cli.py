@@ -22,7 +22,7 @@ from .oracle import (BRUTE_LOSPRE_MAX_NODES, BRUTE_SAFETY_FIXPOINT_MAX_NODES,
                      BRUTE_SAFETY_MAX_NODES, STYLES, InstanceGenerator, brute_lospre,
                      brute_safety, brute_safety_fixpoint, generate)
 from .safety import apply_safety, solve_safety
-from .treedec import decompose, dump_dot_treedec, make_nice
+from .treedec import decompose, dump_dot_treedec, make_nice, subdivide
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -117,6 +117,27 @@ def _report(failures: list) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
+def _decomposition(cfg, td, step, max_width: int):
+    """A decomposition of ``cfg``: the last pass's ``td`` patched through
+    ``step``, or, without a step or when the patch is wider than
+    ``max_width``, a fresh one."""
+    if step is not None:
+        patched = subdivide(cfg, td, step.node_map, step.inserted)
+        if patched.width <= max_width:
+            return patched
+    return decompose(cfg)
+
+
+def _carries(verdict, problem, node_map) -> bool:
+    """Whether ``problem`` has the use and invalidation sets of ``verdict``,
+    the last pass's (use, invalidation) pair, mapped through ``node_map``."""
+    use, inv = verdict
+    return (len(use) == len(problem.use_set) and
+            len(inv) == len(problem.invalidation_set) and
+            all(node_map[v] in problem.use_set for v in use) and
+            all(node_map[v] in problem.invalidation_set for v in inv))
+
+
 def run_pipeline(program, config: RunConfig) -> PipelineResult:
     """Eliminate candidates to fixpoint.
 
@@ -128,19 +149,36 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     cost of the pass's graph is finite and --verify is off, a candidate with
     one occurrence, or whose minimum cut (``min_calc_count``) reaches its
     occurrence count, cannot gain under any costs and is not solved;
-    otherwise every candidate is solved, so an infeasible one fails.  A pass
-    decomposes its graph only when it first solves, so the width guard
-    (exit 3) fires only on a pass that solves.
+    otherwise every candidate is solved, so an infeasible one fails.
+
+    A run decomposes once: the first pass that solves decomposes its graph,
+    and a later pass that solves patches that decomposition through the
+    rewrite in between (``treedec.subdivide``).  A "cannot gain" verdict
+    carries to the next pass, which skips safety and the cut, when the
+    candidate's key comes back with derived use and invalidation sets equal
+    to the verdict's mapped through the rewrite: every new node then lies
+    outside both sets, and subdividing an edge with such a node keeps the
+    minimum cut, enlarged or not.  A pass whose graph is not the last one
+    subdivided (a fake edge moved) decomposes afresh and carries nothing.
+    A patch wider than --max-width gives way to a fresh decomposition
+    before the width guard (exit 3) refuses.
     """
     applied = []
     verify_failures = []
     passes = 0
     pass_limit = 2 * len(program.instructions) + 8
+    td = None                    # decomposition of the last pass that solved
+    last_cfg = last_step = None  # graph and rewrite of the last pass
+    verdicts = {}                # candidate key -> (use, invalidation) that cannot gain
     while passes < pass_limit:
         passes += 1
         cfg = irmod.build_cfg(program)
+        step = None
+        if last_step is not None and last_step.subdivided_edges(last_cfg) == cfg.edges:
+            step = last_step
         nice = None  # decomposed when the pass first solves
         certify = not config.verify and cfg.has_finite_costs()
+        carried, verdicts = (verdicts if certify and step is not None else {}), {}
         safety_oracle = _safety_oracle(cfg) if config.verify else None
         chosen = None
         for candidate, problem in irmod.derive_problems(program, cfg):
@@ -148,6 +186,11 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
             if occurrences < 2 and certify:
                 # a reachable use forces at least one calculation edge, so a
                 # single occurrence can never shrink
+                continue
+            key = (candidate.op, candidate.left, candidate.right)
+            derived = (problem.use_set, problem.invalidation_set)
+            if key in carried and _carries(carried[key], problem, step.node_map):
+                verdicts[key] = derived
                 continue
             wants_safety = (config.safety == "always" or
                             (config.safety == "auto" and candidate.safety_required))
@@ -157,9 +200,11 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
             if certify and min_calc_count(cfg, problem, occurrences) >= occurrences:
                 # every life set has at least as many calculation edges as
                 # there are occurrences, the optimum included
+                verdicts[key] = derived
                 continue
             if nice is None:
-                nice = _nice_within(decompose(cfg), config)
+                td = _decomposition(cfg, td, step, config.max_width)
+                nice = _nice_within(td, config)
             solution = solve(cfg, problem, nice, max_width=config.max_width)
             if config.verify:
                 verify_failures.extend(
@@ -171,8 +216,8 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
             break
         candidate, solution = chosen
         applied.append((candidate, solution))
-        program = irmod.rewrite(program, cfg, candidate, solution)
-        program = irmod.copy_propagate(program)
+        last_cfg, last_step = cfg, irmod.rewrite(program, cfg, candidate, solution)
+        program = irmod.copy_propagate(last_step.program)
     return PipelineResult(program=program, applied=applied, passes=passes,
                           verify_failures=verify_failures)
 

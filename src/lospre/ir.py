@@ -463,14 +463,44 @@ def _computation_instr(candidate: ExprCandidate, tmp: str) -> Instruction:
 
 def next_tmp_name(program) -> str:
     """The first ``__lospreK`` that is neither a label nor a variable of ``program``."""
-    taken = set(program.labels()) | program.variables()
+    names = set()  # labels, variables and integer operands
+    for ins in program.instructions:
+        names.update((ins.label, ins.dest, ins.left, ins.right))
+    taken = {name for name in names if type(name) is str and name.startswith("__lospre")}
     k = 0
     while f"__lospre{k}" in taken:
         k += 1
     return f"__lospre{k}"
 
 
-def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> Program:
+@dataclass(frozen=True)
+class Rewrite:
+    """A rewritten program and where the old graph's nodes went in its graph.
+
+    ``node_map[v]`` is the new id of old node v.  ``inserted`` maps each
+    calculation edge to the new nodes placed on it, in path order: the
+    computation, then, on a jump edge or an edge out of a ret, the jump or
+    ret that follows it.
+    """
+
+    program: Program
+    node_map: list
+    inserted: dict
+
+    def subdivided_edges(self, cfg: Cfg) -> set:
+        """The edges of ``cfg``, the graph the rewrite was applied to, with
+        each calculation edge (u, v) replaced by the path u, *inserted, v, in
+        new node ids.  The new program's graph has exactly these edges
+        unless a fake edge moved or a ``ret`` was added at the end."""
+        m = self.node_map
+        edges = {(m[u], m[v]) for (u, v) in cfg.edges if (u, v) not in self.inserted}
+        for (u, v), path in self.inserted.items():
+            nodes = (m[u], *path, m[v])
+            edges.update(zip(nodes, nodes[1:]))
+        return edges
+
+
+def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> Rewrite:
     """Apply a solution: subdivide every calculation edge with a fresh
     computation of the candidate into a new temporary, and replace every
     occurrence with an assignment from that temporary.
@@ -478,9 +508,15 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> P
     Fallthrough edges are subdivided inline; jump and branch edges get a
     fresh labeled block at the end of the program with the computation and
     a jump to the original target.  An edge out of a ret (into the sink)
-    becomes a jump to a trailing block that computes and returns.  A
-    subdivided edge loses its ``!edgecost`` override: the edges that replace
-    it take the default cost, like every edge a rewrite creates.
+    becomes a jump to a trailing block that computes and returns.  An edge
+    from the source, into the entry or into the head of an unreachable
+    region, gets the computation just before the head; the head keeps its
+    label, so a jump back to the entry skips the computation and a
+    directive naming the head still names it.  When trailing blocks are
+    added and the last instruction falls off the end, a ``ret`` keeps it
+    from falling into them.  A subdivided edge loses its ``!edgecost``
+    override: the edges that replace it take the default cost, like every
+    edge a rewrite creates.
     """
     instructions = list(program.instructions)
     n = len(instructions)
@@ -494,7 +530,7 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> P
         if v == sink and u != SOURCE_NODE and n not in succ[node_instr(u)]:
             raise LospreError(f"solution edge ({u}, {v}) is a fake edge out of an infinite loop")
     if not candidate.occurrence_nodes:
-        return program
+        return Rewrite(program, list(range(sink + 1)), {})
 
     tmp = next_tmp_name(program)
     comp = _computation_instr(candidate, tmp)
@@ -518,14 +554,17 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> P
             instructions[idx] = replace(ins, label=lbl)
         return instructions[idx].label
 
-    inserts_top = []
-    inserts_after = {}
-    appended = []
+    # each block is placed on one calculation edge
+    before = {}     # instruction index -> (edge, block placed just before it)
+    after = {}      # instruction index -> (edge, block placed just after it)
+    appended = []   # (edge, block) at the end of the program
     retarget = {}
 
     for (u, v) in sorted(solution.calc_set):
+        edge = (u, v)
         if u == SOURCE_NODE:
-            inserts_top.append(comp)
+            # the entry, or a head that no instruction reaches
+            before[node_instr(v)] = (edge, [comp])
             continue
         ui = node_instr(u)
         ins = instructions[ui]
@@ -534,7 +573,7 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> P
             # jump to a block that computes and returns
             block_label = fresh_label()
             retarget[ui] = block_label
-            appended.append([replace(comp, label=block_label), Instruction(RET)])
+            appended.append((edge, [replace(comp, label=block_label), Instruction(RET)]))
             continue
         fallthrough = ui + 1 if ui + 1 < n else n
         fall_node = sink if fallthrough == n else instr_node(fallthrough)
@@ -544,39 +583,54 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> P
                 # collapsed two-way edge: route the taken path through the insert
                 lbl = fresh_label()
                 retarget[ui] = lbl
-                inserts_after.setdefault(ui, []).append(replace(comp, label=lbl))
+                after[ui] = (edge, [replace(comp, label=lbl)])
             elif v == fall_node:
-                inserts_after.setdefault(ui, []).append(comp)
+                after[ui] = (edge, [comp])
             else:
                 lbl = fresh_label()
                 retarget[ui] = lbl
-                appended.append([replace(comp, label=lbl),
-                                 Instruction(JUMP, target=label_of(node_instr(v)))])
+                appended.append((edge, [replace(comp, label=lbl),
+                                        Instruction(JUMP, target=label_of(node_instr(v)))]))
         elif ins.kind == JUMP:
             lbl = fresh_label()
             retarget[ui] = lbl
-            appended.append([replace(comp, label=lbl),
-                             Instruction(JUMP, target=label_of(node_instr(v)))])
+            appended.append((edge, [replace(comp, label=lbl),
+                                    Instruction(JUMP, target=label_of(node_instr(v)))]))
         else:
             if v != fall_node:
                 raise LospreError(f"edge ({u}, {v}) does not leave instruction {ui}")
-            inserts_after.setdefault(ui, []).append(comp)
+            after[ui] = (edge, [comp])
 
     occurrence_indices = {node_instr(v) for v in candidate.occurrence_nodes}
-    out = list(inserts_top)
+    out = []
+    inserted = {}
+
+    def place(edge, block):
+        inserted[edge] = tuple(instr_node(len(out) + k) for k in range(len(block)))
+        out.extend(block)
+
+    node_map = [SOURCE_NODE]
     for i, ins in enumerate(instructions):
+        if i in before:
+            place(*before[i])
         if i in retarget:
             ins = replace(ins, kind=JUMP if ins.kind == RET else ins.kind, target=retarget[i])
         if i in occurrence_indices:
             ins = Instruction(ASSIGN, label=ins.label, dest=ins.dest, left=tmp)
+        node_map.append(instr_node(len(out)))
         out.append(ins)
-        out.extend(inserts_after.get(i, ()))
-    for block in appended:
-        out.extend(block)
+        if i in after:
+            place(*after[i])
+    if appended and out[-1].kind not in (JUMP, RET):
+        out.append(Instruction(RET))
+    for edge, block in appended:
+        place(edge, block)
+    node_map.append(instr_node(len(out)))
     overrides = {(a, b): c for (a, b), c in program.edge_cost_overrides.items()
                  if (instr_node(labels[a]), instr_node(labels[b])) not in solution.calc_set}
-    return Program(out, program.default_edge_cost, program.default_node_cost,
-                   overrides, dict(program.node_cost_overrides))
+    return Rewrite(Program(out, program.default_edge_cost, program.default_node_cost,
+                           overrides, dict(program.node_cost_overrides)),
+                   node_map, inserted)
 
 
 # ---------------------------------------------------------------------------

@@ -404,3 +404,52 @@ def test_function_ending_in_an_infinite_loop_runs(tmp_path, capsys, verify):
     assert "total eliminated=1" in capsys.readouterr().out
     out = (tmp_path / "f.out.ir").read_text()
     assert out.count("a / d") == 1 and "goto L" in out
+
+
+def test_straight_line_program_runs_under_max_width_1(tmp_path, capsys):
+    # the second pass solves tmp * 2; patching the first pass's path
+    # decomposition through the rewrite gives width 2, so that pass
+    # decomposes its path afresh (width 1) before the guard decides
+    src = tmp_path / "f.ir"
+    src.write_text("x = a + b\np = x * 2\ny = a + b\nq = y * 2\nret\n")
+    assert main(["run", str(src), "--max-width", "1"]) == EXIT_OK
+    assert "total eliminated=2" in capsys.readouterr().out
+
+
+def test_carried_verdicts_agree_with_a_fresh_cut(monkeypatch):
+    # every "cannot gain" verdict carried into a pass is what the pass would
+    # have found itself: safety where auto asks for it, then the minimum cut
+    import warnings
+
+    import lospre.cli as cli
+    import lospre.ir as irmod
+    from lospre.cfg import min_calc_count
+    from test_pipeline_frozen import cases
+
+    warnings.simplefilter("ignore", irmod.UnreachableCodeWarning)
+    current = {}
+    derive, carries = irmod.derive_problems, cli._carries
+
+    def recording_derive(program, cfg):
+        pairs = derive(program, cfg)
+        current.update(cfg=cfg, candidates={id(p): c for c, p in pairs})
+        return pairs
+
+    carried = []
+
+    def recording_carries(verdict, problem, node_map):
+        holds = carries(verdict, problem, node_map)
+        if holds:
+            carried.append((current["cfg"], current["candidates"][id(problem)], problem))
+        return holds
+
+    monkeypatch.setattr(irmod, "derive_problems", recording_derive)
+    monkeypatch.setattr(cli, "_carries", recording_carries)
+    for _, text in cases():
+        run_pipeline(parse_ir(text), RunConfig())
+    assert len(carried) >= 250
+    for cfg, candidate, problem in carried:
+        if candidate.safety_required:
+            problem = cli._enlarge(cfg, problem, candidate.display(), None, [])
+        occurrences = len(candidate.occurrence_nodes)
+        assert min_calc_count(cfg, problem, occurrences) >= occurrences

@@ -10,7 +10,7 @@ from lospre.interp import equivalent_states, interpret
 from lospre.ir import (ASSIGN, BINOP, BRANCH, LOAD, RET, STORE, UNOP,
                        UnreachableCodeWarning, build_cfg, candidate_key,
                        copy_propagate, derive_problems, format_ir, instr_node,
-                       parse_ir, rewrite)
+                       next_tmp_name, parse_ir, rewrite)
 from lospre.oracle import generate_inputs, generate_program_text
 from lospre.treedec import decompose, make_nice
 
@@ -240,7 +240,7 @@ def test_rewrite_empty_use_returns_program_unchanged():
     from lospre.ir import ExprCandidate
     cand = ExprCandidate("+", "a", "b", frozenset(), False)
     sol = LospreSolution(frozenset(), frozenset(), CostVec(0, 0))
-    assert rewrite(prog, cfg, cand, sol) is prog
+    assert rewrite(prog, cfg, cand, sol).program is prog
 
 
 def test_rewrite_two_arm_once():
@@ -250,7 +250,7 @@ def test_rewrite_two_arm_once():
     cand, problem = pairs[0]
     sol = _solve_for(prog, cfg, cand, problem)
     assert len(sol.calc_set) == 1
-    out = rewrite(prog, cfg, cand, sol)
+    out = rewrite(prog, cfg, cand, sol).program
     shifts = [ins for ins in out if ins.kind == BINOP and ins.op == "<<"]
     assert len(shifts) == 1
     assert shifts[0].dest == "__lospre0"
@@ -270,7 +270,7 @@ def test_rewrite_degenerate_no_motion():
     life = frozenset()
     cs = calc_set(cfg, problem, life)
     sol = LospreSolution(life, cs, CostVec(len(cs), 0))
-    out = rewrite(prog, cfg, cand, sol)
+    out = rewrite(prog, cfg, cand, sol).program
     assert len(out) == len(prog) + len(cs)
     r0 = interpret(prog, {"a": 3, "b": 4})
     r1 = interpret(out, {"a": 3, "b": 4})
@@ -286,7 +286,7 @@ def test_rewrite_subdivides_branch_edge():
     pairs = dict((c.display(), (c, p)) for c, p in derive_problems(prog, cfg))
     cand, problem = pairs["a + b"]
     sol = _solve_for(prog, cfg, cand, problem)
-    out = rewrite(prog, cfg, cand, sol)
+    out = rewrite(prog, cfg, cand, sol).program
     for init in ({"c": 0, "a": 1, "b": 2}, {"c": 1, "a": 1, "b": 2}):
         r0 = interpret(prog, init)
         r1 = interpret(out, init)
@@ -300,7 +300,7 @@ def test_rewrite_loop_edge():
     pairs = dict((c.display(), (c, p)) for c, p in derive_problems(prog, cfg))
     cand, problem = pairs["a + b"]
     sol = _solve_for(prog, cfg, cand, problem)
-    out = rewrite(prog, cfg, cand, sol)
+    out = rewrite(prog, cfg, cand, sol).program
     r0 = interpret(prog, {"a": 2, "b": 5})
     r1 = interpret(out, {"a": 2, "b": 5})
     assert equivalent_states(r0, r1, ["x", "y", "n", "a", "b"])
@@ -316,7 +316,7 @@ def test_rewrite_turns_a_ret_into_a_jump_to_its_computation():
     ((cand, problem),) = derive_problems(prog, cfg)
     sol = _solve_for(prog, cfg, cand, problem)
     assert sol.calc_set == {(0, 1), (4, 7)}
-    out = rewrite(prog, cfg, cand, sol)
+    out = rewrite(prog, cfg, cand, sol).program
     with warnings.catch_warnings():
         warnings.simplefilter("error", UnreachableCodeWarning)
         build_cfg(out)
@@ -324,6 +324,39 @@ def test_rewrite_turns_a_ret_into_a_jump_to_its_computation():
         init = {"a": 3, "b": 4, "c": c}
         assert equivalent_states(interpret(prog, init), interpret(out, init),
                                  ["a", "b", "c", "x", "y", "z"])
+
+
+def test_rewrite_computes_before_an_unreachable_head():
+    # the source edge into L's region is subdivided just before L, so the
+    # reachable path still never divides
+    from lospre.cli import RunConfig, run_pipeline
+    text = "x = 1\nret\nL: y = a / d\nz = a / d\nret\n"
+    with pytest.warns(UnreachableCodeWarning):
+        result = run_pipeline(parse_ir(text), RunConfig())
+    assert format_ir(result.program) == (
+        "    x = 1\n    ret\n    __lospre0 = a / d\nL: y = __lospre0\n"
+        "    z = __lospre0\n    ret\n")
+
+
+def test_rewrite_keeps_the_last_instruction_out_of_appended_blocks():
+    # M falls off the end into the sink; the block appended for the jump
+    # edge into M must not become its successor
+    from lospre.dp import LospreSolution
+    prog = parse_ir("if c goto L\nx = a + b\ngoto M\nL: z = 1\nM: y = a + b\n")
+    cfg = build_cfg(prog)
+    ((cand, _),) = derive_problems(prog, cfg)
+    sol = LospreSolution(frozenset(), frozenset({(0, 1), (3, 5)}), CostVec(2, 0))
+    out = rewrite(prog, cfg, cand, sol).program
+    for c in (0, 1):
+        init = {"a": 1, "b": 2, "c": c}
+        assert equivalent_states(interpret(prog, init), interpret(out, init),
+                                 ["a", "b", "c", "x", "y", "z"])
+
+
+def test_next_tmp_name_skips_names_in_use():
+    prog = parse_ir("__lospre0 = a + b\n__lospre1: y = __lospre0\nret\n")
+    assert next_tmp_name(prog) == "__lospre2"
+    assert next_tmp_name(parse_ir("x = __lospre1\nret\n")) == "__lospre0"
 
 
 # -- copy propagation ---------------------------------------------------------

@@ -198,3 +198,47 @@ def test_decompose_matches_from_scratch_min_fill():
     assert len(graphs) >= 300
     for cfg in graphs:
         assert decompose(cfg).bags == _min_fill_reference_bags(cfg), cfg
+
+
+# calculation edges of every shape a rewrite subdivides, in SHAPES' node ids:
+# 1 x =, 2 if c, 3 y =, 4 goto M, 5 L:, 6 M: if d goto N, 7 N:, 8 ret,
+# 9 the head of an unreachable region, 10 ret, 11 the sink
+SHAPES = """\
+    x = a + b
+    if c goto L
+    y = a + b
+    goto M
+L:  z = a + b
+M:  if d goto N
+N:  w = a + b
+    ret
+    q = a + b
+    ret
+"""
+SHAPE_EDGES = {"fallthrough": (1, 2), "branch-taken": (2, 5), "jump": (4, 6),
+               "ret": (8, 11), "entry": (0, 1), "unreachable-head": (0, 9),
+               "collapsed-branch": (6, 7)}
+
+
+@pytest.mark.parametrize("edges", [[e] for e in SHAPE_EDGES.values()] +
+                         [list(SHAPE_EDGES.values())], ids=list(SHAPE_EDGES) + ["all"])
+def test_subdivide_patches_every_insertion_shape(edges):
+    import warnings
+    from lospre.dp import LospreSolution
+    from lospre.ir import UnreachableCodeWarning, build_cfg, derive_problems, parse_ir, rewrite
+    from lospre.treedec import subdivide
+
+    warnings.simplefilter("ignore", UnreachableCodeWarning)
+    prog = parse_ir(SHAPES)
+    cfg = build_cfg(prog)
+    assert set(edges) <= cfg.edges
+    cand = derive_problems(prog, cfg)[0][0]
+    step = rewrite(prog, cfg, cand,
+                   LospreSolution(frozenset(), frozenset(edges), CostVec(len(edges), 0)))
+    new_cfg = build_cfg(step.program)
+    assert step.subdivided_edges(cfg) == new_cfg.edges
+    td = decompose(cfg)
+    patched = subdivide(new_cfg, td, step.node_map, step.inserted)
+    assert validate(new_cfg, patched) is None
+    assert patched.width <= max(td.width, 2)
+    make_nice(patched)

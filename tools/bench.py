@@ -7,8 +7,8 @@ Row families; sizes, seeds and repeats are fixed for each:
 - ``pipeline``: ``run_pipeline(parse_ir(text), RunConfig())`` on
   ``generate_program_text(seed, max_statements=size)``, seeds 0 and 7, sizes
   25 to 800.  One counting run records passes, rewrites and the ``solve``,
-  ``decompose`` and ``min_calc_count`` calls (0 where a tree has no such
-  function); the timed runs follow.
+  ``decompose``, ``min_calc_count`` and ``solve_safety`` calls (0 where a
+  tree has no such function); the timed runs follow.
 - ``extended``: ``solve_extended`` alone on chained-diamond graphs of 1k-16k
   nodes with a seeded per-node register-pressure table.
 - ``chain``: ``decompose``, ``make_nice`` and ``solve`` timed per layer on
@@ -94,9 +94,9 @@ def measure_pipeline(seed, size):
 
     text = generate_program_text(seed, max_statements=size)
     counts = dict.fromkeys(("passes", "rewrites", "solves", "decompositions",
-                            "certificate_calls"), 0)
+                            "certificate_calls", "safety_calls"), 0)
     counted = {"solve": "solves", "decompose": "decompositions",
-               "min_calc_count": "certificate_calls"}
+               "min_calc_count": "certificate_calls", "solve_safety": "safety_calls"}
     originals = {name: getattr(cli, name) for name in counted if hasattr(cli, name)}
 
     def counting(name, fn):

@@ -132,10 +132,8 @@ def _carries(verdict, problem, node_map) -> bool:
     """Whether ``problem`` has the use and invalidation sets of ``verdict``,
     the last pass's (use, invalidation) pair, mapped through ``node_map``."""
     use, inv = verdict
-    return (len(use) == len(problem.use_set) and
-            len(inv) == len(problem.invalidation_set) and
-            all(node_map[v] in problem.use_set for v in use) and
-            all(node_map[v] in problem.invalidation_set for v in inv))
+    return ({node_map[v] for v in use} == problem.use_set and
+            {node_map[v] for v in inv} == problem.invalidation_set)
 
 
 def run_pipeline(program, config: RunConfig) -> PipelineResult:

@@ -5,7 +5,8 @@ decompose, safety, oracle-check; each takes only the options it reads.
 Exit codes: 0 success, 2 parse error or usage error, 3 width guard
 exceeded, 4 verification mismatch, 1 anything else.
 Emitted artifacts are byte-identical across runs for identical inputs and
-flags; --verify only ever changes the exit status.
+flags; --verify checks the plain run's decisions and takes none of its
+own, so it only ever changes the exit status.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ VERIFY_MAX_NODES = 12
 
 @dataclass
 class RunConfig:
-    mode: str = "ir"            # ir | graph
     safety: str = "auto"        # auto | always | never
     max_width: int = 16
     emit: set = field(default_factory=set)  # dot, solution, stats, rewritten-ir
@@ -144,10 +144,11 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     occurrences; a rewrite strictly reduces the static computation count,
     which bounds the number of passes.  Safety routing follows the config:
     auto enlarges the invalidation set for loads and divisions.  When every
-    cost of the pass's graph is finite and --verify is off, a candidate with
-    one occurrence, or whose minimum cut (``min_calc_count``) reaches its
-    occurrence count, cannot gain under any costs and is not solved;
-    otherwise every candidate is solved, so an infeasible one fails.
+    cost of the pass's graph is finite, a candidate with one occurrence, or
+    whose minimum cut (``min_calc_count``) reaches its occurrence count,
+    cannot gain under any costs and is not solved (--verify solves it, and
+    records a verdict mismatch if it gains); otherwise every candidate is
+    solved, so an infeasible one fails.
 
     A run decomposes once: the first pass that solves decomposes its graph,
     and a later pass that solves patches that decomposition through the
@@ -175,31 +176,35 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
         if last_step is not None and last_step.subdivided_edges(last_cfg) == cfg.edges:
             step = last_step
         nice = None  # decomposed when the pass first solves
-        certify = not config.verify and cfg.has_finite_costs()
+        certify = cfg.has_finite_costs()
         carried, verdicts = (verdicts if certify and step is not None else {}), {}
         safety_oracle = _safety_oracle(cfg) if config.verify else None
         chosen = None
         for candidate, problem in irmod.derive_problems(program, cfg):
             occurrences = len(candidate.occurrence_nodes)
-            if occurrences < 2 and certify:
-                # a reachable use forces at least one calculation edge, so a
-                # single occurrence can never shrink
-                continue
             key = (candidate.op, candidate.left, candidate.right)
             derived = (problem.use_set, problem.invalidation_set)
-            if key in carried and _carries(carried[key], problem, step.node_map):
+            # a reachable use forces at least one calculation edge, so a
+            # single occurrence can never shrink
+            cannot_gain = certify and occurrences < 2
+            if not cannot_gain and key in carried and _carries(carried[key], problem, step.node_map):
                 verdicts[key] = derived
+                cannot_gain = True
+            if cannot_gain and not config.verify:
                 continue
             wants_safety = (config.safety == "always" or
                             (config.safety == "auto" and candidate.safety_required))
             if wants_safety:
                 problem = _enlarge(cfg, problem, candidate.display(), safety_oracle,
                                    verify_failures)
-            if certify and min_calc_count(cfg, problem, occurrences) >= occurrences:
+            if not cannot_gain and certify and \
+                    min_calc_count(cfg, problem, occurrences) >= occurrences:
                 # every life set has at least as many calculation edges as
                 # there are occurrences, the optimum included
                 verdicts[key] = derived
-                continue
+                if not config.verify:
+                    continue
+                cannot_gain = True
             if nice is None:
                 td = _decomposition(cfg, td, step, config.max_width)
                 nice = _nice_within(td, config)
@@ -208,8 +213,12 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
                 verify_failures.extend(
                     _verify_solution(cfg, problem, candidate.display(), solution))
             if len(solution.calc_set) < occurrences:
-                chosen = (candidate, solution)
-                break
+                if not cannot_gain:
+                    chosen = (candidate, solution)
+                    break
+                # only --verify solves a candidate that cannot gain
+                verify_failures.append(f"verdict mismatch for {candidate.display()}: "
+                                       f"{len(solution.calc_set)} calculations")
         if chosen is None:
             break
         candidate, solution = chosen
@@ -274,7 +283,7 @@ def cmd_graph(config: RunConfig, path: Path) -> int:
 
 def cmd_decompose(config: RunConfig, path: Path) -> int:
     text = path.read_text()
-    if config.mode == "ir":
+    if path.suffix == ".ir":
         cfg = irmod.build_cfg(irmod.parse_ir(text))
     else:
         cfg, _ = load_cfg(text)
@@ -290,7 +299,7 @@ def cmd_decompose(config: RunConfig, path: Path) -> int:
 
 
 def cmd_safety(config: RunConfig, path: Path) -> int:
-    if config.mode == "ir":
+    if path.suffix == ".ir":
         program = irmod.parse_ir(path.read_text())
         cfg = irmod.build_cfg(program)
         pairs = [(f"candidate {candidate.display()}", problem)
@@ -343,7 +352,6 @@ _OPTIONS = {
     "--emit": dict(default=""),
     "--verify": dict(action="store_true"),
     "--out-dir": dict(type=Path, default=Path(".")),
-    "--mode": dict(choices=("auto", "ir", "graph"), default="auto"),
     "--seeds": dict(type=seed_range, default="0..99"),
     "--size": dict(type=int, choices=range(4, BRUTE_LOSPRE_MAX_NODES + 1),
                    metavar=f"4..{BRUTE_LOSPRE_MAX_NODES}", default=10),
@@ -365,8 +373,8 @@ _COMMANDS = {
               ("--safety", "--max-width", "--emit", "--verify", "--out-dir"),
               ("dot", "solution")),
     "decompose": ("report the tree-decomposition", True,
-                  ("--mode", "--max-width", "--emit", "--out-dir"), ("dot",)),
-    "safety": ("print enlarged invalidation sets", True, ("--mode", "--safety"), ()),
+                  ("--max-width", "--emit", "--out-dir"), ("dot",)),
+    "safety": ("print enlarged invalidation sets", True, ("--safety",), ()),
     "oracle-check": ("batch compare solver against brute force", False,
                      ("--seeds", "--size", "--style"), ()),
 }
@@ -399,8 +407,6 @@ def _config_from(args) -> RunConfig:
         if unknown:
             raise LospreError(f"unknown --emit values: {sorted(unknown)}")
         given["emit"] = emit
-    if given.get("mode") == "auto":
-        given["mode"] = "ir" if args.input.suffix == ".ir" else "graph"
     return RunConfig(**given)
 
 

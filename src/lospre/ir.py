@@ -288,13 +288,15 @@ def build_cfg(program: Program) -> Cfg:
     """Extract the weighted graph.
 
     Instructions that are unreachable from the entry are kept as nodes and
-    reported with an UnreachableCodeWarning; heads of unreachable regions
-    get an edge from the source so the unique-source invariant holds.
-    Symmetrically, as GCC's ``connect_infinite_loops_to_exit`` does, every
-    region that cannot reach the sink gets one fake edge to it, from the
-    highest-index instruction that does not reach the sink yet, until all
-    do.  A program whose every instruction can reach a ret gets none.
-    ``rewrite`` refuses a computation on a fake edge.
+    reported with an UnreachableCodeWarning.  Each unreachable instruction
+    without predecessors gets an edge from the source, and then so does the
+    lowest-index instruction not reached yet (in an unreachable loop),
+    until all are, so that every use forces a calculation.  Symmetrically,
+    as GCC's ``connect_infinite_loops_to_exit`` does, every region that
+    cannot reach the sink gets one fake edge to it, from the highest-index
+    instruction that does not reach the sink yet, until all do.  A program
+    whose every instruction can reach a ret gets none.  ``rewrite`` refuses
+    a computation on a fake edge.
     """
     instructions = list(program)
     n = len(instructions)
@@ -314,35 +316,37 @@ def build_cfg(program: Program) -> Cfg:
     for i, outs in enumerate(succ):
         for o in outs:
             preds[o].append(i)
+
+    def flood(start, seen, nexts):
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            if not seen[i]:
+                seen[i] = True
+                stack.extend(nexts[i])
+
+    forward = succ + [[]]
     reachable = [False] * (n + 1)
-    stack = [0] if n else []
-    while stack:
-        i = stack.pop()
-        if not reachable[i]:
-            reachable[i] = True
-            stack.extend(succ[i] if i < n else ())
+    if n:
+        flood(0, reachable, forward)
     unreachable = [i for i in range(n) if not reachable[i]]
     if unreachable:
         warnings.warn(f"unreachable instructions at indices {unreachable}",
                       UnreachableCodeWarning, stacklevel=2)
-        for i in unreachable:
-            if not preds[i]:
+        heads = [i for i in unreachable if not preds[i]]
+        for i in heads + unreachable:
+            if not reachable[i]:
                 edges.add((SOURCE_NODE, instr_node(i)))
+                flood(i, reachable, forward)
 
     # fake edges: flood backwards from the sink, then from each instruction
     # not reached yet, highest index first, after linking it to the sink
     reaches_sink = [False] * (n + 1)
     for start in range(n, -1, -1):
-        if reaches_sink[start]:
-            continue
-        if start < n:
-            edges.add((instr_node(start), sink))
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            if not reaches_sink[i]:
-                reaches_sink[i] = True
-                stack.extend(preds[i])
+        if not reaches_sink[start]:
+            if start < n:
+                edges.add((instr_node(start), sink))
+            flood(start, reaches_sink, preds)
 
     edge_cost = {e: program.default_edge_cost for e in edges}
     node_cost = {v: program.default_node_cost for v in range(sink + 1)}

@@ -226,6 +226,38 @@ def test_verify_checks_the_cut_certificate(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+# pass 1 finds 2 * x cannot gain (x = 5 splits its two occurrences) and
+# applies a + b; copy propagation then turns y * 2 into a third occurrence
+# of 2 * x, which gains in pass 2
+CARRIED_THEN_GAINS = "y = x\nr = x * 2\nt = y * 2\nx = 5\ns = x * 2\np = a + b\nq = a + b\nret\n"
+
+
+@pytest.mark.parametrize("name, sabotage, text", [
+    ("min_calc_count", lambda cfg, problem, limit: limit, TWO_ARM),
+    ("_carries", lambda verdict, problem, node_map: True, CARRIED_THEN_GAINS),
+], ids=["cut", "carried"])
+def test_verify_reports_a_wrong_verdict_but_keeps_it(tmp_path, capsys, monkeypatch,
+                                                      name, sabotage, text):
+    # a "cannot gain" verdict forced wrong skips a candidate that gains:
+    # --verify solves that candidate, reports it, and writes what the plain
+    # run under the same sabotage writes
+    import lospre.cli as cli
+
+    monkeypatch.setattr(cli, name, sabotage)
+    src = tmp_path / "f.ir"
+    src.write_text(text)
+    runs = []
+    for flags in ([], ["--verify"]):
+        out_dir = tmp_path / f"out{len(runs)}"
+        rc = main(["run", str(src), "--emit", "stats,rewritten-ir,solution",
+                   "--out-dir", str(out_dir), *flags])
+        runs.append((rc, [(out_dir / f"f.{ext}").read_bytes()
+                          for ext in ("stats", "out.ir", "solution")]))
+    assert [rc for rc, _ in runs] == [EXIT_OK, EXIT_VERIFY]
+    assert runs[1][1] == runs[0][1]
+    assert "verdict mismatch for " in capsys.readouterr().err
+
+
 def test_verify_checks_safety_on_cyclic_graphs(tmp_path, capsys, monkeypatch):
     # the counter loop 2 <-> 3 holds no use of *5: the greatest fixpoint
     # adds it, the path closure does not (its only entry passes the use at
@@ -258,6 +290,7 @@ DIAMOND = ("cfg 5\nedge 0 1 c=[1,0]\nedge 1 2 c=[1,0]\nedge 1 3 c=[1,0]\n"
     ["run", "x.ir", "--seed", "1"],
     ["oracle-check", "--max-width", "4"],
     ["decompose", "g.graph", "--verify"],
+    ["decompose", "g.graph", "--mode", "ir"],
     ["safety", "g.graph", "--emit", "dot"],
     ["graph", "g.graph", "--goal", "speed"],
     # values a flag cannot take are usage errors too

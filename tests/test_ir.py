@@ -110,6 +110,21 @@ def test_unreachable_code_warns_but_keeps_nodes():
     assert cfg.source == 0
 
 
+def test_unreachable_loop_gets_a_source_edge():
+    # goto L gives L a predecessor, but none that the entry reaches: the
+    # loop's lowest-index instruction (node 3) is linked to the source
+    with pytest.warns(UnreachableCodeWarning):
+        cfg = build_cfg(parse_ir("x = 1\nret\nL: y = a + b\ngoto L\n"))
+    assert (cfg.source, instr_node(2)) in cfg.edges
+    reached, stack = set(), [cfg.source]
+    while stack:
+        v = stack.pop()
+        if v not in reached:
+            reached.add(v)
+            stack.extend(cfg.successors(v))
+    assert reached == set(range(cfg.node_count))
+
+
 def test_infinite_loop_gets_one_fake_edge_to_the_sink():
     # instructions 1 and 2 loop forever; the loop's highest-index
     # instruction (goto L, node 3) is linked to the sink (node 4)

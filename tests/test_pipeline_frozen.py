@@ -97,6 +97,10 @@ def test_verify_changes_only_the_exit_status(tmp_path):
     texts = [generate_program_text(seed) for seed in range(200)]
     texts += [generate_program_text(seed, max_statements=60) for seed in range(20)]
     texts += [cost_variant(seed) for seed in range(60)]
+    # unreachable loops: a single occurrence, two occurrences, a division
+    texts += ["x = 1\nret\nL: y = a + b\ngoto L\n",
+              "x = 1\nret\nL: y = a + b\nz = a + b\ngoto L\n",
+              "x = 1\nret\nL: y = a / d\ngoto L\n"]
     for text in texts:
         plain = run_artifacts(text, tmp_path)
         assert plain[0] == 0

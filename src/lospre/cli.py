@@ -6,7 +6,7 @@ Exit codes: 0 success, 2 parse error or usage error, 3 width guard
 exceeded, 4 verification mismatch, 1 anything else.
 Emitted artifacts are byte-identical across runs for identical inputs and
 flags; --verify checks the plain run's decisions and takes none of its
-own, so it only ever changes the exit status.
+own, so it only ever changes the exit status and stderr.
 """
 from __future__ import annotations
 
@@ -48,12 +48,16 @@ def _emit(config: RunConfig, name: str, text: str) -> None:
     (config.out_dir / name).write_text(text)
 
 
+def _too_wide(nice, config: RunConfig) -> WidthExceededError:
+    return WidthExceededError(
+        f"decomposition width {nice.width} exceeds --max-width {config.max_width}")
+
+
 def _nice_within(td, config: RunConfig):
     """The nice form of ``td``, refused when it is wider than --max-width."""
     nice = make_nice(td)
     if nice.width > config.max_width:
-        raise WidthExceededError(
-            f"decomposition width {nice.width} exceeds --max-width {config.max_width}")
+        raise _too_wide(nice, config)
     return nice
 
 
@@ -160,7 +164,10 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     minimum cut, enlarged or not.  A pass whose graph is not the last one
     subdivided (a fake edge moved) decomposes afresh and carries nothing.
     A patch wider than --max-width gives way to a fresh decomposition
-    before the width guard (exit 3) refuses.
+    before the width guard (exit 3) refuses.  The guard never refuses a
+    solve that only --verify makes: above it such a verdict is checked by
+    brute force on graphs of at most VERIFY_MAX_NODES nodes, and reported
+    "unchecked" on stderr on larger ones.
     """
     applied = []
     verify_failures = []
@@ -207,11 +214,22 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
                 cannot_gain = True
             if nice is None:
                 td = _decomposition(cfg, td, step, config.max_width)
-                nice = _nice_within(td, config)
-            solution = solve(cfg, problem, nice, max_width=config.max_width)
-            if config.verify:
-                verify_failures.extend(
-                    _verify_solution(cfg, problem, candidate.display(), solution))
+                nice = make_nice(td)
+            if nice.width <= config.max_width:
+                solution = solve(cfg, problem, nice, max_width=config.max_width)
+                if config.verify:
+                    verify_failures.extend(
+                        _verify_solution(cfg, problem, candidate.display(), solution))
+            elif not cannot_gain:
+                raise _too_wide(nice, config)
+            elif cfg.node_count <= VERIFY_MAX_NODES:
+                # only --verify solves a candidate that cannot gain, and the
+                # width guard is the plain run's: brute force checks the verdict
+                solution = brute_lospre(cfg, problem)
+            else:
+                sys.stderr.write(f"unchecked: width {nice.width} > --max-width "
+                                 f"{config.max_width} for {candidate.display()}\n")
+                continue
             if len(solution.calc_set) < occurrences:
                 if not cannot_gain:
                     chosen = (candidate, solution)

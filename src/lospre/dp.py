@@ -9,6 +9,15 @@ in the bag.  Every graph edge is charged at exactly one forget node: the one
 where the earlier forgotten endpoint departs with the other endpoint still
 present.
 
+The table steps run as gathers through index maps, tuples that depend only
+on a step's shape and are cached per shape (``_index_map``), so no step
+shifts or masks per entry.  An introduce step is ``[child[g] for g in
+idx]``, with ``idx`` cached per (bag size, position).  A forget step first
+adds each charged edge's cost key to the child entries cached for its (bag
+size, x position or static, y position or static) shape, then gathers the
+(dead, live) child entry pairs cached per (bag size, position) and keeps
+the cheaper of each pair.
+
 Both solvers share this kernel.  ``solve`` charges nothing for a dead
 vertex and the node's liveness cost for a live one.  ``solve_extended``
 adds two operand bits per vertex, but they enter only the vertex's own cost
@@ -30,6 +39,7 @@ lowest permitted (bl, br) pair of minimum cost for its value bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, lt
 from typing import Callable, Optional
 
 from .cfg import Cfg, ExprProblem, calc_set, total_cost, validate_problem
@@ -110,6 +120,36 @@ def _unswept(i: int, j: int) -> DecompositionError:
                               "numbered below their parents, and each used once")
 
 
+# Index maps by shape, built on first use.  Up to bags of 8 vertices every
+# index is below 256, a shared small int, so those maps (under 0.2 MB in
+# all) stay cached across solves; a wider solve builds its own.
+_SHARED_MAPS: dict = {}
+
+
+def _index_map(maps: dict, shape: tuple) -> tuple:
+    """Build, cache and return the index tuple(s) of ``shape``, one of:
+
+    - ("introduce", s, p): for each entry of a bag of s vertices, its child
+      entry, the entry with bit p removed;
+    - ("forget", k, p): for each entry of a bag of k - 1 vertices, the child
+      entries with a 0 and with a 1 inserted at bit p, as (dead, live);
+    - ("edge", k, cx, cy): the entries of a bag of k vertices that charge an
+      edge: bit cx clear and bit cy set, where -1 is a statically true side.
+    """
+    kind, size, p = shape[:3]
+    if kind == "introduce":
+        found = tuple(((m >> (p + 1)) << p) | (m & ((1 << p) - 1)) for m in range(1 << size))
+    elif kind == "forget":
+        dead = tuple(((m >> p) << (p + 1)) | (m & ((1 << p) - 1)) for m in range(1 << (size - 1)))
+        found = dead, tuple(g | 1 << p for g in dead)
+    else:
+        cy = shape[3]
+        found = tuple(g for g in range(1 << size)
+                      if (p < 0 or not (g >> p) & 1) and (cy < 0 or (g >> cy) & 1))
+    maps[shape] = found
+    return found
+
+
 def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list,
              live_costs: list, *, max_width: int = 16):
     """Minimize edge costs plus each vertex's dead or live cost; the shared kernel.
@@ -128,18 +168,20 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
     n = cfg.node_count
     shift = n if n <= CANONICAL_TIES_MAX_NODES else 0
     key, bound = cost_keys(list(cfg.edge_cost.values()) + dead_costs + live_costs)
-    # a table entry is infinite iff it is >= inf; none_key starts a minimum
+    # every entry is the key sum of one assignment, so it is infinite iff >= inf
     inf = bound << shift
-    none_key = key(INFINITY) << shift
 
     edge_assignment = assign_edges_to_forgets(cfg, nice)
+    edge_cost = cfg.edge_cost
+    maps = _SHARED_MAPS if width < 8 else {}
 
     kinds = nice.kinds
     vertex = nice.vertex
     bags = nice.bags
     children = nice.children
     tables = [None] * nice.node_count
-    choices = {}
+    # per introduce node its index map, per forget node (its maps, choices)
+    trace = [None] * nice.node_count
     transitions = 0
 
     for i in range(nice.node_count):
@@ -147,72 +189,48 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
         if kind == LEAF:
             tables[i] = [0]
             transitions += 1
-        elif kind == INTRODUCE:
-            j = children[i][0]
-            child = tables[j]
-            if child is None:
-                raise _unswept(i, j)
-            p = bags[i].index(vertex[i])
-            low = (1 << p) - 1
-            size = 1 << len(bags[i])
-            tables[i] = [child[((m >> (p + 1)) << p) | (m & low)] for m in range(size)]
-            tables[j] = None
-            transitions += size
+            continue
+        ch = children[i]
+        child = tables[ch[0]]
+        if child is None:
+            raise _unswept(i, ch[0])
+        tables[ch[0]] = None
+        if kind == INTRODUCE:
+            bag = bags[i]
+            shape = ("introduce", len(bag), bag.index(vertex[i]))
+            trace[i] = idx = maps.get(shape) or _index_map(maps, shape)
+            tables[i] = [child[g] for g in idx]
+            transitions += len(idx)
         elif kind == JOIN:
-            j1, j2 = children[i]
-            a, b = tables[j1], tables[j2]
-            if a is None or b is None:
-                raise _unswept(i, j1 if a is None else j2)
-            tables[i] = [x + y for x, y in zip(a, b)]
-            tables[j1] = tables[j2] = None
-            transitions += len(a)
-        else:  # forget
-            j = children[i][0]
-            child = tables[j]
-            if child is None:
-                raise _unswept(i, j)
+            other = tables[ch[1]]
+            if other is None:
+                raise _unswept(i, ch[1])
+            tables[ch[1]] = None
+            tables[i] = list(map(add, child, other))
+            transitions += len(child)
+        else:  # forget: charge the edges on the child table, then minimize
             v = vertex[i]
-            child_bag = bags[j]
-            p = child_bag.index(v)
-            pos = {u: q for q, u in enumerate(child_bag)}
-            # (x_pos, y_pos, cost key); -1 marks a statically true side
-            edges_local = []
-            for (x, y) in edge_assignment.get(i, ()):
-                cx = -1 if x in inv else pos[x]
-                cy = -1 if y in use else pos[y]
-                edges_local.append((cx, cy, key(cfg.edge_cost[(x, y)]) << shift))
+            child_bag = bags[ch[0]]
+            k = len(child_bag)
+            edges = edge_assignment.get(i, ())
+            for (x, y) in edges:
+                pc = key(edge_cost[(x, y)]) << shift
+                shape = ("edge", k, -1 if x in inv else child_bag.index(x),
+                         -1 if y in use else child_bag.index(y))
+                for g in maps.get(shape) or _index_map(maps, shape):
+                    child[g] += pc
+            shape = ("forget", k, child_bag.index(v))
+            dead_idx, live_idx = pair = maps.get(shape) or _index_map(maps, shape)
             dead = key(dead_costs[v]) << shift
             live = key(live_costs[v]) << shift
             if shift:
                 live += 1 << (n - 1 - v)
-            low = (1 << p) - 1
-            bit = 1 << p
-            # (bit offset, value bit, cost): strict < below keeps the vertex
-            # dead on an exact tie
-            options = ((0, 0, dead), (bit, 1, live))
-            size = 1 << len(bags[i])
-            table = [0] * size
-            choice = bytearray(size)
-            for m in range(size):
-                g0 = ((m >> p) << (p + 1)) | (m & low)
-                best = none_key
-                for off, b, extra in options:
-                    g = g0 | off
-                    c = child[g]
-                    if c >= inf:
-                        continue
-                    c += extra
-                    for (cx, cy, pc) in edges_local:
-                        if (cx < 0 or not (g >> cx) & 1) and (cy < 0 or (g >> cy) & 1):
-                            c += pc
-                    if c < best:
-                        best = c
-                        choice[m] = b
-                table[m] = best
-            tables[i] = table
-            tables[j] = None
-            choices[i] = choice
-            transitions += 2 * size * (1 + len(edges_local))
+            d = [child[g] + dead for g in dead_idx] if dead else [child[g] for g in dead_idx]
+            lv = [child[g] + live for g in live_idx]
+            # an exact tie keeps the vertex dead
+            tables[i] = [a if a <= b else b for a, b in zip(d, lv)]
+            trace[i] = pair, bytes(map(lt, lv, d))
+            transitions += 2 * len(d) * (1 + len(edges))
 
     root_table = tables[nice.root]
     if len(root_table) != 1:
@@ -226,20 +244,17 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
     while stack:
         i, m = stack.pop()
         kind = kinds[i]
-        if kind == LEAF:
-            continue
-        if kind == JOIN:
+        if kind == INTRODUCE:
+            stack.append((children[i][0], trace[i][m]))
+        elif kind == JOIN:
             stack.append((children[i][0], m))
             stack.append((children[i][1], m))
-        elif kind == INTRODUCE:
-            p = bags[i].index(vertex[i])
-            stack.append((children[i][0], ((m >> (p + 1)) << p) | (m & ((1 << p) - 1))))
-        else:  # forget
-            p = bags[children[i][0]].index(vertex[i])
-            b = choices[i][m]
+        elif kind != LEAF:  # forget
+            pair, choice = trace[i]
+            b = choice[m]
             if b:
                 life.add(vertex[i])
-            stack.append((children[i][0], ((m >> p) << (p + 1)) | (m & ((1 << p) - 1)) | (b << p)))
+            stack.append((children[i][0], pair[b][m]))
     return frozenset(life), root_cost >> shift, key, transitions
 
 
@@ -274,8 +289,8 @@ def solve(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, *,
 # Combinations are stored as digits d = b | bl << 1 | br << 2.
 
 _COMBOS = [(d & 1, (d >> 1) & 1, (d >> 2) & 1) for d in range(8)]
-# digits per value bit, lowest (bl, br) pair first
-_TIE_ORDER = ((0, 4, 2, 6), (1, 5, 3, 7))
+# all eight digits, each value bit's lowest (bl, br) pair first
+_SCAN = (0, 1, 4, 5, 2, 3, 6, 7)
 
 
 def solve_extended(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec,
@@ -295,13 +310,17 @@ def solve_extended(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec,
     rows, picks, dead_costs, live_costs = [], [], [], []
     for v in range(n):
         row = [lifetime_cost(v, *combo) for combo in _COMBOS]
-        if not all(isinstance(c, CostVec) for c in row):
-            raise LospreError("lifetime_cost must return CostVec values")
         permitted = allowed.get(v)
-        # min keeps the first of equal costs: the lowest (bl, br) pair
-        d0, d1 = pick = [min((d for d in _TIE_ORDER[b]
-                              if permitted is None or _COMBOS[d] in permitted),
-                             key=row.__getitem__, default=None) for b in (0, 1)]
+        pick = [None, None]
+        for d in _SCAN:
+            c = row[d]
+            if not isinstance(c, CostVec):
+                raise LospreError("lifetime_cost must return CostVec values")
+            # strict < keeps the first of equal costs: the lowest (bl, br) pair
+            if (permitted is None or _COMBOS[d] in permitted) and \
+                    (pick[d & 1] is None or c < row[pick[d & 1]]):
+                pick[d & 1] = d
+        d0, d1 = pick
         rows.append(row)
         picks.append(pick)
         dead_costs.append(INFINITY if d0 is None else row[d0])

@@ -42,7 +42,7 @@ class TreeDec:
 
     @property
     def width(self) -> int:
-        return max(len(b) for b in self.bags) - 1
+        return max(map(len, self.bags)) - 1
 
     def neighbors(self) -> list:
         nb = [[] for _ in self.bags]
@@ -74,7 +74,7 @@ class NiceTreeDec:
 
     @property
     def width(self) -> int:
-        return max(len(b) for b in self.bags) - 1
+        return max(map(len, self.bags)) - 1
 
     def forget_map(self) -> dict:
         """Map each graph vertex to its unique forget node."""

@@ -26,7 +26,7 @@ def smallest_rows(bench):
             for name, family in bench.FAMILIES.items()}
 
 
-@pytest.mark.parametrize("family", ["pipeline", "extended", "chain"])
+@pytest.mark.parametrize("family", ["pipeline", "extended", "chain", "banded"])
 def test_counts_and_digest_repeat(smallest_rows, family):
     first, second = smallest_rows[family]
     assert first["counts"] == second["counts"]

@@ -428,6 +428,24 @@ def test_width_guard_fires_only_on_a_pass_that_solves(tmp_path, capsys):
     assert "exceeds --max-width 1" in capsys.readouterr().err
 
 
+def test_verify_keeps_the_plain_runs_width_guard(tmp_path, capsys):
+    # the plain run solves nothing, so it never decomposes; --verify solves
+    # the single a + b to check its "cannot gain" verdict on a width-2
+    # graph, which must not trip --max-width 1
+    src = tmp_path / "f.ir"
+    src.write_text("if c goto L\nx = a + b\ngoto J\nL: x = 2\nJ: ret\n")
+    for extra in ([], ["--verify"]):
+        assert main(["run", str(src), "--max-width", "1"] + extra) == EXIT_OK
+        assert capsys.readouterr().err == ""
+    # above VERIFY_MAX_NODES brute force cannot check it: it is reported
+    src.write_text("if c goto L\nx = a + b\ngoto J\nL: x = 2\nJ: ret\n".replace(
+        "J: ret", "J: y = 0\n" + "y = y + 1\n" * 12 + "ret"))
+    assert main(["run", str(src), "--max-width", "1", "--verify"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "unchecked: width 2 > --max-width 1 for a + b" in err
+    assert "error" not in err
+
+
 @pytest.mark.parametrize("verify", [[], ["--verify"]])
 def test_function_ending_in_an_infinite_loop_runs(tmp_path, capsys, verify):
     src = tmp_path / "f.ir"

@@ -300,6 +300,15 @@ def test_extended_no_permitted_combo_is_infeasible(diamond):
                        allowed_combos={2: []})
 
 
+def test_extended_rejects_a_cost_that_is_not_a_costvec(diamond):
+    # every entry of the row is checked, a forbidden combination's included
+    p = make_problem(diamond, use=[2, 3])
+    with pytest.raises(LospreError, match="must return CostVec values"):
+        solve_extended(diamond, p, make_nice(decompose(diamond)),
+                       lambda v, b, bl, br: (0, 1) if br else CostVec(0, b),
+                       allowed_combos={v: [(0, 0, 0), (1, 0, 0)] for v in range(5)})
+
+
 def test_extended_allowed_combos_unknown_node(diamond):
     p = make_problem(diamond, use=[2, 3])
     nice = make_nice(decompose(diamond))
@@ -424,3 +433,75 @@ def test_solve_rejects_a_root_first_decomposition():
                        children=[(1,), (2,), (3,), (4,), ()], root=0)
     with pytest.raises(DecompositionError, match="node 0 has no table for its child 1"):
         solve(cfg, make_problem(cfg, use=[1]), nice)
+
+
+# -- tie rule beyond brute force ---------------------------------------------
+
+def _banded_tie_instance(seed):
+    """A seeded banded graph of 40-200 nodes, width 3-6, with a few back edges.
+
+    Costs are small, so exact ties are common; about 1 % of edge and node
+    costs are INFINITY, and node costs may be negative.
+    """
+    import random
+    rng = random.Random(f"banded-ties/{seed}")
+    n = rng.randint(40, 200)
+    band = 3 + seed % 4
+    edges = {(i, i + 1) for i in range(n - 1)}
+    for i in range(n):
+        for j in range(i + 2, min(n, i + band + 1)):
+            if rng.random() < 0.5:
+                edges.add((i, j))
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randrange(2, n)
+        edges.add((i, rng.randrange(max(1, i - band), i)))
+    edges = sorted(edges)
+
+    def cost(low, high):
+        return INFINITY if rng.random() < 0.01 else CostVec(rng.randint(low, high),
+                                                            rng.randint(0, 2))
+
+    cfg = Cfg(n, edges, {e: cost(0, 2) for e in edges}, {v: cost(-1, 1) for v in range(n)})
+    interior = list(range(1, n - 1))
+    rng.shuffle(interior)
+    k = len(interior) * 3 // 10
+    problem = make_problem(cfg, interior[:k], interior[k:k + len(interior) // 10])
+    table = {(v, *combo): cost(-1, 1) for v in range(n)
+             for combo in ((b, bl, br) for b in (0, 1) for bl in (0, 1) for br in (0, 1))}
+    allowed = {v: [(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)]
+               for v in range(n) if rng.random() < 0.1}
+    return cfg, problem, table, allowed
+
+
+def _tie_digest():
+    import hashlib
+    records = []
+    for seed in range(60):
+        cfg, problem, table, allowed = _banded_tie_instance(seed)
+        nice = make_nice(decompose(cfg))
+        assert cfg.node_count >= 40 and 3 <= nice.width <= 6, seed
+        for run in (lambda: solve(cfg, problem, nice),
+                    lambda: solve_extended(cfg, problem, nice, lambda *k: table[k],
+                                           allowed_combos=allowed)):
+            try:
+                sol = run()
+            except NoFeasibleSolutionError:
+                records.append("infeasible")
+                continue
+            records.append((sorted(sol.life_set), sorted(sol.calc_set), sol.cost,
+                            sol.transitions, sol.life_left and sorted(sol.life_left),
+                            sol.life_right and sorted(sol.life_right)))
+    return hashlib.sha256(repr(records).encode()).hexdigest()
+
+
+# (life set, calc set, cost, transitions, life_left, life_right) of every
+# solve and solve_extended run in _tie_digest, from the bit-shifting kernel
+# that the index-map kernel must match exactly
+TIE_DIGEST = "113fe345b1dbb55ef13344d37470dfe2d3fda4e3d1fbee45cf34ac881916aaf9"
+
+
+def test_tie_rule_pinned_on_banded_graphs():
+    # above CANONICAL_TIES_MAX_NODES an exact tie at a forget node keeps the
+    # vertex dead; brute force cannot check these sizes, so the reported
+    # optima are pinned
+    assert _tie_digest() == TIE_DIGEST

@@ -1,6 +1,6 @@
 """Time lospre on a size ladder, optionally side by side with another source tree.
 
-    python3 tools/bench.py pipeline|extended|chain [--baseline-src OTHER_CHECKOUT/src] [--out FILE]
+    python3 tools/bench.py pipeline|extended|chain|banded [--baseline-src OTHER_CHECKOUT/src] [--out FILE]
 
 Row families; sizes, seeds and repeats are fixed for each:
 
@@ -13,6 +13,8 @@ Row families; sizes, seeds and repeats are fixed for each:
   nodes with a seeded per-node register-pressure table.
 - ``chain``: ``decompose``, ``make_nice`` and ``solve`` timed per layer on
   chained-diamond graphs of 1k-64k nodes.
+- ``banded``: the same layers on band graphs of width 2, 4 and 6 (the
+  widths of structured programs) and 1k-16k nodes.
 
 Each row is measured in a fresh process per tree (``PYTHONPATH`` set to that
 tree, the two trees alternating which runs first, so a slow phase of the host
@@ -20,10 +22,10 @@ does not land on one side only).  A row holds deterministic ``counts``,
 best-of-N wall-clock ``seconds`` per timed stage with the garbage collector
 off, and a ``digest`` of the output; with a baseline it adds the baseline's
 seconds and counts and ``same_output``.  The loglog slope of each stage's
-seconds against the row size is given per seed and tree.  The times are not
-corrected for host speed and one row cannot resolve a change of a few tens of
-percent: speed claims go through ``perfbench/``, and these rows show counts,
-digests and slopes.
+seconds against the row size is given per seed (per width for ``banded``)
+and tree.  The times are not corrected for host speed and one row cannot
+resolve a change of a few tens of percent: speed claims go through
+``perfbench/``, and these rows show counts, digests and slopes.
 """
 from __future__ import annotations
 
@@ -43,6 +45,7 @@ from typing import Callable, NamedTuple
 PIPELINE_REPEATS = 3
 EXTENDED_REPEATS = 5
 CHAIN_REPEATS = 3
+BANDED_REPEATS = 3
 
 
 def _timed(repeats, *stages):
@@ -148,16 +151,35 @@ def measure_extended(n):
             "digest": _digest(answer)}
 
 
-def measure_chain(n):
+def _banded(width, n):
+    """The band graph i -> j for 1 <= j - i <= width (min-fill finds exactly
+    ``width``) with seeded use and invalidation sets, unit costs."""
+    from lospre.cfg import Cfg, make_problem
+    cfg = Cfg(n, [(i, j) for i in range(n) for j in range(i + 1, min(n, i + width + 1))])
+    interior = list(range(1, n - 1))
+    random.Random(f"banded/{width}/{n}").shuffle(interior)
+    k = 3 * len(interior) // 10
+    return cfg, make_problem(cfg, interior[:k], interior[k:k + len(interior) // 20])
+
+
+def _layers(cfg, problem, repeats):
+    """``decompose``, ``make_nice`` and ``solve`` timed per layer: counts, seconds, digest."""
     from lospre.dp import solve
     from lospre.treedec import decompose, make_nice
 
-    cfg, problem = _chain(n)
-    seconds, (_, nice, sol) = _timed(CHAIN_REPEATS, ("decompose", lambda _: decompose(cfg)),
+    seconds, (_, nice, sol) = _timed(repeats, ("decompose", lambda _: decompose(cfg)),
                                      ("make_nice", make_nice),
                                      ("solve", lambda nice: solve(cfg, problem, nice)))
-    return {"seed": 0, "n": n, "counts": _dp_counts(nice, sol), "seconds": seconds,
+    return {"counts": _dp_counts(nice, sol), "seconds": seconds,
             "digest": _digest(repr((sol.cost, sorted(sol.life_set))))}
+
+
+def measure_chain(n):
+    return {"seed": 0, "n": n, **_layers(*_chain(n), CHAIN_REPEATS)}
+
+
+def measure_banded(width, n):
+    return {"width": width, "n": n, **_layers(*_banded(width, n), BANDED_REPEATS)}
 
 
 class Family(NamedTuple):
@@ -167,6 +189,7 @@ class Family(NamedTuple):
     x: str              # the row field the slopes are taken against
     rows: list          # the arguments of ``measure``, one tuple per row
     measure: Callable
+    group: str = "seed"  # the row field that splits the rows into slope series
 
 
 FAMILIES = {
@@ -188,6 +211,13 @@ FAMILIES = {
         "chained-diamonds seed 0, unit costs",
         f"best of {CHAIN_REPEATS} per stage and for the total, gc off", "n",
         [(n,) for n in (1024, 2048, 4096, 8192, 16384, 32768, 65536)], measure_chain),
+    "banded": Family(
+        "treedec.decompose, treedec.make_nice, dp.solve",
+        "band graphs i -> j for 1 <= j - i <= width, use and invalidation sets "
+        "seeded per row, unit costs",
+        f"best of {BANDED_REPEATS} per stage and for the total, gc off", "n",
+        [(w, n) for w in (2, 4, 6) for n in (1024, 2048, 4096, 8192, 16384)],
+        measure_banded, "width"),
 }
 
 
@@ -235,11 +265,11 @@ def main():
                    same_output=old["digest"] == row["digest"])
         rows.append(row)
     slopes = {}
-    for seed in dict.fromkeys(r["seed"] for r in rows):
-        mine = [r for r in rows if r["seed"] == seed]
-        slopes[str(seed)] = {"seconds": loglog_slopes(mine, family.x, "seconds")}
+    for value in dict.fromkeys(r[family.group] for r in rows):
+        mine = [r for r in rows if r[family.group] == value]
+        slopes[str(value)] = {"seconds": loglog_slopes(mine, family.x, "seconds")}
         if args.baseline_src:
-            slopes[str(seed)]["baseline_s"] = loglog_slopes(mine, family.x, "baseline_s")
+            slopes[str(value)]["baseline_s"] = loglog_slopes(mine, family.x, "baseline_s")
     report = {"family": args.family, "layer": family.layer, "instances": family.instances,
               "timing": family.timing + "; wall clock, no host-speed correction",
               "python": platform.python_version(), "cpu_count": os.cpu_count(),

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .cost import CostVec, ZERO, format_cost, parse_cost
+from .cost import CostVec, format_cost, parse_cost, sum_costs
 from .errors import CfgError, GraphFormatError
 
 Edge = tuple[int, int]
@@ -74,8 +74,9 @@ class Cfg:
                     raise CfgError(f"cost given for unknown node {v}")
                 self.node_cost[v] = c
         self.source = sources[0]
-        self._succ = tuple(tuple(s) for s in succ)
-        self._pred = tuple(tuple(p) for p in pred)
+        # tuple(list): tuple(generator) resizes, so small ones pile up on free lists
+        self._succ = tuple([tuple(s) for s in succ])
+        self._pred = tuple([tuple(p) for p in pred])
         self._sinks = frozenset(v for v in range(node_count) if not succ[v])
 
     def successors(self, v: int) -> tuple:
@@ -214,12 +215,8 @@ def min_calc_count(cfg: Cfg, problem: ExprProblem, limit: int) -> int:
 def total_cost(cfg: Cfg, problem: ExprProblem, life: Iterable[int]) -> CostVec:
     """Objective value of a life set: edge costs over calc_set plus node costs over life."""
     life = frozenset(life)
-    total = ZERO
-    for e in calc_set(cfg, problem, life):
-        total = total + cfg.edge_cost[e]
-    for v in life:
-        total = total + cfg.node_cost[v]
-    return total
+    return sum_costs([cfg.edge_cost[e] for e in calc_set(cfg, problem, life)] +
+                     [cfg.node_cost[v] for v in life])
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +227,9 @@ def total_cost(cfg: Cfg, problem: ExprProblem, life: Iterable[int]) -> CostVec:
 #   edge <from> <to> c=<cost>
 #   problem use=<ids> invalidate=<ids>
 #
-# Costs are written as [p,s] or inf; id lists are comma separated and may be
-# empty.  '#' starts a comment.  Unlisted nodes default to l=[0,1], edges
-# default to c=[1,0].
+# Costs are written as [p,s] or inf, and edge costs are at least [0,0]; id
+# lists are comma separated and may be empty.  '#' starts a comment.
+# Unlisted nodes default to l=[0,1], edges default to c=[1,0].
 
 
 def _parse_ids(text: str, line: int) -> list:
@@ -289,7 +286,7 @@ def load_cfg(text: str):
                 raise GraphFormatError("expected 'edge <from> <to> c=<cost>'", lineno)
             try:
                 u, v = int(parts[1]), int(parts[2])
-                cost = parse_cost(parts[3][2:])
+                cost = parse_cost(parts[3][2:], edge=True)
             except ValueError as exc:
                 raise GraphFormatError(str(exc), lineno)
             if not (0 <= u < node_count and 0 <= v < node_count):

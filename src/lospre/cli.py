@@ -12,18 +12,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 from pathlib import Path
 
 from . import ir as irmod
-from .cfg import DEFAULT_EDGE_COST, dump_dot, load_cfg, min_calc_count
+from .cfg import (DEFAULT_EDGE_COST, Cfg, calc_set, dump_dot, load_cfg, make_problem,
+                  min_calc_count, total_cost)
+from .cost import ZERO
 from .dp import eliminated_count, format_solution, solve
-from .errors import GraphFormatError, IrParseError, LospreError, WidthExceededError
+from .errors import (GraphFormatError, IrParseError, LospreError, NoFeasibleSolutionError,
+                     WidthExceededError)
 from .oracle import (BRUTE_LOSPRE_MAX_NODES, BRUTE_SAFETY_FIXPOINT_MAX_NODES,
                      BRUTE_SAFETY_MAX_NODES, STYLES, InstanceGenerator, brute_lospre,
                      brute_safety, brute_safety_fixpoint, generate)
 from .safety import apply_safety, solve_safety
-from .treedec import decompose, dump_dot_treedec, make_nice, subdivide
+from .treedec import decompose, dump_dot_treedec, make_nice
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -121,15 +125,64 @@ def _report(failures: list) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
-def _decomposition(cfg, td, step, max_width: int):
-    """A decomposition of ``cfg``: the last pass's ``td`` patched through
-    ``step``, or, without a step or when the patch is wider than
-    ``max_width``, a fresh one."""
-    if step is not None:
-        patched = subdivide(cfg, td, step.node_map, step.inserted)
-        if patched.width <= max_width:
-            return patched
-    return decompose(cfg)
+def _use_region(cfg, problem):
+    """The problem on its use region B: ``(region cfg, its problem, B, constant)``.
+
+    B, in ``cfg``'s id order (region node i is ``B[i]``), is the uses and
+    every node that reaches one without passing an invalidating node, or
+    every node when a cost is below [0,0].  With costs of at least [0,0]
+    the least optimal life set lies in B, so an edge leaving B is never a
+    calculation edge.  An edge entering B comes from an invalidating node:
+    into a use it is a calculation edge under every life set, and its cost
+    joins ``constant``; else its cost joins its head's node cost.  A node of
+    B with no predecessor in B gets a zero-cost self-loop, and the region's
+    source is one more node, isolated.
+    """
+    use, inv = problem.use_set, problem.invalidation_set
+    if any(c.primary < 0 or c.primary == 0 and c.secondary < 0
+           for c in chain(cfg.node_cost.values(), cfg.edge_cost.values())):
+        region = range(cfg.node_count)
+    else:
+        found, stack = set(use), list(use)
+        while stack:
+            for p in cfg.predecessors(stack.pop()):
+                if p not in found and p not in inv:
+                    found.add(p)
+                    stack.append(p)
+        region = sorted(found)
+    index = {v: i for i, v in enumerate(region)}
+    edge_cost, node_cost, constant = {}, {}, ZERO
+    for i, v in enumerate(region):
+        cost, entered = cfg.node_cost[v], False
+        for p in cfg.predecessors(v):
+            c = cfg.edge_cost[(p, v)]
+            if p in index:
+                edge_cost[(index[p], i)] = c
+                entered = True
+            elif v in use:
+                constant = constant + c
+            else:
+                cost = cost + c
+        node_cost[i] = cost
+        if not entered:
+            edge_cost[(i, i)] = ZERO
+    region_cfg = Cfg(len(region) + 1, edge_cost, edge_cost, node_cost)
+    region_problem = make_problem(region_cfg, [index[u] for u in use],
+                                  [i for i, v in enumerate(region) if v in inv])
+    return region_cfg, region_problem, region, constant
+
+
+def _lift(cfg, problem, region, constant, part):
+    """``part``, a solution of the region problem, as one of ``problem`` on
+    ``cfg``: its life set in ``cfg`` ids, calculation set and cost recomputed."""
+    life = frozenset(region[v] for v in part.life_set)
+    cost = total_cost(cfg, problem, life)
+    if cost.infinite:
+        # an infinite edge from an invalidating node into a use
+        raise NoFeasibleSolutionError("no feasible solution: all assignments have infinite cost")
+    if cost != part.cost + constant:
+        raise LospreError("internal error: region cost disagrees with recomputed objective")
+    return replace(part, life_set=life, calc_set=calc_set(cfg, problem, life), cost=cost)
 
 
 def _carries(verdict, problem, node_map) -> bool:
@@ -154,26 +207,24 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     records a verdict mismatch if it gains); otherwise every candidate is
     solved, so an infeasible one fails.
 
-    A run decomposes once: the first pass that solves decomposes its graph,
-    and a later pass that solves patches that decomposition through the
-    rewrite in between (``treedec.subdivide``).  A "cannot gain" verdict
-    carries to the next pass, which skips safety and the cut, when the
-    candidate's key comes back with derived use and invalidation sets equal
-    to the verdict's mapped through the rewrite: every new node then lies
-    outside both sets, and subdividing an edge with such a node keeps the
-    minimum cut, enlarged or not.  A pass whose graph is not the last one
-    subdivided (a fake edge moved) decomposes afresh and carries nothing.
-    A patch wider than --max-width gives way to a fresh decomposition
-    before the width guard (exit 3) refuses.  The guard never refuses a
-    solve that only --verify makes: above it such a verdict is checked by
-    brute force on graphs of at most VERIFY_MAX_NODES nodes, and reported
-    "unchecked" on stderr on larger ones.
+    Each solve decomposes and solves the candidate's use region
+    (``_use_region``) and recomputes calculation set and cost on the whole
+    graph; the optimum is the least optimal life set either way.  The width
+    guard (exit 3) reads the region's width, and never refuses a solve only
+    --verify makes: brute force checks such a verdict on graphs of at most
+    VERIFY_MAX_NODES nodes, and stderr reports it "unchecked" on larger
+    ones.  A "cannot gain" verdict carries to the next pass, which skips
+    safety and the cut, when the candidate's key comes back with derived
+    use and invalidation sets equal to the verdict's mapped through the
+    rewrite: every new node then lies outside both sets, and subdividing an
+    edge with such a node keeps the minimum cut, enlarged or not.  A pass
+    whose graph is not the last one subdivided (a fake edge moved) carries
+    nothing.
     """
     applied = []
     verify_failures = []
     passes = 0
     pass_limit = 2 * len(program.instructions) + 8
-    td = None                    # decomposition of the last pass that solved
     last_cfg = last_step = None  # graph and rewrite of the last pass
     verdicts = {}                # candidate key -> (use, invalidation) that cannot gain
     while passes < pass_limit:
@@ -182,7 +233,6 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
         step = None
         if last_step is not None and last_step.subdivided_edges(last_cfg) == cfg.edges:
             step = last_step
-        nice = None  # decomposed when the pass first solves
         certify = cfg.has_finite_costs()
         carried, verdicts = (verdicts if certify and step is not None else {}), {}
         safety_oracle = _safety_oracle(cfg) if config.verify else None
@@ -212,11 +262,11 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
                 if not config.verify:
                     continue
                 cannot_gain = True
-            if nice is None:
-                td = _decomposition(cfg, td, step, config.max_width)
-                nice = make_nice(td)
+            region_cfg, region_problem, region, constant = _use_region(cfg, problem)
+            nice = make_nice(decompose(region_cfg))
             if nice.width <= config.max_width:
-                solution = solve(cfg, problem, nice, max_width=config.max_width)
+                part = solve(region_cfg, region_problem, nice, max_width=config.max_width)
+                solution = _lift(cfg, problem, region, constant, part)
                 if config.verify:
                     verify_failures.extend(
                         _verify_solution(cfg, problem, candidate.display(), solution))

@@ -53,15 +53,24 @@ INFINITY = CostVec(infinite=True)
 _COST_RE = re.compile(r"\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]$")
 
 
-def parse_cost(text: str) -> CostVec:
-    """Parse ``inf`` or ``[primary,secondary]``."""
+def sum_costs(costs: list) -> CostVec:
+    """The sum of ``costs``: one CostVec built from integer component sums."""
+    return INFINITY if any(c.infinite for c in costs) else \
+        CostVec(sum(c.primary for c in costs), sum(c.secondary for c in costs))
+
+
+def parse_cost(text: str, *, edge: bool = False) -> CostVec:
+    """Parse ``inf`` or ``[primary,secondary]``; an ``edge`` cost below [0,0] is refused."""
     text = text.strip()
     if text == "inf":
         return INFINITY
     m = _COST_RE.match(text)
     if m is None:
         raise ValueError(f"malformed cost {text!r}: expected 'inf' or '[p,s]'")
-    return CostVec(int(m.group(1)), int(m.group(2)))
+    cost = CostVec(int(m.group(1)), int(m.group(2)))
+    if edge and cost < ZERO:
+        raise ValueError(f"edge cost {text!r} is below [0,0]: an edge cost counts computations")
+    return cost
 
 
 def format_cost(c: CostVec) -> str:

@@ -27,14 +27,14 @@ up front and hands the kernel the resulting (dead, live) cost pair.
 Costs are exact integers of any size.  Each solve maps its own costs to
 one integer key (``cost_keys``), so the tables hold plain integers that
 add with ``+`` and compare with ``<`` exactly as the cost pairs do, however
-large the pairs are.  One tie rule picks the reported optimum among
-equal-cost ones, for both solvers.  On graphs of at most
-``CANONICAL_TIES_MAX_NODES`` nodes, small enough to compare against brute
-force, an extra low-order key (2**(n-1-v) per live vertex v) makes the
-life set the lexicographic minimum among optimal ones, scanning vertex
-ids upward and preferring dead; on larger graphs an exact tie at a forget
-node keeps the vertex dead.  ``solve_extended`` then gives every node the
-lowest permitted (bl, br) pair of minimum cost for its value bit.
+large the pairs are.  One tie rule, for both solvers and every
+decomposition, reports the least optimal life set: keys are shifted left
+by ``n.bit_length()`` bits and each live vertex adds 1, so the tables
+minimize the cost, then the live count.  Edge costs are at least [0,0] (the
+parsers reject others), so the objective is submodular and the optimal life
+sets are closed under intersection; theirs is the one optimum of fewest
+live vertices, and the lexicographic minimum.  ``solve_extended`` then gives
+every node the lowest permitted (bl, br) pair of minimum cost for its value bit.
 """
 from __future__ import annotations
 
@@ -43,14 +43,10 @@ from operator import add, lt
 from typing import Callable, Optional
 
 from .cfg import Cfg, ExprProblem, calc_set, total_cost, validate_problem
-from .cost import INFINITY, ZERO, CostVec, format_cost
+from .cost import INFINITY, ZERO, CostVec, format_cost, sum_costs
 from .errors import (DecompositionError, LospreError, NoFeasibleSolutionError,
                      WidthExceededError)
 from .treedec import INTRODUCE, JOIN, LEAF, NiceTreeDec
-
-# The canonical tie key adds one low-order bit per graph node to every table
-# entry, so beyond this size it is off; only the optimum reported changes.
-CANONICAL_TIES_MAX_NODES = 24
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,7 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
     use = problem.use_set
     inv = problem.invalidation_set
     n = cfg.node_count
-    shift = n if n <= CANONICAL_TIES_MAX_NODES else 0
+    shift = n.bit_length()  # room for the live count below the cost
     key, bound = cost_keys(list(cfg.edge_cost.values()) + dead_costs + live_costs)
     # every entry is the key sum of one assignment, so it is infinite iff >= inf
     inf = bound << shift
@@ -222,9 +218,7 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
             shape = ("forget", k, child_bag.index(v))
             dead_idx, live_idx = pair = maps.get(shape) or _index_map(maps, shape)
             dead = key(dead_costs[v]) << shift
-            live = key(live_costs[v]) << shift
-            if shift:
-                live += 1 << (n - 1 - v)
+            live = (key(live_costs[v]) << shift) + 1
             d = [child[g] + dead for g in dead_idx] if dead else [child[g] for g in dead_idx]
             lv = [child[g] + live for g in live_idx]
             # an exact tie keeps the vertex dead
@@ -330,7 +324,7 @@ def solve_extended(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec,
 
     chosen = [picks[v][v in life] for v in range(n)]
     cset = calc_set(cfg, problem, life)
-    cost = sum([cfg.edge_cost[e] for e in cset] + [rows[v][d] for v, d in enumerate(chosen)], ZERO)
+    cost = sum_costs([cfg.edge_cost[e] for e in cset] + [rows[v][d] for v, d in enumerate(chosen)])
     _check_optimum(key, cost, root_key)
     return LospreSolution(life_set=life, calc_set=cset, cost=cost,
                           life_left=frozenset(v for v in range(n) if chosen[v] & 2),

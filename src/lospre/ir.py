@@ -13,7 +13,8 @@ Grammar, one instruction per line, tokens whitespace-separated except that
     [label:] ret
 
 ``#`` starts a comment.  Cost directives override the defaults used when
-extracting a graph (``[p,s]`` or ``inf`` syntax)::
+extracting a graph (``[p,s]`` or ``inf`` syntax; an edge cost below [0,0]
+is a parse error)::
 
     !edgecost [p,s]            default cost of every edge
     !edgecost L1 L2 [p,s]      cost of the edge between two labeled instructions
@@ -175,9 +176,9 @@ def _parse_directive(line: str, lineno: int, program: Program) -> None:
     parts = line.split()
     try:
         if parts[0] == "!edgecost" and len(parts) == 2:
-            program.default_edge_cost = parse_cost(parts[1])
+            program.default_edge_cost = parse_cost(parts[1], edge=True)
         elif parts[0] == "!edgecost" and len(parts) == 4:
-            program.edge_cost_overrides[(parts[1], parts[2])] = parse_cost(parts[3])
+            program.edge_cost_overrides[(parts[1], parts[2])] = parse_cost(parts[3], edge=True)
         elif parts[0] == "!nodecost" and len(parts) == 2:
             program.default_node_cost = parse_cost(parts[1])
         elif parts[0] == "!nodecost" and len(parts) == 3:

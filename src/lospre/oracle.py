@@ -6,11 +6,11 @@ code with the solver modules beyond the objective definition itself
 vectorized restatement of the objective, and the reported optimum is
 re-validated through ``total_cost`` before being returned.
 
-Tie-breaking matches the solvers' one tie rule on the graphs the oracles
-accept (at most 20 nodes, where the solvers' canonical key is on), so whole
-solutions, not just costs, are comparable: among equal-cost assignments,
-scan node ids upward and prefer the dead state (lexicographically smallest
-bit string), and give each node the lowest permitted (bl, br) pair of
+Tie-breaking matches the solvers' one tie rule, so whole solutions, not
+just costs, are comparable: among equal-cost assignments, scan node ids
+upward and prefer the dead state (lexicographically smallest bit string),
+which with edge costs of at least [0,0] is the least optimal life set the
+solvers report, and give each node the lowest permitted (bl, br) pair of
 minimum cost for its value bit.
 """
 from __future__ import annotations

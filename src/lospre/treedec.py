@@ -14,8 +14,7 @@ and the heap minimum is the least current (fill, degree, id).  The
 solvers are correct for any valid decomposition, so the heuristic only
 affects table sizes, never results.  ``make_nice`` converts to a rooted
 form with empty root and leaf bags and only introduce/forget/join steps,
-preserving the width exactly.  ``subdivide`` carries a decomposition
-through a rewrite that subdivides edges, so a pipeline run decomposes once.
+preserving the width exactly.
 """
 from __future__ import annotations
 
@@ -153,31 +152,6 @@ def decompose(cfg: Cfg) -> TreeDec:
     if problem is not None:
         raise DecompositionError(f"internal error: heuristic produced an invalid decomposition: {problem}")
     return td
-
-
-def subdivide(cfg: Cfg, td: TreeDec, node_map, inserted: dict) -> TreeDec:
-    """``td`` carried through a subdivision of its graph into ``cfg``.
-
-    Bags are relabelled by ``node_map`` (old id -> new id).  Each edge (u, v)
-    of ``inserted``, in old ids, became the path u, w1, ..., wk, v: the bags
-    {u, v, w1}, {w1, v, w2}, ..., {wk-1, v, wk} hang in a chain off a bag
-    that holds u and v, so the width becomes at most max(width, 2).  The
-    result is checked against ``cfg`` as ``decompose`` checks its own.
-    """
-    bags = [frozenset([node_map[v] for v in bag]) for bag in td.bags]
-    edges = list(td.edges)
-    for (u, v), path in sorted(inserted.items()):
-        u, v = node_map[u], node_map[v]
-        host = next(i for i, bag in enumerate(bags) if u in bag and v in bag)
-        for w in path:
-            bags.append(frozenset((u, v, w)))
-            edges.append((host, len(bags) - 1))
-            host, u = len(bags) - 1, w
-    patched = TreeDec(bags=bags, edges=edges)
-    problem = validate(cfg, patched)
-    if problem is not None:
-        raise DecompositionError(f"internal error: patched decomposition is invalid: {problem}")
-    return patched
 
 
 def validate(cfg: Cfg, td: TreeDec) -> Optional[str]:

@@ -72,6 +72,24 @@ def test_parse_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_edge_costs_below_zero_are_parse_errors(tmp_path, capsys):
+    # an edge cost counts computations; the tie rule needs it at least [0,0]
+    src = tmp_path / "f.ir"
+    for directive in ("!edgecost [0,-1]", "!edgecost [-1,5]", "!edgecost A B [-1,0]"):
+        src.write_text(f"{directive}\nA: x = a + b\nB: y = a + b\nret\n")
+        assert main(["run", str(src)]) == EXIT_PARSE
+        assert "is below [0,0]" in capsys.readouterr().err
+    graph = tmp_path / "g.graph"
+    graph.write_text("cfg 2\nedge 0 1 c=[0,-1]\nproblem use=1 invalidate=\n")
+    assert main(["graph", str(graph)]) == EXIT_PARSE
+    assert "line 2" in capsys.readouterr().err
+    # node costs may be negative, and edge costs zero or infinite
+    src.write_text("!nodecost [-2,0]\n!edgecost [0,0]\n!edgecost A B inf\n"
+                   "A: x = a + b\nB: y = a + b\nret\n")
+    assert main(["run", str(src)]) == EXIT_OK
+    capsys.readouterr()
+
+
 def test_width_guard_exit_code(tmp_path, capsys):
     src = tmp_path / "g.graph"
     src.write_text("cfg 5\nedge 0 1 c=[1,0]\nedge 1 2 c=[1,0]\nedge 1 3 c=[1,0]\n"
@@ -430,16 +448,16 @@ def test_width_guard_fires_only_on_a_pass_that_solves(tmp_path, capsys):
 
 def test_verify_keeps_the_plain_runs_width_guard(tmp_path, capsys):
     # the plain run solves nothing, so it never decomposes; --verify solves
-    # the single a + b to check its "cannot gain" verdict on a width-2
-    # graph, which must not trip --max-width 1
+    # the single a + b to check its "cannot gain" verdict on its use region,
+    # the diamond above J of width 2, which must not trip --max-width 1
     src = tmp_path / "f.ir"
-    src.write_text("if c goto L\nx = a + b\ngoto J\nL: x = 2\nJ: ret\n")
+    diamond = "if c goto L\nt = 1\ngoto J\nL: t = 2\nJ: x = a + b\nret\n"
+    src.write_text(diamond)
     for extra in ([], ["--verify"]):
         assert main(["run", str(src), "--max-width", "1"] + extra) == EXIT_OK
         assert capsys.readouterr().err == ""
     # above VERIFY_MAX_NODES brute force cannot check it: it is reported
-    src.write_text("if c goto L\nx = a + b\ngoto J\nL: x = 2\nJ: ret\n".replace(
-        "J: ret", "J: y = 0\n" + "y = y + 1\n" * 12 + "ret"))
+    src.write_text(diamond.replace("ret", "y = 0\n" + "y = y + 1\n" * 12 + "ret"))
     assert main(["run", str(src), "--max-width", "1", "--verify"]) == EXIT_OK
     err = capsys.readouterr().err
     assert "unchecked: width 2 > --max-width 1 for a + b" in err

@@ -258,8 +258,8 @@ def test_extended_allowed_combos_hook():
 def test_extended_tie_rule_does_not_depend_on_graph_size():
     # every cost is zero.  Node 1 ties between dead with the left operand
     # live, (0, 1, 0), and live with both operands dead, (1, 0, 0); node 2
-    # ties between (0, 0, 1) and (0, 1, 0).  Above 24 nodes the canonical
-    # key is off, and the reported optimum must not change with it
+    # ties between (0, 0, 1) and (0, 1, 0).  The reported optimum must not
+    # change with the graph's size
     allowed = {1: [(0, 1, 0), (1, 0, 0)], 2: [(0, 0, 1), (0, 1, 0)]}
     zero = lambda v, b, bl, br: CostVec(0, 0)
     for n in (4, 30):
@@ -501,7 +501,73 @@ TIE_DIGEST = "113fe345b1dbb55ef13344d37470dfe2d3fda4e3d1fbee45cf34ac881916aaf9"
 
 
 def test_tie_rule_pinned_on_banded_graphs():
-    # above CANONICAL_TIES_MAX_NODES an exact tie at a forget node keeps the
-    # vertex dead; brute force cannot check these sizes, so the reported
-    # optima are pinned
+    # brute force cannot check these sizes, so the reported optima (the
+    # least optimal life sets) are pinned
     assert _tie_digest() == TIE_DIGEST
+
+
+def _relabelled_decomposition(cfg, seed):
+    """Min-fill run on ``cfg`` with its node ids shuffled, mapped back: a
+    decomposition of ``cfg`` from another elimination order."""
+    import random
+    from lospre.treedec import TreeDec, validate
+    new_id = list(range(cfg.node_count))
+    random.Random(seed).shuffle(new_id)
+    old_id = sorted(range(cfg.node_count), key=new_id.__getitem__)
+    td = decompose(Cfg(cfg.node_count, [(new_id[u], new_id[v]) for (u, v) in cfg.edges]))
+    td = TreeDec(bags=[frozenset(old_id[w] for w in bag) for bag in td.bags], edges=td.edges)
+    assert validate(cfg, td) is None
+    return td
+
+
+def test_tie_rule_does_not_depend_on_the_decomposition():
+    # the least optimal life set is one set, so min-fill and another
+    # elimination order report the same optimum, on ties too
+    import random
+    instances = [_banded_tie_instance(seed)[:2] for seed in range(30)]
+    for seed in range(40):
+        style = ("series-parallel", "chained-diamonds")[seed % 2]
+        cfg, problem = generate(InstanceGenerator(seed=seed, node_range=(28, 200), style=style))
+        rng = random.Random(seed)
+        node_cost = {v: CostVec(0, rng.randint(0, 1)) for v in range(cfg.node_count)}
+        cfg = Cfg(cfg.node_count, cfg.edges, node_cost=node_cost)
+        instances.append((cfg, make_problem(cfg, problem.use_set, problem.invalidation_set)))
+    differ = 0
+    for seed, (cfg, problem) in enumerate(instances):
+        assert 25 <= cfg.node_count <= 200
+        min_fill, other = decompose(cfg), _relabelled_decomposition(cfg, seed)
+        differ += min_fill.bags != other.bags
+        try:
+            a = solve(cfg, problem, make_nice(min_fill))
+        except NoFeasibleSolutionError:
+            with pytest.raises(NoFeasibleSolutionError):
+                solve(cfg, problem, make_nice(other))
+            continue
+        b = solve(cfg, problem, make_nice(other))
+        assert (a.life_set, a.calc_set, a.cost) == (b.life_set, b.calc_set, b.cost), seed
+    assert differ >= 60
+
+
+def test_reported_life_set_is_the_least_optimal_one():
+    # every optimal life set contains it, found by enumerating all of them
+    from itertools import combinations
+    import random
+    ties = 0
+    for seed in range(150):
+        style = STYLES[seed % 3]
+        cfg, problem = generate(InstanceGenerator(seed=seed, node_range=(4, 8), style=style,
+                                                  cost_style=("unit", "random")[seed % 2]))
+        rng = random.Random(seed)
+        # negative node costs, free nodes (many ties), or the generator's
+        node_cost = {v: (CostVec(rng.randint(-1, 1), rng.randint(-1, 1)),
+                         CostVec(0, rng.randint(0, 1)), cfg.node_cost[v])[seed // 3 % 3]
+                     for v in range(cfg.node_count)}
+        cfg = Cfg(cfg.node_count, cfg.edges, cfg.edge_cost, node_cost)
+        sol = solved(cfg, problem)
+        nodes = range(cfg.node_count)
+        optimal = [set(life) for k in range(cfg.node_count + 1)
+                   for life in combinations(nodes, k)
+                   if total_cost(cfg, problem, life) == sol.cost]
+        assert all(sol.life_set <= life for life in optimal), seed
+        ties += len(optimal) > 1
+    assert ties >= 40, ties

@@ -6,9 +6,10 @@ Row families; sizes, seeds and repeats are fixed for each:
 
 - ``pipeline``: ``run_pipeline(parse_ir(text), RunConfig())`` on
   ``generate_program_text(seed, max_statements=size)``, seeds 0 and 7, sizes
-  25 to 800.  One counting run records passes, rewrites and the ``solve``,
+  25 to 800.  One counting run records passes, rewrites, the ``solve``,
   ``decompose``, ``min_calc_count`` and ``solve_safety`` calls (0 where a
-  tree has no such function); the timed runs follow.
+  tree has no such function) and ``region_nodes``, the nodes of the graphs
+  decomposed; the timed runs follow.
 - ``extended``: ``solve_extended`` alone on chained-diamond graphs of 1k-16k
   nodes with a seeded per-node register-pressure table.
 - ``chain``: ``decompose``, ``make_nice`` and ``solve`` timed per layer on
@@ -96,7 +97,7 @@ def measure_pipeline(seed, size):
     from lospre.oracle import generate_program_text
 
     text = generate_program_text(seed, max_statements=size)
-    counts = dict.fromkeys(("passes", "rewrites", "solves", "decompositions",
+    counts = dict.fromkeys(("passes", "rewrites", "solves", "decompositions", "region_nodes",
                             "certificate_calls", "safety_calls"), 0)
     counted = {"solve": "solves", "decompose": "decompositions",
                "min_calc_count": "certificate_calls", "solve_safety": "safety_calls"}
@@ -105,6 +106,8 @@ def measure_pipeline(seed, size):
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             counts[counted[name]] += 1
+            if name == "decompose":
+                counts["region_nodes"] += args[0].node_count
             return fn(*args, **kwargs)
         return wrapper
 

@@ -3,14 +3,19 @@
 ``decompose`` runs a greedy minimum-fill elimination ordering (minimum
 degree, then lowest id as tie-breakers), which is deterministic and gives
 small widths on the sparse graphs produced from structured programs.
-Keys are kept up to date incrementally, with the same order as
-recomputing every key at every step: eliminating v removes v's edges and
-adds fill edges among N(v), so only the degree and fill of N(v) change,
-plus the fill of the common neighbours of each new fill edge (a vertex
-outside N(v) keeps its neighbours and gains an edge among them exactly
-when it is adjacent to both ends of a fill edge).  Each vertex's current
-key is stored, a heap entry that differs from it is stale and skipped,
-and the heap minimum is the least current (fill, degree, id).  The
+Keys are kept exact from two counts per vertex, its degree d and tri, the
+number of edges among its neighbours, with fill = d(d-1)/2 - tri; no fill
+is ever recomputed.  Eliminating v first adds each fill edge (a, b) among
+N(v): with c = |N(a) & N(b)| at that moment, tri[a] and tri[b] gain c and
+every common neighbour gains 1.  N(v) is then a clique, so removing v
+costs each neighbour one degree and d(v) - 1 triangles.  Only those
+vertices get a new key.  Each vertex's current key is stored, a heap
+entry that differs from it is stale and skipped, and the heap minimum is
+the least current (fill, degree, id): the order is the one recomputing
+every key at every step gives.  ``validate`` probes each edge in the
+last bag of either endpoint first, which holds it whenever the bags are
+numbered children first, as both ``decompose`` and ``make_nice`` number
+them, and searches every bag only when that probe misses.  The
 solvers are correct for any valid decomposition, so the heuristic only
 affects table sizes, never results.  ``make_nice`` converts to a rooted
 form with empty root and leaf bags and only introduce/forget/join steps,
@@ -20,7 +25,9 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .cfg import Cfg
@@ -34,7 +41,7 @@ JOIN = "join"
 
 @dataclass
 class TreeDec:
-    """An unrooted tree of bags; ``edges`` connect indices into ``bags``."""
+    """An unrooted tree of frozenset bags; ``edges`` connect indices into ``bags``."""
 
     bags: list
     edges: list
@@ -96,18 +103,12 @@ def _undirected_adjacency(cfg: Cfg) -> list:
     return adj
 
 
-def _fill_in(adj, v) -> int:
-    """Missing edges among v's neighbours: C(d,2) minus the edges between them."""
-    nb = adj[v]
-    d = len(nb)
-    return d * (d - 1) // 2 - sum(len(adj[a] & nb) for a in nb) // 2
-
-
 def decompose(cfg: Cfg) -> TreeDec:
     """Heuristic tree-decomposition of the underlying undirected graph."""
     n = cfg.node_count
     adj = _undirected_adjacency(cfg)
-    key = [(_fill_in(adj, v), len(adj[v])) for v in range(n)]   # None once eliminated
+    tri = [sum(len(adj[a] & nb) for a in nb) // 2 for nb in adj]   # edges among N(v)
+    key = [(len(nb) * (len(nb) - 1) // 2 - t, len(nb)) for nb, t in zip(adj, tri)]
     heap = [(fill, deg, v) for v, (fill, deg) in enumerate(key)]
     heapq.heapify(heap)
     order = []
@@ -117,33 +118,42 @@ def decompose(cfg: Cfg) -> TreeDec:
         if key[v] != (fill, deg):
             continue  # stale entry: v was eliminated or its key changed
         order.append(v)
-        elim_bags.append(frozenset(adj[v]) | {v})
+        nbv = adj[v]   # kept as v's neighbourhood at its elimination
+        elim_bags.append(frozenset(nbv) | {v})
         key[v] = None
-        nb = sorted(adj[v])
-        added = []
+        nb = sorted(nbv)
+        touched = set(nb)
         for i, a in enumerate(nb):
-            adj[a].discard(v)
-            for b in nb[i + 1:]:
-                if b not in adj[a]:
-                    adj[a].add(b)
+            # N(v) ends a clique, so a loses v and v's deg - 1 edges into N(a)
+            adj_a = adj[a]
+            adj_a.discard(v)
+            tri[a] -= deg - 1
+            for b in nb[i + 1:] if fill else ():
+                if b not in adj_a:
+                    # fill edge (a, b) closes a triangle with each common
+                    # neighbour: those in both sets, and v, which a has dropped
+                    common = adj_a & adj[b]
+                    tri[a] += len(common) + 1
+                    tri[b] += len(common) + 1
+                    for w in common:
+                        tri[w] += 1
+                    touched |= common
+                    adj_a.add(b)
                     adj[b].add(a)
-                    added.append((a, b))
-        adj[v] = set()
-        dirty = set(nb)
-        for a, b in added:
-            dirty |= adj[a] & adj[b]
-        for u in dirty:
-            k = (_fill_in(adj, u), len(adj[u]))
+        for u in touched:
+            d = len(adj[u])
+            k = (d * (d - 1) // 2 - tri[u], d)
             if k != key[u]:
                 key[u] = k
-                heapq.heappush(heap, (k[0], k[1], u))
+                heapq.heappush(heap, (k[0], d, u))
 
-    position = {v: i for i, v in enumerate(order)}
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
     edges = []
-    for i, bag in enumerate(elim_bags):
-        later = [position[u] for u in bag if position[u] > i]
-        if later:
-            edges.append((i, min(later)))
+    for i, v in enumerate(order):
+        if adj[v]:   # link to the bag of the first of v's neighbours to go
+            edges.append((i, min(map(position.__getitem__, adj[v]))))
         elif i + 1 < n:
             # isolated elimination bag: chain to the next one to keep a tree
             edges.append((i, i + 1))
@@ -160,30 +170,24 @@ def validate(cfg: Cfg, td: TreeDec) -> Optional[str]:
     The returned message names the first violated condition and a witness.
     """
     n = cfg.node_count
-    occurrences = [[] for _ in range(n)]
-    for b_idx, bag in enumerate(td.bags):
-        for v in bag:
-            occurrences[v].append(b_idx)
+    bags = td.bags
+    last = {}
+    for i, bag in enumerate(bags):
+        last.update(dict.fromkeys(bag, i))
     for v in range(n):
-        if not occurrences[v]:
+        if v not in last:
             return f"node coverage violated: vertex {v} is in no bag"
     for (u, v) in cfg.edges:
-        a, b = (u, v) if len(occurrences[u]) <= len(occurrences[v]) else (v, u)
-        if not any(b in td.bags[b_idx] for b_idx in occurrences[a]):
+        # the top of the endpoint subtree that lies lower holds the edge
+        if (v not in bags[last[u]] and u not in bags[last[v]]
+                and not any(u in bag and v in bag for bag in bags)):
             return f"edge coverage violated: edge ({u}, {v}) has no common bag"
     # occurrence subtrees are connected iff, per vertex, occurrences minus
     # tree edges joining two occurrences equals one
-    occ_count = [0] * n
-    for bag in td.bags:
-        for v in bag:
-            occ_count[v] += 1
-    link_count = [0] * n
-    for (a, b) in td.edges:
-        for v in td.bags[a]:
-            if v in td.bags[b]:
-                link_count[v] += 1
+    occ_count = Counter(chain.from_iterable(bags))
+    link_count = Counter(chain.from_iterable(bags[a] & bags[b] for (a, b) in td.edges))
     for v in range(n):
-        if occ_count[v] and occ_count[v] - link_count[v] != 1:
+        if occ_count[v] - link_count[v] != 1:
             return f"connectivity violated: occurrences of vertex {v} do not form a subtree"
     return None
 

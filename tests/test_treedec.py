@@ -144,9 +144,11 @@ def test_structured_program_graphs_stay_narrow():
     assert worst <= 7
 
 
-def _min_fill_reference_bags(cfg):
-    """Elimination bags of greedy min-fill, recomputing (fill, degree, id)
-    of every remaining vertex from scratch at each step."""
+def _min_fill_reference(cfg):
+    """Elimination bags and tree edges of greedy min-fill, recomputing
+    (fill, degree, id) of every remaining vertex from scratch at each step.
+    Each bag links to the bag of the first of its other vertices to be
+    eliminated, or to the next bag when it has no other vertex."""
     adj = {v: set() for v in range(cfg.node_count)}
     for (u, v) in cfg.edges:
         if u != v:
@@ -158,15 +160,21 @@ def _min_fill_reference_bags(cfg):
         fill = sum(1 for i, a in enumerate(nb) for b in nb[i + 1:] if b not in adj[a])
         return (fill, len(nb), v)
 
-    bags = []
+    order, bags = [], []
     while adj:
         v = min(adj, key=key)
         nb = adj.pop(v)
+        order.append(v)
         bags.append(frozenset(nb) | {v})
         for a in nb:
             adj[a].discard(v)
             adj[a] |= nb - {a}
-    return bags
+    edges = []
+    for i, bag in enumerate(bags):
+        later = [j for j in range(i + 1, len(bags)) if order[j] in bag]
+        if later or i + 1 < len(bags):
+            edges.append((i, later[0] if later else i + 1))
+    return bags, edges
 
 
 def _cyclic_instances():
@@ -184,9 +192,24 @@ def _cyclic_instances():
             yield Cfg(cfg.node_count, edges)
 
 
+def _band_instances():
+    # band DAGs of band 3-5 with half the band's edges, so fill edges have
+    # common neighbours; every other one gets back edges
+    import random
+    for seed in range(12):
+        rng = random.Random(f"band-min-fill/{seed}")
+        n, band = rng.randint(60, 200), rng.randint(3, 5)
+        edges = {(i, j) for i in range(n) for j in range(i + 1, min(n, i + band + 1))
+                 if j == i + 1 or rng.random() < 0.5}
+        for _ in range(rng.randint(2, 5) if seed % 2 else 0):
+            v = rng.randrange(1, n)
+            edges.add((rng.randrange(v, n), v))
+        yield Cfg(n, edges)
+
+
 def test_decompose_matches_from_scratch_min_fill():
-    # the incremental key updates must give the elimination order that
-    # recomputing every key at every step gives
+    # the incremental key updates must give the elimination order, and so
+    # the bags and tree edges, that recomputing every key at every step gives
     import warnings
     from lospre.ir import build_cfg, parse_ir
     from lospre.oracle import generate_program_text
@@ -195,9 +218,51 @@ def test_decompose_matches_from_scratch_min_fill():
     graphs = list(_cyclic_instances())
     graphs += [build_cfg(parse_ir(generate_program_text(seed, max_statements=30)))
                for seed in range(40)]
+    bands = list(_band_instances())
     assert len(graphs) >= 300
-    for cfg in graphs:
-        assert decompose(cfg).bags == _min_fill_reference_bags(cfg), cfg
+    for cfg in graphs + bands:
+        td = decompose(cfg)
+        assert (td.bags, td.edges) == _min_fill_reference(cfg), cfg
+    assert {decompose(cfg).width for cfg in bands} >= {3, 4, 5, 6}
+
+
+def test_validate_names_the_first_violated_condition():
+    # path 0-1-2-3 plus the edge (1, 3); the valid decomposition has bags
+    # {0,1}, {1,2,3}, {1,3} on a path, and each broken copy breaks it
+    cfg = Cfg(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    bags = [frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({1, 3})]
+    path = [(0, 1), (1, 2)]
+    assert validate(cfg, TreeDec(bags, path)) is None
+    no_node = [frozenset({1}), bags[1], bags[2]]
+    no_edge = [bags[0], frozenset({1, 2}), frozenset({2, 3})]
+    split = [bags[0], bags[1], frozenset({0, 1, 3})]           # vertex 0 in bags 0 and 2
+    cases = [
+        # a vertex in no bag leaves its edges uncovered too; node coverage comes first
+        (no_node, path, "node coverage violated: vertex 0 is in no bag"),
+        (no_edge, path, "edge coverage violated: edge (1, 3) has no common bag"),
+        (split, path, "connectivity violated: occurrences of vertex 0 do not form a subtree"),
+        (bags, [(0, 1), (0, 2)], "connectivity violated: occurrences of vertex 3 do not form a subtree"),
+        # more conditions broken: the message names the first in the documented order
+        (no_node[:1] + no_edge[1:], path, "node coverage violated: vertex 0 is in no bag"),
+        ([bags[0], frozenset({1, 2}), frozenset({0, 2, 3})], path,   # and 0 split
+         "edge coverage violated: edge (1, 3) has no common bag"),
+    ]
+    for case_bags, case_edges, message in cases:
+        assert validate(cfg, TreeDec(case_bags, case_edges)) == message
+
+
+def test_validate_searches_every_bag_when_the_last_bags_miss():
+    # the last bags of 1 and 2 are {0,1} and {2,3}: the edge (1, 2) lies
+    # only in the root bag, which is numbered first
+    cfg = Cfg(4, [(0, 1), (1, 2), (2, 3)])
+    td = TreeDec([frozenset({1, 2}), frozenset({0, 1}), frozenset({2, 3})], [(0, 1), (0, 2)])
+    assert validate(cfg, td) is None
+    # 1 and 3 occur in two bags each, never together: the edge (1, 3) is
+    # missed by the last bags and then by the search
+    cfg = Cfg(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
+    td = TreeDec([frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4})],
+                 [(0, 1), (1, 2), (2, 3)])
+    assert validate(cfg, td) == "edge coverage violated: edge (1, 3) has no common bag"
 
 
 # calculation edges of every shape a rewrite subdivides, in SHAPES' node ids:

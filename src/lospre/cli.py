@@ -217,38 +217,44 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     safety and the cut, when the candidate's key comes back with derived
     use and invalidation sets equal to the verdict's mapped through the
     rewrite: every new node then lies outside both sets, and subdividing an
-    edge with such a node keeps the minimum cut, enlarged or not.  A pass
-    whose graph is not the last one subdivided (a fake edge moved) carries
-    nothing.
+    edge with such a node keeps the minimum cut, enlarged or not.  Only the
+    first pass calls ``build_cfg``; a later one patches the last graph
+    (``Rewrite.patched_cfg``) unless the last graph built was not
+    ``patchable`` or the rewrite appended a ``ret``, and carries nothing
+    if a rebuilt graph is not the last one subdivided (a fake edge moved).
+    Copy propagation runs on the pass's graph, and a candidate's problem
+    is built only when the pass looks past its occurrence count.
     """
     applied = []
     verify_failures = []
     passes = 0
     pass_limit = 2 * len(program.instructions) + 8
-    last_cfg = last_step = None  # graph and rewrite of the last pass
-    verdicts = {}                # candidate key -> (use, invalidation) that cannot gain
+    cfg = irmod.build_cfg(program)
+    patchable = irmod.patchable(program, cfg)
+    step = None   # the last rewrite, when this graph subdivides the last graph
+    verdicts = {}  # candidate key -> (use, invalidation) that cannot gain
     while passes < pass_limit:
         passes += 1
-        cfg = irmod.build_cfg(program)
-        step = None
-        if last_step is not None and last_step.subdivided_edges(last_cfg) == cfg.edges:
-            step = last_step
         certify = cfg.has_finite_costs()
         carried, verdicts = (verdicts if certify and step is not None else {}), {}
         safety_oracle = _safety_oracle(cfg) if config.verify else None
         chosen = None
-        for candidate, problem in irmod.derive_problems(program, cfg):
+        derived = irmod.derive_problems(program, cfg)
+        for k, candidate in enumerate(derived.candidates):
             occurrences = len(candidate.occurrence_nodes)
-            key = (candidate.op, candidate.left, candidate.right)
-            derived = (problem.use_set, problem.invalidation_set)
             # a reachable use forces at least one calculation edge, so a
             # single occurrence can never shrink
             cannot_gain = certify and occurrences < 2
-            if not cannot_gain and key in carried and _carries(carried[key], problem, step.node_map):
-                verdicts[key] = derived
-                cannot_gain = True
             if cannot_gain and not config.verify:
                 continue
+            problem = derived[k][1]
+            key = (candidate.op, candidate.left, candidate.right)
+            sets = (problem.use_set, problem.invalidation_set)
+            if not cannot_gain and key in carried and _carries(carried[key], problem, step.node_map):
+                verdicts[key] = sets
+                if not config.verify:
+                    continue
+                cannot_gain = True
             wants_safety = (config.safety == "always" or
                             (config.safety == "auto" and candidate.safety_required))
             if wants_safety:
@@ -258,7 +264,7 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
                     min_calc_count(cfg, problem, occurrences) >= occurrences:
                 # every life set has at least as many calculation edges as
                 # there are occurrences, the optimum included
-                verdicts[key] = derived
+                verdicts[key] = sets
                 if not config.verify:
                     continue
                 cannot_gain = True
@@ -291,8 +297,15 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
             break
         candidate, solution = chosen
         applied.append((candidate, solution))
-        last_cfg, last_step = cfg, irmod.rewrite(program, cfg, candidate, solution)
-        program = irmod.copy_propagate(last_step.program)
+        step = irmod.rewrite(program, cfg, candidate, solution)
+        program, last_cfg = step.program, cfg
+        cfg = step.patched_cfg(last_cfg) if patchable else None
+        if cfg is None:
+            cfg = irmod.build_cfg(program)
+            patchable = irmod.patchable(program, cfg)
+            if step.subdivided_edges(last_cfg) != cfg.edges:
+                step = None  # a fake edge moved
+        program = irmod.copy_propagate(program, cfg)
     return PipelineResult(program=program, applied=applied, passes=passes,
                           verify_failures=verify_failures)
 

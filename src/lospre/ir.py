@@ -28,6 +28,7 @@ that never reaches a ret is linked to the sink by one fake edge.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
@@ -155,10 +156,9 @@ def parse_ir(text: str) -> Program:
             if not line:
                 raise IrParseError("a label must be followed by an instruction on the same line", lineno)
         try:
-            ins = _parse_instruction(line, lineno)
+            instructions.append(_parse_instruction(line, lineno, label))
         except ValueError as exc:
             raise IrParseError(str(exc), lineno)
-        instructions.append(replace(ins, label=label))
         linenos.append(lineno)
     for ins, lineno in zip(instructions, linenos):
         if ins.target is not None and ins.target not in labels:
@@ -189,33 +189,33 @@ def _parse_directive(line: str, lineno: int, program: Program) -> None:
         raise IrParseError(str(exc), lineno)
 
 
-def _parse_instruction(line: str, lineno: int) -> Instruction:
+def _parse_instruction(line: str, lineno: int, label: Optional[str]) -> Instruction:
     toks = line.split()
     if toks == ["ret"]:
-        return Instruction(RET)
+        return Instruction(RET, label)
     if toks[0] == "goto":
         if len(toks) != 2:
             raise IrParseError("expected 'goto L'", lineno)
-        return Instruction(JUMP, target=_var(toks[1], lineno))
+        return Instruction(JUMP, label, target=_var(toks[1], lineno))
     if toks[0] == "if":
         if len(toks) != 4 or toks[2] != "goto":
             raise IrParseError("expected 'if x goto L'", lineno)
-        return Instruction(BRANCH, left=_operand(toks[1]), target=_var(toks[3], lineno))
+        return Instruction(BRANCH, label, left=_operand(toks[1]), target=_var(toks[3], lineno))
     if toks[0].startswith("*"):
         if len(toks) != 3 or toks[1] != "=":
             raise IrParseError("expected '*p = y'", lineno)
-        return Instruction(STORE, left=_operand(toks[0][1:]), right=_operand(toks[2]))
+        return Instruction(STORE, label, left=_operand(toks[0][1:]), right=_operand(toks[2]))
     if len(toks) >= 3 and toks[1] == "=":
         dest = _var(toks[0], lineno)
         rhs = toks[2:]
         if len(rhs) == 1:
             if rhs[0].startswith("*"):
-                return Instruction(LOAD, dest=dest, left=_operand(rhs[0][1:]))
-            return Instruction(ASSIGN, dest=dest, left=_operand(rhs[0]))
+                return Instruction(LOAD, label, dest=dest, left=_operand(rhs[0][1:]))
+            return Instruction(ASSIGN, label, dest=dest, left=_operand(rhs[0]))
         if len(rhs) == 2 and rhs[0] in UNARY_OPS:
-            return Instruction(UNOP, dest=dest, op=rhs[0], left=_operand(rhs[1]))
+            return Instruction(UNOP, label, dest=dest, op=rhs[0], left=_operand(rhs[1]))
         if len(rhs) == 3 and rhs[1] in BINARY_OPS:
-            return Instruction(BINOP, dest=dest, op=rhs[1],
+            return Instruction(BINOP, label, dest=dest, op=rhs[1],
                                left=_operand(rhs[0]), right=_operand(rhs[2]))
         raise IrParseError(f"malformed right-hand side {' '.join(rhs)!r}", lineno)
     raise IrParseError(f"unrecognized instruction {line!r}", lineno)
@@ -267,21 +267,19 @@ def node_instr(node: int) -> int:
 
 
 def _successor_indices(program) -> list:
-    labels = {ins.label: i for i, ins in enumerate(program) if ins.label}
+    labels = program.labels()
     n = len(program)
     succ = []
     for i, ins in enumerate(program):
-        out = []
         if ins.kind == RET:
-            out.append(n)  # sink marker
+            out = {n}  # sink marker
         elif ins.kind == JUMP:
-            out.append(labels[ins.target])
+            out = {labels[ins.target]}
         elif ins.kind == BRANCH:
-            out.append(i + 1 if i + 1 < n else n)
-            out.append(labels[ins.target])
+            out = {i + 1, labels[ins.target]}
         else:
-            out.append(i + 1 if i + 1 < n else n)
-        succ.append(sorted(set(out)))
+            out = {i + 1}  # falling off the end reaches the sink marker
+        succ.append(sorted(out))
     return succ
 
 
@@ -348,7 +346,12 @@ def build_cfg(program: Program) -> Cfg:
             if start < n:
                 edges.add((instr_node(start), sink))
             flood(start, reaches_sink, preds)
+    return _weighted(program, edges)
 
+
+def _weighted(program: Program, edges) -> Cfg:
+    """The graph of ``program`` on ``edges``, with the costs of its directives."""
+    sink = instr_node(len(program))
     edge_cost = {e: program.default_edge_cost for e in edges}
     node_cost = {v: program.default_node_cost for v in range(sink + 1)}
     labels = program.labels()
@@ -360,6 +363,20 @@ def build_cfg(program: Program) -> Cfg:
     for a, c in program.node_cost_overrides.items():
         node_cost[instr_node(labels[a])] = c
     return Cfg(sink + 1, edges, edge_cost, node_cost)
+
+
+def _exits(program, i: int) -> bool:
+    """Whether instruction ``i`` is a ``ret`` or falls off the end: a real edge into the sink."""
+    kind = program[i].kind
+    return kind == RET or i == len(program) - 1 and kind != JUMP
+
+
+def patchable(program: Program, cfg: Cfg) -> bool:
+    """Whether ``cfg = build_cfg(program)`` has no fake edge and no source edge but
+    the entry edge: subdivision keeps both, so ``Rewrite.patched_cfg`` is exact."""
+    sink = instr_node(len(program))
+    return cfg.successors(SOURCE_NODE) == (1,) and all(
+        u != SOURCE_NODE and _exits(program, node_instr(u)) for u in cfg.predecessors(sink))
 
 
 # ---------------------------------------------------------------------------
@@ -405,52 +422,58 @@ def candidate_key(ins: Instruction):
     return None
 
 
-def derive_problems(program, cfg: Cfg) -> list:
-    """One (candidate, problem) pair per distinct computed expression.
+def derive_problems(program, cfg: Cfg) -> "Derivation":
+    """One (candidate, problem) pair per distinct computed expression, in
+    order of first occurrence; each problem is built when first looked at.
 
     The invalidation set contains the source and sinks, every node
     assigning to an operand variable, every store when the candidate reads
     memory, and every store and load when an operand variable is itself the
     result of a load (no pointer analysis: any memory access may conflict).
     """
-    instructions = list(program)
-    load_results = {ins.dest for ins in instructions if ins.kind == LOAD}
-    store_nodes = [instr_node(i) for i, ins in enumerate(instructions) if ins.kind == STORE]
-    load_nodes = [instr_node(i) for i, ins in enumerate(instructions) if ins.kind == LOAD]
-
     occurrences = {}
-    order = []
     defining_nodes = {}  # variable -> nodes assigning to it
-    for i, ins in enumerate(instructions):
+    for i, ins in enumerate(program):
         dest = ins.defines()
         if dest is not None:
             defining_nodes.setdefault(dest, []).append(instr_node(i))
         key = candidate_key(ins)
-        if key is None:
-            continue
-        if key not in occurrences:
-            occurrences[key] = []
-            order.append(key)
-        occurrences[key].append(instr_node(i))
+        if key is not None:
+            occurrences.setdefault(key, []).append(instr_node(i))
+    candidates = [ExprCandidate(op=op, left=left, right=right,
+                                occurrence_nodes=frozenset(nodes),
+                                safety_required=op in ("load", "/"))
+                  for (op, left, right), nodes in occurrences.items()]
+    return Derivation(program, cfg, candidates, defining_nodes)
 
-    result = []
-    for key in order:
-        op, left, right = key
-        operand_vars = [o for o in (left, right) if isinstance(o, str)]
-        inv = set()
-        for var in operand_vars:
-            inv.update(defining_nodes.get(var, ()))
-        if op == "load":
-            inv.update(store_nodes)
-        if any(o in load_results for o in operand_vars):
-            inv.update(store_nodes)
-            inv.update(load_nodes)
-        candidate = ExprCandidate(op=op, left=left, right=right,
-                                  occurrence_nodes=frozenset(occurrences[key]),
-                                  safety_required=op in ("load", "/"))
-        problem = make_problem(cfg, occurrences[key], inv)
-        result.append((candidate, problem))
-    return result
+
+class Derivation(Sequence):
+    """The (candidate, problem) pairs of ``derive_problems``; a problem is built
+    on first access and kept.  ``candidates`` lists the candidates alone, so
+    a caller that dismisses one by its occurrences builds no problem for it."""
+
+    def __init__(self, program, cfg: Cfg, candidates: list, defining_nodes: dict):
+        self.candidates, self._cfg, self._defining = candidates, cfg, defining_nodes
+        self._load_results = {ins.dest for ins in program if ins.kind == LOAD}
+        self._stores = [instr_node(i) for i, ins in enumerate(program) if ins.kind == STORE]
+        self._loads = [instr_node(i) for i, ins in enumerate(program) if ins.kind == LOAD]
+        self._problems = [None] * len(candidates)
+
+    def __len__(self):
+        return len(self.candidates)
+
+    def __getitem__(self, k: int):
+        candidate, problem = self.candidates[k], self._problems[k]
+        if problem is None:
+            operands = [o for o in (candidate.left, candidate.right) if isinstance(o, str)]
+            inv = {v for var in operands for v in self._defining.get(var, ())}
+            loaded = self._load_results.intersection(operands)
+            if candidate.op == "load" or loaded:
+                inv.update(self._stores)
+            if loaded:
+                inv.update(self._loads)
+            problem = self._problems[k] = make_problem(self._cfg, candidate.occurrence_nodes, inv)
+        return candidate, problem
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +527,14 @@ class Rewrite:
             edges.update(zip(nodes, nodes[1:]))
         return edges
 
+    def patched_cfg(self, cfg: Cfg) -> Optional[Cfg]:
+        """The new program's graph when ``patchable`` held for ``cfg``, the graph
+        rewritten: the subdivided edges, costed by the new program's directives.
+        None when a ``ret`` was added at the end, whose node no such edge reaches."""
+        if len(self.node_map) + sum(map(len, self.inserted.values())) != len(self.program) + 2:
+            return None
+        return _weighted(self.program, self.subdivided_edges(cfg))
+
 
 def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> Rewrite:
     """Apply a solution: subdivide every calculation edge with a fresh
@@ -528,11 +559,10 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> R
     sink = instr_node(n)
     if cfg.node_count != sink + 1:
         raise LospreError("solution/graph/program size mismatch")
-    succ = _successor_indices(instructions)
     for (u, v) in solution.calc_set:
         if (u, v) not in cfg.edges:
             raise LospreError(f"solution edge ({u}, {v}) is not an edge of the graph")
-        if v == sink and u != SOURCE_NODE and n not in succ[node_instr(u)]:
+        if v == sink and u != SOURCE_NODE and not _exits(instructions, node_instr(u)):
             raise LospreError(f"solution edge ({u}, {v}) is a fake edge out of an infinite loop")
     if not candidate.occurrence_nodes:
         return Rewrite(program, list(range(sink + 1)), {})
@@ -641,21 +671,32 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> R
 # ---------------------------------------------------------------------------
 # Copy propagation (pipeline glue between rewriting passes)
 
-def copy_propagate(program: Program) -> Program:
+def copy_propagate(program: Program, cfg: Optional[Cfg] = None) -> Program:
     """Replace variable reads with their copy sources where a copy is
-    available on every path; repeated until stable.
+    available on every path from the source of ``cfg``, the program's graph
+    (built when not given), until a round changes no copy instruction.
 
     An elimination pass leaves ``x = tmp`` assignments at the former
     occurrences; propagating tmp into downstream reads is what lets
     dependent expressions (address arithmetic feeding a load, for example)
     become candidates in the next pass.
+
+    A round that changes no copy leaves the next round the same
+    availability, so that round could only take a read this one turned
+    from x into y on to z, with ``y = z`` available there too.  But every
+    node is reachable from the source, and on each path the ``x = y`` that
+    made x's copy available follows the ``y = z`` (which kills it), so
+    ``y = z`` is available at that ``x = y``, which this round changed.
     """
+    if cfg is None:
+        cfg = build_cfg(program)
     instructions = list(program.instructions)
     n = len(instructions)
-    succ = preds = None
+    # node v is instruction v - 1; the source (node 0) makes no copy available
+    preds = [cfg.predecessors(v) for v in range(n + 2)]
+    succ = [cfg.successors(v) for v in range(n + 2)]
     changed = True
     while changed:
-        changed = False
         # availability is over (dest, source) pairs, so identical copies on
         # different paths merge at joins
         pair_id = {}
@@ -664,14 +705,6 @@ def copy_propagate(program: Program) -> Program:
                 pair_id.setdefault((ins.dest, ins.left), len(pair_id))
         if not pair_id:
             break
-        if succ is None:
-            # propagation never touches control flow, so the graph is built once
-            succ = _successor_indices(instructions)
-            preds = [[] for _ in range(n)]
-            for i, outs in enumerate(succ):
-                for o in outs:
-                    if o < n:
-                        preds[o].append(i)
         copies = list(pair_id)
         all_mask = (1 << len(copies)) - 1
         dest_mask = {}     # variable -> copies writing it
@@ -680,45 +713,39 @@ def copy_propagate(program: Program) -> Program:
             dest_mask[dest] = dest_mask.get(dest, 0) | 1 << c
             touch_mask[dest] = touch_mask.get(dest, 0) | 1 << c
             touch_mask[src] = touch_mask.get(src, 0) | 1 << c
-        gen = [0] * n
-        kill = [0] * n
-        for i, ins in enumerate(instructions):
+        gen, kill = [0] * (n + 2), [0] * (n + 2)
+        for v, ins in enumerate(instructions, 1):
             d = ins.defines()
             if d is None:
                 continue
-            kill[i] = touch_mask.get(d, 0)
+            kill[v] = touch_mask.get(d, 0)
             if ins.kind == ASSIGN and ins.dest != ins.left:
-                gen[i] = 1 << pair_id[(ins.dest, ins.left)]
+                gen[v] = 1 << pair_id[(ins.dest, ins.left)]
         # forward must analysis: IN = AND of predecessor OUTs
-        out_sets = [all_mask] * n
-        in_sets = [0] * n
-        work = list(range(n - 1, -1, -1))  # popped in program order
+        out_sets, in_sets = [0] + [all_mask] * (n + 1), [0] * (n + 2)
+        work = list(range(n, 0, -1))  # popped in program order
         while work:
-            i = work.pop()
-            if preds[i]:
-                new_in = all_mask
-                for p in preds[i]:
-                    new_in &= out_sets[p]
-            else:
-                new_in = 0
-            new_out = (new_in & ~kill[i]) | gen[i]
-            if new_in != in_sets[i] or new_out != out_sets[i]:
-                in_sets[i] = new_in
-                out_sets[i] = new_out
-                for o in succ[i]:
-                    if o < n:
-                        work.append(o)
+            v = work.pop()
+            new_in = all_mask
+            for p in preds[v]:
+                new_in &= out_sets[p]
+            new_out = (new_in & ~kill[v]) | gen[v]
+            if new_in != in_sets[v] or new_out != out_sets[v]:
+                in_sets[v] = new_in
+                out_sets[v] = new_out
+                work.extend(succ[v])
 
-        def sub(i, o):
+        def sub(v, o):
             # of several available copies into one variable, the latest-numbered wins
-            m = in_sets[i] & dest_mask.get(o, 0)
+            m = in_sets[v] & dest_mask.get(o, 0)
             return copies[m.bit_length() - 1][1] if m else o
 
-        for i, ins in enumerate(instructions):
-            if in_sets[i]:
-                left, right = sub(i, ins.left), sub(i, ins.right)
+        changed = False
+        for v, ins in enumerate(instructions, 1):
+            if in_sets[v]:
+                left, right = sub(v, ins.left), sub(v, ins.right)
                 if left != ins.left or right != ins.right:
-                    instructions[i] = replace(ins, left=left, right=right)
-                    changed = True
+                    instructions[v - 1] = replace(ins, left=left, right=right)
+                    changed |= ins.kind == ASSIGN
     return Program(instructions, program.default_edge_cost, program.default_node_cost,
                    dict(program.edge_cost_overrides), dict(program.node_cost_overrides))

@@ -43,6 +43,13 @@ def test_pipeline_decomposes_once_per_run(smallest_rows):
     assert counts["region_nodes"] < counts["solves"] * (row["instructions"] + 2)
 
 
+def test_pipeline_builds_one_graph_per_run(smallest_rows):
+    # later passes patch the first graph; generated programs have no fake edge
+    counts = smallest_rows["pipeline"][0]["counts"]
+    assert counts["passes"] > 1
+    assert counts["graphs_built"] == 1
+
+
 def test_chain_transitions_are_the_solvers(smallest_rows):
     row = smallest_rows["chain"][0]
     cfg, problem = generate(InstanceGenerator(seed=0, node_range=(row["n"], row["n"]),

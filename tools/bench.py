@@ -8,8 +8,10 @@ Row families; sizes, seeds and repeats are fixed for each:
   ``generate_program_text(seed, max_statements=size)``, seeds 0 and 7, sizes
   25 to 800.  One counting run records passes, rewrites, the ``solve``,
   ``decompose``, ``min_calc_count`` and ``solve_safety`` calls (0 where a
-  tree has no such function) and ``region_nodes``, the nodes of the graphs
-  decomposed; the timed runs follow.
+  tree has no such function), ``region_nodes``, the nodes of the graphs
+  decomposed, and ``graphs_built`` and ``problems_built``, the
+  ``build_cfg`` and ``make_problem`` calls looked up in ``lospre.ir``; the
+  timed runs follow.
 - ``extended``: ``solve_extended`` alone on chained-diamond graphs of 1k-16k
   nodes with a seeded per-node register-pressure table.
 - ``chain``: ``decompose``, ``make_nice`` and ``solve`` timed per layer on
@@ -92,32 +94,36 @@ def _dp_counts(nice, solution):
 
 def measure_pipeline(seed, size):
     import lospre.cli as cli
+    import lospre.ir as ir
     from lospre.dp import format_solution
     from lospre.ir import format_ir, parse_ir
     from lospre.oracle import generate_program_text
 
     text = generate_program_text(seed, max_statements=size)
     counts = dict.fromkeys(("passes", "rewrites", "solves", "decompositions", "region_nodes",
-                            "certificate_calls", "safety_calls"), 0)
-    counted = {"solve": "solves", "decompose": "decompositions",
-               "min_calc_count": "certificate_calls", "solve_safety": "safety_calls"}
-    originals = {name: getattr(cli, name) for name in counted if hasattr(cli, name)}
+                            "certificate_calls", "safety_calls", "graphs_built",
+                            "problems_built"), 0)
+    counted = {(cli, "solve"): "solves", (cli, "decompose"): "decompositions",
+               (cli, "min_calc_count"): "certificate_calls",
+               (cli, "solve_safety"): "safety_calls", (ir, "build_cfg"): "graphs_built",
+               (ir, "make_problem"): "problems_built"}
+    originals = {target: getattr(*target) for target in counted if hasattr(*target)}
 
-    def counting(name, fn):
+    def counting(target, fn):
         def wrapper(*args, **kwargs):
-            counts[counted[name]] += 1
-            if name == "decompose":
+            counts[counted[target]] += 1
+            if counted[target] == "decompositions":
                 counts["region_nodes"] += args[0].node_count
             return fn(*args, **kwargs)
         return wrapper
 
-    for name, fn in originals.items():
-        setattr(cli, name, counting(name, fn))
+    for (module, name), fn in originals.items():
+        setattr(module, name, counting((module, name), fn))
     try:
         result = cli.run_pipeline(parse_ir(text), cli.RunConfig())
     finally:
-        for name, fn in originals.items():
-            setattr(cli, name, fn)
+        for (module, name), fn in originals.items():
+            setattr(module, name, fn)
     counts.update(passes=result.passes, rewrites=len(result.applied))
     seconds, _ = _timed(PIPELINE_REPEATS, (
         "run_pipeline", lambda _: cli.run_pipeline(parse_ir(text), cli.RunConfig())))

@@ -7,7 +7,14 @@ minimize over the departing vertex's bit, charging that vertex's dead or
 live cost and the costs of its incident edges whose other endpoint is still
 in the bag.  Every graph edge is charged at exactly one forget node: the one
 where the earlier forgotten endpoint departs with the other endpoint still
-present.
+present.  The sweep finds those edges as it goes, with no assignment built
+beforehand: at the forget node of v it walks v's successors and
+predecessors and charges each edge whose other end is v itself, or is not
+yet forgotten (a bytearray marks the forgotten vertices) and is in the
+child bag.  It raises ``DecompositionError`` at a vertex forgotten twice or
+outside the graph, and after the sweep, before the feasibility check, at a
+vertex never forgotten or an edge left uncharged; for the last it lets
+``assign_edges_to_forgets``, the reference assignment, name the edge.
 
 The table steps run as gathers through index maps, tuples that depend only
 on a step's shape and are cached per shape (``_index_map``), so no step
@@ -17,6 +24,10 @@ adds each charged edge's cost key to the child entries cached for its (bag
 size, x position or static, y position or static) shape, then gathers the
 (dead, live) child entry pairs cached per (bag size, position) and keeps
 the cheaper of each pair.
+
+The traceback keeps, per node, the index map or forget pair it gathered
+through in one list and each forget node's choice bytes in another, and
+walks the nodes once in descending order.
 
 Both solvers share this kernel.  ``solve`` charges nothing for a dead
 vertex and the node's liveness cost for a live one.  ``solve_extended``
@@ -46,7 +57,7 @@ from .cfg import Cfg, ExprProblem, calc_set, total_cost, validate_problem
 from .cost import INFINITY, ZERO, CostVec, format_cost, sum_costs
 from .errors import (DecompositionError, LospreError, NoFeasibleSolutionError,
                      WidthExceededError)
-from .treedec import INTRODUCE, JOIN, LEAF, NiceTreeDec
+from .treedec import INTRODUCE, JOIN, LEAF, NiceTreeDec, foreign_vertex
 
 
 @dataclass(frozen=True)
@@ -67,31 +78,31 @@ class LospreSolution:
 
 
 def assign_edges_to_forgets(cfg: Cfg, nice: NiceTreeDec) -> dict:
-    """Partition the graph edges over forget nodes for cost charging.
+    """Partition the graph edges over forget nodes: the reference of the sweep's charging.
 
-    Edge (x, y) belongs to the forget node of whichever endpoint departs
-    first; the other endpoint is then still in the child bag, so both bits
-    are available to the membership test.  Raises if the decomposition does
-    not cover the graph.
+    Edge (x, y) belongs to the forget node of whichever endpoint the
+    bottom-up sweep forgets first (the lower node id), and the other
+    endpoint must then be in that node's child bag, so both bits are
+    available to the membership test.  ``_life_dp``
+    charges each edge where this assigns it, without building the
+    assignment, and calls this only for the message when its charging
+    falls short.  Raises if the decomposition does not cover the graph.
     """
     fm = nice.forget_map()
-    if set(fm) != set(range(cfg.node_count)):
-        missing = sorted(set(range(cfg.node_count)) - set(fm))
+    n = cfg.node_count
+    foreign = [v for v in fm if not 0 <= v < n]
+    if foreign:
+        raise foreign_vertex(foreign[0])
+    if len(fm) != n:
+        missing = sorted(set(range(n)) - set(fm))
         raise DecompositionError(f"decomposition does not cover vertices {missing[:8]}")
-    child_bag_sets = {}
-    for v, i in fm.items():
-        child_bag_sets[i] = frozenset(nice.bags[nice.children[i][0]])
     assignment = {i: [] for i in fm.values()}
     for (x, y) in sorted(cfg.edges):
-        fx = fm[x]
-        if y in child_bag_sets[fx]:
-            assignment[fx].append((x, y))
-            continue
-        fy = fm[y]
-        if x in child_bag_sets[fy]:
-            assignment[fy].append((x, y))
-            continue
-        raise DecompositionError(f"edge ({x}, {y}) is covered by no bag of the decomposition")
+        fx, fy = fm[x], fm[y]
+        i, other = (fx, y) if fx <= fy else (fy, x)
+        if other not in nice.bags[nice.children[i][0]]:
+            raise DecompositionError(f"edge ({x}, {y}) is covered by no bag of the decomposition")
+        assignment[i].append((x, y))
     return assignment
 
 
@@ -167,8 +178,8 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
     # every entry is the key sum of one assignment, so it is infinite iff >= inf
     inf = bound << shift
 
-    edge_assignment = assign_edges_to_forgets(cfg, nice)
     edge_cost = cfg.edge_cost
+    succ, pred = cfg.successors, cfg.predecessors
     maps = _SHARED_MAPS if width < 8 else {}
 
     kinds = nice.kinds
@@ -176,8 +187,12 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
     bags = nice.bags
     children = nice.children
     tables = [None] * nice.node_count
-    # per introduce node its index map, per forget node (its maps, choices)
+    # per introduce node its index map, per forget node its (dead, live) maps
+    # and in ``choices`` the bytes of its live-beats-dead choices
     trace = [None] * nice.node_count
+    choices = [None] * nice.node_count
+    forgotten = bytearray(n)
+    charged = 0
     transitions = 0
 
     for i in range(nice.node_count):
@@ -204,28 +219,53 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
             tables[ch[1]] = None
             tables[i] = list(map(add, child, other))
             transitions += len(child)
-        else:  # forget: charge the edges on the child table, then minimize
+        else:  # forget: charge v's edges on the child table, then minimize
             v = vertex[i]
+            if not 0 <= v < n:
+                raise foreign_vertex(v)
+            if forgotten[v]:
+                raise DecompositionError(f"vertex {v} is forgotten more than once")
+            forgotten[v] = 1
             child_bag = bags[ch[0]]
             k = len(child_bag)
-            edges = edge_assignment.get(i, ())
-            for (x, y) in edges:
-                pc = key(edge_cost[(x, y)]) << shift
-                shape = ("edge", k, -1 if x in inv else child_bag.index(x),
-                         -1 if y in use else child_bag.index(y))
-                for g in maps.get(shape) or _index_map(maps, shape):
-                    child[g] += pc
-            shape = ("forget", k, child_bag.index(v))
-            dead_idx, live_idx = pair = maps.get(shape) or _index_map(maps, shape)
+            p = child_bag.index(v)
+            # v departs first of each edge to a vertex still in the bag: a
+            # self-loop, or an edge whose other end is not yet forgotten
+            edges = 0
+            cx = -1 if v in inv else p
+            for y in succ(v):
+                if y == v or not forgotten[y] and y in child_bag:
+                    pc = key(edge_cost[v, y]) << shift
+                    shape = ("edge", k, cx, -1 if y in use else child_bag.index(y))
+                    for g in maps.get(shape) or _index_map(maps, shape):
+                        child[g] += pc
+                    edges += 1
+            cy = -1 if v in use else p
+            for x in pred(v):
+                if not forgotten[x] and x in child_bag:
+                    pc = key(edge_cost[x, v]) << shift
+                    shape = ("edge", k, -1 if x in inv else child_bag.index(x), cy)
+                    for g in maps.get(shape) or _index_map(maps, shape):
+                        child[g] += pc
+                    edges += 1
+            charged += edges
+            shape = ("forget", k, p)
+            dead_idx, live_idx = trace[i] = maps.get(shape) or _index_map(maps, shape)
             dead = key(dead_costs[v]) << shift
             live = (key(live_costs[v]) << shift) + 1
             d = [child[g] + dead for g in dead_idx] if dead else [child[g] for g in dead_idx]
             lv = [child[g] + live for g in live_idx]
             # an exact tie keeps the vertex dead
             tables[i] = [a if a <= b else b for a, b in zip(d, lv)]
-            trace[i] = pair, bytes(map(lt, lv, d))
-            transitions += 2 * len(d) * (1 + len(edges))
+            choices[i] = bytes(map(lt, lv, d))
+            transitions += 2 * len(d) * (1 + edges)
 
+    if 0 in forgotten:
+        missing = [v for v in range(n) if not forgotten[v]]
+        raise DecompositionError(f"decomposition does not cover vertices {missing[:8]}")
+    if charged != len(cfg.edges):
+        assign_edges_to_forgets(cfg, nice)  # raises, naming the first edge in no bag
+        raise LospreError("internal error: edge charging disagrees with assign_edges_to_forgets")
     root_table = tables[nice.root]
     if len(root_table) != 1:
         raise DecompositionError("root bag of the nice decomposition must be empty")
@@ -233,22 +273,27 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
     if root_cost >= inf:
         raise NoFeasibleSolutionError("no feasible solution: all assignments have infinite cost")
 
+    # the sweep checked that children are numbered below their parents, so a
+    # descending scan reaches each node after its parent has set its entry;
+    # -1 marks the nodes the root does not reach
     life = set()
-    stack = [(nice.root, 0)]
-    while stack:
-        i, m = stack.pop()
+    entry = [-1] * (nice.root + 1)
+    entry[nice.root] = 0
+    for i in range(nice.root, -1, -1):
+        m = entry[i]
+        if m < 0:
+            continue
         kind = kinds[i]
         if kind == INTRODUCE:
-            stack.append((children[i][0], trace[i][m]))
+            entry[children[i][0]] = trace[i][m]
         elif kind == JOIN:
-            stack.append((children[i][0], m))
-            stack.append((children[i][1], m))
+            a, b = children[i]
+            entry[a] = entry[b] = m
         elif kind != LEAF:  # forget
-            pair, choice = trace[i]
-            b = choice[m]
-            if b:
+            live = choices[i][m]
+            if live:
                 life.add(vertex[i])
-            stack.append((children[i][0], pair[b][m]))
+            entry[children[i][0]] = trace[i][live][m]
     return frozenset(life), root_cost >> shift, key, transitions
 
 

@@ -5,29 +5,33 @@ degree, then lowest id as tie-breakers), which is deterministic and gives
 small widths on the sparse graphs produced from structured programs.
 Keys are kept exact from two counts per vertex, its degree d and tri, the
 number of edges among its neighbours, with fill = d(d-1)/2 - tri; no fill
-is ever recomputed.  Eliminating v first adds each fill edge (a, b) among
-N(v): with c = |N(a) & N(b)| at that moment, tri[a] and tri[b] gain c and
-every common neighbour gains 1.  N(v) is then a clique, so removing v
-costs each neighbour one degree and d(v) - 1 triangles.  Only those
-vertices get a new key.  Each vertex's current key is stored, a heap
-entry that differs from it is stale and skipped, and the heap minimum is
-the least current (fill, degree, id): the order is the one recomputing
-every key at every step gives.  ``validate`` probes each edge in the
-last bag of either endpoint first, which holds it whenever the bags are
-numbered children first, as both ``decompose`` and ``make_nice`` number
-them, and searches every bag only when that probe misses.  The
-solvers are correct for any valid decomposition, so the heuristic only
-affects table sizes, never results.  ``make_nice`` converts to a rooted
-form with empty root and leaf bags and only introduce/forget/join steps,
-preserving the width exactly.
+is ever recomputed.  The first counts take one intersection per undirected
+edge.  Eliminating v first adds each fill edge (a, b) among N(v), in
+sorted order, so N(v) is sorted only when v has fill: with
+c = |N(a) & N(b)| at that moment, tri[a] and tri[b] gain c and every
+common neighbour gains 1.  N(v) is then a clique, so removing v costs each
+neighbour one degree and d(v) - 1 triangles.  Only those vertices get a
+new key.  A key is one int, (fill * (n + 1) + degree) * n + id, which
+orders as the tuple (fill, degree, id) does, so the key list and the heap
+hold no tuples.  Each vertex's current key is stored, a heap entry that
+differs from it is stale and skipped, and the heap minimum is the least
+current key: the order is the one recomputing every key at every step
+gives.  ``validate`` probes each edge in the last bag of either endpoint
+first, which holds it whenever the bags are numbered children first, as
+both ``decompose`` and ``make_nice`` number them, and searches every bag
+only when that probe misses.  The solvers are correct for any valid
+decomposition, so the heuristic only affects table sizes, never results.
+``make_nice`` converts to a rooted form with empty root and leaf bags and
+only introduce/forget/join steps, preserving the width exactly; it reads
+the tree from two flat arrays, not a list per bag.
 """
 from __future__ import annotations
 
-import heapq
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from heapq import heapify, heappop, heappush
+from itertools import accumulate, chain
 from typing import Optional
 
 from .cfg import Cfg
@@ -49,13 +53,6 @@ class TreeDec:
     @property
     def width(self) -> int:
         return max(map(len, self.bags)) - 1
-
-    def neighbors(self) -> list:
-        nb = [[] for _ in self.bags]
-        for (a, b) in self.edges:
-            nb[a].append(b)
-            nb[b].append(a)
-        return nb
 
 
 @dataclass
@@ -94,6 +91,11 @@ class NiceTreeDec:
         return fm
 
 
+def foreign_vertex(v) -> DecompositionError:
+    """The error for a decomposition that forgets ``v``, which is not a graph node."""
+    return DecompositionError(f"decomposition names vertex {v}, which is not a node of the graph")
+
+
 def _undirected_adjacency(cfg: Cfg) -> list:
     adj = [set() for _ in range(cfg.node_count)]
     for (u, v) in cfg.edges:
@@ -107,45 +109,70 @@ def decompose(cfg: Cfg) -> TreeDec:
     """Heuristic tree-decomposition of the underlying undirected graph."""
     n = cfg.node_count
     adj = _undirected_adjacency(cfg)
-    tri = [sum(len(adj[a] & nb) for a in nb) // 2 for nb in adj]   # edges among N(v)
-    key = [(len(nb) * (len(nb) - 1) // 2 - t, len(nb)) for nb, t in zip(adj, tri)]
-    heap = [(fill, deg, v) for v, (fill, deg) in enumerate(key)]
-    heapq.heapify(heap)
+    # twice the edges among N(v): each undirected edge (u, w) closes one
+    # triangle per common neighbour, and that triangle holds both u and w
+    tri = [0] * n
+    for u, nb in enumerate(adj):
+        for w in nb:
+            if w > u:
+                c = len(nb & adj[w])
+                tri[u] += c
+                tri[w] += c
+    tri = [t >> 1 for t in tri]
+    # (fill, degree, id) packed into one int: fill * step + degree * n + id
+    step = n * (n + 1)
+    key = [(len(nb) * (len(nb) - 1) // 2 - t) * step + len(nb) * n + v
+           for v, (nb, t) in enumerate(zip(adj, tri))]
+    heap = key[:]
+    heapify(heap)
     order = []
     elim_bags = []
     while len(order) < n:
-        fill, deg, v = heapq.heappop(heap)
-        if key[v] != (fill, deg):
+        k = heappop(heap)
+        v = k % n
+        if key[v] != k:
             continue  # stale entry: v was eliminated or its key changed
         order.append(v)
         nbv = adj[v]   # kept as v's neighbourhood at its elimination
-        elim_bags.append(frozenset(nbv) | {v})
-        key[v] = None
-        nb = sorted(nbv)
-        touched = set(nb)
-        for i, a in enumerate(nb):
-            # N(v) ends a clique, so a loses v and v's deg - 1 edges into N(a)
-            adj_a = adj[a]
-            adj_a.discard(v)
-            tri[a] -= deg - 1
-            for b in nb[i + 1:] if fill else ():
-                if b not in adj_a:
-                    # fill edge (a, b) closes a triangle with each common
-                    # neighbour: those in both sets, and v, which a has dropped
-                    common = adj_a & adj[b]
-                    tri[a] += len(common) + 1
-                    tri[b] += len(common) + 1
-                    for w in common:
-                        tri[w] += 1
-                    touched |= common
-                    adj_a.add(b)
-                    adj[b].add(a)
-        for u in touched:
-            d = len(adj[u])
-            k = (d * (d - 1) // 2 - tri[u], d)
-            if k != key[u]:
-                key[u] = k
-                heapq.heappush(heap, (k[0], d, u))
+        elim_bags.append(frozenset(nbv).union((v,)))
+        key[v] = -1
+        deg = len(nbv)
+        if k < step:
+            # no fill: N(v) is a clique already, so each neighbour a loses v
+            # and v's deg - 1 edges into N(a); its degree, and so its key, changes
+            for a in nbv:
+                adj_a = adj[a]
+                adj_a.discard(v)
+                d = len(adj_a)
+                tri[a] = t = tri[a] - deg + 1
+                key[a] = k = (d * (d - 1) // 2 - t) * step + d * n + a
+                heappush(heap, k)
+        else:
+            nb = sorted(nbv)
+            touched = set(nbv)
+            for i, a in enumerate(nb):
+                # N(v) ends a clique, so a loses v and v's deg - 1 edges into N(a)
+                adj_a = adj[a]
+                adj_a.discard(v)
+                tri[a] -= deg - 1
+                for b in nb[i + 1:]:
+                    if b not in adj_a:
+                        # fill edge (a, b) closes a triangle with each common
+                        # neighbour: those in both sets, and v, which a has dropped
+                        common = adj_a & adj[b]
+                        tri[a] += len(common) + 1
+                        tri[b] += len(common) + 1
+                        for w in common:
+                            tri[w] += 1
+                        touched |= common
+                        adj_a.add(b)
+                        adj[b].add(a)
+            for u in touched:
+                d = len(adj[u])
+                k = (d * (d - 1) // 2 - tri[u]) * step + d * n + u
+                if k != key[u]:
+                    key[u] = k
+                    heappush(heap, k)
 
     position = [0] * n
     for i, v in enumerate(order):
@@ -171,9 +198,7 @@ def validate(cfg: Cfg, td: TreeDec) -> Optional[str]:
     """
     n = cfg.node_count
     bags = td.bags
-    last = {}
-    for i, bag in enumerate(bags):
-        last.update(dict.fromkeys(bag, i))
+    last = {v: i for i, bag in enumerate(bags) for v in bag}
     for v in range(n):
         if v not in last:
             return f"node coverage violated: vertex {v} is in no bag"
@@ -203,23 +228,33 @@ def make_nice(td: TreeDec) -> NiceTreeDec:
         raise DecompositionError("decomposition has no bags")
     if len(td.edges) != m - 1:
         raise DecompositionError("decomposition tree must have exactly len(bags)-1 edges")
-    nb = td.neighbors()
+    # the tree as flat arrays: the neighbours of bag a are nbr[first[a]:first[a + 1]],
+    # in the order of the edges, as a list per bag would hold them
+    first = [0] * (m + 1)
+    for (a, b) in td.edges:
+        first[a + 1] += 1
+        first[b + 1] += 1
+    first = list(accumulate(first))
+    end = first[:]
+    nbr = [0] * first[m]
+    for (a, b) in td.edges:
+        nbr[end[a]] = b
+        end[a] += 1
+        nbr[end[b]] = a
+        end[b] += 1
     parent = [-1] * m
     parent[0] = 0
     topo = [0]
     stack = [0]
     while stack:
         a = stack.pop()
-        for c in nb[a]:
+        for c in nbr[first[a]:first[a + 1]]:
             if parent[c] == -1:
                 parent[c] = a
                 topo.append(c)
                 stack.append(c)
     if len(topo) != m:
         raise DecompositionError("decomposition tree is not connected")
-    kids = [[] for _ in range(m)]
-    for a in topo[1:]:
-        kids[parent[a]].append(a)
 
     kinds, vertex, bags, children = [], [], [], []
 
@@ -232,11 +267,13 @@ def make_nice(td: TreeDec) -> NiceTreeDec:
 
     def lift(nid, to_bag):
         """Forget then introduce, one vertex per step, to turn node nid's bag into to_bag."""
-        cur = list(bags[nid])  # kept sorted
-        for v in [v for v in cur if v not in to_bag]:
-            cur.remove(v)
-            nid = add(FORGET, v, tuple(cur), (nid,))
-        for v in sorted(to_bag.difference(cur)):
+        bag = bags[nid]
+        cur = list(bag)  # kept sorted
+        for v in bag:
+            if v not in to_bag:
+                cur.remove(v)
+                nid = add(FORGET, v, tuple(cur), (nid,))
+        for v in sorted(to_bag.difference(bag)):
             insort(cur, v)
             nid = add(INTRODUCE, v, tuple(cur), (nid,))
         return nid
@@ -245,7 +282,11 @@ def make_nice(td: TreeDec) -> NiceTreeDec:
     top = [None] * m
     for a in reversed(topo):
         bag = frozenset(td.bags[a])
-        adapted = [lift(top[c], bag) for c in sorted(kids[a])]
+        kids = nbr[first[a]:first[a + 1]]
+        if a:
+            kids.remove(parent[a])
+        kids.sort()
+        adapted = [lift(top[c], bag) for c in kids]
         if not adapted:
             top[a] = lift(add(LEAF, None, (), ()), bag)
         else:
@@ -300,8 +341,12 @@ def validate_nice(cfg: Cfg, nice: NiceTreeDec) -> Optional[str]:
         fm = nice.forget_map()
     except DecompositionError as exc:
         return str(exc)
-    if set(fm) != set(range(cfg.node_count)):
-        missing = set(range(cfg.node_count)) - set(fm)
+    n = cfg.node_count
+    foreign = [v for v in fm if not 0 <= v < n]
+    if foreign:
+        return str(foreign_vertex(foreign[0]))
+    if len(fm) != n:
+        missing = set(range(n)) - set(fm)
         return f"vertices never forgotten: {sorted(missing)[:8]}"
     td = TreeDec(bags=[frozenset(bag) for bag in nice.bags],
                  edges=[(i, c) for i in range(nice.node_count) for c in nice.children[i]])

@@ -57,3 +57,5 @@ def test_chain_transitions_are_the_solvers(smallest_rows):
     assert row["counts"]["transitions"] == solve(cfg, problem,
                                                  make_nice(decompose(cfg))).transitions
     assert set(row["seconds"]) == {"decompose", "make_nice", "solve", "total"}
+    assert set(row["collections"]) == {"decompose", "make_nice", "solve"}
+    assert all(len(gens) == 3 for gens in row["collections"].values())

@@ -1,13 +1,17 @@
+import re
+
 import pytest
 
 from lospre.cfg import Cfg, calc_set, make_problem, total_cost
 from lospre.cost import CostVec, INFINITY
 from lospre.dp import assign_edges_to_forgets, eliminated_count, solve, solve_extended
-from lospre.errors import LospreError, NoFeasibleSolutionError, WidthExceededError
+from lospre.errors import (DecompositionError, LospreError, NoFeasibleSolutionError,
+                           WidthExceededError)
 from lospre.ir import ExprCandidate
 from lospre.oracle import (InstanceGenerator, STYLES, brute_extended,
                            brute_extended_full, brute_lospre, generate)
-from lospre.treedec import decompose, make_nice
+from lospre.treedec import (FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDec, decompose,
+                            make_nice, validate_nice)
 
 
 def solved(cfg, problem, **kw):
@@ -82,6 +86,107 @@ def test_edges_charged_exactly_once():
         charged = [e for edges in assignment.values() for e in edges]
         assert len(charged) == len(cfg.edges)
         assert set(charged) == cfg.edges
+
+
+def _nice_path(steps):
+    """A nice form that is one path: a leaf, then one introduce or forget
+    node per (kind, vertex) step, each the parent of the one before."""
+    kinds, vertex, bags, children = [LEAF], [None], [()], [()]
+    bag = ()
+    for kind, v in steps:
+        bag = tuple(sorted(bag + (v,))) if kind == INTRODUCE else tuple(u for u in bag if u != v)
+        children.append((len(kinds) - 1,))
+        kinds.append(kind)
+        vertex.append(v)
+        bags.append(bag)
+    return NiceTreeDec(kinds, vertex, bags, children, len(kinds) - 1)
+
+
+def _joined(a, b):
+    """The nice forms ``a`` and ``b``, both with empty root bags, under one join."""
+    shift = a.node_count
+    return NiceTreeDec(a.kinds + b.kinds + [JOIN], a.vertex + b.vertex + [None],
+                       a.bags + b.bags + [()],
+                       a.children + [tuple(c + shift for c in ch) for ch in b.children] +
+                       [(a.root, b.root + shift)], a.node_count + b.node_count)
+
+
+def _solver_errors(cfg, nice):
+    """The DecompositionError messages of solve and solve_extended on ``nice``."""
+    problem = make_problem(cfg, use=[1])
+    runs = (lambda: solve(cfg, problem, nice),
+            lambda: solve_extended(cfg, problem, nice, lambda v, b, bl, br: CostVec(0, b)))
+    messages = []
+    for run in runs:
+        with pytest.raises(DecompositionError) as info:
+            run()
+        messages.append(str(info.value))
+    return messages
+
+
+I, F = INTRODUCE, FORGET
+PATH3 = [(I, 0), (I, 1), (F, 0), (I, 2), (F, 1), (F, 2)]   # a nice form of 0 -> 1 -> 2
+
+
+def test_sweep_checks_raise_the_reference_messages():
+    # the edge charging moved into the sweep; its checks name the witness
+    # that the reference assignment names
+    path = Cfg(3, [(0, 1), (1, 2)])
+    cases = [
+        (Cfg(3, [(0, 1), (1, 2), (0, 2)]), _nice_path(PATH3),
+         "edge (0, 2) is covered by no bag of the decomposition"),
+        (path, _nice_path(PATH3[:3] + [(F, 1)]), "decomposition does not cover vertices [2]"),
+        (path, _joined(_nice_path([(I, 2), (F, 2)]), _nice_path(PATH3)),
+         "vertex 2 is forgotten more than once"),
+    ]
+    for cfg, nice, message in cases:
+        assert _solver_errors(cfg, nice) == [message, message]
+        with pytest.raises(DecompositionError, match=re.escape(message)):
+            assign_edges_to_forgets(cfg, nice)
+
+
+@pytest.mark.parametrize("v", [3, 5, -1])
+def test_foreign_vertex_is_named(v):
+    # a forget node of a vertex outside the graph; a negative id must not
+    # wrap round to a real vertex
+    cfg = Cfg(3, [(0, 1), (1, 2)])
+    nice = _nice_path([(I, v), (F, v)] + PATH3)
+    message = f"decomposition names vertex {v}, which is not a node of the graph"
+    assert _solver_errors(cfg, nice) == [message, message]
+    assert validate_nice(cfg, nice) == message
+    with pytest.raises(DecompositionError, match=message):
+        assign_edges_to_forgets(cfg, nice)
+
+
+def _reference_transitions(cfg, nice):
+    """Transitions implied by the reference assignment: one per entry of
+    each table built, and at a forget node one per child entry for the
+    minimization and one more for each edge charged."""
+    assignment = assign_edges_to_forgets(cfg, nice)
+    total = 0
+    for i, kind in enumerate(nice.kinds):
+        entries = 1 << len(nice.bags[i])
+        total += 2 * entries * (1 + len(assignment[i])) if kind == FORGET else entries
+    return total
+
+
+def test_transitions_follow_the_reference_assignment():
+    instances = [generate(InstanceGenerator(seed=seed, node_range=(4, 30), style=style))
+                 for style in STYLES for seed in range(30)]
+    instances += [_banded_tie_instance(seed)[:2] for seed in range(20)]
+    solved_count = 0
+    for cfg, problem in instances:
+        nice = make_nice(decompose(cfg))
+        want = _reference_transitions(cfg, nice)
+        try:
+            sol = solve(cfg, problem, nice)
+        except NoFeasibleSolutionError:
+            continue
+        ext = solve_extended(cfg, problem, nice,
+                             lambda v, b, bl, br: cfg.node_cost[v] if b else CostVec(0, 0))
+        assert sol.transitions == ext.transitions == want
+        solved_count += 1
+    assert solved_count >= 100
 
 
 def test_oracle_equivalence_all_styles():

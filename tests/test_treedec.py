@@ -226,6 +226,20 @@ def test_decompose_matches_from_scratch_min_fill():
     assert {decompose(cfg).width for cfg in bands} >= {3, 4, 5, 6}
 
 
+def test_packed_keys_at_their_extremes():
+    # the int keys must order as (fill, degree, id) at the largest degree
+    # (n - 1, on the hub of a star, at id 0 and at id n - 1), at the
+    # largest fill, on all-equal keys, and on the smallest graphs
+    star = Cfg(9, [(0, v) for v in range(1, 9)])
+    last_hub = Cfg(9, [(0, 8)] + [(8, v) for v in range(1, 8)])
+    wheel = Cfg(9, [(0, v) for v in range(1, 9)] + [(v, v % 8 + 1) for v in range(1, 9)])
+    k6 = Cfg(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    for cfg in (star, last_hub, wheel, k6, Cfg(1, []), Cfg(2, [(0, 1)])):
+        td = decompose(cfg)
+        assert (td.bags, td.edges) == _min_fill_reference(cfg), cfg.edges
+    assert [decompose(cfg).width for cfg in (star, wheel, k6)] == [1, 3, 5]
+
+
 def test_validate_names_the_first_violated_condition():
     # path 0-1-2-3 plus the edge (1, 3); the valid decomposition has bags
     # {0,1}, {1,2,3}, {1,3} on a path, and each broken copy breaks it

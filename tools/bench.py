@@ -24,11 +24,16 @@ tree, the two trees alternating which runs first, so a slow phase of the host
 does not land on one side only).  A row holds deterministic ``counts``,
 best-of-N wall-clock ``seconds`` per timed stage with the garbage collector
 off, and a ``digest`` of the output; with a baseline it adds the baseline's
-seconds and counts and ``same_output``.  The loglog slope of each stage's
-seconds against the row size is given per seed (per width for ``banded``)
-and tree.  The times are not corrected for host speed and one row cannot
-resolve a change of a few tens of percent: speed claims go through
-``perfbench/``, and these rows show counts, digests and slopes.
+seconds and counts and ``same_output``.  The ``extended``, ``chain`` and
+``banded`` rows also record ``collections``: the collector's runs per
+generation, [gen 0, gen 1, gen 2], in each stage of one more run with the
+collector on, as the benchmark under ``perfbench/`` runs it (and, with a
+baseline, ``baseline_collections``).  They depend on the interpreter's
+allocation history, so they are not ``counts``.  The loglog slope of each
+stage's seconds against the row size is given per seed (per width for
+``banded``) and tree.  The times are not corrected for host speed and one
+row cannot resolve a change of a few tens of percent: speed claims go
+through ``perfbench/``, and these rows show counts, digests and slopes.
 """
 from __future__ import annotations
 
@@ -75,6 +80,29 @@ def _timed(repeats, *stages):
     if len(stages) == 1:
         del best["total"]
     return {name: round(t, 4) for name, t in best.items()}, values[1:]
+
+
+def _collections(*stages):
+    """Garbage collections per generation, [gen 0, gen 1, gen 2], during each
+    ``(name, fn)`` stage of one run with the collector on, the stages chained
+    as in ``_timed``."""
+    counts = {name: [0, 0, 0] for name, _ in stages}
+    current = [None]
+
+    def count(phase, info):
+        if phase == "start":
+            counts[current[0]][info["generation"]] += 1
+
+    value = None
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        for name, fn in stages:
+            current[0] = name
+            value = fn(value)
+    finally:
+        gc.callbacks.remove(count)
+    return counts
 
 
 def _digest(text):
@@ -150,14 +178,13 @@ def measure_extended(n):
             table[(v, *combo)] = CostVec(max(0, live - regs), weight * live + rng.randint(0, 1))
     allowed = {v: [(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)]
                for v in range(n) if rng.random() < 0.1}
-    seconds, (sol,) = _timed(EXTENDED_REPEATS, (
-        "solve_extended", lambda _: solve_extended(
-            cfg, problem, nice, lambda v, b, bl, br: table[(v, b, bl, br)],
-            allowed_combos=allowed)))
+    stage = ("solve_extended", lambda _: solve_extended(
+        cfg, problem, nice, lambda v, b, bl, br: table[(v, b, bl, br)], allowed_combos=allowed))
+    seconds, (sol,) = _timed(EXTENDED_REPEATS, stage)
     answer = repr((sol.cost, sorted(sol.life_set), sorted(sol.life_left),
                    sorted(sol.life_right)))
     return {"seed": 0, "n": n, "counts": _dp_counts(nice, sol), "seconds": seconds,
-            "digest": _digest(answer)}
+            "collections": _collections(stage), "digest": _digest(answer)}
 
 
 def _banded(width, n):
@@ -172,14 +199,16 @@ def _banded(width, n):
 
 
 def _layers(cfg, problem, repeats):
-    """``decompose``, ``make_nice`` and ``solve`` timed per layer: counts, seconds, digest."""
+    """``decompose``, ``make_nice`` and ``solve`` timed per layer: counts, seconds,
+    collections, digest."""
     from lospre.dp import solve
     from lospre.treedec import decompose, make_nice
 
-    seconds, (_, nice, sol) = _timed(repeats, ("decompose", lambda _: decompose(cfg)),
-                                     ("make_nice", make_nice),
-                                     ("solve", lambda nice: solve(cfg, problem, nice)))
+    stages = (("decompose", lambda _: decompose(cfg)), ("make_nice", make_nice),
+              ("solve", lambda nice: solve(cfg, problem, nice)))
+    seconds, (_, nice, sol) = _timed(repeats, *stages)
     return {"counts": _dp_counts(nice, sol), "seconds": seconds,
+            "collections": _collections(*stages),
             "digest": _digest(repr((sol.cost, sorted(sol.life_set))))}
 
 
@@ -272,6 +301,8 @@ def main():
         row, old = (first, second) if k % 2 else (second, first)
         row.update(baseline_s=old["seconds"], baseline_counts=old["counts"],
                    same_output=old["digest"] == row["digest"])
+        if "collections" in old:
+            row["baseline_collections"] = old["collections"]
         rows.append(row)
     slopes = {}
     for value in dict.fromkeys(r[family.group] for r in rows):

@@ -21,8 +21,7 @@ from .cfg import (DEFAULT_EDGE_COST, Cfg, calc_set, dump_dot, load_cfg, make_pro
                   min_calc_count, total_cost)
 from .cost import ZERO
 from .dp import eliminated_count, format_solution, solve
-from .errors import (GraphFormatError, IrParseError, LospreError, NoFeasibleSolutionError,
-                     WidthExceededError)
+from .errors import InputFormatError, LospreError, NoFeasibleSolutionError, WidthExceededError
 from .oracle import (BRUTE_LOSPRE_MAX_NODES, BRUTE_SAFETY_FIXPOINT_MAX_NODES,
                      BRUTE_SAFETY_MAX_NODES, STYLES, InstanceGenerator, brute_lospre,
                      brute_safety, brute_safety_fixpoint, generate)
@@ -500,9 +499,8 @@ _DISPATCH = {
 }
 
 # checked in order, so a subclass precedes its base
-_EXIT_CODES = ((GraphFormatError, EXIT_PARSE), (IrParseError, EXIT_PARSE),
-               (WidthExceededError, EXIT_WIDTH), (LospreError, EXIT_ERROR),
-               (FileNotFoundError, EXIT_PARSE))
+_EXIT_CODES = ((InputFormatError, EXIT_PARSE), (WidthExceededError, EXIT_WIDTH),
+               (LospreError, EXIT_ERROR), (FileNotFoundError, EXIT_PARSE))
 
 
 def main(argv=None) -> int:

@@ -11,10 +11,15 @@ present.  The sweep finds those edges as it goes, with no assignment built
 beforehand: at the forget node of v it walks v's successors and
 predecessors and charges each edge whose other end is v itself, or is not
 yet forgotten (a bytearray marks the forgotten vertices) and is in the
-child bag.  It raises ``DecompositionError`` at a vertex forgotten twice or
-outside the graph, and after the sweep, before the feasibility check, at a
-vertex never forgotten or an edge left uncharged; for the last it lets
-``assign_edges_to_forgets``, the reference assignment, name the edge.
+child bag; ``assign_edges_to_forgets`` is the reference of that charging.
+
+The kernel only detects defects of the decomposition, with checks a valid
+form pays anyway: a missing child table, a vertex outside the graph or
+forgotten twice, a failed lookup, and after the sweep a vertex never
+forgotten, an uncharged edge, a root that is not the last node or not
+empty, and a node the root does not reach.  ``validate_nice`` words each
+as a ``DecompositionError``; if it accepts the form, the kernel's own
+error stands.
 
 The table steps run as gathers through index maps, tuples that depend only
 on a step's shape and are cached per shape (``_index_map``), so no step
@@ -57,7 +62,7 @@ from .cfg import Cfg, ExprProblem, calc_set, total_cost, validate_problem
 from .cost import INFINITY, ZERO, CostVec, format_cost, sum_costs
 from .errors import (DecompositionError, LospreError, NoFeasibleSolutionError,
                      WidthExceededError)
-from .treedec import INTRODUCE, JOIN, LEAF, NiceTreeDec, foreign_vertex
+from .treedec import INTRODUCE, JOIN, LEAF, NiceTreeDec, validate_nice
 
 
 @dataclass(frozen=True)
@@ -82,27 +87,15 @@ def assign_edges_to_forgets(cfg: Cfg, nice: NiceTreeDec) -> dict:
 
     Edge (x, y) belongs to the forget node of whichever endpoint the
     bottom-up sweep forgets first (the lower node id), and the other
-    endpoint must then be in that node's child bag, so both bits are
-    available to the membership test.  ``_life_dp``
-    charges each edge where this assigns it, without building the
-    assignment, and calls this only for the message when its charging
-    falls short.  Raises if the decomposition does not cover the graph.
+    endpoint is then in that node's child bag, so both bits are available
+    to the membership test.  ``_life_dp`` charges each edge where this
+    assigns it, without building the assignment.  ``nice`` must be a form
+    that ``validate_nice`` accepts.
     """
     fm = nice.forget_map()
-    n = cfg.node_count
-    foreign = [v for v in fm if not 0 <= v < n]
-    if foreign:
-        raise foreign_vertex(foreign[0])
-    if len(fm) != n:
-        missing = sorted(set(range(n)) - set(fm))
-        raise DecompositionError(f"decomposition does not cover vertices {missing[:8]}")
     assignment = {i: [] for i in fm.values()}
     for (x, y) in sorted(cfg.edges):
-        fx, fy = fm[x], fm[y]
-        i, other = (fx, y) if fx <= fy else (fy, x)
-        if other not in nice.bags[nice.children[i][0]]:
-            raise DecompositionError(f"edge ({x}, {y}) is covered by no bag of the decomposition")
-        assignment[i].append((x, y))
+        assignment[min(fm[x], fm[y])].append((x, y))
     return assignment
 
 
@@ -122,9 +115,15 @@ def cost_keys(costs) -> tuple:
     return (lambda c: inf if c.infinite else c.primary * scale + c.secondary), bound
 
 
-def _unswept(i: int, j: int) -> DecompositionError:
-    return DecompositionError(f"node {i} has no table for its child {j}: children must be "
-                              "numbered below their parents, and each used once")
+def _defect(cfg: Cfg, nice: NiceTreeDec, cause: Optional[Exception] = None) -> LospreError:
+    """The error for a defect the kernel detected, worded by ``validate_nice``; when
+    that accepts ``nice``, the kernel is at fault: ``cause`` or an internal error."""
+    problem = validate_nice(cfg, nice)
+    if problem is not None:
+        return DecompositionError(problem)
+    if cause is not None:
+        return cause
+    return LospreError("internal error: the sweep rejected a form that validate_nice accepts")
 
 
 # Index maps by shape, built on first use.  Up to bags of 8 vertices every
@@ -195,94 +194,92 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
     charged = 0
     transitions = 0
 
-    for i in range(nice.node_count):
-        kind = kinds[i]
-        if kind == LEAF:
-            tables[i] = [0]
-            transitions += 1
-            continue
-        ch = children[i]
-        child = tables[ch[0]]
-        if child is None:
-            raise _unswept(i, ch[0])
-        tables[ch[0]] = None
-        if kind == INTRODUCE:
-            bag = bags[i]
-            shape = ("introduce", len(bag), bag.index(vertex[i]))
-            trace[i] = idx = maps.get(shape) or _index_map(maps, shape)
-            tables[i] = [child[g] for g in idx]
-            transitions += len(idx)
-        elif kind == JOIN:
-            other = tables[ch[1]]
-            if other is None:
-                raise _unswept(i, ch[1])
-            tables[ch[1]] = None
-            tables[i] = list(map(add, child, other))
-            transitions += len(child)
-        else:  # forget: charge v's edges on the child table, then minimize
-            v = vertex[i]
-            if not 0 <= v < n:
-                raise foreign_vertex(v)
-            if forgotten[v]:
-                raise DecompositionError(f"vertex {v} is forgotten more than once")
-            forgotten[v] = 1
-            child_bag = bags[ch[0]]
-            k = len(child_bag)
-            p = child_bag.index(v)
-            # v departs first of each edge to a vertex still in the bag: a
-            # self-loop, or an edge whose other end is not yet forgotten
-            edges = 0
-            cx = -1 if v in inv else p
-            for y in succ(v):
-                if y == v or not forgotten[y] and y in child_bag:
-                    pc = key(edge_cost[v, y]) << shift
-                    shape = ("edge", k, cx, -1 if y in use else child_bag.index(y))
-                    for g in maps.get(shape) or _index_map(maps, shape):
-                        child[g] += pc
-                    edges += 1
-            cy = -1 if v in use else p
-            for x in pred(v):
-                if not forgotten[x] and x in child_bag:
-                    pc = key(edge_cost[x, v]) << shift
-                    shape = ("edge", k, -1 if x in inv else child_bag.index(x), cy)
-                    for g in maps.get(shape) or _index_map(maps, shape):
-                        child[g] += pc
-                    edges += 1
-            charged += edges
-            shape = ("forget", k, p)
-            dead_idx, live_idx = trace[i] = maps.get(shape) or _index_map(maps, shape)
-            dead = key(dead_costs[v]) << shift
-            live = (key(live_costs[v]) << shift) + 1
-            d = [child[g] + dead for g in dead_idx] if dead else [child[g] for g in dead_idx]
-            lv = [child[g] + live for g in live_idx]
-            # an exact tie keeps the vertex dead
-            tables[i] = [a if a <= b else b for a, b in zip(d, lv)]
-            choices[i] = bytes(map(lt, lv, d))
-            transitions += 2 * len(d) * (1 + edges)
+    # a detected defect raises through ``_defect``, and so does a malformed
+    # form that fails a lookup or a comparison first: a vertex not in its
+    # bag, a missing child, a forget node without a vertex
+    try:
+        for i in range(nice.node_count):
+            kind = kinds[i]
+            if kind == LEAF:
+                tables[i] = [0]
+                transitions += 1
+                continue
+            ch = children[i]
+            child = tables[ch[0]]
+            if child is None:
+                raise _defect(cfg, nice)
+            tables[ch[0]] = None
+            if kind == INTRODUCE:
+                bag = bags[i]
+                shape = ("introduce", len(bag), bag.index(vertex[i]))
+                trace[i] = idx = maps.get(shape) or _index_map(maps, shape)
+                tables[i] = [child[g] for g in idx]
+                transitions += len(idx)
+            elif kind == JOIN:
+                other = tables[ch[1]]
+                if other is None:
+                    raise _defect(cfg, nice)
+                tables[ch[1]] = None
+                tables[i] = list(map(add, child, other))
+                transitions += len(child)
+            else:  # forget: charge v's edges on the child table, then minimize
+                v = vertex[i]
+                if not 0 <= v < n or forgotten[v]:
+                    raise _defect(cfg, nice)
+                forgotten[v] = 1
+                child_bag = bags[ch[0]]
+                k = len(child_bag)
+                p = child_bag.index(v)
+                # v departs first of each edge to a vertex still in the bag: a
+                # self-loop, or an edge whose other end is not yet forgotten
+                edges = 0
+                cx = -1 if v in inv else p
+                for y in succ(v):
+                    if y == v or not forgotten[y] and y in child_bag:
+                        pc = key(edge_cost[v, y]) << shift
+                        shape = ("edge", k, cx, -1 if y in use else child_bag.index(y))
+                        for g in maps.get(shape) or _index_map(maps, shape):
+                            child[g] += pc
+                        edges += 1
+                cy = -1 if v in use else p
+                for x in pred(v):
+                    if not forgotten[x] and x in child_bag:
+                        pc = key(edge_cost[x, v]) << shift
+                        shape = ("edge", k, -1 if x in inv else child_bag.index(x), cy)
+                        for g in maps.get(shape) or _index_map(maps, shape):
+                            child[g] += pc
+                        edges += 1
+                charged += edges
+                shape = ("forget", k, p)
+                dead_idx, live_idx = trace[i] = maps.get(shape) or _index_map(maps, shape)
+                dead = key(dead_costs[v]) << shift
+                live = (key(live_costs[v]) << shift) + 1
+                d = [child[g] + dead for g in dead_idx] if dead else [child[g] for g in dead_idx]
+                lv = [child[g] + live for g in live_idx]
+                # an exact tie keeps the vertex dead
+                tables[i] = [a if a <= b else b for a, b in zip(d, lv)]
+                choices[i] = bytes(map(lt, lv, d))
+                transitions += 2 * len(d) * (1 + edges)
+    except (IndexError, TypeError, ValueError) as exc:
+        raise _defect(cfg, nice, exc)
 
-    if 0 in forgotten:
-        missing = [v for v in range(n) if not forgotten[v]]
-        raise DecompositionError(f"decomposition does not cover vertices {missing[:8]}")
-    if charged != len(cfg.edges):
-        assign_edges_to_forgets(cfg, nice)  # raises, naming the first edge in no bag
-        raise LospreError("internal error: edge charging disagrees with assign_edges_to_forgets")
-    root_table = tables[nice.root]
-    if len(root_table) != 1:
-        raise DecompositionError("root bag of the nice decomposition must be empty")
-    root_cost = root_table[0]
+    if 0 in forgotten or charged != len(cfg.edges) or nice.root != nice.node_count - 1 or \
+            len(tables[nice.root]) != 1:
+        raise _defect(cfg, nice)
+    root_cost = tables[nice.root][0]
     if root_cost >= inf:
         raise NoFeasibleSolutionError("no feasible solution: all assignments have infinite cost")
 
     # the sweep checked that children are numbered below their parents, so a
     # descending scan reaches each node after its parent has set its entry;
-    # -1 marks the nodes the root does not reach
+    # an entry left at -1 marks a node the root does not reach
     life = set()
     entry = [-1] * (nice.root + 1)
     entry[nice.root] = 0
     for i in range(nice.root, -1, -1):
         m = entry[i]
         if m < 0:
-            continue
+            raise _defect(cfg, nice)
         kind = kinds[i]
         if kind == INTRODUCE:
             entry[children[i][0]] = trace[i][m]

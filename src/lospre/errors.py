@@ -9,8 +9,8 @@ class CfgError(LospreError):
     """A control-flow graph or problem invariant is violated."""
 
 
-class GraphFormatError(LospreError):
-    """Malformed graph file.  Carries the 1-based line number when known."""
+class InputFormatError(LospreError):
+    """Malformed input text.  Carries the 1-based line number when known."""
 
     def __init__(self, message, line=None):
         if line is not None:
@@ -19,14 +19,12 @@ class GraphFormatError(LospreError):
         self.line = line
 
 
-class IrParseError(LospreError):
-    """Malformed IR text.  Carries the 1-based line number when known."""
+class GraphFormatError(InputFormatError):
+    """Malformed graph file."""
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+
+class IrParseError(InputFormatError):
+    """Malformed IR text."""
 
 
 class DecompositionError(LospreError):

@@ -400,8 +400,13 @@ class ExprCandidate:
         if self.op == "load":
             return f"*{self.left}"
         if self.right is None:
-            return f"{self.op}{self.left}"
+            return f"{_UNARY_SPELLING[self.op]} {self.left}"
         return f"{self.left} {self.op} {self.right}"
+
+
+# a unary candidate's op is its key name, which tells unary "-" from binary "-"
+_UNARY_KEYS = {"-": "neg", "~": "not"}
+_UNARY_SPELLING = {name: op for op, name in _UNARY_KEYS.items()}
 
 
 def _operand_key(o: Operand):
@@ -416,7 +421,7 @@ def candidate_key(ins: Instruction):
             left, right = right, left
         return (ins.op, left, right)
     if ins.kind == UNOP:
-        return ({"-": "neg", "~": "not"}[ins.op], ins.left, None)
+        return (_UNARY_KEYS[ins.op], ins.left, None)
     if ins.kind == LOAD:
         return ("load", ins.left, None)
     return None
@@ -483,8 +488,7 @@ def _computation_instr(candidate: ExprCandidate, tmp: str) -> Instruction:
     if candidate.op == "load":
         return Instruction(LOAD, dest=tmp, left=candidate.left)
     if candidate.right is None:
-        op = {"neg": "-", "not": "~"}[candidate.op]
-        return Instruction(UNOP, dest=tmp, op=op, left=candidate.left)
+        return Instruction(UNOP, dest=tmp, op=_UNARY_SPELLING[candidate.op], left=candidate.left)
     return Instruction(BINOP, dest=tmp, op=candidate.op,
                        left=candidate.left, right=candidate.right)
 
@@ -554,7 +558,7 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> R
     override: the edges that replace it take the default cost, like every
     edge a rewrite creates.
     """
-    instructions = list(program.instructions)
+    instructions = program.instructions
     n = len(instructions)
     sink = instr_node(n)
     if cfg.node_count != sink + 1:
@@ -581,13 +585,6 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> R
             if name not in labels_in_use:
                 labels_in_use.add(name)
                 return name
-
-    def label_of(idx):
-        ins = instructions[idx]
-        if ins.label is None:
-            lbl = fresh_label()
-            instructions[idx] = replace(ins, label=lbl)
-        return instructions[idx].label
 
     # each block is placed on one calculation edge
     before = {}     # instruction index -> (edge, block placed just before it)
@@ -625,12 +622,12 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> R
                 lbl = fresh_label()
                 retarget[ui] = lbl
                 appended.append((edge, [replace(comp, label=lbl),
-                                        Instruction(JUMP, target=label_of(node_instr(v)))]))
+                                        Instruction(JUMP, target=ins.target)]))
         elif ins.kind == JUMP:
             lbl = fresh_label()
             retarget[ui] = lbl
             appended.append((edge, [replace(comp, label=lbl),
-                                    Instruction(JUMP, target=label_of(node_instr(v)))]))
+                                    Instruction(JUMP, target=ins.target)]))
         else:
             if v != fall_node:
                 raise LospreError(f"edge ({u}, {v}) does not leave instruction {ui}")

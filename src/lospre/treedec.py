@@ -23,7 +23,10 @@ only when that probe misses.  The solvers are correct for any valid
 decomposition, so the heuristic only affects table sizes, never results.
 ``make_nice`` converts to a rooted form with empty root and leaf bags and
 only introduce/forget/join steps, preserving the width exactly; it reads
-the tree from two flat arrays, not a list per bag.
+the tree from two flat arrays, not a list per bag.  ``validate`` and
+``validate_nice`` word every defect of a decomposition; the solvers take
+a form that ``validate_nice`` accepts, and report its message for one
+they detect as defective.
 """
 from __future__ import annotations
 
@@ -80,20 +83,9 @@ class NiceTreeDec:
         return max(map(len, self.bags)) - 1
 
     def forget_map(self) -> dict:
-        """Map each graph vertex to its unique forget node."""
-        fm = {}
-        for i, kind in enumerate(self.kinds):
-            if kind == FORGET:
-                v = self.vertex[i]
-                if v in fm:
-                    raise DecompositionError(f"vertex {v} is forgotten more than once")
-                fm[v] = i
-        return fm
-
-
-def foreign_vertex(v) -> DecompositionError:
-    """The error for a decomposition that forgets ``v``, which is not a graph node."""
-    return DecompositionError(f"decomposition names vertex {v}, which is not a node of the graph")
+        """Map each forgotten vertex to its forget node, the only one in a
+        form that ``validate_nice`` accepts."""
+        return {v: i for i, (kind, v) in enumerate(zip(self.kinds, self.vertex)) if kind == FORGET}
 
 
 def _undirected_adjacency(cfg: Cfg) -> list:
@@ -192,7 +184,8 @@ def decompose(cfg: Cfg) -> TreeDec:
 
 
 def validate(cfg: Cfg, td: TreeDec) -> Optional[str]:
-    """Check the three decomposition conditions; None means valid.
+    """Check the three decomposition conditions, and that every bag vertex
+    is a node of ``cfg``; None means valid.
 
     The returned message names the first violated condition and a witness.
     """
@@ -202,6 +195,9 @@ def validate(cfg: Cfg, td: TreeDec) -> Optional[str]:
     for v in range(n):
         if v not in last:
             return f"node coverage violated: vertex {v} is in no bag"
+    if len(last) != n:
+        v = next(v for v in last if v not in range(n))
+        return f"decomposition names vertex {v}, which is not a node of the graph"
     for (u, v) in cfg.edges:
         # the top of the endpoint subtree that lies lower holds the edge
         if (v not in bags[last[u]] and u not in bags[last[v]]
@@ -302,7 +298,16 @@ def make_nice(td: TreeDec) -> NiceTreeDec:
 
 
 def validate_nice(cfg: Cfg, nice: NiceTreeDec) -> Optional[str]:
-    """Structural checks for a nice decomposition; None means valid."""
+    """Check a nice decomposition of ``cfg``; None means valid.
+
+    The returned message names the first defect and a witness.  The nodes
+    must form one tree under an empty root bag, each child numbered below
+    its parent, and each bag must be its node kind's step from its
+    children's bags; ``validate`` then checks the bags as a decomposition.
+    Together these make every vertex forgotten exactly once: a vertex in no
+    bag is never forgotten, and one forgotten twice occupies two subtrees.
+    The solvers only detect a defect and report the message this returns.
+    """
     if nice.bags[nice.root]:
         return "root bag is not empty"
     referenced = set()
@@ -310,9 +315,12 @@ def validate_nice(cfg: Cfg, nice: NiceTreeDec) -> Optional[str]:
         kind = nice.kinds[i]
         bag = set(nice.bags[i])
         ch = nice.children[i]
-        referenced.update(ch)
-        if any(c >= i for c in ch):
-            return f"node {i} is numbered before its child"
+        for c in ch:
+            if not 0 <= c < i:
+                return f"node {i} is numbered before its child"
+            if c in referenced:
+                return f"node {c} is a child more than once"
+            referenced.add(c)
         if kind == LEAF:
             if ch or bag:
                 return f"leaf node {i} has children or a non-empty bag"
@@ -337,17 +345,9 @@ def validate_nice(cfg: Cfg, nice: NiceTreeDec) -> Optional[str]:
             return f"unknown node kind {kind!r}"
     if nice.root in referenced:
         return "root node is a child of another node"
-    try:
-        fm = nice.forget_map()
-    except DecompositionError as exc:
-        return str(exc)
-    n = cfg.node_count
-    foreign = [v for v in fm if not 0 <= v < n]
-    if foreign:
-        return str(foreign_vertex(foreign[0]))
-    if len(fm) != n:
-        missing = set(range(n)) - set(fm)
-        return f"vertices never forgotten: {sorted(missing)[:8]}"
+    if len(referenced) != nice.node_count - 1:
+        orphan = min(set(range(nice.node_count)) - referenced - {nice.root})
+        return f"node {orphan} is not below the root"
     td = TreeDec(bags=[frozenset(bag) for bag in nice.bags],
                  edges=[(i, c) for i in range(nice.node_count) for c in nice.children[i]])
     return validate(cfg, td)

@@ -161,6 +161,24 @@ def test_verify_safety_with_use_inv_overlap(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("op", ["-", "~"])
+def test_run_spells_unary_candidates_as_the_ir_does(tmp_path, capsys, op):
+    # the stats name a unary candidate in IR syntax, and the rewritten
+    # program computes it once and agrees with the original
+    from lospre.interp import equivalent_states, interpret
+
+    src = tmp_path / "f.ir"
+    src.write_text(f"x = {op} a\ny = {op} a\nret\n")
+    assert main(["run", str(src), "--verify", "--emit", "rewritten-ir",
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert f"candidate {op} a uses=2 calcs=1 eliminated=1\n" in capsys.readouterr().out
+    before, after = parse_ir(src.read_text()), parse_ir((tmp_path / "f.out.ir").read_text())
+    assert [ins.op for ins in after if ins.kind == "unop"] == [op]
+    for a in (5, -3, 0):
+        assert equivalent_states(interpret(before, {"a": a}), interpret(after, {"a": a}),
+                                 ["x", "y"])
+
+
 def test_pipeline_skips_when_no_gain():
     # a single-occurrence candidate never shrinks, so nothing is applied
     prog = parse_ir("x = a + b\nret\n")

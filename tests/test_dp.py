@@ -1,4 +1,4 @@
-import re
+from dataclasses import replace
 
 import pytest
 
@@ -10,8 +10,8 @@ from lospre.errors import (DecompositionError, LospreError, NoFeasibleSolutionEr
 from lospre.ir import ExprCandidate
 from lospre.oracle import (InstanceGenerator, STYLES, brute_extended,
                            brute_extended_full, brute_lospre, generate)
-from lospre.treedec import (FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDec, decompose,
-                            make_nice, validate_nice)
+from lospre.treedec import (FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDec, TreeDec, decompose,
+                            make_nice, validate, validate_nice)
 
 
 def solved(cfg, problem, **kw):
@@ -89,13 +89,22 @@ def test_edges_charged_exactly_once():
 
 
 def _nice_path(steps):
-    """A nice form that is one path: a leaf, then one introduce or forget
-    node per (kind, vertex) step, each the parent of the one before."""
+    """A nice form built from a leaf, one node per (kind, vertex) step, each
+    the parent of the node before: a join has that node as both children,
+    and a leaf starts afresh, so no node reaches the nodes before it."""
     kinds, vertex, bags, children = [LEAF], [None], [()], [()]
     bag = ()
     for kind, v in steps:
-        bag = tuple(sorted(bag + (v,))) if kind == INTRODUCE else tuple(u for u in bag if u != v)
-        children.append((len(kinds) - 1,))
+        below = (len(kinds) - 1,)
+        if kind == INTRODUCE:
+            bag = tuple(sorted(bag + (v,)))
+        elif kind == FORGET:
+            bag = tuple(u for u in bag if u != v)
+        elif kind == JOIN:
+            below *= 2
+        else:
+            bag, below = (), ()
+        children.append(below)
         kinds.append(kind)
         vertex.append(v)
         bags.append(bag)
@@ -128,21 +137,46 @@ I, F = INTRODUCE, FORGET
 PATH3 = [(I, 0), (I, 1), (F, 0), (I, 2), (F, 1), (F, 2)]   # a nice form of 0 -> 1 -> 2
 
 
+def _replaced(nice, field, i, value):
+    """``nice`` with entry i of its list ``field`` replaced by ``value``."""
+    values = list(getattr(nice, field))
+    values[i] = value
+    return replace(nice, **{field: values})
+
+
 def test_sweep_checks_raise_the_reference_messages():
-    # the edge charging moved into the sweep; its checks name the witness
-    # that the reference assignment names
+    # the sweep only detects a defect; validate_nice words it, the same
+    # for both solvers
     path = Cfg(3, [(0, 1), (1, 2)])
     cases = [
         (Cfg(3, [(0, 1), (1, 2), (0, 2)]), _nice_path(PATH3),
-         "edge (0, 2) is covered by no bag of the decomposition"),
-        (path, _nice_path(PATH3[:3] + [(F, 1)]), "decomposition does not cover vertices [2]"),
+         "edge coverage violated: edge (0, 2) has no common bag"),
+        (path, _nice_path(PATH3[:3] + [(F, 1)]), "node coverage violated: vertex 2 is in no bag"),
         (path, _joined(_nice_path([(I, 2), (F, 2)]), _nice_path(PATH3)),
-         "vertex 2 is forgotten more than once"),
+         "connectivity violated: occurrences of vertex 2 do not form a subtree"),
+        (path, _nice_path(PATH3[:5]), "root bag is not empty"),
+        (path, _nice_path([(JOIN, None)] + PATH3), "node 0 is a child more than once"),
+        (path, _nice_path([(I, 0), (F, 1)] + PATH3[1:]),
+         "forget node 2 does not drop exactly its vertex"),
+        (path, _replaced(_nice_path(PATH3), "vertex", 2, 2),
+         "introduce node 2 does not add exactly its vertex"),
+        (path, _replaced(_nice_path(PATH3), "children", 1, ()),
+         "introduce node 1 must have one child"),
+        (path, _replaced(_nice_path(PATH3), "vertex", 3, None),
+         "forget node 3 does not drop exactly its vertex"),
+        (path, _nice_path([(LEAF, None)] + PATH3), "node 0 is not below the root"),
     ]
     for cfg, nice, message in cases:
+        assert validate_nice(cfg, nice) == message
         assert _solver_errors(cfg, nice) == [message, message]
-        with pytest.raises(DecompositionError, match=re.escape(message)):
-            assign_edges_to_forgets(cfg, nice)
+    # a bag naming a vertex outside the graph: validate words it, for the
+    # decomposition and for its nice form
+    td = TreeDec(bags=[frozenset({0, 1}), frozenset({1, 2, 7})], edges=[(0, 1)])
+    message = validate(path, td)
+    assert message == "decomposition names vertex 7, which is not a node of the graph"
+    nice = make_nice(td)
+    assert validate_nice(path, nice) == message
+    assert _solver_errors(path, nice) == [message, message]
 
 
 @pytest.mark.parametrize("v", [3, 5, -1])
@@ -154,8 +188,6 @@ def test_foreign_vertex_is_named(v):
     message = f"decomposition names vertex {v}, which is not a node of the graph"
     assert _solver_errors(cfg, nice) == [message, message]
     assert validate_nice(cfg, nice) == message
-    with pytest.raises(DecompositionError, match=message):
-        assign_edges_to_forgets(cfg, nice)
 
 
 def _reference_transitions(cfg, nice):
@@ -527,17 +559,16 @@ def test_eliminated_count():
 
 
 def test_solve_rejects_a_root_first_decomposition():
-    # a valid nice decomposition of one edge, numbered root first: the
-    # bottom-up sweep meets node 0 before its child's table exists
-    from lospre.errors import DecompositionError
-    from lospre.treedec import FORGET, INTRODUCE, LEAF, NiceTreeDec
+    # a nice decomposition of one edge, numbered root first: the bottom-up
+    # sweep meets node 0 before its child's table exists
     cfg = Cfg(2, [(0, 1)])
     nice = NiceTreeDec(kinds=[FORGET, FORGET, INTRODUCE, INTRODUCE, LEAF],
                        vertex=[1, 0, 1, 0, None],
                        bags=[(), (1,), (0, 1), (0,), ()],
                        children=[(1,), (2,), (3,), (4,), ()], root=0)
-    with pytest.raises(DecompositionError, match="node 0 has no table for its child 1"):
-        solve(cfg, make_problem(cfg, use=[1]), nice)
+    message = validate_nice(cfg, nice)
+    assert message == "node 0 is numbered before its child"
+    assert _solver_errors(cfg, nice) == [message, message]
 
 
 # -- tie rule beyond brute force ---------------------------------------------

@@ -190,6 +190,34 @@ def test_graphs_with_extra_edges_are_rebuilt(monkeypatch, text):
     assert recorder.built == recorder.passes == 2
 
 
+def test_a_moved_fake_edge_carries_no_verdict(monkeypatch):
+    # pass 1 cuts d + e (uses 1 and 3) and applies a + b with a computation
+    # on the back edge; the block appended after the old goto moves the fake
+    # edge into the sink, so pass 2 cuts d + e afresh and carries nothing
+    import lospre.cli as cli
+    text = ("p = d + e\nd = d + 1\nq = d + e\nL: x = a + b\ny = a + b\nz = a + b\n"
+            "a = c\ngoto L\n")
+    cuts, carries = [], []
+    derive, cut = irmod.derive_problems, cli.min_calc_count
+
+    def recording_derive(program, cfg):
+        cuts.append([])
+        return derive(program, cfg)
+
+    def recording_cut(cfg, problem, bound):
+        cuts[-1].append(sorted(problem.use_set))
+        return cut(cfg, problem, bound)
+
+    monkeypatch.setattr(irmod, "derive_problems", recording_derive)
+    monkeypatch.setattr(cli, "min_calc_count", recording_cut)
+    monkeypatch.setattr(cli, "_carries", lambda *args: carries.append(args))
+    result = run_pipeline(parse_ir(text), RunConfig())
+    assert [c.display() for c, _ in result.applied] == ["a + b"]
+    assert any(ins.label == "__L0" for ins in result.program)  # the appended block
+    assert cuts == [[[1, 3], [4, 5, 6]], [[1, 3]]]
+    assert carries == []
+
+
 def test_a_rewrite_that_appends_a_ret_is_not_patched():
     # the program and solution of
     # test_ir.py::test_rewrite_keeps_the_last_instruction_out_of_appended_blocks

@@ -6,7 +6,7 @@ Row families; sizes, seeds and repeats are fixed for each:
 
 - ``pipeline``: ``run_pipeline(parse_ir(text), RunConfig())`` on
   ``generate_program_text(seed, max_statements=size)``, seeds 0 and 7, sizes
-  25 to 800.  One counting run records passes, rewrites, the ``solve``,
+  25 to 3200.  One counting run records passes, rewrites, the ``solve``,
   ``decompose``, ``min_calc_count`` and ``solve_safety`` calls (0 where a
   tree has no such function), ``region_nodes``, the nodes of the graphs
   decomposed, and ``graphs_built`` and ``problems_built``, the
@@ -236,7 +236,8 @@ FAMILIES = {
         "generate_program_text(seed, max_statements=size), default RunConfig "
         "(safety auto)",
         f"best of {PIPELINE_REPEATS}, gc off, parse_ir included", "instructions",
-        [(seed, size) for seed in (0, 7) for size in (25, 50, 100, 200, 400, 800)],
+        [(seed, size) for seed in (0, 7)
+         for size in (25, 50, 100, 200, 400, 800, 1600, 3200)],
         measure_pipeline),
     "extended": Family(
         "dp.solve_extended",

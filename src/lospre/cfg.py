@@ -27,6 +27,11 @@ class Cfg:
     rejected (the edge set is a set); self-loops are allowed.  Sinks are
     computed, not stored: any node with no successors.  All queries are
     read-only, so instances are safe to share across threads.
+
+    The constructor checks every input: duplicate edges, edge ends and
+    cost keys outside the nodes, and a source that is not unique.
+    ``edge_cost`` and ``node_cost`` fill in [1,0] and [0,1] for what a
+    dict leaves out.
     """
 
     __slots__ = ("node_count", "edges", "edge_cost", "node_cost", "source",
@@ -38,19 +43,18 @@ class Cfg:
         if node_count <= 0:
             raise CfgError("a CFG must have at least one node")
         edge_list = list(edges)
-        edge_set = set(edge_list)
+        edge_set = frozenset(edge_list)
         if len(edge_set) != len(edge_list):
             seen = set()
             for e in edge_list:
                 if e in seen:
                     raise CfgError(f"duplicate edge {e[0]} -> {e[1]}")
                 seen.add(e)
-        for (u, v) in edge_set:
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise CfgError(f"edge ({u}, {v}) references an unknown node id")
         succ = [[] for _ in range(node_count)]
         pred = [[] for _ in range(node_count)]
         for (u, v) in sorted(edge_set):
+            if not (0 <= u < node_count and 0 <= v < node_count):
+                raise CfgError(f"edge ({u}, {v}) references an unknown node id")
             succ[u].append(v)
             pred[v].append(u)
         sources = [v for v in range(node_count) if not pred[v]]
@@ -60,19 +64,18 @@ class Cfg:
                 f" ({sources[:8]}{'...' if len(sources) > 8 else ''})")
 
         self.node_count = node_count
-        self.edges = frozenset(edge_set)
-        self.edge_cost = {e: DEFAULT_EDGE_COST for e in edge_set}
-        if edge_cost:
-            for e, c in edge_cost.items():
-                if e not in edge_set:
-                    raise CfgError(f"cost given for unknown edge {e}")
-                self.edge_cost[e] = c
-        self.node_cost = {v: DEFAULT_NODE_COST for v in range(node_count)}
-        if node_cost:
-            for v, c in node_cost.items():
-                if not (0 <= v < node_count):
-                    raise CfgError(f"cost given for unknown node {v}")
-                self.node_cost[v] = c
+        self.edges = edge_set
+        # a key the defaults lack adds an entry: the first such key is unknown
+        self.edge_cost = dict.fromkeys(edge_set, DEFAULT_EDGE_COST)
+        self.edge_cost.update(edge_cost or ())
+        if len(self.edge_cost) != len(edge_set):
+            e = next(e for e in edge_cost if e not in edge_set)
+            raise CfgError(f"cost given for unknown edge {e}")
+        self.node_cost = dict.fromkeys(range(node_count), DEFAULT_NODE_COST)
+        self.node_cost.update(node_cost or ())
+        if len(self.node_cost) != node_count:
+            v = next(v for v in node_cost if not 0 <= v < node_count)
+            raise CfgError(f"cost given for unknown node {v}")
         self.source = sources[0]
         # tuple(list): tuple(generator) resizes, so small ones pile up on free lists
         self._succ = tuple([tuple(s) for s in succ])
@@ -154,6 +157,19 @@ def calc_set(cfg: Cfg, problem: ExprProblem, life: Iterable[int]) -> frozenset:
                      if not (x in life and x not in inv) and (y in use or y in life))
 
 
+def use_region(cfg: Cfg, problem: ExprProblem) -> set:
+    """B: the uses, and every node that reaches one without passing an
+    invalidating node.  A node of B that is not a use is not invalidating."""
+    inv, pred = problem.invalidation_set, cfg._pred
+    found, stack = set(problem.use_set), list(problem.use_set)
+    while stack:
+        for p in pred[stack.pop()]:
+            if p not in found and p not in inv:
+                found.add(p)
+                stack.append(p)
+    return found
+
+
 def min_calc_count(cfg: Cfg, problem: ExprProblem, limit: int) -> int:
     """Fewest calculation edges that any life set has, capped at ``limit``.
 
@@ -169,28 +185,35 @@ def min_calc_count(cfg: Cfg, problem: ExprProblem, limit: int) -> int:
     Under unit edge costs and zero primary node costs it equals the
     optimum's calculation count; under any finite costs it is a lower bound
     for it.
+
+    Every node of such a path after its first is in the use region B
+    (``use_region``), so the flow network has one arc per edge into B and
+    no other: an arc into a node outside B carries no flow.  The work is
+    in proportion to B's nodes and in-edges, not to the graph.
     """
     use, inv = problem.use_set, problem.invalidation_set
-    n = cfg.node_count
-    source, sink = n, n + 1
+    index = {v: i for i, v in enumerate(use_region(cfg, problem))}
+    source, sink = len(index), len(index) + 1
     flow = 0
     head = []                       # arc a runs to head[a]; a ^ 1 is its reverse
-    out = [[] for _ in range(n + 2)]
-    for (x, y) in cfg.edges:
-        u = source if x in inv else None if x in use else x
-        w = sink if y in use else None if y in inv else y
-        if u is None or w is None or u == w:
-            continue
-        if u == source and w == sink:
-            flow += 1
-            continue
-        out[u].append(len(head))
-        head.append(w)
-        out[w].append(len(head))
-        head.append(u)
+    out = [[] for _ in range(len(index) + 2)]
+    for y, w in index.items():
+        if y in use:
+            w = sink
+        for x in cfg._pred[y]:
+            u = source if x in inv else None if x in use else index[x]
+            if u is None or u == w:
+                continue
+            if u == source and w == sink:
+                flow += 1
+                continue
+            out[u].append(len(head))
+            head.append(w)
+            out[w].append(len(head))
+            head.append(u)
     cap = [1, 0] * (len(head) // 2)
     while flow < limit:
-        via = [-1] * (n + 2)        # arc that first reached each vertex
+        via = [-1] * (sink + 1)     # arc that first reached each vertex
         queue = [source]
         for v in queue:
             for a in out[v]:

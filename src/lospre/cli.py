@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain
+from itertools import chain, compress
+from operator import is_not
 from pathlib import Path
 
 from . import ir as irmod
-from .cfg import (DEFAULT_EDGE_COST, Cfg, calc_set, dump_dot, load_cfg, make_problem,
-                  min_calc_count, total_cost)
-from .cost import ZERO
+from .cfg import (DEFAULT_EDGE_COST, Cfg, calc_set, dump_dot, load_cfg,
+                  make_problem, min_calc_count, use_region)
+from .cost import ZERO, sum_costs
 from .dp import eliminated_count, format_solution, solve
 from .errors import InputFormatError, LospreError, NoFeasibleSolutionError, WidthExceededError
 from .oracle import (BRUTE_LOSPRE_MAX_NODES, BRUTE_SAFETY_FIXPOINT_MAX_NODES,
@@ -142,13 +143,7 @@ def _use_region(cfg, problem):
            for c in chain(cfg.node_cost.values(), cfg.edge_cost.values())):
         region = range(cfg.node_count)
     else:
-        found, stack = set(use), list(use)
-        while stack:
-            for p in cfg.predecessors(stack.pop()):
-                if p not in found and p not in inv:
-                    found.add(p)
-                    stack.append(p)
-        region = sorted(found)
+        region = sorted(use_region(cfg, problem))
     index = {v: i for i, v in enumerate(region)}
     edge_cost, node_cost, constant = {}, {}, ZERO
     for i, v in enumerate(region):
@@ -173,23 +168,33 @@ def _use_region(cfg, problem):
 
 def _lift(cfg, problem, region, constant, part):
     """``part``, a solution of the region problem, as one of ``problem`` on
-    ``cfg``: its life set in ``cfg`` ids, calculation set and cost recomputed."""
+    ``cfg``: its life set in ``cfg`` ids, calculation set and cost recomputed,
+    the cost summed over that one calculation set."""
     life = frozenset(region[v] for v in part.life_set)
-    cost = total_cost(cfg, problem, life)
+    calcs = calc_set(cfg, problem, life)
+    cost = sum_costs([cfg.edge_cost[e] for e in calcs] + [cfg.node_cost[v] for v in life])
     if cost.infinite:
         # an infinite edge from an invalidating node into a use
         raise NoFeasibleSolutionError("no feasible solution: all assignments have infinite cost")
     if cost != part.cost + constant:
         raise LospreError("internal error: region cost disagrees with recomputed objective")
-    return replace(part, life_set=life, calc_set=calc_set(cfg, problem, life), cost=cost)
+    return replace(part, life_set=life, calc_set=calcs, cost=cost)
 
 
-def _carries(verdict, problem, node_map) -> bool:
-    """Whether ``problem`` has the use and invalidation sets of ``verdict``,
-    the last pass's (use, invalidation) pair, mapped through ``node_map``."""
-    use, inv = verdict
-    return ({node_map[v] for v in use} == problem.use_set and
-            {node_map[v] for v in inv} == problem.invalidation_set)
+def _carried(verdicts: set, touched: set, loaded: set) -> set:
+    """The keys of ``verdicts``, the last pass's "cannot gain" verdicts, that
+    carry to this pass: not ``touched`` and with no operand in ``loaded``.
+
+    ``touched`` holds the key the last pass applied and every key that copy
+    propagation took from or gave to an instruction; ``loaded`` holds every
+    variable that was or is a load result when the last pass applied a
+    load, and is empty otherwise.  Any other candidate has, mapped through
+    the rewrite, the use and invalidation sets it had: a rewrite defines
+    only a fresh temporary, moves no store, and moves a load only when it
+    applies one; copy propagation changes reads only.
+    """
+    return {key for key in verdicts
+            if key not in touched and key[1] not in loaded and key[2] not in loaded}
 
 
 def run_pipeline(program, config: RunConfig) -> PipelineResult:
@@ -212,11 +217,16 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     guard (exit 3) reads the region's width, and never refuses a solve only
     --verify makes: brute force checks such a verdict on graphs of at most
     VERIFY_MAX_NODES nodes, and stderr reports it "unchecked" on larger
-    ones.  A "cannot gain" verdict carries to the next pass, which skips
-    safety and the cut, when the candidate's key comes back with derived
-    use and invalidation sets equal to the verdict's mapped through the
-    rewrite: every new node then lies outside both sets, and subdividing an
-    edge with such a node keeps the minimum cut, enlarged or not.  Only the
+    ones.  The cut runs on B alone (``min_calc_count``).
+
+    A "cannot gain" verdict carries to the next pass, which skips the
+    candidate before building its problem, when ``_carried`` finds that the
+    last pass left the candidate's use and invalidation sets as they were,
+    mapped through the rewrite: its key is not the one applied, copy
+    propagation neither took it from an instruction nor gave it to one,
+    and, when a load was applied, no operand was or is a load result.
+    Every new node then lies outside both sets, and subdividing an edge
+    with such a node keeps the minimum cut, enlarged or not.  Only the
     first pass calls ``build_cfg``; a later one patches the last graph
     (``Rewrite.patched_cfg``) unless the last graph built was not
     ``patchable`` or the rewrite appended a ``ret``, and carries nothing
@@ -231,14 +241,17 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     cfg = irmod.build_cfg(program)
     patchable = irmod.patchable(program, cfg)
     step = None   # the last rewrite, when this graph subdivides the last graph
-    verdicts = {}  # candidate key -> (use, invalidation) that cannot gain
+    verdicts = set()  # keys of the candidates that cannot gain
+    touched = last_loaded = ()  # what the last pass changed, for _carried
     while passes < pass_limit:
         passes += 1
         certify = cfg.has_finite_costs()
-        carried, verdicts = (verdicts if certify and step is not None else {}), {}
         safety_oracle = _safety_oracle(cfg) if config.verify else None
         chosen = None
         derived = irmod.derive_problems(program, cfg)
+        loaded = last_loaded | derived.load_results if last_loaded else ()
+        carried = _carried(verdicts, touched, loaded) if certify and step is not None else ()
+        verdicts = set()
         for k, candidate in enumerate(derived.candidates):
             occurrences = len(candidate.occurrence_nodes)
             # a reachable use forces at least one calculation edge, so a
@@ -246,14 +259,13 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
             cannot_gain = certify and occurrences < 2
             if cannot_gain and not config.verify:
                 continue
-            problem = derived[k][1]
             key = (candidate.op, candidate.left, candidate.right)
-            sets = (problem.use_set, problem.invalidation_set)
-            if not cannot_gain and key in carried and _carries(carried[key], problem, step.node_map):
-                verdicts[key] = sets
+            if not cannot_gain and key in carried:
+                verdicts.add(key)
                 if not config.verify:
                     continue
                 cannot_gain = True
+            problem = derived[k][1]
             wants_safety = (config.safety == "always" or
                             (config.safety == "auto" and candidate.safety_required))
             if wants_safety:
@@ -263,7 +275,7 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
                     min_calc_count(cfg, problem, occurrences) >= occurrences:
                 # every life set has at least as many calculation edges as
                 # there are occurrences, the optimum included
-                verdicts[key] = sets
+                verdicts.add(key)
                 if not config.verify:
                     continue
                 cannot_gain = True
@@ -304,7 +316,14 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
             patchable = irmod.patchable(program, cfg)
             if step.subdivided_edges(last_cfg) != cfg.edges:
                 step = None  # a fake edge moved
+        rewritten = program.instructions
         program = irmod.copy_propagate(program, cfg)
+        # copy propagation replaces each instruction it changes
+        changed = compress(zip(rewritten, program.instructions),
+                           map(is_not, rewritten, program.instructions))
+        touched = {(candidate.op, candidate.left, candidate.right)}
+        touched.update(irmod.candidate_key(ins) for pair in changed for ins in pair)
+        last_loaded = derived.load_results if candidate.op == "load" else ()
     return PipelineResult(program=program, applied=applied, passes=passes,
                           verify_failures=verify_failures)
 

@@ -352,8 +352,8 @@ def build_cfg(program: Program) -> Cfg:
 def _weighted(program: Program, edges) -> Cfg:
     """The graph of ``program`` on ``edges``, with the costs of its directives."""
     sink = instr_node(len(program))
-    edge_cost = {e: program.default_edge_cost for e in edges}
-    node_cost = {v: program.default_node_cost for v in range(sink + 1)}
+    edge_cost = dict.fromkeys(edges, program.default_edge_cost)
+    node_cost = dict.fromkeys(range(sink + 1), program.default_node_cost)
     labels = program.labels()
     for (a, b), c in program.edge_cost_overrides.items():
         e = (instr_node(labels[a]), instr_node(labels[b]))
@@ -455,11 +455,12 @@ def derive_problems(program, cfg: Cfg) -> "Derivation":
 class Derivation(Sequence):
     """The (candidate, problem) pairs of ``derive_problems``; a problem is built
     on first access and kept.  ``candidates`` lists the candidates alone, so
-    a caller that dismisses one by its occurrences builds no problem for it."""
+    a caller that dismisses one by its occurrences builds no problem for it;
+    ``load_results`` holds the variables that a load defines."""
 
     def __init__(self, program, cfg: Cfg, candidates: list, defining_nodes: dict):
         self.candidates, self._cfg, self._defining = candidates, cfg, defining_nodes
-        self._load_results = {ins.dest for ins in program if ins.kind == LOAD}
+        self.load_results = {ins.dest for ins in program if ins.kind == LOAD}
         self._stores = [instr_node(i) for i, ins in enumerate(program) if ins.kind == STORE]
         self._loads = [instr_node(i) for i, ins in enumerate(program) if ins.kind == LOAD]
         self._problems = [None] * len(candidates)
@@ -472,7 +473,7 @@ class Derivation(Sequence):
         if problem is None:
             operands = [o for o in (candidate.left, candidate.right) if isinstance(o, str)]
             inv = {v for var in operands for v in self._defining.get(var, ())}
-            loaded = self._load_results.intersection(operands)
+            loaded = self.load_results.intersection(operands)
             if candidate.op == "load" or loaded:
                 inv.update(self._stores)
             if loaded:

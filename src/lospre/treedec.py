@@ -308,6 +308,8 @@ def validate_nice(cfg: Cfg, nice: NiceTreeDec) -> Optional[str]:
     bag is never forgotten, and one forgotten twice occupies two subtrees.
     The solvers only detect a defect and report the message this returns.
     """
+    if not 0 <= nice.root < nice.node_count:
+        return f"root {nice.root} is not a node of the decomposition"
     if nice.bags[nice.root]:
         return "root bag is not empty"
     referenced = set()

@@ -176,15 +176,18 @@ def _chain_times(sizes, seed=0):
     Returns rows of (size, seconds, {layer: seconds}).  Each size is timed
     best-of-N with the garbage collector quiesced so allocator noise from
     earlier runs does not distort the scaling estimate; the layer times are
-    those of the best run, so they sum to its total.
+    those of the best run, so they sum to its total.  The repeats are
+    interleaved, one run of every size per round, so a slow phase of the
+    host spreads over all sizes instead of landing on the last ones.
     """
-    rows = []
-    for n in sizes:
-        cfg, problem = generate(InstanceGenerator(seed=seed, node_range=(n, n),
-                                                  style="chained-diamonds"))
-        repeats = 3 if n < 8192 else 2
-        best = (math.inf, None)
-        for _ in range(repeats):
+    instances = [generate(InstanceGenerator(seed=seed, node_range=(n, n),
+                                            style="chained-diamonds")) for n in sizes]
+    repeats = [3 if n < 8192 else 2 for n in sizes]
+    best = [(math.inf, None)] * len(sizes)
+    for round_ in range(max(repeats)):
+        for i, (cfg, problem) in enumerate(instances):
+            if round_ >= repeats[i]:
+                continue
             gc.collect()
             gc.disable()
             try:
@@ -197,10 +200,9 @@ def _chain_times(sizes, seed=0):
                 t3 = time.perf_counter()
             finally:
                 gc.enable()
-            best = min(best, (t3 - t0, {"decompose": t1 - t0, "make_nice": t2 - t1,
-                                        "solve": t3 - t2}), key=lambda b: b[0])
-        rows.append((n, *best))
-    return rows
+            best[i] = min(best[i], (t3 - t0, {"decompose": t1 - t0, "make_nice": t2 - t1,
+                                              "solve": t3 - t2}), key=lambda b: b[0])
+    return [(n, *b) for n, b in zip(sizes, best)]
 
 
 def test_linear_scaling():

@@ -270,7 +270,7 @@ CARRIED_THEN_GAINS = "y = x\nr = x * 2\nt = y * 2\nx = 5\ns = x * 2\np = a + b\n
 
 @pytest.mark.parametrize("name, sabotage, text", [
     ("min_calc_count", lambda cfg, problem, limit: limit, TWO_ARM),
-    ("_carries", lambda verdict, problem, node_map: True, CARRIED_THEN_GAINS),
+    ("_carried", lambda verdicts, touched, loaded: verdicts, CARRIED_THEN_GAINS),
 ], ids=["cut", "carried"])
 def test_verify_reports_a_wrong_verdict_but_keeps_it(tmp_path, capsys, monkeypatch,
                                                       name, sabotage, text):
@@ -515,23 +515,24 @@ def test_carried_verdicts_agree_with_a_fresh_cut(monkeypatch):
 
     warnings.simplefilter("ignore", irmod.UnreachableCodeWarning)
     current = {}
-    derive, carries = irmod.derive_problems, cli._carries
+    derive, carried_keys = irmod.derive_problems, cli._carried
 
     def recording_derive(program, cfg):
-        pairs = derive(program, cfg)
-        current.update(cfg=cfg, candidates={id(p): c for c, p in pairs})
-        return pairs
+        current.update(cfg=cfg, derived=derive(program, cfg))
+        return current["derived"]
 
     carried = []
 
-    def recording_carries(verdict, problem, node_map):
-        holds = carries(verdict, problem, node_map)
-        if holds:
-            carried.append((current["cfg"], current["candidates"][id(problem)], problem))
-        return holds
+    def recording_carried(*args):
+        keys = carried_keys(*args)
+        derived = current["derived"]
+        for k, candidate in enumerate(derived.candidates):
+            if (candidate.op, candidate.left, candidate.right) in keys:
+                carried.append((current["cfg"], candidate, derived[k][1]))
+        return keys
 
     monkeypatch.setattr(irmod, "derive_problems", recording_derive)
-    monkeypatch.setattr(cli, "_carries", recording_carries)
+    monkeypatch.setattr(cli, "_carried", recording_carried)
     for _, text in cases():
         run_pipeline(parse_ir(text), RunConfig())
     assert len(carried) >= 250

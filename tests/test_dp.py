@@ -165,6 +165,11 @@ def test_sweep_checks_raise_the_reference_messages():
         (path, _replaced(_nice_path(PATH3), "vertex", 3, None),
          "forget node 3 does not drop exactly its vertex"),
         (path, _nice_path([(LEAF, None)] + PATH3), "node 0 is not below the root"),
+        # a root outside the nodes: past the end, or negative, which must not
+        # wrap round to the last node
+        (path, replace(_nice_path(PATH3), root=len(PATH3) + 5),
+         f"root {len(PATH3) + 5} is not a node of the decomposition"),
+        (path, replace(_nice_path(PATH3), root=-1), "root -1 is not a node of the decomposition"),
     ]
     for cfg, nice, message in cases:
         assert validate_nice(cfg, nice) == message

@@ -1,11 +1,13 @@
 """Each `run` pass reuses the last one: the patched graph, problems built on
-demand and copy propagation stopped at its fixpoint give exactly what the
-whole-program constructions give."""
+demand, copy propagation stopped at its fixpoint, the cut on the use region
+and verdicts carried without a problem give exactly what the whole-program
+constructions give."""
 import warnings
 from dataclasses import replace
 
 import pytest
 
+import lospre.cli as cli
 import lospre.ir as irmod
 from lospre.cfg import make_problem
 from lospre.cli import RunConfig, run_pipeline
@@ -15,6 +17,7 @@ from lospre.interp import equivalent_states, interpret
 from lospre.ir import (ASSIGN, BINOP, BRANCH, JUMP, LOAD, RET, STORE, UnreachableCodeWarning,
                        build_cfg, copy_propagate, derive_problems, format_ir, instr_node,
                        parse_ir, patchable, rewrite)
+from lospre.oracle import generate_program_text
 from test_pipeline_frozen import cases
 
 
@@ -94,6 +97,157 @@ def reference_invalidation(program, candidate):
                 kind == LOAD and load_results & set(operands):
             inv.add(instr_node(i))
     return inv
+
+
+def whole_graph_cut(cfg, problem, limit):
+    """``min_calc_count`` on the whole graph: one network node per graph node
+    and an arc for every edge, into B or not."""
+    use, inv = problem.use_set, problem.invalidation_set
+    n = cfg.node_count
+    source, sink = n, n + 1
+    flow = 0
+    head = []
+    out = [[] for _ in range(n + 2)]
+    for (x, y) in cfg.edges:
+        u = source if x in inv else None if x in use else x
+        w = sink if y in use else None if y in inv else y
+        if u is None or w is None or u == w:
+            continue
+        if u == source and w == sink:
+            flow += 1
+            continue
+        out[u].append(len(head))
+        head.append(w)
+        out[w].append(len(head))
+        head.append(u)
+    cap = [1, 0] * (len(head) // 2)
+    while flow < limit:
+        via = [-1] * (n + 2)
+        queue = [source]
+        for v in queue:
+            for a in out[v]:
+                w = head[a]
+                if cap[a] and via[w] < 0 and w != source:
+                    via[w] = a
+                    queue.append(w)
+            if via[sink] >= 0:
+                break
+        if via[sink] < 0:
+            break
+        w = sink
+        while w != source:
+            a = via[w]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            w = head[a ^ 1]
+        flow += 1
+    return min(flow, limit)
+
+
+def reference_carries(verdict, problem, node_map):
+    """Whether ``problem`` has the use and invalidation sets of ``verdict``,
+    the last pass's (use, invalidation) pair, mapped through ``node_map``:
+    the test a pass made on a carried verdict after building its problem."""
+    use, inv = verdict
+    return ({node_map[v] for v in use} == problem.use_set and
+            {node_map[v] for v in inv} == problem.invalidation_set)
+
+
+def key_of(candidate):
+    return candidate.op, candidate.left, candidate.right
+
+
+# pass 1 finds that 4 + t, t a load result, cannot gain (the store splits its
+# uses) and applies *r; that moves the loads, so 4 + t is not carried
+LOADED_OPERAND = "t = *p\nx = t + 4\n*q = 1\ny = t + 4\nu = *r\nv = *r\nret\n"
+
+
+def reference_runs_of(programs):
+    """Runs of the (name, text) ``programs`` that compare each
+    ``min_calc_count`` call with ``whole_graph_cut`` and check
+    ``reference_carries`` on each candidate that a carried verdict skips."""
+    runs = {"cuts": 0, "cut_mismatches": [], "skipped": 0, "carry_failures": [],
+            "carried_keys": {}}
+    cut, derive, apply, carried = (cli.min_calc_count, irmod.derive_problems, irmod.rewrite,
+                                   cli._carried)
+    # [derivation, rewrite, carried keys (None: _carried not called)] per
+    # pass of the current run
+    passes = []
+
+    def checking_cut(cfg, problem, limit):
+        got, expected = cut(cfg, problem, limit), whole_graph_cut(cfg, problem, limit)
+        runs["cuts"] += 1
+        if got != expected:
+            runs["cut_mismatches"].append((sorted(problem.use_set), limit, got, expected))
+        return got
+
+    def recording_derive(program, cfg):
+        passes.append([derive(program, cfg), None, None])
+        return passes[-1][0]
+
+    def recording_rewrite(*args):
+        passes[-1][1] = apply(*args)
+        return passes[-1][1]
+
+    def recording_carried(*args):
+        passes[-1][2] = carried(*args)
+        return passes[-1][2]
+
+    def check_skips(name, applied):
+        # pass p skips the carried candidates before the one it applies
+        for p in range(1, len(passes)):
+            (last, step, _), (now, _, keys) = passes[p - 1], passes[p]
+            runs["carried_keys"][name, p + 1] = keys
+            last_index = {key_of(c): k for k, c in enumerate(last.candidates)}
+            stop = now.candidates.index(applied[p][0]) if p < len(applied) else None
+            for k, candidate in enumerate(now.candidates[:stop]):
+                key = key_of(candidate)
+                if keys is not None and key in keys:
+                    runs["skipped"] += 1
+                    old = last[last_index[key]][1]
+                    if not reference_carries((old.use_set, old.invalidation_set), now[k][1],
+                                             step.node_map):
+                        runs["carry_failures"].append((name, p + 1, key))
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cli, "min_calc_count", checking_cut)
+        monkeypatch.setattr(irmod, "derive_problems", recording_derive)
+        monkeypatch.setattr(irmod, "rewrite", recording_rewrite)
+        monkeypatch.setattr(cli, "_carried", recording_carried)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnreachableCodeWarning)
+            for name, text in programs:
+                passes.clear()
+                check_skips(name, run_pipeline(parse_ir(text), RunConfig()).applied)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def reference_runs():
+    """The frozen corpus, two ladder programs and LOADED_OPERAND, checked."""
+    return reference_runs_of(list(cases()) + [
+        ("ladder/0/1600", generate_program_text(0, max_statements=1600)),
+        ("ladder/7/3200", generate_program_text(7, max_statements=3200)),
+        ("loaded-operand", LOADED_OPERAND)])
+
+
+def test_the_cut_on_the_use_region_is_the_whole_graph_cut(reference_runs):
+    assert reference_runs["cuts"] >= 1500
+    assert not reference_runs["cut_mismatches"]
+
+
+def test_every_carried_verdict_keeps_its_sets_through_the_rewrite(reference_runs):
+    assert reference_runs["skipped"] >= 5000
+    assert not reference_runs["carry_failures"]
+    assert reference_runs["carried_keys"]["loaded-operand", 2] == set()
+
+
+def test_the_carry_reference_catches_a_dropped_load_condition(monkeypatch):
+    # a mutant that ignores what the applied load moved carries 4 + t into
+    # pass 2 of LOADED_OPERAND, where its invalidation set has changed
+    monkeypatch.setattr(cli, "_carried", lambda verdicts, touched, loaded: verdicts - touched)
+    runs = reference_runs_of([("loaded-operand", LOADED_OPERAND)])
+    assert runs["carry_failures"] == [("loaded-operand", 2, ("+", 4, "t"))]
 
 
 def same_graph(a, b):
@@ -210,7 +364,7 @@ def test_a_moved_fake_edge_carries_no_verdict(monkeypatch):
 
     monkeypatch.setattr(irmod, "derive_problems", recording_derive)
     monkeypatch.setattr(cli, "min_calc_count", recording_cut)
-    monkeypatch.setattr(cli, "_carries", lambda *args: carries.append(args))
+    monkeypatch.setattr(cli, "_carried", lambda *args: carries.append(args))
     result = run_pipeline(parse_ir(text), RunConfig())
     assert [c.display() for c, _ in result.applied] == ["a + b"]
     assert any(ins.label == "__L0" for ins in result.program)  # the appended block

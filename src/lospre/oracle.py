@@ -2,9 +2,13 @@
 
 These are the ground truth the solvers are checked against.  They share no
 code with the solver modules beyond the objective definition itself
-(``calc_set``/``total_cost``); enumeration here is either direct or a
-vectorized restatement of the objective, and the reported optimum is
-re-validated through ``total_cost`` before being returned.
+(``calc_set``/``total_cost``) and the exact integer keys of costs
+(``dp.cost_keys``).  ``brute_lospre`` and ``brute_extended`` share one
+enumeration of all 2**|V| life sets, a Gray-code walk over a restatement of
+the objective in those keys; the reported cost is recomputed from the
+objective, and the tests check the walk against a plain ``total_cost`` loop.
+When every assignment has infinite cost, both raise NoFeasibleSolutionError,
+as the solvers do.
 
 Tie-breaking matches the solvers' one tie rule, so whole solutions, not
 just costs, are comparable: among equal-cost assignments, scan node ids
@@ -19,17 +23,11 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .cfg import Cfg, DEFAULT_EDGE_COST, DEFAULT_NODE_COST, ExprProblem, calc_set, make_problem, total_cost
-from .cost import CostVec
-from .dp import LospreSolution
+from .cost import INFINITY, ZERO, CostVec
+from .dp import LospreSolution, cost_keys
 from .errors import NoFeasibleSolutionError, SizeGuardError
 from .safety import SafetySolution
-
-
-def _life_key(cfg, mask):
-    return tuple((mask >> v) & 1 for v in range(cfg.node_count))
 
 
 BRUTE_LOSPRE_MAX_NODES = 20
@@ -37,56 +35,76 @@ BRUTE_SAFETY_MAX_NODES = 16
 BRUTE_SAFETY_FIXPOINT_MAX_NODES = 12
 
 
+def _least_optimal_life(cfg: Cfg, problem: ExprProblem, dead_costs: list,
+                        live_costs: list) -> frozenset:
+    """The lexicographically least life set of minimum cost over all 2**|V|.
+
+    The cost is the edge costs over the calculation set plus ``dead_costs[v]``
+    or ``live_costs[v]`` per node v, in the exact integer keys of
+    ``cost_keys``.  In those keys a life set costs a constant, plus a gain
+    per live node, less a weight per edge from a non-invalidating node to a
+    non-use node with both ends live.  A Gray-code walk flips one node per
+    step and updates the cost from that node's gain and the weights to its
+    live neighbours; nodes with fewer neighbours flip more often.  A cost
+    holding an infinity is above ``bound`` and every other cost below it:
+    NoFeasibleSolutionError when the least cost is above ``bound``.
+    """
+    n = cfg.node_count
+    key, bound = cost_keys(list(cfg.edge_cost.values()) + dead_costs + live_costs)
+    use, inv = problem.use_set, problem.invalidation_set
+    base = sum(key(c) for c in dead_costs)
+    gain = [key(live_costs[v]) - key(dead_costs[v]) for v in range(n)]
+    adj = [[] for _ in range(n)]
+    for (x, y), c in cfg.edge_cost.items():
+        k = key(c)
+        if y in use:  # charged unless x is live and valid
+            base += k
+            if x not in inv:
+                gain[x] -= k
+        elif x in inv:  # charged iff y is live
+            gain[y] += k
+        elif x != y:  # charged iff y is live and x is not; never on a self-loop
+            gain[y] += k
+            adj[x].append((y, k))
+            adj[y].append((x, k))
+    flips = []
+    for v in sorted(range(n), key=lambda v: len(adj[v])):
+        flips = flips + [v] + flips
+    pull = [0] * n  # per node, the weights to its live neighbours
+    mask = best_mask = 0
+    cur = best = base
+    for v in flips:
+        mask ^= 1 << v
+        if mask >> v & 1:
+            cur += gain[v] - pull[v]
+            for u, k in adj[v]:
+                pull[u] += k
+        else:
+            cur -= gain[v] - pull[v]
+            for u, k in adj[v]:
+                pull[u] -= k
+        if cur <= best:
+            if cur < best:
+                best, best_mask = cur, mask
+            else:
+                # equal cost: keep the mask dead at the lowest node where they differ
+                d = mask ^ best_mask
+                if not mask & d & -d:
+                    best_mask = mask
+    if best >= bound:
+        raise NoFeasibleSolutionError("no feasible solution: all assignments have infinite cost")
+    return frozenset(v for v in range(n) if best_mask >> v & 1)
+
+
 def brute_lospre(cfg: Cfg, problem: ExprProblem) -> LospreSolution:
-    """Global minimum of the objective over all 2**|V| life sets."""
+    """Global minimum of the objective over all 2**|V| life sets;
+    NoFeasibleSolutionError when every life set has infinite cost."""
     n = cfg.node_count
     if n > BRUTE_LOSPRE_MAX_NODES:
         raise SizeGuardError(f"brute_lospre is limited to {BRUTE_LOSPRE_MAX_NODES} nodes, got {n}")
-    costs = list(cfg.edge_cost.values()) + list(cfg.node_cost.values())
-    # the vectorized sums are int64 and would wrap silently beyond it
-    if cfg.has_finite_costs() and n >= 4 and sum(abs(c.primary) for c in costs) < 1 << 63 \
-            and sum(abs(c.secondary) for c in costs) < 1 << 63:
-        best_mask = _brute_lospre_vectorized(cfg, problem)
-    else:
-        best = None
-        best_mask = 0
-        for mask in range(1 << n):
-            life = frozenset(v for v in range(n) if (mask >> v) & 1)
-            key = (total_cost(cfg, problem, life), _life_key(cfg, mask))
-            if best is None or key < best:
-                best = key
-                best_mask = mask
-    life = frozenset(v for v in range(n) if (best_mask >> v) & 1)
+    life = _least_optimal_life(cfg, problem, [ZERO] * n, [cfg.node_cost[v] for v in range(n)])
     return LospreSolution(life_set=life, calc_set=calc_set(cfg, problem, life),
                           cost=total_cost(cfg, problem, life))
-
-
-def _brute_lospre_vectorized(cfg, problem):
-    """Vectorized enumeration; returns the canonical argmin mask."""
-    n = cfg.node_count
-    use = problem.use_set
-    inv = problem.invalidation_set
-    masks = np.arange(1 << n, dtype=np.int64)
-    pri = np.zeros(1 << n, dtype=np.int64)
-    sec = np.zeros(1 << n, dtype=np.int64)
-    for (x, y) in cfg.edges:
-        c = cfg.edge_cost[(x, y)]
-        x_ok = np.ones(1 << n, dtype=bool) if x in inv else ((masks >> x) & 1) == 0
-        y_ok = np.ones(1 << n, dtype=bool) if y in use else ((masks >> y) & 1) == 1
-        active = x_ok & y_ok
-        pri += active * c.primary
-        sec += active * c.secondary
-    for v in range(n):
-        c = cfg.node_cost[v]
-        alive = ((masks >> v) & 1) == 1
-        pri += alive * c.primary
-        sec += alive * c.secondary
-    # bit-reversed mask orders ties as: scan ids upward, prefer dead
-    rev = np.zeros(1 << n, dtype=np.int64)
-    for v in range(n):
-        rev |= ((masks >> v) & 1) << (n - 1 - v)
-    order = np.lexsort((rev, sec, pri))
-    return int(masks[order[0]])
 
 
 def brute_safety(cfg: Cfg, problem: ExprProblem) -> SafetySolution:
@@ -198,47 +216,26 @@ def brute_extended(cfg: Cfg, problem: ExprProblem,
     """Global minimum over all 8**|V| (value, left, right) liveness assignments.
 
     The edge term depends only on the value bits, and the node term is a
-    per-node table lookup, so the enumeration iterates the 2**|V| value
-    masks and minimizes the operand bits per node exactly; the result and
-    its tie-breaking equal full enumeration (cross-checked in tests).
-    ``allowed_combos`` maps a node to its permitted (b, bl, br) triples, as
-    in ``solve_extended``; NoFeasibleSolutionError when no assignment is
-    permitted.
+    per-node table lookup, so for each value bit every node takes its
+    cheapest permitted operand bits (the lowest (bl, br) pair of equal cost)
+    and the 2**|V| value masks are enumerated on the resulting dead and live
+    costs; the result and its tie-breaking equal full enumeration
+    (cross-checked in tests).  ``allowed_combos`` maps a node to its
+    permitted (b, bl, br) triples, as in ``solve_extended``;
+    NoFeasibleSolutionError when every permitted assignment has infinite
+    cost, or none is permitted.
     """
     n = cfg.node_count
     if n > 8:
         raise SizeGuardError(f"brute_extended is limited to 8 nodes, got {n}")
     permits = _permits(allowed_combos)
-    tables = [[lifetime_cost(v, b, bl, br) for b in (0, 1) for bl in (0, 1) for br in (0, 1)]
-              for v in range(n)]
-    # tables[v][b*4 + bl*2 + br]
-
-    best = None
-    for mask in range(1 << n):
-        life = frozenset(v for v in range(n) if (mask >> v) & 1)
-        edge_cost = CostVec(0, 0)
-        for e in calc_set(cfg, problem, life):
-            edge_cost = edge_cost + cfg.edge_cost[e]
-        node_cost = CostVec(0, 0)
-        op_bits = []
-        for v in range(n):
-            b = (mask >> v) & 1
-            row = tables[v]
-            cand = [(row[b * 4 + bl * 2 + br], (bl, br)) for bl in (0, 1) for br in (0, 1)
-                    if permits(v, (b, bl, br))]
-            if not cand:
-                break
-            c, bits = min(cand, key=lambda t: (t[0], t[1]))
-            node_cost = node_cost + c
-            op_bits.append((b, bits[0], bits[1]))
-        else:
-            key = (edge_cost + node_cost, tuple(op_bits))
-            if best is None or key < best[0]:
-                best = (key, op_bits)
-
-    if best is None:
-        raise NoFeasibleSolutionError("no permitted assignment")
-    return _extended_solution(cfg, problem, best[1], lifetime_cost)
+    # picks[v][b]: node v's cheapest permitted (cost, (bl, br)) for value bit b
+    picks = [[min([(lifetime_cost(v, b, bl, br), (bl, br)) for bl in (0, 1) for br in (0, 1)
+                   if permits(v, (b, bl, br))], default=(INFINITY, None)) for b in (0, 1)]
+             for v in range(n)]
+    life = _least_optimal_life(cfg, problem, [p[0][0] for p in picks], [p[1][0] for p in picks])
+    bits = [(int(v in life), *picks[v][v in life][1]) for v in range(n)]
+    return _extended_solution(cfg, problem, bits, lifetime_cost)
 
 
 def brute_extended_full(cfg: Cfg, problem: ExprProblem, lifetime_cost,

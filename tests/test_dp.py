@@ -68,6 +68,44 @@ def test_infeasible_with_infinite_costs():
         solved(cfg, make_problem(cfg, use=[1]))
 
 
+def test_infinite_costs_raise_or_agree_with_oracle():
+    # each reference and its solver both raise NoFeasibleSolutionError when
+    # every (permitted) assignment has infinite cost, and agree otherwise
+    import random
+    raised = {"lospre": 0, "extended": 0}
+    for seed in range(120):
+        cfg0, problem = generate(InstanceGenerator(seed=seed, node_range=(3, 8),
+                                                   style=STYLES[seed % 3]))
+        n = cfg0.node_count
+        rng = random.Random(seed + 3_000)
+        edge_cost = {e: INFINITY if rng.random() < 0.2 else c for e, c in cfg0.edge_cost.items()}
+        node_cost = {v: INFINITY if rng.random() < 0.15 else
+                     CostVec(rng.randint(-1, 1), rng.randint(-2, 2)) for v in range(n)}
+        cfg = Cfg(n, cfg0.edges, edge_cost, node_cost)
+        table = {(v, b, bl, br): INFINITY if rng.random() < 0.3 else
+                 CostVec(rng.randint(-1, 2), rng.randint(-2, 2))
+                 for v in range(n) for b in (0, 1) for bl in (0, 1) for br in (0, 1)}
+        lc = lambda v, b, bl, br: table[(v, b, bl, br)]
+        allowed = _random_allowed(rng, n)
+        nice = make_nice(decompose(cfg))
+        pairs = {"lospre": (lambda: brute_lospre(cfg, problem), lambda: solve(cfg, problem, nice)),
+                 "extended": (lambda: brute_extended(cfg, problem, lc, allowed_combos=allowed),
+                              lambda: solve_extended(cfg, problem, nice, lc,
+                                                     allowed_combos=allowed))}
+        for name, (reference, solver) in pairs.items():
+            try:
+                ref = reference()
+            except NoFeasibleSolutionError:
+                with pytest.raises(NoFeasibleSolutionError):
+                    solver()
+                raised[name] += 1
+                continue
+            sol = solver()
+            assert (sol.cost, sol.life_set, sol.life_left, sol.life_right) == \
+                (ref.cost, ref.life_set, ref.life_left, ref.life_right), (name, seed)
+    assert all(10 < count < 100 for count in raised.values()), raised
+
+
 def test_infinity_steers_solution():
     # an infinite edge cost forbids computing on that edge
     cfg = Cfg(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)],

@@ -1,7 +1,13 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from lospre.cfg import Cfg, make_problem, total_cost
-from lospre.cost import CostVec
+from lospre.cost import INFINITY, CostVec
 from lospre.errors import NoFeasibleSolutionError, SizeGuardError
 from lospre.oracle import (InstanceGenerator, brute_extended, brute_extended_full,
                            brute_lospre, brute_safety, generate,
@@ -64,19 +70,77 @@ def test_brute_lospre_free_edges_prefer_dead():
     assert sol.life_set == frozenset()
 
 
-def test_brute_lospre_vectorized_agrees_with_plain():
-    # the numpy path turns on at 4 nodes; force both paths on one instance
-    cfg = Cfg(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
-    problem = make_problem(cfg, use=[2, 3], invalidate=[2])
-    fast = brute_lospre(cfg, problem)
-    slow_best = None
-    for mask in range(1 << 5):
-        life = frozenset(v for v in range(5) if (mask >> v) & 1)
-        key = (total_cost(cfg, problem, life), tuple((mask >> v) & 1 for v in range(5)))
-        if slow_best is None or key < slow_best[0]:
-            slow_best = (key, life)
-    assert fast.cost == slow_best[0][0]
-    assert fast.life_set == slow_best[1]
+def _plain_brute_lospre(cfg, problem):
+    """(cost, life set) by ``total_cost`` over every life set, ties to the
+    lexicographically least bit string (node 0 first, dead before live)."""
+    n = cfg.node_count
+    best = None
+    for mask in range(1 << n):
+        life = frozenset(v for v in range(n) if (mask >> v) & 1)
+        key = (total_cost(cfg, problem, life), tuple((mask >> v) & 1 for v in range(n)))
+        if best is None or key < best[0]:
+            best = (key, life)
+    return best[0][0], best[1]
+
+
+def _seeded_plain_cases(count):
+    """Graphs of 1 to 7 nodes with cycles and self-loops, random and negative
+    node costs, infinite edge and node costs, and use/invalidation overlap."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        # a tree from node 0 keeps it the only source; no extra edge enters it
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        for _ in range(rng.randint(0, n) if n > 1 else 0):
+            edges.add((rng.randrange(n), rng.randrange(1, n)))
+        edge_cost = {e: INFINITY if rng.random() < 0.1 else
+                     CostVec(rng.randint(0, 4), rng.randint(0, 3)) for e in edges}
+        node_cost = {v: INFINITY if rng.random() < 0.1 else
+                     CostVec(rng.randint(-2, 2), rng.randint(-3, 3)) for v in range(n)}
+        cfg = Cfg(n, edges, edge_cost, node_cost)
+        use = [v for v in range(1, n) if rng.random() < 0.4]
+        invalidate = [v for v in range(n) if rng.random() < 0.3]
+        yield cfg, make_problem(cfg, use, invalidate)
+
+
+def test_brute_lospre_agrees_with_plain_enumeration():
+    big = 2**62
+    diamond_edges = [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]
+    one, two, three = Cfg(1, []), Cfg(2, [(0, 1)]), Cfg(3, [(0, 1), (1, 1), (1, 2)])
+    arms = Cfg(5, diamond_edges, edge_cost={(0, 1): CostVec(big + 3, 0), (1, 2): CostVec(big, 0),
+                                            (1, 3): CostVec(big, 0)})
+    cut_off = Cfg(3, [(0, 1), (1, 2)], edge_cost={(0, 1): INFINITY})
+    diamond = Cfg(5, diamond_edges)
+    cases = [
+        (one, make_problem(one, use=[])),
+        (two, make_problem(two, use=[1])),
+        (three, make_problem(three, use=[1])),
+        (three, make_problem(three, use=[1], invalidate=[1])),
+        (arms, make_problem(arms, use=[2, 3])),
+        # every life set charges the infinite edge into the use
+        (cut_off, make_problem(cut_off, use=[1])),
+        (diamond, make_problem(diamond, use=[2, 3], invalidate=[2])),
+    ]
+    cases += _seeded_plain_cases(300)
+    infeasible = 0
+    for i, (cfg, problem) in enumerate(cases):
+        cost, life = _plain_brute_lospre(cfg, problem)
+        if cost == INFINITY:
+            with pytest.raises(NoFeasibleSolutionError):
+                brute_lospre(cfg, problem)
+            infeasible += 1
+            continue
+        sol = brute_lospre(cfg, problem)
+        assert (sol.cost, sol.life_set) == (cost, life), i
+    assert 1 < infeasible < len(cases) // 2
+
+
+def test_importing_the_library_loads_no_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, lospre, lospre.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_brute_size_guards():

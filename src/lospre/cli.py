@@ -227,20 +227,17 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     and, when a load was applied, no operand was or is a load result.
     Every new node then lies outside both sets, and subdividing an edge
     with such a node keeps the minimum cut, enlarged or not.  Only the
-    first pass calls ``build_cfg``; a later one patches the last graph
-    (``Rewrite.patched_cfg``) unless the last graph built was not
-    ``patchable`` or the rewrite appended a ``ret``, and carries nothing
-    if a rebuilt graph is not the last one subdivided (a fake edge moved).
-    Copy propagation runs on the pass's graph, and a candidate's problem
-    is built only when the pass looks past its occurrence count.
+    first pass calls ``build_cfg``; each later one patches the last graph
+    (``Rewrite.patched_cfg``), so every pass graph is the last one
+    subdivided, its fake edges and source edges those of the input.  Copy
+    propagation runs on the pass's graph, and a candidate's problem is
+    built only when the pass looks past its occurrence count.
     """
     applied = []
     verify_failures = []
     passes = 0
     pass_limit = 2 * len(program.instructions) + 8
     cfg = irmod.build_cfg(program)
-    patchable = irmod.patchable(program, cfg)
-    step = None   # the last rewrite, when this graph subdivides the last graph
     verdicts = set()  # keys of the candidates that cannot gain
     touched = last_loaded = ()  # what the last pass changed, for _carried
     while passes < pass_limit:
@@ -250,7 +247,7 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
         chosen = None
         derived = irmod.derive_problems(program, cfg)
         loaded = last_loaded | derived.load_results if last_loaded else ()
-        carried = _carried(verdicts, touched, loaded) if certify and step is not None else ()
+        carried = _carried(verdicts, touched, loaded) if certify and verdicts else ()
         verdicts = set()
         for k, candidate in enumerate(derived.candidates):
             occurrences = len(candidate.occurrence_nodes)
@@ -309,13 +306,7 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
         candidate, solution = chosen
         applied.append((candidate, solution))
         step = irmod.rewrite(program, cfg, candidate, solution)
-        program, last_cfg = step.program, cfg
-        cfg = step.patched_cfg(last_cfg) if patchable else None
-        if cfg is None:
-            cfg = irmod.build_cfg(program)
-            patchable = irmod.patchable(program, cfg)
-            if step.subdivided_edges(last_cfg) != cfg.edges:
-                step = None  # a fake edge moved
+        program, cfg = step.program, step.patched_cfg(cfg)
         rewritten = program.instructions
         program = irmod.copy_propagate(program, cfg)
         # copy propagation replaces each instruction it changes

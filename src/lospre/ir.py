@@ -295,7 +295,10 @@ def build_cfg(program: Program) -> Cfg:
     cannot reach the sink gets one fake edge to it, from the highest-index
     instruction that does not reach the sink yet, until all do.  A program
     whose every instruction can reach a ret gets none.  ``rewrite`` refuses
-    a computation on a fake edge.
+    a computation on a fake edge.  ``run_pipeline`` calls this once, on its
+    input: a later pass's graph is the last one patched
+    (``Rewrite.patched_cfg``), so fake edges and source edges are chosen on
+    the input and carried through every rewrite.
     """
     instructions = list(program)
     n = len(instructions)
@@ -369,14 +372,6 @@ def _exits(program, i: int) -> bool:
     """Whether instruction ``i`` is a ``ret`` or falls off the end: a real edge into the sink."""
     kind = program[i].kind
     return kind == RET or i == len(program) - 1 and kind != JUMP
-
-
-def patchable(program: Program, cfg: Cfg) -> bool:
-    """Whether ``cfg = build_cfg(program)`` has no fake edge and no source edge but
-    the entry edge: subdivision keeps both, so ``Rewrite.patched_cfg`` is exact."""
-    sink = instr_node(len(program))
-    return cfg.successors(SOURCE_NODE) == (1,) and all(
-        u != SOURCE_NODE and _exits(program, node_instr(u)) for u in cfg.predecessors(sink))
 
 
 # ---------------------------------------------------------------------------
@@ -511,34 +506,30 @@ class Rewrite:
     """A rewritten program and where the old graph's nodes went in its graph.
 
     ``node_map[v]`` is the new id of old node v.  ``inserted`` maps each
-    calculation edge to the new nodes placed on it, in path order: the
-    computation, then, on a jump edge or an edge out of a ret, the jump or
-    ret that follows it.
+    edge that new nodes were placed on to those nodes, in path order: on a
+    calculation edge the computation, then, on a jump edge or an edge out
+    of a ret, the jump or ret that follows it; on the edge from a last
+    instruction that fell off the end into the sink, the ``ret`` appended
+    after it (after the computation, if that edge is also a calculation
+    edge).
     """
 
     program: Program
     node_map: list
     inserted: dict
 
-    def subdivided_edges(self, cfg: Cfg) -> set:
-        """The edges of ``cfg``, the graph the rewrite was applied to, with
-        each calculation edge (u, v) replaced by the path u, *inserted, v, in
-        new node ids.  The new program's graph has exactly these edges
-        unless a fake edge moved or a ``ret`` was added at the end."""
+    def patched_cfg(self, cfg: Cfg) -> Cfg:
+        """The new program's graph: the edges of ``cfg``, the graph the
+        rewrite was applied to, with each edge (u, v) of ``inserted`` replaced
+        by the path u, *inserted, v, in new node ids, costed by the new
+        program's directives.  Its fake edges and source edges are those of
+        ``cfg``, mapped; every other edge is one ``build_cfg`` gives."""
         m = self.node_map
         edges = {(m[u], m[v]) for (u, v) in cfg.edges if (u, v) not in self.inserted}
         for (u, v), path in self.inserted.items():
             nodes = (m[u], *path, m[v])
             edges.update(zip(nodes, nodes[1:]))
-        return edges
-
-    def patched_cfg(self, cfg: Cfg) -> Optional[Cfg]:
-        """The new program's graph when ``patchable`` held for ``cfg``, the graph
-        rewritten: the subdivided edges, costed by the new program's directives.
-        None when a ``ret`` was added at the end, whose node no such edge reaches."""
-        if len(self.node_map) + sum(map(len, self.inserted.values())) != len(self.program) + 2:
-            return None
-        return _weighted(self.program, self.subdivided_edges(cfg))
+        return _weighted(self.program, edges)
 
 
 def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> Rewrite:
@@ -554,10 +545,10 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> R
     region, gets the computation just before the head; the head keeps its
     label, so a jump back to the entry skips the computation and a
     directive naming the head still names it.  When trailing blocks are
-    added and the last instruction falls off the end, a ``ret`` keeps it
-    from falling into them.  A subdivided edge loses its ``!edgecost``
-    override: the edges that replace it take the default cost, like every
-    edge a rewrite creates.
+    added and the last instruction falls off the end, a ``ret`` on its edge
+    into the sink keeps it from falling into them.  A subdivided edge loses
+    its ``!edgecost`` override: the edges that replace it take the default
+    cost, like every edge a rewrite creates.
     """
     instructions = program.instructions
     n = len(instructions)
@@ -655,6 +646,9 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> R
         if i in after:
             place(*after[i])
     if appended and out[-1].kind not in (JUMP, RET):
+        # the ret subdivides the last instruction's edge into the sink
+        edge = (instr_node(n - 1), sink)
+        inserted[edge] = inserted.get(edge, ()) + (instr_node(len(out)),)
         out.append(Instruction(RET))
     for edge, block in appended:
         place(edge, block)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cfg import Cfg, DEFAULT_EDGE_COST, DEFAULT_NODE_COST, ExprProblem, calc_set, make_problem, total_cost
-from .cost import INFINITY, ZERO, CostVec
+from .cost import INFINITY, ZERO, CostVec, sum_costs
 from .dp import LospreSolution, cost_keys
 from .errors import NoFeasibleSolutionError, SizeGuardError
 from .safety import SafetySolution
@@ -240,28 +240,35 @@ def brute_extended(cfg: Cfg, problem: ExprProblem,
 
 def brute_extended_full(cfg: Cfg, problem: ExprProblem, lifetime_cost,
                         allowed_combos=None) -> LospreSolution:
-    """Literal 8**|V| enumeration, for cross-checking brute_extended on tiny graphs."""
+    """Literal 8**|V| enumeration, for cross-checking brute_extended on tiny
+    graphs: every assignment is costed over its own calculation set, with
+    ``lifetime_cost`` tabulated once per node and (b, bl, br) triple, and the
+    solution is built once, for the least (cost, bits) pair."""
     n = cfg.node_count
     if n > 5:
         raise SizeGuardError(f"brute_extended_full is limited to 5 nodes, got {n}")
     permits = _permits(allowed_combos)
+    combos = [((d >> 2) & 1, (d >> 1) & 1, d & 1) for d in range(8)]  # (b, bl, br)
+    node_cost = [[lifetime_cost(v, *t) for t in combos] for v in range(n)]
+    permitted = [[permits(v, t) for t in combos] for v in range(n)]
     best = None
     for assign in range(8 ** n):
-        bits = []
+        digits = []
         a = assign
         for _ in range(n):
-            d = a % 8
-            bits.append(((d >> 2) & 1, (d >> 1) & 1, d & 1))  # (b, bl, br)
+            digits.append(a % 8)
             a //= 8
-        if not all(permits(v, bits[v]) for v in range(n)):
+        if not all(permitted[v][d] for v, d in enumerate(digits)):
             continue
-        sol = _extended_solution(cfg, problem, bits, lifetime_cost)
-        key = (sol.cost, tuple(bits))
-        if best is None or key < best[0]:
-            best = (key, sol)
+        life = frozenset(v for v, d in enumerate(digits) if d >> 2)
+        cost = sum_costs([cfg.edge_cost[e] for e in calc_set(cfg, problem, life)] +
+                         [node_cost[v][d] for v, d in enumerate(digits)])
+        key = (cost, tuple(combos[d] for d in digits))
+        if best is None or key < best:
+            best = key
     if best is None:
         raise NoFeasibleSolutionError("no permitted assignment")
-    return best[1]
+    return _extended_solution(cfg, problem, list(best[1]), lifetime_cost)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from lospre.dp import LospreSolution
 from lospre.interp import equivalent_states, interpret
 from lospre.ir import (ASSIGN, BINOP, BRANCH, JUMP, LOAD, RET, STORE, UnreachableCodeWarning,
                        build_cfg, copy_propagate, derive_problems, format_ir, instr_node,
-                       parse_ir, patchable, rewrite)
+                       parse_ir, rewrite)
 from lospre.oracle import generate_program_text
 from test_pipeline_frozen import cases
 
@@ -255,15 +255,38 @@ def same_graph(a, b):
         (b.node_count, b.edges, b.edge_cost, b.node_cost)
 
 
+def fake_edges(program, cfg):
+    """The edges of ``cfg`` into the sink from an instruction that is not a
+    ``ret`` and does not fall off the end."""
+    sink, n = cfg.node_count - 1, len(program)
+    return {(u, v) for (u, v) in cfg.edges if v == sink and u != 0 and
+            program[u - 1].kind != RET and (u < n or program[u - 1].kind == JUMP)}
+
+
+def real_part(program, cfg):
+    """``cfg`` without its fake edges: node count, edges, and the costs."""
+    fakes = fake_edges(program, cfg)
+    return (cfg.node_count, cfg.edges - fakes, cfg.node_cost,
+            {e: c for e, c in cfg.edge_cost.items() if e not in fakes})
+
+
 class Recorder:
     """Wraps the library's pass steps inside ``run_pipeline`` and checks each
-    pass's graph and each copy propagation against the references."""
+    pass's graph and each copy propagation against the references.
+
+    A pass graph must be ``build_cfg`` of the pass's program when the input
+    graph has no fake edge; otherwise it must have the same real edges and
+    costs, and its fake edges must be the input's, mapped through the node
+    maps of the rewrites since.  ``moved`` counts the passes whose graph
+    ``build_cfg`` would have given other fake edges."""
 
     def __init__(self, monkeypatch):
         self.passes = self.built = self.candidates = self.problems = self.propagations = 0
+        self.moved = 0
         self.graph_mismatches, self.copy_mismatches = [], []
-        build, derive, propagate, make = (irmod.build_cfg, irmod.derive_problems,
-                                          irmod.copy_propagate, irmod.make_problem)
+        build, derive, propagate, make, apply = (irmod.build_cfg, irmod.derive_problems,
+                                                 irmod.copy_propagate, irmod.make_problem,
+                                                 irmod.rewrite)
 
         def counting_build(program):
             self.built += 1
@@ -271,11 +294,27 @@ class Recorder:
 
         def checking_derive(program, cfg):
             self.passes += 1
-            if not same_graph(cfg, build(program)):
+            if self.input_fakes is None:
+                self.input_fakes = fake_edges(program, cfg)
+                self.node_map = list(range(cfg.node_count))
+            rebuilt = build(program)
+            if self.input_fakes:
+                m = self.node_map
+                ok = real_part(program, cfg) == real_part(program, rebuilt) and \
+                    fake_edges(program, cfg) == {(m[u], m[v]) for (u, v) in self.input_fakes}
+                self.moved += cfg.edges != rebuilt.edges
+            else:
+                ok = same_graph(cfg, rebuilt)
+            if not ok:
                 self.graph_mismatches.append(format_ir(program))
             result = derive(program, cfg)
             self.candidates += len(result)
             return result
+
+        def mapping_rewrite(*args):
+            step = apply(*args)
+            self.node_map = [step.node_map[v] for v in self.node_map]
+            return step
 
         def checking_propagate(program, cfg=None):
             self.propagations += 1
@@ -290,10 +329,12 @@ class Recorder:
 
         monkeypatch.setattr(irmod, "build_cfg", counting_build)
         monkeypatch.setattr(irmod, "derive_problems", checking_derive)
+        monkeypatch.setattr(irmod, "rewrite", mapping_rewrite)
         monkeypatch.setattr(irmod, "copy_propagate", checking_propagate)
         monkeypatch.setattr(irmod, "make_problem", counting_make)
 
     def run(self, text):
+        self.input_fakes = None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UnreachableCodeWarning)
             return run_pipeline(parse_ir(text), RunConfig())
@@ -330,59 +371,71 @@ def test_problems_are_built_only_for_candidates_a_pass_looks_at(corpus_run):
 @pytest.mark.parametrize("text", [
     # an unreachable loop gets a source edge
     "x = a + b\ny = a + b\nret\nL: z = 1\ngoto L\n",
+    # so does an unreachable block, which reaches a ret: no fake edge
+    "x = a + b\nret\ny = a + b\nz = a + b\nret\n",
     # an infinite loop gets a fake edge to the sink
     "x = a / d\nL: y = a / d\ngoto L\n",
 ])
-def test_graphs_with_extra_edges_are_rebuilt(monkeypatch, text):
-    program = parse_ir(text)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnreachableCodeWarning)
-        assert not patchable(program, build_cfg(program))
+def test_graphs_with_extra_edges_are_patched(monkeypatch, text):
     recorder = Recorder(monkeypatch)
     result = recorder.run(text)
     assert result.applied and not recorder.graph_mismatches
-    assert recorder.built == recorder.passes == 2
+    assert recorder.passes == 2 and recorder.built == 1
 
 
-def test_a_moved_fake_edge_carries_no_verdict(monkeypatch):
+def test_a_carried_fake_edge_keeps_its_verdicts(monkeypatch):
     # pass 1 cuts d + e (uses 1 and 3) and applies a + b with a computation
-    # on the back edge; the block appended after the old goto moves the fake
-    # edge into the sink, so pass 2 cuts d + e afresh and carries nothing
-    import lospre.cli as cli
+    # on the back edge; the block appended after the old goto would take the
+    # fake edge into the sink in a rebuilt graph, but the patched graph keeps
+    # it on the goto, so pass 2 carries d + e, and a fresh cut agrees
     text = ("p = d + e\nd = d + 1\nq = d + e\nL: x = a + b\ny = a + b\nz = a + b\n"
             "a = c\ngoto L\n")
-    cuts, carries = [], []
-    derive, cut = irmod.derive_problems, cli.min_calc_count
+    cuts, carried, graphs = [], [], []
+    derive, cut, carry = irmod.derive_problems, cli.min_calc_count, cli._carried
 
     def recording_derive(program, cfg):
         cuts.append([])
+        graphs.append((program, cfg))
         return derive(program, cfg)
 
     def recording_cut(cfg, problem, bound):
         cuts[-1].append(sorted(problem.use_set))
         return cut(cfg, problem, bound)
 
+    def recording_carried(*args):
+        carried.append(carry(*args))
+        return carried[-1]
+
     monkeypatch.setattr(irmod, "derive_problems", recording_derive)
     monkeypatch.setattr(cli, "min_calc_count", recording_cut)
-    monkeypatch.setattr(cli, "_carried", lambda *args: carries.append(args))
+    monkeypatch.setattr(cli, "_carried", recording_carried)
     result = run_pipeline(parse_ir(text), RunConfig())
     assert [c.display() for c, _ in result.applied] == ["a + b"]
     assert any(ins.label == "__L0" for ins in result.program)  # the appended block
-    assert cuts == [[[1, 3], [4, 5, 6]], [[1, 3]]]
-    assert carries == []
+    assert cuts == [[[1, 3], [4, 5, 6]], []]
+    assert carried == [{("+", "d", "e")}]  # pass 2 carries d + e
+    program, cfg = graphs[1]
+    assert fake_edges(program, cfg) == {(9, 12)}  # the goto's, as on pass 1
+    assert fake_edges(program, build_cfg(program)) == {(11, 12)}  # the appended block's
+    ((_, problem),) = [(c, p) for c, p in derive_problems(program, cfg) if key_of(c) == ("+", "d", "e")]
+    assert cut(cfg, problem, 2) == 2
 
 
-def test_a_rewrite_that_appends_a_ret_is_not_patched():
-    # the program and solution of
-    # test_ir.py::test_rewrite_keeps_the_last_instruction_out_of_appended_blocks
+# the program and solution of
+# test_ir.py::test_rewrite_keeps_the_last_instruction_out_of_appended_blocks,
+# and the same with a computation on the last instruction's edge into the sink
+@pytest.mark.parametrize("calcs, placed", [({(0, 1), (3, 5)}, (7,)),
+                                           ({(0, 1), (3, 5), (5, 6)}, (7, 8))],
+                         ids=["alone", "after-a-computation"])
+def test_a_rewrite_that_appends_a_ret_is_patched(calcs, placed):
     prog = parse_ir("if c goto L\nx = a + b\ngoto M\nL: z = 1\nM: y = a + b\n")
     cfg = build_cfg(prog)
-    assert patchable(prog, cfg)
     ((cand, _),) = derive_problems(prog, cfg)
-    sol = LospreSolution(frozenset(), frozenset({(0, 1), (3, 5)}), CostVec(2, 0))
+    sol = LospreSolution(frozenset(), frozenset(calcs), CostVec(len(calcs), 0))
     step = rewrite(prog, cfg, cand, sol)
     assert step.program[-3].kind == RET  # the appended ret, before the trailing block
-    assert step.patched_cfg(cfg) is None
+    assert step.inserted[(5, 6)] == placed  # the ret after the computation, if any
+    assert same_graph(step.patched_cfg(cfg), build_cfg(step.program))
 
 
 def test_patched_graph_drops_the_override_of_a_subdivided_edge(monkeypatch):

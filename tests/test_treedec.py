@@ -316,6 +316,6 @@ def test_subdivide_patches_every_insertion_shape(edges):
     step = rewrite(prog, cfg, cand,
                    LospreSolution(frozenset(), frozenset(edges), CostVec(len(edges), 0)))
     new_cfg = build_cfg(step.program)
-    assert step.subdivided_edges(cfg) == new_cfg.edges
+    assert step.patched_cfg(cfg).edges == new_cfg.edges
     new_nodes = [w for path in step.inserted.values() for w in path]
     assert sorted(step.node_map + new_nodes) == list(range(new_cfg.node_count))

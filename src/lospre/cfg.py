@@ -9,15 +9,17 @@ brute-force oracles are checked against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional
 
-from .cost import CostVec, format_cost, parse_cost, sum_costs
+from .cost import ZERO, CostVec, format_cost, parse_cost, sum_costs
 from .errors import CfgError, GraphFormatError
 
 Edge = tuple[int, int]
 
 DEFAULT_EDGE_COST = CostVec(1, 0)
 DEFAULT_NODE_COST = CostVec(0, 1)
+_PAIR = attrgetter("primary", "secondary")  # infinity reads (0, 0)
 
 
 class Cfg:
@@ -29,9 +31,10 @@ class Cfg:
     read-only, so instances are safe to share across threads.
 
     The constructor checks every input: duplicate edges, edge ends and
-    cost keys outside the nodes, and a source that is not unique.
-    ``edge_cost`` and ``node_cost`` fill in [1,0] and [0,1] for what a
-    dict leaves out.
+    cost keys outside the nodes, a source that is not unique, and edge
+    costs below [0,0], which the tie rule, the use region and the oracles'
+    tie order assume away.  ``edge_cost`` and ``node_cost`` fill in [1,0]
+    and [0,1] for what a dict leaves out.
     """
 
     __slots__ = ("node_count", "edges", "edge_cost", "node_cost", "source",
@@ -71,6 +74,10 @@ class Cfg:
         if len(self.edge_cost) != len(edge_set):
             e = next(e for e in edge_cost if e not in edge_set)
             raise CfgError(f"cost given for unknown edge {e}")
+        if edge_cost and min(map(_PAIR, edge_cost.values())) < (0, 0):
+            (u, v), c = next((e, c) for e, c in edge_cost.items() if c < ZERO)
+            raise CfgError(f"edge {u} -> {v} costs {format_cost(c)}, below [0,0]: "
+                           f"an edge cost counts computations")
         self.node_cost = dict.fromkeys(range(node_count), DEFAULT_NODE_COST)
         self.node_cost.update(node_cost or ())
         if len(self.node_cost) != node_count:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain, compress
+from itertools import compress
 from operator import is_not
 from pathlib import Path
 
@@ -23,9 +23,8 @@ from .cfg import (DEFAULT_EDGE_COST, Cfg, calc_set, dump_dot, load_cfg,
 from .cost import ZERO, sum_costs
 from .dp import eliminated_count, format_solution, solve
 from .errors import InputFormatError, LospreError, NoFeasibleSolutionError, WidthExceededError
-from .oracle import (BRUTE_LOSPRE_MAX_NODES, BRUTE_SAFETY_FIXPOINT_MAX_NODES,
-                     BRUTE_SAFETY_MAX_NODES, STYLES, InstanceGenerator, brute_lospre,
-                     brute_safety, brute_safety_fixpoint, generate)
+from .oracle import (BRUTE_LOSPRE_MAX_NODES, BRUTE_SAFETY_FIXPOINT_MAX_NODES, STYLES,
+                     InstanceGenerator, brute_lospre, brute_safety, brute_safety_fixpoint, generate)
 from .safety import apply_safety, solve_safety
 from .treedec import decompose, dump_dot_treedec, make_nice
 
@@ -67,15 +66,18 @@ def _nice_within(td, config: RunConfig):
 
 @dataclass
 class PipelineResult:
+    """What ``run_pipeline`` did, with the graph its last pass used."""
     program: object
+    cfg: Cfg                # the input's graph with every rewrite subdivided
     applied: list           # (candidate, solution) pairs, in application order
     passes: int
     verify_failures: list
 
 
 def _safety_oracle(cfg):
-    """The brute-force safety reference that ``--verify`` can afford on ``cfg``, or None."""
-    if cfg.node_count <= BRUTE_SAFETY_MAX_NODES and cfg.is_acyclic():
+    """The safety reference ``--verify`` uses on ``cfg``: the path closure on any
+    acyclic graph, the fixpoint on a cyclic one of at most 12 nodes, else None."""
+    if cfg.is_acyclic():
         return brute_safety
     if cfg.node_count <= BRUTE_SAFETY_FIXPOINT_MAX_NODES:
         return brute_safety_fixpoint
@@ -130,17 +132,16 @@ def _use_region(cfg, problem):
 
     B, in ``cfg``'s id order (region node i is ``B[i]``), is the uses and
     every node that reaches one without passing an invalidating node, or
-    every node when a cost is below [0,0].  With costs of at least [0,0]
-    the least optimal life set lies in B, so an edge leaving B is never a
-    calculation edge.  An edge entering B comes from an invalidating node:
+    every node when a node cost is below [0,0] (``Cfg`` refuses such edge
+    costs).  With costs of at least [0,0] the least optimal life set lies
+    in B, so an edge leaving B is never a calculation edge.  An edge entering B comes from an invalidating node:
     into a use it is a calculation edge under every life set, and its cost
     joins ``constant``; else its cost joins its head's node cost.  A node of
     B with no predecessor in B gets a zero-cost self-loop, and the region's
     source is one more node, isolated.
     """
     use, inv = problem.use_set, problem.invalidation_set
-    if any(c.primary < 0 or c.primary == 0 and c.secondary < 0
-           for c in chain(cfg.node_cost.values(), cfg.edge_cost.values())):
+    if any(c.primary < 0 or c.primary == 0 and c.secondary < 0 for c in cfg.node_cost.values()):
         region = range(cfg.node_count)
     else:
         region = sorted(use_region(cfg, problem))
@@ -229,9 +230,10 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     with such a node keeps the minimum cut, enlarged or not.  Only the
     first pass calls ``build_cfg``; each later one patches the last graph
     (``Rewrite.patched_cfg``), so every pass graph is the last one
-    subdivided, its fake edges and source edges those of the input.  Copy
-    propagation runs on the pass's graph, and a candidate's problem is
-    built only when the pass looks past its occurrence count.
+    subdivided, its fake edges and source edges those of the input; the
+    result keeps the last one.  Copy propagation runs on the pass's graph,
+    and a candidate's problem is built only when the pass looks past its
+    occurrence count.
     """
     applied = []
     verify_failures = []
@@ -315,7 +317,7 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
         touched = {(candidate.op, candidate.left, candidate.right)}
         touched.update(irmod.candidate_key(ins) for pair in changed for ins in pair)
         last_loaded = derived.load_results if candidate.op == "load" else ()
-    return PipelineResult(program=program, applied=applied, passes=passes,
+    return PipelineResult(program=program, cfg=cfg, applied=applied, passes=passes,
                           verify_failures=verify_failures)
 
 
@@ -338,7 +340,7 @@ def cmd_run(config: RunConfig, path: Path) -> int:
     if "rewritten-ir" in config.emit:
         _emit(config, f"{stem}.out.ir", irmod.format_ir(result.program))
     if "dot" in config.emit:
-        _emit(config, f"{stem}.dot", dump_dot(irmod.build_cfg(result.program)))
+        _emit(config, f"{stem}.dot", dump_dot(result.cfg))
     if "solution" in config.emit:
         text = "".join(format_solution(sol, index=k)
                        for k, (_, sol) in enumerate(result.applied))
@@ -427,9 +429,9 @@ def cmd_oracle_check(checked: range, size: int, style: str) -> int:
         nice = make_nice(decompose(cfg))
         solution = solve(cfg, problem, nice)
         reference = brute_lospre(cfg, problem)
-        ok = (solution.cost, solution.life_set) == (reference.cost, reference.life_set)
-        if ok and cfg.node_count <= BRUTE_SAFETY_MAX_NODES:
-            ok = solve_safety(cfg, problem).i_prime == brute_safety(cfg, problem).i_prime
+        # generated graphs are acyclic, where the path closure is exact
+        ok = (solution.cost, solution.life_set) == (reference.cost, reference.life_set) and \
+            solve_safety(cfg, problem).i_prime == brute_safety(cfg, problem).i_prime
         failed += not ok
         sys.stdout.write(f"seed {seed} {'ok' if ok else 'FAIL'}\n")
     sys.stdout.write(f"checked {len(checked)} failed {failed}\n")

@@ -31,7 +31,6 @@ from .safety import SafetySolution
 
 
 BRUTE_LOSPRE_MAX_NODES = 20
-BRUTE_SAFETY_MAX_NODES = 16
 BRUTE_SAFETY_FIXPOINT_MAX_NODES = 12
 
 
@@ -117,13 +116,10 @@ def brute_safety(cfg: Cfg, problem: ExprProblem) -> SafetySolution:
     writes) ends no corridor: computing the expression there is not
     speculative.  Computed by forward reachability from the invalidation
     set and backward reachability from its non-use part, both on the graph
-    restricted to non-use nodes.  On acyclic graphs this equals the greatest
-    fixpoint of ``safety.solve_safety``; on cyclic graphs the solver's set
-    may be larger.
+    restricted to non-use nodes: two linear sweeps, at any size.  On acyclic
+    graphs this equals the greatest fixpoint of ``safety.solve_safety``; on
+    cyclic graphs the solver's set may be larger.
     """
-    n = cfg.node_count
-    if n > BRUTE_SAFETY_MAX_NODES:
-        raise SizeGuardError(f"brute_safety is limited to {BRUTE_SAFETY_MAX_NODES} nodes, got {n}")
     use = problem.use_set
     inv = problem.invalidation_set
 

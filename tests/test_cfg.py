@@ -45,6 +45,24 @@ def test_self_loop_allowed():
     assert not cfg.is_acyclic()
 
 
+def test_edge_costs_below_zero_rejected():
+    # the tie rule, the use region and the oracles' tie order assume every
+    # edge costs at least [0,0]; on these three graphs, drawn with edge
+    # costs in [-2..2]x[-2..2], solve and brute force agree on the cost
+    # but not on the life set
+    for seed in (31, 128, 297):
+        cfg0, _ = generate(InstanceGenerator(seed, node_range=(4, 9)))
+        rng = random.Random(seed)
+        cost = {e: CostVec(rng.randint(-2, 2), rng.randint(-2, 2)) for e in cfg0.edge_cost}
+        with pytest.raises(CfgError, match=r"below \[0,0\]"):
+            Cfg(cfg0.node_count, cfg0.edges, cost, cfg0.node_cost)
+    with pytest.raises(CfgError, match=r"edge 0 -> 1 costs \[0,-1\]"):
+        Cfg(2, [(0, 1)], {(0, 1): CostVec(0, -1)})
+    edges = [(0, 1), (1, 2)]
+    cfg = Cfg(3, edges, {(0, 1): CostVec(0, 0), (1, 2): INFINITY}, {1: CostVec(-2, -1)})
+    assert cfg.edge_cost == {(0, 1): CostVec(0, 0), (1, 2): INFINITY}
+
+
 def test_problem_invariants(diamond):
     p = make_problem(diamond, use=[2, 3])
     assert p.invalidation_set == {0, 4}

@@ -316,6 +316,49 @@ def test_verify_checks_safety_on_cyclic_graphs(tmp_path, capsys, monkeypatch):
     assert "safety mismatch" in capsys.readouterr().err
 
 
+def test_verify_checks_safety_on_acyclic_graphs_of_any_size(tmp_path, capsys, monkeypatch):
+    # 19 nodes, acyclic: the path closure is exact here whatever the size,
+    # and a reference that drops the enlargement after the join must be caught
+    import lospre.cli as cli
+    from lospre.ir import build_cfg
+    from lospre.safety import SafetySolution
+
+    text = ("i = 0\nif c goto T\nx = a / d\nb = b + 1\nb = b + 2\nb = b + 3\ngoto J\n"
+            "T: i = i + 1\ni = i + 2\nJ: y = a / d\nd = 1\n"
+            + "".join(f"w = w + {k}\n" for k in range(5)) + "ret\n")
+    cfg = build_cfg(parse_ir(text))
+    assert cfg.node_count > 16 and cfg.is_acyclic()
+    src = tmp_path / "f.ir"
+    src.write_text(text)
+    assert main(["run", str(src), "--verify"]) == EXIT_OK
+    monkeypatch.setattr(cli, "brute_safety",
+                        lambda cfg, problem: SafetySolution(problem.invalidation_set, frozenset()))
+    assert main(["run", str(src), "--verify"]) == EXIT_VERIFY
+    assert "safety mismatch for a / d" in capsys.readouterr().err
+    assert main(["run", str(src)]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_emit_dot_draws_the_graph_of_the_last_pass(tmp_path, capsys, monkeypatch):
+    # the loop never returns, so its graph links the original `goto L` (9)
+    # to the sink (12); a graph rebuilt from the output would link the
+    # appended block's `goto L` (11) instead
+    import lospre.ir as ir
+
+    built = []
+    build_cfg = ir.build_cfg
+    monkeypatch.setattr(ir, "build_cfg", lambda program: built.append(program) or
+                        build_cfg(program))
+    src = tmp_path / "f.ir"
+    src.write_text("p = d + e\nd = d + 1\nq = d + e\nL: x = a + b\ny = a + b\n"
+                   "z = a + b\na = c\ngoto L\n")
+    assert main(["run", str(src), "--emit", "dot", "--out-dir", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    dot = (tmp_path / "f.dot").read_text()
+    assert "  n9 -> n12 " in dot and "n11 -> n12" not in dot
+    assert len(built) == 1
+
+
 DIAMOND = ("cfg 5\nedge 0 1 c=[1,0]\nedge 1 2 c=[1,0]\nedge 1 3 c=[1,0]\n"
            "edge 2 4 c=[1,0]\nedge 3 4 c=[1,0]\n"
            "problem use=2,3 invalidate=0,4\n")

@@ -122,10 +122,29 @@ def test_oracle_equivalence_all_styles():
             assert sol.added == ref.added, (style, seed)
 
 
-def test_oracle_size_guard():
+def test_oracle_equivalence_above_sixteen_nodes():
+    # the path closure has no size limit: it is two linear sweeps
     cfg = line(17)
-    with pytest.raises(SizeGuardError):
-        brute_safety(cfg, make_problem(cfg, use=[]))
+    problem = make_problem(cfg, use=[])
+    assert brute_safety(cfg, problem) == solve_safety(cfg, problem)
+    assert solve_safety(cfg, problem).added == frozenset(range(1, 16))
+    overlap = added = 0
+    for style in STYLES:
+        for seed in range(40):
+            rng = random.Random(f"large/{style}/{seed}")
+            lo = 20 if style == "chained-diamonds" else 17  # multiples of 4
+            cfg, problem = generate(InstanceGenerator(seed=seed, node_range=(lo, 200),
+                                                      style=style))
+            assert cfg.node_count >= 17
+            if seed % 2:
+                # uses that also invalidate, as ``v = *v`` does
+                inv = {v for v in sorted(problem.use_set) if rng.random() < 0.5}
+                problem = make_problem(cfg, problem.use_set, problem.invalidation_set | inv)
+            sol = solve_safety(cfg, problem)
+            assert brute_safety(cfg, problem) == sol, (style, seed)
+            overlap += bool(problem.use_set & problem.invalidation_set)
+            added += bool(sol.added)
+    assert overlap >= 40 and added >= 60, (overlap, added)
 
 
 def test_safety_blocks_speculative_hoist():

@@ -51,16 +51,15 @@ def _emit(config: RunConfig, name: str, text: str) -> None:
     (config.out_dir / name).write_text(text)
 
 
-def _too_wide(nice, config: RunConfig) -> WidthExceededError:
-    return WidthExceededError(
-        f"decomposition width {nice.width} exceeds --max-width {config.max_width}")
+def _too_wide(width: int, config: RunConfig) -> WidthExceededError:
+    return WidthExceededError(f"decomposition width {width} exceeds --max-width {config.max_width}")
 
 
 def _nice_within(td, config: RunConfig):
     """The nice form of ``td``, refused when it is wider than --max-width."""
     nice = make_nice(td)
     if nice.width > config.max_width:
-        raise _too_wide(nice, config)
+        raise _too_wide(nice.width, config)
     return nice
 
 
@@ -92,7 +91,9 @@ def _unit_costs(cfg) -> bool:
 
 def _enlarge(cfg, problem, label: str, safety_oracle, failures: list):
     """The problem with its safety-enlarged invalidation set, checked against
-    ``safety_oracle`` unless it is None; a mismatch is appended to ``failures``."""
+    ``safety_oracle`` unless it is None; a mismatch is appended to ``failures``.
+    ``_verify_pass`` and ``graph --verify`` pass an oracle; ``run_pipeline``
+    enlarges without one."""
     safety_sol = solve_safety(cfg, problem)
     if safety_oracle is not None:
         oracle_sol = safety_oracle(cfg, problem)
@@ -182,6 +183,56 @@ def _lift(cfg, problem, region, constant, part):
     return replace(part, life_set=life, calc_set=calcs, cost=cost)
 
 
+def _region_solve(cfg, problem, max_width: int):
+    """``(solution, width)``: ``problem`` solved on its use region
+    (``_use_region``) and lifted to ``cfg`` (``_lift``), and the width of the
+    region's nice decomposition; the solution is None when that width is
+    above ``max_width``, and nothing is solved then."""
+    region_cfg, region_problem, region, constant = _use_region(cfg, problem)
+    nice = make_nice(decompose(region_cfg))
+    if nice.width > max_width:
+        return None, nice.width
+    part = solve(region_cfg, region_problem, nice, max_width=max_width)
+    return _lift(cfg, problem, region, constant, part), nice.width
+
+
+def _wants_safety(config: RunConfig, candidate) -> bool:
+    """Whether --safety enlarges ``candidate``: always, or on auto for loads and divisions."""
+    return config.safety == "always" or config.safety == "auto" and candidate.safety_required
+
+
+def _verify_pass(cfg, derived, chosen, config: RunConfig, failures: list) -> None:
+    """Under --verify, re-check one pass of ``run_pipeline`` after it has
+    decided, deciding nothing: ``derived`` is its derivation on ``cfg`` and
+    ``chosen`` the (candidate, solution) it applies, or None.  Each candidate
+    up to the applied one, or every one when none was applied, is enlarged
+    against ``_safety_oracle`` where --safety asks, solved by
+    ``_region_solve`` and checked by ``_verify_solution``; above the plain
+    run's --max-width, brute force checks it on at most VERIFY_MAX_NODES
+    nodes, and stderr calls it "unchecked" on more.  One that gains but was
+    not applied is a verdict mismatch.  Failures go to ``failures``."""
+    if not config.verify:
+        return
+    safety_oracle = _safety_oracle(cfg)
+    for k, candidate in enumerate(derived.candidates):
+        label, problem = candidate.display(), derived[k][1]
+        if _wants_safety(config, candidate):
+            problem = _enlarge(cfg, problem, label, safety_oracle, failures)
+        solution, width = _region_solve(cfg, problem, config.max_width)
+        if solution is not None:
+            failures.extend(_verify_solution(cfg, problem, label, solution))
+        elif cfg.node_count <= VERIFY_MAX_NODES:
+            solution = brute_lospre(cfg, problem)
+        else:
+            sys.stderr.write(f"unchecked: width {width} > --max-width "
+                             f"{config.max_width} for {label}\n")
+        if chosen is not None and candidate is chosen[0]:
+            return
+        if solution is not None and len(solution.calc_set) < len(candidate.occurrence_nodes):
+            failures.append(f"verdict mismatch for {label}: "
+                            f"{len(solution.calc_set)} calculations")
+
+
 def _carried(verdicts: set, touched: set, loaded: set) -> set:
     """The keys of ``verdicts``, the last pass's "cannot gain" verdicts, that
     carry to this pass: not ``touched`` and with no operand in ``loaded``.
@@ -206,19 +257,21 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     occurrences; a rewrite strictly reduces the static computation count,
     which bounds the number of passes.  Safety routing follows the config:
     auto enlarges the invalidation set for loads and divisions.  When every
-    cost of the pass's graph is finite, a candidate with one occurrence, or
+    cost of the input graph is finite, a candidate with one occurrence, or
     whose minimum cut (``min_calc_count``) reaches its occurrence count,
-    cannot gain under any costs and is not solved (--verify solves it, and
-    records a verdict mismatch if it gains); otherwise every candidate is
-    solved, so an infeasible one fails.
+    cannot gain under any costs and is not solved; otherwise every
+    candidate is solved, so an infeasible one fails.  The input graph
+    decides this for the whole run: a rewrite drops the ``!edgecost``
+    override only of a calculation edge, which is finite, and costs the
+    edges and nodes it adds by the directives' defaults, which already cost
+    the source edge and the source node, so no rewrite changes whether
+    every cost is finite.
 
-    Each solve decomposes and solves the candidate's use region
-    (``_use_region``) and recomputes calculation set and cost on the whole
-    graph; the optimum is the least optimal life set either way.  The width
-    guard (exit 3) reads the region's width, and never refuses a solve only
-    --verify makes: brute force checks such a verdict on graphs of at most
-    VERIFY_MAX_NODES nodes, and stderr reports it "unchecked" on larger
-    ones.  The cut runs on B alone (``min_calc_count``).
+    Each solve goes through ``_region_solve``: it decomposes and solves the
+    candidate's use region (``_use_region``) and recomputes calculation set
+    and cost on the whole graph; the optimum is the least optimal life set
+    either way.  The width guard (exit 3) reads the region's width.  The
+    cut runs on B alone (``min_calc_count``).
 
     A "cannot gain" verdict carries to the next pass, which skips the
     candidate before building its problem, when ``_carried`` finds that the
@@ -234,18 +287,22 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     result keeps the last one.  Copy propagation runs on the pass's graph,
     and a candidate's problem is built only when the pass looks past its
     occurrence count.
+
+    The candidate loop decides alone.  Once a pass has decided,
+    ``_verify_pass`` re-checks it under --verify and changes nothing but
+    ``verify_failures`` and stderr; a pass the width guard stops is not
+    re-checked.
     """
     applied = []
     verify_failures = []
     passes = 0
     pass_limit = 2 * len(program.instructions) + 8
     cfg = irmod.build_cfg(program)
+    certify = cfg.has_finite_costs()
     verdicts = set()  # keys of the candidates that cannot gain
     touched = last_loaded = ()  # what the last pass changed, for _carried
     while passes < pass_limit:
         passes += 1
-        certify = cfg.has_finite_costs()
-        safety_oracle = _safety_oracle(cfg) if config.verify else None
         chosen = None
         derived = irmod.derive_problems(program, cfg)
         loaded = last_loaded | derived.load_results if last_loaded else ()
@@ -255,54 +312,27 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
             occurrences = len(candidate.occurrence_nodes)
             # a reachable use forces at least one calculation edge, so a
             # single occurrence can never shrink
-            cannot_gain = certify and occurrences < 2
-            if cannot_gain and not config.verify:
+            if certify and occurrences < 2:
                 continue
             key = (candidate.op, candidate.left, candidate.right)
-            if not cannot_gain and key in carried:
+            if key in carried:
                 verdicts.add(key)
-                if not config.verify:
-                    continue
-                cannot_gain = True
+                continue
             problem = derived[k][1]
-            wants_safety = (config.safety == "always" or
-                            (config.safety == "auto" and candidate.safety_required))
-            if wants_safety:
-                problem = _enlarge(cfg, problem, candidate.display(), safety_oracle,
-                                   verify_failures)
-            if not cannot_gain and certify and \
-                    min_calc_count(cfg, problem, occurrences) >= occurrences:
+            if _wants_safety(config, candidate):
+                problem = apply_safety(problem, solve_safety(cfg, problem))
+            if certify and min_calc_count(cfg, problem, occurrences) >= occurrences:
                 # every life set has at least as many calculation edges as
                 # there are occurrences, the optimum included
                 verdicts.add(key)
-                if not config.verify:
-                    continue
-                cannot_gain = True
-            region_cfg, region_problem, region, constant = _use_region(cfg, problem)
-            nice = make_nice(decompose(region_cfg))
-            if nice.width <= config.max_width:
-                part = solve(region_cfg, region_problem, nice, max_width=config.max_width)
-                solution = _lift(cfg, problem, region, constant, part)
-                if config.verify:
-                    verify_failures.extend(
-                        _verify_solution(cfg, problem, candidate.display(), solution))
-            elif not cannot_gain:
-                raise _too_wide(nice, config)
-            elif cfg.node_count <= VERIFY_MAX_NODES:
-                # only --verify solves a candidate that cannot gain, and the
-                # width guard is the plain run's: brute force checks the verdict
-                solution = brute_lospre(cfg, problem)
-            else:
-                sys.stderr.write(f"unchecked: width {nice.width} > --max-width "
-                                 f"{config.max_width} for {candidate.display()}\n")
                 continue
+            solution, width = _region_solve(cfg, problem, config.max_width)
+            if solution is None:
+                raise _too_wide(width, config)
             if len(solution.calc_set) < occurrences:
-                if not cannot_gain:
-                    chosen = (candidate, solution)
-                    break
-                # only --verify solves a candidate that cannot gain
-                verify_failures.append(f"verdict mismatch for {candidate.display()}: "
-                                       f"{len(solution.calc_set)} calculations")
+                chosen = (candidate, solution)
+                break
+        _verify_pass(cfg, derived, chosen, config, verify_failures)
         if chosen is None:
             break
         candidate, solution = chosen

@@ -525,6 +525,59 @@ def test_verify_keeps_the_plain_runs_width_guard(tmp_path, capsys):
     assert "error" not in err
 
 
+@pytest.mark.parametrize("text", [
+    "if c goto L\nx = a + b\ngoto J\nL: x = a + b\nJ: y = a + b\nret\n",
+    # first a single a + b below a diamond, its region as wide, on 14 nodes,
+    # too many for brute force
+    "if c goto K\nt = 1\ngoto M\nK: t = 2\nM: w = a + b\nif c goto L\nx = d + e\n"
+    "goto J\nL: x = d + e\nJ: y = d + e\nz = 0\nz = 1\nret\n",
+], ids=["alone", "after-a-wide-single"])
+def test_the_width_guard_stops_a_verified_run_as_it_stops_a_plain_one(tmp_path, capsys, text):
+    # pass 1 solves the three-occurrence candidate on a region of width 2;
+    # the guard stops the run before --verify re-checks that pass, so no
+    # "unchecked" line precedes the error
+    src = tmp_path / "f.ir"
+    src.write_text(text)
+    for flags in ([], ["--verify"]):
+        assert main(["run", str(src), "--max-width", "1", *flags]) == EXIT_WIDTH
+        assert capsys.readouterr().err == "error: decomposition width 2 exceeds --max-width 1\n"
+
+
+@pytest.mark.filterwarnings("ignore::lospre.ir.UnreachableCodeWarning")
+def test_verify_makes_no_decision(monkeypatch):
+    # with _verify_pass replaced by a recorder, a run under --verify makes the
+    # plain run's calls, in the same order, and each pass hands the recorder
+    # the candidate the result says it applied
+    import lospre.cli as cli
+    from test_pipeline_frozen import cases
+
+    calls, chosen = [], []
+
+    def recording(name, fn):
+        def wrapper(cfg, problem, *rest):
+            calls.append((name, sorted(problem.use_set), sorted(problem.invalidation_set),
+                          *rest))
+            return fn(cfg, problem, *rest)
+        return wrapper
+
+    for name in ("min_calc_count", "solve_safety", "_region_solve"):
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    monkeypatch.setattr(cli, "_verify_pass",
+                        lambda cfg, derived, pair, config, failures: chosen.append(pair))
+    texts = [text for _, text in cases()]
+    runs = []
+    for verify in (False, True):
+        calls.clear()
+        for text in texts:
+            chosen.clear()
+            result = run_pipeline(parse_ir(text), RunConfig(verify=verify))
+            assert len(chosen) == result.passes
+            assert [pair for pair in chosen if pair is not None] == result.applied
+        runs.append(list(calls))
+    assert runs[0] == runs[1]
+    assert {name for name, *_ in runs[0]} == {"min_calc_count", "solve_safety", "_region_solve"}
+
+
 @pytest.mark.parametrize("verify", [[], ["--verify"]])
 def test_function_ending_in_an_infinite_loop_runs(tmp_path, capsys, verify):
     src = tmp_path / "f.ir"

@@ -13,12 +13,13 @@ from lospre.cfg import make_problem
 from lospre.cli import RunConfig, run_pipeline
 from lospre.cost import CostVec
 from lospre.dp import LospreSolution
+from lospre.errors import NoFeasibleSolutionError
 from lospre.interp import equivalent_states, interpret
 from lospre.ir import (ASSIGN, BINOP, BRANCH, JUMP, LOAD, RET, STORE, UnreachableCodeWarning,
                        build_cfg, copy_propagate, derive_problems, format_ir, instr_node,
                        parse_ir, rewrite)
 from lospre.oracle import generate_program_text
-from test_pipeline_frozen import cases
+from test_pipeline_frozen import cases, cost_variant
 
 
 def reference_copy_propagate(program):
@@ -278,12 +279,15 @@ class Recorder:
     graph has no fake edge; otherwise it must have the same real edges and
     costs, and its fake edges must be the input's, mapped through the node
     maps of the rewrites since.  ``moved`` counts the passes whose graph
-    ``build_cfg`` would have given other fake edges."""
+    ``build_cfg`` would have given other fake edges.  ``finiteness`` holds,
+    for each pass after the first, whether the input graph and the pass's
+    graph have only finite costs: ``run_pipeline`` asks the input graph
+    once for the whole run."""
 
     def __init__(self, monkeypatch):
         self.passes = self.built = self.candidates = self.problems = self.propagations = 0
         self.moved = 0
-        self.graph_mismatches, self.copy_mismatches = [], []
+        self.graph_mismatches, self.copy_mismatches, self.finiteness = [], [], []
         build, derive, propagate, make, apply = (irmod.build_cfg, irmod.derive_problems,
                                                  irmod.copy_propagate, irmod.make_problem,
                                                  irmod.rewrite)
@@ -297,6 +301,9 @@ class Recorder:
             if self.input_fakes is None:
                 self.input_fakes = fake_edges(program, cfg)
                 self.node_map = list(range(cfg.node_count))
+                self.input_finite = cfg.has_finite_costs()
+            else:
+                self.finiteness.append((self.input_finite, cfg.has_finite_costs()))
             rebuilt = build(program)
             if self.input_fakes:
                 m = self.node_map
@@ -366,6 +373,35 @@ def test_copy_propagation_equals_whole_program_rounds_on_the_frozen_corpus(corpu
 
 def test_problems_are_built_only_for_candidates_a_pass_looks_at(corpus_run):
     assert 0 < corpus_run.problems < corpus_run.candidates / 2
+
+
+def infinite_variant(seed):
+    """``cost_variant(seed)`` with every other per-label cost made infinite."""
+    lines = cost_variant(seed).splitlines()
+    labelled = [i for i, line in enumerate(lines) if line.startswith("!") and
+                len(line.split()) > 2]
+    for i in labelled[::2]:
+        lines[i] = lines[i].rsplit(" ", 1)[0] + " inf"
+    return "\n".join(lines) + "\n"
+
+
+def test_every_pass_graph_has_finite_costs_when_the_input_graph_does(corpus_run, monkeypatch):
+    # run_pipeline asks the input graph alone whether its verdicts may skip
+    # a solve: a rewrite subdivides finite edges only, and costs what it
+    # adds by the defaults, so no pass graph may answer otherwise
+    assert len(corpus_run.finiteness) >= 450
+    assert all(a == b for a, b in corpus_run.finiteness)
+    recorder = Recorder(monkeypatch)
+    infeasible = 0
+    for seed in range(100):
+        try:
+            recorder.run(infinite_variant(seed))
+        except NoFeasibleSolutionError:
+            infeasible += 1
+    assert infeasible < 5
+    assert all(a == b for a, b in recorder.finiteness)
+    # passes after a rewrite of a graph with an infinite cost
+    assert sum(not a for a, _ in recorder.finiteness) >= 25
 
 
 @pytest.mark.parametrize("text", [

@@ -1,9 +1,11 @@
 """Command-line front-end.
 
 Subcommands: run (IR pipeline), graph (solve problems from a graph file),
-decompose, safety, oracle-check; each takes only the options it reads.
-Exit codes: 0 success, 2 parse error or usage error, 3 width guard
-exceeded, 4 verification mismatch, 1 anything else.
+decompose, safety, oracle-check; each takes only the options it reads, and
+only values they can take.  --max-width guards one thing: the width of a
+use region about to be solved (``_region_solve``), in run and in graph.
+Exit codes: 0 success, 2 usage error or unreadable, malformed or unwritable
+input or output, 3 width guard exceeded, 4 verification mismatch, 1 else.
 Emitted artifacts are byte-identical across runs for identical inputs and
 flags; --verify checks the plain run's decisions and takes none of its
 own, so it only ever changes the exit status and stderr.
@@ -53,14 +55,6 @@ def _emit(config: RunConfig, name: str, text: str) -> None:
 
 def _too_wide(width: int, config: RunConfig) -> WidthExceededError:
     return WidthExceededError(f"decomposition width {width} exceeds --max-width {config.max_width}")
-
-
-def _nice_within(td, config: RunConfig):
-    """The nice form of ``td``, refused when it is wider than --max-width."""
-    nice = make_nice(td)
-    if nice.width > config.max_width:
-        raise _too_wide(nice.width, config)
-    return nice
 
 
 @dataclass
@@ -380,15 +374,15 @@ def cmd_run(config: RunConfig, path: Path) -> int:
 
 def cmd_graph(config: RunConfig, path: Path) -> int:
     cfg, problems = load_cfg(path.read_text())
-    nice = _nice_within(decompose(cfg), config)
     safety_oracle = _safety_oracle(cfg) if config.verify else None
-    failures = []
-    solutions = []
+    failures, solutions = [], []
     for k, problem in enumerate(problems):
         label = f"problem {k}"
         if config.safety == "always":
             problem = _enlarge(cfg, problem, label, safety_oracle, failures)
-        solution = solve(cfg, problem, nice, max_width=config.max_width)
+        solution, width = _region_solve(cfg, problem, config.max_width)
+        if solution is None:
+            raise _too_wide(width, config)
         if config.verify:
             failures.extend(_verify_solution(cfg, problem, label, solution))
         solutions.append(solution)
@@ -410,7 +404,7 @@ def cmd_decompose(config: RunConfig, path: Path) -> int:
     else:
         cfg, _ = load_cfg(text)
     td = decompose(cfg)
-    nice = _nice_within(td, config)
+    nice = make_nice(td)
     sys.stdout.write(f"nodes={cfg.node_count} bags={len(td.bags)} width={td.width} "
                      f"nice_nodes={nice.node_count}\n")
     for i, bag in enumerate(td.bags):
@@ -452,6 +446,25 @@ def seed_range(text: str) -> range:
     return seeds
 
 
+def width_guard(text: str) -> int:
+    """``--max-width W``: a width of at least 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"negative width {text}")
+    return int(text)
+
+
+def artifacts(allowed):
+    """The ``--emit`` type of a subcommand: a comma list of names from ``allowed``."""
+    def parse(text: str) -> set:
+        emit = {t for t in text.split(",") if t}
+        unknown = emit - set(allowed)
+        if unknown:
+            raise argparse.ArgumentTypeError(f"unknown artifacts {sorted(unknown)}, "
+                                             f"choose from {','.join(allowed)}")
+        return emit
+    return parse
+
+
 def cmd_oracle_check(checked: range, size: int, style: str) -> int:
     failed = 0
     for seed in checked:
@@ -470,7 +483,7 @@ def cmd_oracle_check(checked: range, size: int, style: str) -> int:
 
 _OPTIONS = {
     "--safety": dict(),
-    "--max-width": dict(type=int, default=16),
+    "--max-width": dict(type=width_guard, default=16),
     "--emit": dict(default=""),
     "--verify": dict(action="store_true"),
     "--out-dir": dict(type=Path, default=Path(".")),
@@ -495,7 +508,7 @@ _COMMANDS = {
               ("--safety", "--max-width", "--emit", "--verify", "--out-dir"),
               ("dot", "solution")),
     "decompose": ("report the tree-decomposition", True,
-                  ("--max-width", "--emit", "--out-dir"), ("dot",)),
+                  ("--emit", "--out-dir"), ("dot",)),
     "safety": ("print enlarged invalidation sets", True, ("--safety",), ()),
     "oracle-check": ("batch compare solver against brute force", False,
                      ("--seeds", "--size", "--style"), ()),
@@ -507,48 +520,36 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="speculative redundancy elimination "
                                                  "on bounded-treewidth control-flow graphs")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, takes_input, options, artifacts) in _COMMANDS.items():
+    for command, (help_text, takes_input, options, names) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         if takes_input:
             p.add_argument("input", type=Path)
         for option in options:
             spec = dict(_OPTIONS[option])
             if option == "--emit":
-                spec["help"] = "comma list: " + ",".join(artifacts)
+                spec.update(type=artifacts(names), help="comma list: " + ",".join(names))
             elif option == "--safety":
                 spec.update(choices=_SAFETY[command], default=_SAFETY[command][0])
             p.add_argument(option, **spec)
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-    if "emit" in given:
-        emit = {t for t in args.emit.split(",") if t}
-        unknown = emit - set(_COMMANDS[args.command][3])
-        if unknown:
-            raise LospreError(f"unknown --emit values: {sorted(unknown)}")
-        given["emit"] = emit
-    return RunConfig(**given)
-
-
-_DISPATCH = {
-    "run": lambda args: cmd_run(_config_from(args), args.input),
-    "graph": lambda args: cmd_graph(_config_from(args), args.input),
-    "decompose": lambda args: cmd_decompose(_config_from(args), args.input),
-    "safety": lambda args: cmd_safety(_config_from(args), args.input),
-    "oracle-check": lambda args: cmd_oracle_check(args.seeds, args.size, args.style),
-}
+_DISPATCH = {"run": cmd_run, "graph": cmd_graph, "decompose": cmd_decompose, "safety": cmd_safety}
 
 # checked in order, so a subclass precedes its base
 _EXIT_CODES = ((InputFormatError, EXIT_PARSE), (WidthExceededError, EXIT_WIDTH),
-               (LospreError, EXIT_ERROR), (FileNotFoundError, EXIT_PARSE))
+               (LospreError, EXIT_ERROR), (OSError, EXIT_PARSE),
+               (UnicodeDecodeError, EXIT_PARSE))
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        if args.command == "oracle-check":
+            return cmd_oracle_check(args.seeds, args.size, args.style)
+        config = RunConfig(**{f.name: getattr(args, f.name)
+                              for f in fields(RunConfig) if hasattr(args, f.name)})
+        return _DISPATCH[args.command](config, args.input)
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

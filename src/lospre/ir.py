@@ -361,7 +361,7 @@ def _weighted(program: Program, edges) -> Cfg:
     for (a, b), c in program.edge_cost_overrides.items():
         e = (instr_node(labels[a]), instr_node(labels[b]))
         if e not in edge_cost:
-            raise LospreError(f"!edgecost {a} {b}: no such edge in the extracted graph")
+            raise IrParseError(f"!edgecost {a} {b}: no such edge in the extracted graph")
         edge_cost[e] = c
     for a, c in program.node_cost_overrides.items():
         node_cost[instr_node(labels[a])] = c
@@ -663,10 +663,10 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> R
 # ---------------------------------------------------------------------------
 # Copy propagation (pipeline glue between rewriting passes)
 
-def copy_propagate(program: Program, cfg: Optional[Cfg] = None) -> Program:
+def copy_propagate(program: Program, cfg: Cfg) -> Program:
     """Replace variable reads with their copy sources where a copy is
-    available on every path from the source of ``cfg``, the program's graph
-    (built when not given), until a round changes no copy instruction.
+    available on every path from the source of ``cfg``, the program's graph,
+    until a round changes no copy instruction.
 
     An elimination pass leaves ``x = tmp`` assignments at the former
     occurrences; propagating tmp into downstream reads is what lets
@@ -680,8 +680,6 @@ def copy_propagate(program: Program, cfg: Optional[Cfg] = None) -> Program:
     made x's copy available follows the ``y = z`` (which kills it), so
     ``y = z`` is available at that ``x = y``, which this round changed.
     """
-    if cfg is None:
-        cfg = build_cfg(program)
     instructions = list(program.instructions)
     n = len(instructions)
     # node v is instruction v - 1; the source (node 0) makes no copy available

@@ -60,6 +60,20 @@ def test_empty_function(tmp_path, capsys):
     assert "total eliminated=0" in out
 
 
+def test_empty_file(tmp_path, capsys):
+    # no instruction at all: the graph is the source's one edge to the sink
+    src = tmp_path / "empty.ir"
+    src.write_text("")
+    assert main(["run", str(src), "--verify", "--emit", "stats,rewritten-ir,solution,dot",
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().out == "total eliminated=0\npasses=1\n"
+    assert (tmp_path / "empty.out.ir").read_text() == "\n"
+    assert (tmp_path / "empty.solution").read_text() == ""
+    assert (tmp_path / "empty.dot").read_text() == \
+        'digraph cfg {\n  n0 [label="0\\nl=[0,1]"];\n  n1 [label="1\\nl=[0,1]"];\n' \
+        '  n0 -> n1 [label="[1,0]"];\n}\n'
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     src = tmp_path / "bad.ir"
     src.write_text("x = y +\n")
@@ -70,6 +84,96 @@ def test_parse_error_exit_code(tmp_path, capsys):
     src2.write_text("cfg 0\n")
     assert main(["graph", str(src2)]) == EXIT_PARSE
     capsys.readouterr()
+
+
+# (IR text, the one line the run prints on stderr); each case reaches another
+# error of ``parse_ir``, its helpers or ``build_cfg``
+IR_ERRORS = [
+    ("x = 1a + b\nret\n", "line 1: malformed operand '1a'"),
+    ("1x = a + b\nret\n", "line 1: expected a variable name, got '1x'"),
+    ("1L: x = a + b\nret\n", "line 1: malformed label '1L'"),
+    ("L: x = a + b\nL: ret\n", "line 2: duplicate label 'L'"),
+    ("x = a + b\nL:\nret\n", "line 2: a label must be followed by an instruction on the same line"),
+    ("x = a + b\ngoto M\nret\n", "line 2: undefined label 'M'"),
+    ("!nodecost M [1,0]\nret\n", "!nodecost references undefined label 'M'"),
+    ("L: x = a + b\n!edgecost L M [1,0]\nret\n", "!edgecost references undefined label 'L' or 'M'"),
+    ("!cost [1,0]\nret\n", "line 1: malformed directive '!cost [1,0]'"),
+    ("!nodecost [1]\nret\n", "line 1: malformed cost '[1]': expected 'inf' or '[p,s]'"),
+    ("goto A B\nret\n", "line 1: expected 'goto L'"),
+    ("if x L\nret\n", "line 1: expected 'if x goto L'"),
+    ("*p = y z\nret\n", "line 1: expected '*p = y'"),
+    ("x = a b c d\nret\n", "line 1: malformed right-hand side 'a b c d'"),
+    ("x\nret\n", "line 1: unrecognized instruction 'x'"),
+    # both labels exist, but no edge runs from A to C
+    ("A: x = a + b\nB: y = a + b\nC: ret\n!edgecost A C [2,0]\n",
+     "!edgecost A C: no such edge in the extracted graph"),
+]
+
+
+@pytest.mark.parametrize("text, message", IR_ERRORS)
+def test_ir_errors_name_their_line(tmp_path, capsys, text, message):
+    src = tmp_path / "f.ir"
+    src.write_text(text)
+    assert main(["run", str(src)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# (graph file, the one line graph prints on stderr); each case reaches
+# another error of ``load_cfg``
+GRAPH_ERRORS = [
+    ("cfg 2\nedge 0 1 c=[1,0]\nproblem use=a invalidate=\n", "line 3: malformed id list 'a'"),
+    ("cfg 2\ncfg 2\n", "line 2: duplicate 'cfg' header"),
+    ("cfg two\n", "line 1: expected 'cfg <node_count>'"),
+    ("cfg 0\n", "line 1: a graph must have at least one node"),
+    ("node 0 l=[0,1]\n", "line 1: file must start with 'cfg <node_count>'"),
+    ("# no header\n", "file must start with 'cfg <node_count>'"),
+    ("cfg 2\nnode 0\n", "line 2: expected 'node <id> l=<cost>'"),
+    ("cfg 2\nnode 0 l=[0]\n", "line 2: malformed cost '[0]': expected 'inf' or '[p,s]'"),
+    ("cfg 2\nnode 2 l=[0,1]\n", "line 2: unknown node id 2"),
+    ("cfg 2\nedge 0 1\n", "line 2: expected 'edge <from> <to> c=<cost>'"),
+    ("cfg 2\nedge 0 1 c=[1]\n", "line 2: malformed cost '[1]': expected 'inf' or '[p,s]'"),
+    ("cfg 2\nedge 0 2 c=[1,0]\n", "line 2: edge (0, 2) references an unknown node id"),
+    ("cfg 2\nedge 0 1 c=[1,0]\nedge 0 1 c=[1,0]\n", "line 3: duplicate edge 0 -> 1"),
+    ("cfg 2\nedge 0 1 c=[1,0]\nproblem use=1 kill=\n", "line 3: unexpected token 'kill='"),
+    ("cfg 2\nedge 0 1 c=[1,0]\nproblem use=1\n",
+     "line 3: expected 'problem use=<ids> invalidate=<ids>'"),
+    ("cfg 2\nedge 0 1 c=[1,0]\nproblem use=3 invalidate=\n", "line 3: unknown node id 3"),
+    ("cfg 2\nedge 0 1 c=[1,0]\nproblem use=0 invalidate=\n",
+     "line 3: the source node cannot be in the use set"),
+    ("cfg 2\nvertex 0\n", "line 2: unknown directive 'vertex'"),
+]
+
+
+@pytest.mark.parametrize("text, message", GRAPH_ERRORS)
+def test_graph_file_errors_name_their_line(tmp_path, capsys, text, message):
+    src = tmp_path / "g.graph"
+    src.write_text(text)
+    assert main(["graph", str(src)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _directory(tmp_path):
+    return ["run", str(tmp_path)]
+
+
+def _not_utf8(tmp_path):
+    src = tmp_path / "f.ir"
+    src.write_bytes(b"x = a + b\n\xff\n")
+    return ["run", str(src)]
+
+
+def _out_dir_under_a_file(tmp_path):
+    src = tmp_path / "f.ir"
+    src.write_text(TWO_ARM)
+    (tmp_path / "plain").write_text("")
+    return ["run", str(src), "--emit", "stats", "--out-dir", str(tmp_path / "plain" / "out")]
+
+
+@pytest.mark.parametrize("argv_for", [_directory, _not_utf8, _out_dir_under_a_file])
+def test_unreadable_input_and_unwritable_output_are_input_errors(tmp_path, capsys, argv_for):
+    assert main(argv_for(tmp_path)) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_edge_costs_below_zero_are_parse_errors(tmp_path, capsys):
@@ -90,20 +194,53 @@ def test_edge_costs_below_zero_are_parse_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+DIAMOND_EDGES = ("cfg 5\nedge 0 1 c=[1,0]\nedge 1 2 c=[1,0]\nedge 1 3 c=[1,0]\n"
+                 "edge 2 4 c=[1,0]\nedge 3 4 c=[1,0]\n")
+
+
 def test_width_guard_exit_code(tmp_path, capsys):
+    # the guard reads the region about to be solved: a use at the join
+    # needs every node of the diamond, a region of width 2
     src = tmp_path / "g.graph"
-    src.write_text("cfg 5\nedge 0 1 c=[1,0]\nedge 1 2 c=[1,0]\nedge 1 3 c=[1,0]\n"
-                   "edge 2 4 c=[1,0]\nedge 3 4 c=[1,0]\n")
+    src.write_text(DIAMOND_EDGES + "problem use=4 invalidate=\n")
     assert main(["graph", str(src), "--max-width", "1"]) == EXIT_WIDTH
+    assert capsys.readouterr().err == "error: decomposition width 2 exceeds --max-width 1\n"
+    assert main(["graph", str(src), "--max-width", "2"]) == EXIT_OK
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("max_width", ["0", "1", "16"])
+def test_graph_without_problems_solves_nothing(tmp_path, capsys, max_width):
+    src = tmp_path / "g.graph"
+    src.write_text(DIAMOND_EDGES)
+    assert main(["graph", str(src), "--max-width", max_width]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+
+
+def test_graph_guards_each_problem_region(tmp_path, capsys):
+    # both problems of the sample lie on the arms, regions of width 1
+    sample = str(SAMPLES / "diamond.graph")
+    assert main(["graph", sample]) == EXIT_OK
+    wide = capsys.readouterr().out
+    assert main(["graph", sample, "--max-width", "1", "--verify"]) == EXIT_OK
+    assert capsys.readouterr().out == wide
+    # a complete DAG on 19 nodes has treewidth 18; a use next to its source
+    # has a one-node region
+    n = 19
+    edges = "".join(f"edge {u} {v} c=[1,0]\n" for u in range(n) for v in range(u + 1, n))
+    src = tmp_path / "k19.graph"
+    src.write_text(f"cfg {n}\n{edges}problem use=1 invalidate=\n")
+    assert main(["graph", str(src), "--max-width", "1", "--verify"]) == EXIT_OK
+    assert capsys.readouterr().out == "problem 0\ncost [1,0]\nlife \ncalc 0->1\n"
 
 
 def test_decompose_command(tmp_path, capsys):
     src = tmp_path / "g.graph"
     src.write_text("cfg 3\nedge 0 1 c=[1,0]\nedge 1 2 c=[1,0]\n")
-    rc = main(["decompose", str(src)])
+    rc = main(["decompose", str(src), "--emit", "dot", "--out-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == EXIT_OK and "width=1" in out
+    assert (tmp_path / "g.treedec.dot").read_text().startswith("graph treedec {\n  b0 [shape=box")
 
 
 def test_safety_command(tmp_path, capsys):
@@ -379,6 +516,11 @@ DIAMOND = ("cfg 5\nedge 0 1 c=[1,0]\nedge 1 2 c=[1,0]\nedge 1 3 c=[1,0]\n"
     ["oracle-check", "--seeds", "5..2"],
     ["oracle-check", "--seeds", "x..2"],
     ["run", "x.ir", "--goal", "speed"],
+    ["graph", "g.graph", "--emit", "stats"],
+    ["decompose", "g.graph", "--emit", "solution"],
+    ["run", "x.ir", "--max-width", "-1"],
+    # decompose builds no DP table, so it has no width to guard
+    ["decompose", "g.graph", "--max-width", "4"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -390,9 +532,9 @@ def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
 def test_emit_accepts_only_the_subcommand_artifacts(tmp_path, capsys):
     src = tmp_path / "g.graph"
     src.write_text(DIAMOND)
-    assert main(["graph", str(src), "--emit", "stats", "--out-dir", str(tmp_path)]) == EXIT_ERROR
-    assert "unknown --emit values: ['stats']" in capsys.readouterr().err
-    assert main(["decompose", str(src), "--emit", "solution"]) == EXIT_ERROR
+    with pytest.raises(SystemExit):
+        main(["graph", str(src), "--emit", "stats,dot", "--out-dir", str(tmp_path)])
+    assert "unknown artifacts ['stats'], choose from dot,solution" in capsys.readouterr().err
     assert main(["graph", str(src), "--emit", "solution,dot",
                  "--out-dir", str(tmp_path)]) == EXIT_OK
     assert (tmp_path / "g.solution").exists() and (tmp_path / "g.0.dot").exists()
@@ -407,8 +549,8 @@ def test_safety_needs_no_decomposition(tmp_path, capsys):
     edges = "".join(f"edge {u} {v} c=[1,0]\n" for u in range(n) for v in range(u + 1, n))
     src = tmp_path / "k19.graph"
     src.write_text(f"cfg {n}\n{edges}problem use=5,9 invalidate=2,14\n")
-    assert main(["decompose", str(src)]) == EXIT_WIDTH
-    capsys.readouterr()
+    assert main(["decompose", str(src)]) == EXIT_OK
+    assert " width=18 " in capsys.readouterr().out.splitlines()[0]
     assert main(["safety", str(src)]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "problem 0"

@@ -379,16 +379,19 @@ def test_next_tmp_name_skips_names_in_use():
 def test_copy_propagation_through_both_arms():
     # t is an input variable; the same copy exists on both paths into M
     text = "if c goto L\nx = t\ngoto M\nL: x = t\nM: y = x + 1\nret\n"
-    out = copy_propagate(parse_ir(text))
+    program = parse_ir(text)
+    out = copy_propagate(program, build_cfg(program))
     final = [ins for ins in out if ins.kind == BINOP][0]
     assert final.left == "t"
     # a different source on one arm blocks it
-    out = copy_propagate(parse_ir(text.replace("L: x = t", "L: x = u")))
+    program = parse_ir(text.replace("L: x = t", "L: x = u"))
+    out = copy_propagate(program, build_cfg(program))
     assert [ins for ins in out if ins.kind == BINOP][0].left == "x"
 
 
 def test_copy_propagation_folds_literals():
-    out = copy_propagate(parse_ir("t = 5\nx = t\ny = x + 1\nret\n"))
+    program = parse_ir("t = 5\nx = t\ny = x + 1\nret\n")
+    out = copy_propagate(program, build_cfg(program))
     add = [ins for ins in out if ins.kind == BINOP][0]
     assert add.left == 5
 
@@ -396,14 +399,16 @@ def test_copy_propagation_folds_literals():
 def test_copy_propagation_blocked_by_redefinition():
     # t = 9 redefines the copy's source: reads before it take t, reads after keep x
     text = "x = t\nw = x + 2\nt = 9\ny = x + 1\nret\n"
-    out = copy_propagate(parse_ir(text))
+    program = parse_ir(text)
+    out = copy_propagate(program, build_cfg(program))
     assert [ins.left for ins in out if ins.kind == BINOP] == ["t", "x"]
 
 
 def test_copy_propagation_killed_by_redefining_its_destination():
     # x = 4 on one path into L kills x = t there, so the read at L keeps x
     text = "x = t\nif c goto L\nx = 4\nL: y = x + 1\nret\n"
-    out = copy_propagate(parse_ir(text))
+    program = parse_ir(text)
+    out = copy_propagate(program, build_cfg(program))
     assert [ins for ins in out if ins.kind == BINOP][0].left == "x"
     assert [ins.left for ins in out if ins.kind == ASSIGN] == ["t", 4]
 
@@ -411,7 +416,7 @@ def test_copy_propagation_killed_by_redefining_its_destination():
 def test_copy_propagation_preserves_semantics():
     for seed in range(40):
         prog = parse_ir(generate_program_text(seed))
-        out = copy_propagate(prog)
+        out = copy_propagate(prog, build_cfg(prog))
         pvars = sorted(prog.variables())
         for trial in range(3):
             init, mem = generate_inputs(seed * 10 + trial, pvars)

@@ -509,7 +509,7 @@ def test_every_problem_built_on_demand_is_the_eager_one():
 ])
 def test_copy_chains_propagate_to_the_first_source(text, reads):
     program = parse_ir(text)
-    out = copy_propagate(program)
+    out = copy_propagate(program, build_cfg(program))
     assert out.instructions == reference_copy_propagate(program)
     assert [ins.left for ins in out if ins.kind == BINOP] == reads
 
@@ -520,7 +520,7 @@ def test_copy_propagation_sees_the_entry_path_into_a_loop_head():
     # the back edge for every path in and read t)
     text = "L: y = x + 1\nx = t\nz = a + b\nw = a + b\nc = c - 1\nif c goto L\nret\n"
     program = parse_ir(text)
-    assert copy_propagate(program).instructions[0].left == "x"
+    assert copy_propagate(program, build_cfg(program)).instructions[0].left == "x"
     assert reference_copy_propagate(program)[0].left == "t"
     result = run_pipeline(program, RunConfig())
     assert len(result.applied) == 1

@@ -272,6 +272,13 @@ def _parse_ids(text: str, line: int) -> list:
         raise GraphFormatError(f"malformed id list {text!r}", line)
 
 
+def _node_id(token: str, line: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphFormatError(f"malformed node id {token!r}", line)
+
+
 def load_cfg(text: str):
     """Parse the graph file format.
 
@@ -303,8 +310,8 @@ def load_cfg(text: str):
         elif parts[0] == "node":
             if len(parts) != 3 or not parts[2].startswith("l="):
                 raise GraphFormatError("expected 'node <id> l=<cost>'", lineno)
+            v = _node_id(parts[1], lineno)
             try:
-                v = int(parts[1])
                 cost = parse_cost(parts[2][2:])
             except ValueError as exc:
                 raise GraphFormatError(str(exc), lineno)
@@ -314,8 +321,8 @@ def load_cfg(text: str):
         elif parts[0] == "edge":
             if len(parts) != 4 or not parts[3].startswith("c="):
                 raise GraphFormatError("expected 'edge <from> <to> c=<cost>'", lineno)
+            u, v = _node_id(parts[1], lineno), _node_id(parts[2], lineno)
             try:
-                u, v = int(parts[1]), int(parts[2])
                 cost = parse_cost(parts[3][2:], edge=True)
             except ValueError as exc:
                 raise GraphFormatError(str(exc), lineno)

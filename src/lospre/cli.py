@@ -275,12 +275,14 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     and, when a load was applied, no operand was or is a load result.
     Every new node then lies outside both sets, and subdividing an edge
     with such a node keeps the minimum cut, enlarged or not.  Only the
-    first pass calls ``build_cfg``; each later one patches the last graph
-    (``Rewrite.patched_cfg``), so every pass graph is the last one
-    subdivided, its fake edges and source edges those of the input; the
-    result keeps the last one.  Copy propagation runs on the pass's graph,
-    and a candidate's problem is built only when the pass looks past its
-    occurrence count.
+    first pass calls ``build_cfg``; each later one takes the graph the last
+    rewrite returned (``Rewrite.cfg``): the last graph with each
+    calculation edge subdivided by the computation placed on it, before
+    the head of a source edge, inline on a fallthrough edge or in a
+    trailing block on a jump edge.  Its fake edges and source edges are
+    those of the input; the result keeps the last graph.  Copy propagation
+    runs on the pass's graph, and a candidate's problem is built only when
+    the pass looks past its occurrence count.
 
     The candidate loop decides alone.  Once a pass has decided,
     ``_verify_pass`` re-checks it under --verify and changes nothing but
@@ -332,7 +334,7 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
         candidate, solution = chosen
         applied.append((candidate, solution))
         step = irmod.rewrite(program, cfg, candidate, solution)
-        program, cfg = step.program, step.patched_cfg(cfg)
+        program, cfg = step.program, step.cfg
         rewritten = program.instructions
         program = irmod.copy_propagate(program, cfg)
         # copy propagation replaces each instruction it changes
@@ -345,8 +347,16 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
                           verify_failures=verify_failures)
 
 
-def cmd_run(config: RunConfig, path: Path) -> int:
-    program = irmod.parse_ir(path.read_text())
+def _read(path: Path) -> str:
+    """The text of an input file; one that is not UTF-8 is an input error that names it."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
+
+
+def cmd_run(config: RunConfig, path: Path, text: str) -> int:
+    program = irmod.parse_ir(text)
     result = run_pipeline(program, config)
 
     stats = eliminated_count(result.applied)
@@ -372,8 +382,8 @@ def cmd_run(config: RunConfig, path: Path) -> int:
     return _report(result.verify_failures)
 
 
-def cmd_graph(config: RunConfig, path: Path) -> int:
-    cfg, problems = load_cfg(path.read_text())
+def cmd_graph(config: RunConfig, path: Path, text: str) -> int:
+    cfg, problems = load_cfg(text)
     safety_oracle = _safety_oracle(cfg) if config.verify else None
     failures, solutions = [], []
     for k, problem in enumerate(problems):
@@ -397,8 +407,7 @@ def cmd_graph(config: RunConfig, path: Path) -> int:
     return _report(failures)
 
 
-def cmd_decompose(config: RunConfig, path: Path) -> int:
-    text = path.read_text()
+def cmd_decompose(config: RunConfig, path: Path, text: str) -> int:
     if path.suffix == ".ir":
         cfg = irmod.build_cfg(irmod.parse_ir(text))
     else:
@@ -414,9 +423,9 @@ def cmd_decompose(config: RunConfig, path: Path) -> int:
     return EXIT_OK
 
 
-def cmd_safety(config: RunConfig, path: Path) -> int:
+def cmd_safety(config: RunConfig, path: Path, text: str) -> int:
     if path.suffix == ".ir":
-        program = irmod.parse_ir(path.read_text())
+        program = irmod.parse_ir(text)
         cfg = irmod.build_cfg(program)
         pairs = [(f"candidate {candidate.display()}", problem)
                  for candidate, problem in irmod.derive_problems(program, cfg)
@@ -427,7 +436,7 @@ def cmd_safety(config: RunConfig, path: Path) -> int:
                          "on a graph file every problem is enlarged\n")
         return EXIT_PARSE
     else:
-        cfg, problems = load_cfg(path.read_text())
+        cfg, problems = load_cfg(text)
         pairs = [(f"problem {k}", problem) for k, problem in enumerate(problems)]
     for header, problem in pairs:
         sol = solve_safety(cfg, problem)
@@ -538,8 +547,7 @@ _DISPATCH = {"run": cmd_run, "graph": cmd_graph, "decompose": cmd_decompose, "sa
 
 # checked in order, so a subclass precedes its base
 _EXIT_CODES = ((InputFormatError, EXIT_PARSE), (WidthExceededError, EXIT_WIDTH),
-               (LospreError, EXIT_ERROR), (OSError, EXIT_PARSE),
-               (UnicodeDecodeError, EXIT_PARSE))
+               (LospreError, EXIT_ERROR), (OSError, EXIT_PARSE))
 
 
 def main(argv=None) -> int:
@@ -549,7 +557,7 @@ def main(argv=None) -> int:
             return cmd_oracle_check(args.seeds, args.size, args.style)
         config = RunConfig(**{f.name: getattr(args, f.name)
                               for f in fields(RunConfig) if hasattr(args, f.name)})
-        return _DISPATCH[args.command](config, args.input)
+        return _DISPATCH[args.command](config, args.input, _read(args.input))
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

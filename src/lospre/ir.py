@@ -30,6 +30,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import count
 from typing import Optional, Union
 
 from .cfg import Cfg, DEFAULT_EDGE_COST, DEFAULT_NODE_COST, make_problem
@@ -134,14 +135,17 @@ def parse_ir(text: str) -> Program:
     """Parse IR text; labels are resolved and duplicates rejected."""
     instructions = []
     program = Program(instructions)
-    labels = set()
+    labels = {}  # label -> instruction index
     linenos = []
+    named = {}  # (directive, *labels) -> the first line naming them
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("!"):
-            _parse_directive(line, lineno, program)
+            names = _parse_directive(line, lineno, program)
+            if names:
+                named.setdefault(names, lineno)
             continue
         label = None
         if ":" in line.split()[0]:
@@ -151,7 +155,7 @@ def parse_ir(text: str) -> Program:
                 raise IrParseError(f"malformed label {head!r}", lineno)
             if label in labels:
                 raise IrParseError(f"duplicate label {label!r}", lineno)
-            labels.add(label)
+            labels[label] = len(instructions)
             line = rest.strip()
             if not line:
                 raise IrParseError("a label must be followed by an instruction on the same line", lineno)
@@ -163,30 +167,37 @@ def parse_ir(text: str) -> Program:
     for ins, lineno in zip(instructions, linenos):
         if ins.target is not None and ins.target not in labels:
             raise IrParseError(f"undefined label {ins.target!r}", lineno)
-    for key in program.node_cost_overrides:
-        if key not in labels:
-            raise IrParseError(f"!nodecost references undefined label {key!r}")
-    for (a, b) in program.edge_cost_overrides:
-        if a not in labels or b not in labels:
-            raise IrParseError(f"!edgecost references undefined label {a!r} or {b!r}")
+    succ = _successor_indices(program) if program.edge_cost_overrides else ()
+    for (directive, *names), lineno in named.items():
+        if any(name not in labels for name in names):
+            raise IrParseError(f"{directive} references undefined label "
+                               + " or ".join(map(repr, names)), lineno)
+        # an edge between two instructions is extracted iff it is a successor edge
+        if directive == "!edgecost" and labels[names[1]] not in succ[labels[names[0]]]:
+            raise IrParseError(f"!edgecost {names[0]} {names[1]}: "
+                               "no such edge in the extracted graph", lineno)
     return program
 
 
-def _parse_directive(line: str, lineno: int, program: Program) -> None:
+def _parse_directive(line: str, lineno: int, program: Program) -> tuple:
+    """Apply one directive to ``program``; the override's directive and labels, if any."""
     parts = line.split()
     try:
         if parts[0] == "!edgecost" and len(parts) == 2:
             program.default_edge_cost = parse_cost(parts[1], edge=True)
         elif parts[0] == "!edgecost" and len(parts) == 4:
             program.edge_cost_overrides[(parts[1], parts[2])] = parse_cost(parts[3], edge=True)
+            return tuple(parts[:3])
         elif parts[0] == "!nodecost" and len(parts) == 2:
             program.default_node_cost = parse_cost(parts[1])
         elif parts[0] == "!nodecost" and len(parts) == 3:
             program.node_cost_overrides[parts[1]] = parse_cost(parts[2])
+            return tuple(parts[:2])
         else:
             raise IrParseError(f"malformed directive {line!r}", lineno)
     except ValueError as exc:
         raise IrParseError(str(exc), lineno)
+    return ()
 
 
 def _parse_instruction(line: str, lineno: int, label: Optional[str]) -> Instruction:
@@ -296,22 +307,16 @@ def build_cfg(program: Program) -> Cfg:
     instruction that does not reach the sink yet, until all do.  A program
     whose every instruction can reach a ret gets none.  ``rewrite`` refuses
     a computation on a fake edge.  ``run_pipeline`` calls this once, on its
-    input: a later pass's graph is the last one patched
-    (``Rewrite.patched_cfg``), so fake edges and source edges are chosen on
-    the input and carried through every rewrite.
+    input: a later pass's graph is the one the last rewrite returned
+    (``Rewrite.cfg``), so fake edges and source edges are chosen on the
+    input and carried through every rewrite.
     """
-    instructions = list(program)
-    n = len(instructions)
+    n = len(program)
     sink = instr_node(n)
-    edges = set()
     succ = _successor_indices(program)
-    if n == 0:
-        edges.add((SOURCE_NODE, sink))
-    else:
-        edges.add((SOURCE_NODE, instr_node(0)))
-        for i, outs in enumerate(succ):
-            for o in outs:
-                edges.add((instr_node(i), sink if o == n else instr_node(o)))
+    # successor index n is the sink; an empty program's one edge runs into it
+    edges = {(SOURCE_NODE, instr_node(0))}
+    edges.update((instr_node(i), instr_node(o)) for i, outs in enumerate(succ) for o in outs)
 
     # floods over instruction indices; index n stands for the sink
     preds = [[] for _ in range(n + 1)]
@@ -359,10 +364,7 @@ def _weighted(program: Program, edges) -> Cfg:
     node_cost = dict.fromkeys(range(sink + 1), program.default_node_cost)
     labels = program.labels()
     for (a, b), c in program.edge_cost_overrides.items():
-        e = (instr_node(labels[a]), instr_node(labels[b]))
-        if e not in edge_cost:
-            raise IrParseError(f"!edgecost {a} {b}: no such edge in the extracted graph")
-        edge_cost[e] = c
+        edge_cost[(instr_node(labels[a]), instr_node(labels[b]))] = c
     for a, c in program.node_cost_overrides.items():
         node_cost[instr_node(labels[a])] = c
     return Cfg(sink + 1, edges, edge_cost, node_cost)
@@ -503,33 +505,26 @@ def next_tmp_name(program) -> str:
 
 @dataclass(frozen=True)
 class Rewrite:
-    """A rewritten program and where the old graph's nodes went in its graph.
+    """A rewritten program, its graph, and where the old graph's nodes went.
+
+    ``cfg`` is the next pass's graph: the edges of the graph the rewrite
+    was applied to, with each edge (u, v) of ``inserted`` replaced by the
+    path u, *inserted, v, in new node ids, costed by the new program's
+    directives.  Its fake edges and source edges are those of the old
+    graph, mapped; every other edge is one ``build_cfg`` gives.
 
     ``node_map[v]`` is the new id of old node v.  ``inserted`` maps each
     edge that new nodes were placed on to those nodes, in path order: on a
-    calculation edge the computation, then, on a jump edge or an edge out
-    of a ret, the jump or ret that follows it; on the edge from a last
-    instruction that fell off the end into the sink, the ``ret`` appended
-    after it (after the computation, if that edge is also a calculation
-    edge).
+    calculation edge the computation, then, on a jump edge, the jump or
+    ret that follows it; on the edge from a last instruction that fell off
+    the end into the sink, the ``ret`` appended after it (after the
+    computation, if that edge is also a calculation edge).
     """
 
     program: Program
     node_map: list
     inserted: dict
-
-    def patched_cfg(self, cfg: Cfg) -> Cfg:
-        """The new program's graph: the edges of ``cfg``, the graph the
-        rewrite was applied to, with each edge (u, v) of ``inserted`` replaced
-        by the path u, *inserted, v, in new node ids, costed by the new
-        program's directives.  Its fake edges and source edges are those of
-        ``cfg``, mapped; every other edge is one ``build_cfg`` gives."""
-        m = self.node_map
-        edges = {(m[u], m[v]) for (u, v) in cfg.edges if (u, v) not in self.inserted}
-        for (u, v), path in self.inserted.items():
-            nodes = (m[u], *path, m[v])
-            edges.update(zip(nodes, nodes[1:]))
-        return _weighted(self.program, edges)
+    cfg: Cfg
 
 
 def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> Rewrite:
@@ -537,17 +532,20 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> R
     computation of the candidate into a new temporary, and replace every
     occurrence with an assignment from that temporary.
 
-    Fallthrough edges are subdivided inline; jump and branch edges get a
-    fresh labeled block at the end of the program with the computation and
-    a jump to the original target.  An edge out of a ret (into the sink)
-    becomes a jump to a trailing block that computes and returns.  An edge
-    from the source, into the entry or into the head of an unreachable
-    region, gets the computation just before the head; the head keeps its
-    label, so a jump back to the entry skips the computation and a
-    directive naming the head still names it.  When trailing blocks are
-    added and the last instruction falls off the end, a ``ret`` on its edge
-    into the sink keeps it from falling into them.  A subdivided edge loses
-    its ``!edgecost`` override: the edges that replace it take the default
+    A calculation edge is one of three kinds.  A source edge, into the
+    entry or into the head of an unreachable region, gets the computation
+    just before the head; the head keeps its label, so a jump back to the
+    entry skips the computation and a directive naming the head still
+    names it.  A fallthrough edge (u, u+1) out of an instruction that is
+    neither a ret nor a goto gets it inline after the instruction; a
+    branch whose target is u+1 too is retargeted to a fresh label on the
+    insert.  A jump edge, out of a ret, out of a goto or a branch's taken
+    edge, gets a fresh labeled block at the end of the program, the
+    computation then a ret or a jump to the original target, and the
+    instruction is retargeted to it.  When trailing blocks are added and
+    the last instruction falls off the end, a ``ret`` on its edge into the
+    sink keeps it from falling into them.  A subdivided edge loses its
+    ``!edgecost`` override: the edges that replace it take the default
     cost, like every edge a rewrite creates.
     """
     instructions = program.instructions
@@ -561,69 +559,41 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> R
         if v == sink and u != SOURCE_NODE and not _exits(instructions, node_instr(u)):
             raise LospreError(f"solution edge ({u}, {v}) is a fake edge out of an infinite loop")
     if not candidate.occurrence_nodes:
-        return Rewrite(program, list(range(sink + 1)), {})
+        return Rewrite(program, list(range(sink + 1)), {}, cfg)
 
     tmp = next_tmp_name(program)
     comp = _computation_instr(candidate, tmp)
     labels = program.labels()
-    labels_in_use = set(labels)
-
-    label_counter = [0]
-
-    def fresh_label():
-        while True:
-            name = f"__L{label_counter[0]}"
-            label_counter[0] += 1
-            if name not in labels_in_use:
-                labels_in_use.add(name)
-                return name
+    fresh_labels = (name for name in map("__L{}".format, count()) if name not in labels)
 
     # each block is placed on one calculation edge
     before = {}     # instruction index -> (edge, block placed just before it)
     after = {}      # instruction index -> (edge, block placed just after it)
     appended = []   # (edge, block) at the end of the program
-    retarget = {}
-
-    for (u, v) in sorted(solution.calc_set):
-        edge = (u, v)
+    retarget = {}   # instruction index -> the fresh label it jumps to
+    for edge in sorted(solution.calc_set):
+        u, v = edge
         if u == SOURCE_NODE:
-            # the entry, or a head that no instruction reaches
+            # a source edge: the computation goes before the head
             before[node_instr(v)] = (edge, [comp])
             continue
         ui = node_instr(u)
         ins = instructions[ui]
-        if ins.kind == RET:
-            # the only edge out of a ret is the sink edge: the ret becomes a
-            # jump to a block that computes and returns
-            block_label = fresh_label()
-            retarget[ui] = block_label
-            appended.append((edge, [replace(comp, label=block_label), Instruction(RET)]))
-            continue
-        fallthrough = ui + 1 if ui + 1 < n else n
-        fall_node = sink if fallthrough == n else instr_node(fallthrough)
-        if ins.kind == BRANCH:
-            taken_node = instr_node(labels[ins.target])
-            if v == fall_node and v == taken_node:
-                # collapsed two-way edge: route the taken path through the insert
-                lbl = fresh_label()
-                retarget[ui] = lbl
-                after[ui] = (edge, [replace(comp, label=lbl)])
-            elif v == fall_node:
-                after[ui] = (edge, [comp])
-            else:
-                lbl = fresh_label()
-                retarget[ui] = lbl
-                appended.append((edge, [replace(comp, label=lbl),
-                                        Instruction(JUMP, target=ins.target)]))
-        elif ins.kind == JUMP:
-            lbl = fresh_label()
-            retarget[ui] = lbl
-            appended.append((edge, [replace(comp, label=lbl),
-                                    Instruction(JUMP, target=ins.target)]))
+        # a ret, a goto and a branch's taken edge jump to the computation
+        jumps = ins.kind in (RET, JUMP) or ins.kind == BRANCH and v == instr_node(labels[ins.target])
+        block = [comp]
+        if jumps:
+            retarget[ui] = next(fresh_labels)
+            block = [replace(comp, label=retarget[ui])]
+        if v == u + 1 and ins.kind not in (RET, JUMP):
+            # a fallthrough edge, a collapsed branch's taken edge with it: inline
+            after[ui] = (edge, block)
+        elif jumps:
+            # a jump edge: a trailing block that returns or jumps on
+            tail = Instruction(RET) if ins.kind == RET else Instruction(JUMP, target=ins.target)
+            appended.append((edge, block + [tail]))
         else:
-            if v != fall_node:
-                raise LospreError(f"edge ({u}, {v}) does not leave instruction {ui}")
-            after[ui] = (edge, [comp])
+            raise LospreError(f"edge ({u}, {v}) does not leave instruction {ui}")
 
     occurrence_indices = {node_instr(v) for v in candidate.occurrence_nodes}
     out = []
@@ -655,9 +625,13 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> R
     node_map.append(instr_node(len(out)))
     overrides = {(a, b): c for (a, b), c in program.edge_cost_overrides.items()
                  if (instr_node(labels[a]), instr_node(labels[b])) not in solution.calc_set}
-    return Rewrite(Program(out, program.default_edge_cost, program.default_node_cost,
-                           overrides, dict(program.node_cost_overrides)),
-                   node_map, inserted)
+    new = Program(out, program.default_edge_cost, program.default_node_cost,
+                  overrides, dict(program.node_cost_overrides))
+    edges = {(node_map[u], node_map[v]) for (u, v) in cfg.edges if (u, v) not in inserted}
+    for (u, v), path in inserted.items():
+        nodes = (node_map[u], *path, node_map[v])
+        edges.update(zip(nodes, nodes[1:]))
+    return Rewrite(new, node_map, inserted, _weighted(new, edges))
 
 
 # ---------------------------------------------------------------------------

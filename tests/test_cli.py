@@ -95,8 +95,9 @@ IR_ERRORS = [
     ("L: x = a + b\nL: ret\n", "line 2: duplicate label 'L'"),
     ("x = a + b\nL:\nret\n", "line 2: a label must be followed by an instruction on the same line"),
     ("x = a + b\ngoto M\nret\n", "line 2: undefined label 'M'"),
-    ("!nodecost M [1,0]\nret\n", "!nodecost references undefined label 'M'"),
-    ("L: x = a + b\n!edgecost L M [1,0]\nret\n", "!edgecost references undefined label 'L' or 'M'"),
+    ("!nodecost M [1,0]\nret\n", "line 1: !nodecost references undefined label 'M'"),
+    ("L: x = a + b\n!edgecost L M [1,0]\nret\n",
+     "line 2: !edgecost references undefined label 'L' or 'M'"),
     ("!cost [1,0]\nret\n", "line 1: malformed directive '!cost [1,0]'"),
     ("!nodecost [1]\nret\n", "line 1: malformed cost '[1]': expected 'inf' or '[p,s]'"),
     ("goto A B\nret\n", "line 1: expected 'goto L'"),
@@ -106,7 +107,7 @@ IR_ERRORS = [
     ("x\nret\n", "line 1: unrecognized instruction 'x'"),
     # both labels exist, but no edge runs from A to C
     ("A: x = a + b\nB: y = a + b\nC: ret\n!edgecost A C [2,0]\n",
-     "!edgecost A C: no such edge in the extracted graph"),
+     "line 4: !edgecost A C: no such edge in the extracted graph"),
 ]
 
 
@@ -130,9 +131,11 @@ GRAPH_ERRORS = [
     ("cfg 2\nnode 0\n", "line 2: expected 'node <id> l=<cost>'"),
     ("cfg 2\nnode 0 l=[0]\n", "line 2: malformed cost '[0]': expected 'inf' or '[p,s]'"),
     ("cfg 2\nnode 2 l=[0,1]\n", "line 2: unknown node id 2"),
+    ("cfg 2\nnode x l=[0,1]\n", "line 2: malformed node id 'x'"),
     ("cfg 2\nedge 0 1\n", "line 2: expected 'edge <from> <to> c=<cost>'"),
     ("cfg 2\nedge 0 1 c=[1]\n", "line 2: malformed cost '[1]': expected 'inf' or '[p,s]'"),
     ("cfg 2\nedge 0 2 c=[1,0]\n", "line 2: edge (0, 2) references an unknown node id"),
+    ("cfg 2\nedge 0 y c=[1,0]\n", "line 2: malformed node id 'y'"),
     ("cfg 2\nedge 0 1 c=[1,0]\nedge 0 1 c=[1,0]\n", "line 3: duplicate edge 0 -> 1"),
     ("cfg 2\nedge 0 1 c=[1,0]\nproblem use=1 kill=\n", "line 3: unexpected token 'kill='"),
     ("cfg 2\nedge 0 1 c=[1,0]\nproblem use=1\n",
@@ -171,9 +174,12 @@ def _out_dir_under_a_file(tmp_path):
 
 @pytest.mark.parametrize("argv_for", [_directory, _not_utf8, _out_dir_under_a_file])
 def test_unreadable_input_and_unwritable_output_are_input_errors(tmp_path, capsys, argv_for):
-    assert main(argv_for(tmp_path)) == EXIT_PARSE
+    argv = argv_for(tmp_path)
+    assert main(argv) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if argv_for is not _out_dir_under_a_file:
+        assert argv[1] in err  # the message names the input it could not read
 
 
 def test_edge_costs_below_zero_are_parse_errors(tmp_path, capsys):

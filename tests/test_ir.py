@@ -161,6 +161,27 @@ def test_rewrite_refuses_a_computation_on_a_fake_edge():
         rewrite(prog, cfg, derive_problems(prog, cfg)[0][0], sol)
 
 
+def test_rewrite_refuses_inputs_that_do_not_fit_the_program():
+    from lospre.cfg import Cfg
+    from lospre.dp import LospreSolution
+    from lospre.errors import LospreError
+    prog = parse_ir("x = a + b\ny = a + b\nz = 1\nret\n")  # nodes 1..4, sink 5
+    cfg = build_cfg(prog)
+    cand = derive_problems(prog, cfg)[0][0]
+
+    def solution(*edges):
+        return LospreSolution(frozenset(), frozenset(edges), CostVec(len(edges), 0))
+
+    with pytest.raises(LospreError, match="not an edge of the graph"):
+        rewrite(prog, cfg, cand, solution((1, 3)))
+    with pytest.raises(LospreError, match="size mismatch"):
+        rewrite(prog, build_cfg(parse_ir("x = a + b\nret\n")), cand, solution())
+    # a graph of the program's size whose edge (1, 3) skips an instruction
+    skipping = Cfg(cfg.node_count, [(0, 1), (1, 3), (2, 3), (3, 4), (4, 5), (1, 2)])
+    with pytest.raises(LospreError, match="does not leave instruction 0"):
+        rewrite(prog, skipping, cand, solution((1, 3)))
+
+
 def test_empty_function():
     cfg = build_cfg(parse_ir("ret\n"))
     assert cfg.node_count == 3

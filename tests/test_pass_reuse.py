@@ -471,7 +471,7 @@ def test_a_rewrite_that_appends_a_ret_is_patched(calcs, placed):
     step = rewrite(prog, cfg, cand, sol)
     assert step.program[-3].kind == RET  # the appended ret, before the trailing block
     assert step.inserted[(5, 6)] == placed  # the ret after the computation, if any
-    assert same_graph(step.patched_cfg(cfg), build_cfg(step.program))
+    assert same_graph(step.cfg, build_cfg(step.program))
 
 
 def test_patched_graph_drops_the_override_of_a_subdivided_edge(monkeypatch):

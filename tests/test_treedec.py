@@ -299,14 +299,138 @@ SHAPE_EDGES = {"fallthrough": (1, 2), "branch-taken": (2, 5), "jump": (4, 6),
                "collapsed-branch": (6, 7)}
 
 
-@pytest.mark.parametrize("edges", [[e] for e in SHAPE_EDGES.values()] +
-                         [list(SHAPE_EDGES.values())], ids=list(SHAPE_EDGES) + ["all"])
-def test_subdivide_patches_every_insertion_shape(edges):
+# the rewritten text of each shape: the computation before the head, inline
+# after the instruction, or in a trailing block the instruction jumps to
+SHAPE_TEXTS = {
+    "fallthrough": """\
+    x = __lospre0
+    __lospre0 = a + b
+    if c goto L
+    y = __lospre0
+    goto M
+L: z = __lospre0
+M: if d goto N
+N: w = __lospre0
+    ret
+    q = __lospre0
+    ret
+""",
+    "branch-taken": """\
+    x = __lospre0
+    if c goto __L0
+    y = __lospre0
+    goto M
+L: z = __lospre0
+M: if d goto N
+N: w = __lospre0
+    ret
+    q = __lospre0
+    ret
+__L0: __lospre0 = a + b
+    goto L
+""",
+    "jump": """\
+    x = __lospre0
+    if c goto L
+    y = __lospre0
+    goto __L0
+L: z = __lospre0
+M: if d goto N
+N: w = __lospre0
+    ret
+    q = __lospre0
+    ret
+__L0: __lospre0 = a + b
+    goto M
+""",
+    "ret": """\
+    x = __lospre0
+    if c goto L
+    y = __lospre0
+    goto M
+L: z = __lospre0
+M: if d goto N
+N: w = __lospre0
+    goto __L0
+    q = __lospre0
+    ret
+__L0: __lospre0 = a + b
+    ret
+""",
+    "entry": """\
+    __lospre0 = a + b
+    x = __lospre0
+    if c goto L
+    y = __lospre0
+    goto M
+L: z = __lospre0
+M: if d goto N
+N: w = __lospre0
+    ret
+    q = __lospre0
+    ret
+""",
+    "unreachable-head": """\
+    x = __lospre0
+    if c goto L
+    y = __lospre0
+    goto M
+L: z = __lospre0
+M: if d goto N
+N: w = __lospre0
+    ret
+    __lospre0 = a + b
+    q = __lospre0
+    ret
+""",
+    "collapsed-branch": """\
+    x = __lospre0
+    if c goto L
+    y = __lospre0
+    goto M
+L: z = __lospre0
+M: if d goto __L0
+__L0: __lospre0 = a + b
+N: w = __lospre0
+    ret
+    q = __lospre0
+    ret
+""",
+    "all": """\
+    __lospre0 = a + b
+    x = __lospre0
+    __lospre0 = a + b
+    if c goto __L0
+    y = __lospre0
+    goto __L1
+L: z = __lospre0
+M: if d goto __L2
+__L2: __lospre0 = a + b
+N: w = __lospre0
+    goto __L3
+    __lospre0 = a + b
+    q = __lospre0
+    ret
+__L0: __lospre0 = a + b
+    goto L
+__L1: __lospre0 = a + b
+    goto M
+__L3: __lospre0 = a + b
+    ret
+""",
+}
+
+
+@pytest.mark.parametrize("edges, text", [([e], SHAPE_TEXTS[k]) for k, e in SHAPE_EDGES.items()] +
+                         [(list(SHAPE_EDGES.values()), SHAPE_TEXTS["all"])],
+                         ids=list(SHAPE_EDGES) + ["all"])
+def test_subdivide_patches_every_insertion_shape(edges, text):
     # verdicts carry across a rewrite through its node map when the new
     # graph is the old one with each calculation edge subdivided
     import warnings
     from lospre.dp import LospreSolution
-    from lospre.ir import UnreachableCodeWarning, build_cfg, derive_problems, parse_ir, rewrite
+    from lospre.ir import (UnreachableCodeWarning, build_cfg, derive_problems, format_ir,
+                           parse_ir, rewrite)
 
     warnings.simplefilter("ignore", UnreachableCodeWarning)
     prog = parse_ir(SHAPES)
@@ -315,7 +439,8 @@ def test_subdivide_patches_every_insertion_shape(edges):
     cand = derive_problems(prog, cfg)[0][0]
     step = rewrite(prog, cfg, cand,
                    LospreSolution(frozenset(), frozenset(edges), CostVec(len(edges), 0)))
+    assert format_ir(step.program) == text
     new_cfg = build_cfg(step.program)
-    assert step.patched_cfg(cfg).edges == new_cfg.edges
+    assert step.cfg.edges == new_cfg.edges
     new_nodes = [w for path in step.inserted.values() for w in path]
     assert sorted(step.node_map + new_nodes) == list(range(new_cfg.node_count))

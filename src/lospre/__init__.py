@@ -14,7 +14,7 @@ from .cfg import (Cfg, ExprProblem, calc_set, dump_dot, load_cfg,
                   make_problem, total_cost, validate_problem)
 from .treedec import (NiceTreeDec, TreeDec, decompose, dump_dot_treedec,
                       make_nice, validate, validate_nice)
-from .dp import LospreSolution, eliminated_count, format_solution, solve, solve_extended
+from .dp import LospreSolution, format_solution, solve, solve_extended
 from .safety import SafetySolution, apply_safety, solve_safety
 from .oracle import (InstanceGenerator, brute_extended, brute_lospre,
                      brute_safety, generate, generate_program_text)
@@ -31,8 +31,7 @@ __all__ = [
     "total_cost", "load_cfg", "dump_dot",
     "TreeDec", "NiceTreeDec", "decompose", "validate", "make_nice",
     "validate_nice", "dump_dot_treedec",
-    "LospreSolution", "solve", "solve_extended", "eliminated_count",
-    "format_solution",
+    "LospreSolution", "solve", "solve_extended", "format_solution",
     "SafetySolution", "solve_safety", "apply_safety",
     "InstanceGenerator", "generate", "brute_lospre", "brute_safety",
     "brute_extended", "generate_program_text",

@@ -27,8 +27,10 @@ class Cfg:
 
     Node ids are dense integers ``0..node_count-1``.  Parallel edges are
     rejected (the edge set is a set); self-loops are allowed.  Sinks are
-    computed, not stored: any node with no successors.  All queries are
-    read-only, so instances are safe to share across threads.
+    computed, not stored: any node with no successors.  ``successors`` and
+    ``predecessors`` list a node's neighbours in the order the edges were
+    given.  All queries are read-only, so instances are safe to share
+    across threads.
 
     The constructor checks every input: duplicate edges, edge ends and
     cost keys outside the nodes, a source that is not unique, and edge
@@ -55,7 +57,7 @@ class Cfg:
                 seen.add(e)
         succ = [[] for _ in range(node_count)]
         pred = [[] for _ in range(node_count)]
-        for (u, v) in sorted(edge_set):
+        for (u, v) in edge_list:
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise CfgError(f"edge ({u}, {v}) references an unknown node id")
             succ[u].append(v)

@@ -15,15 +15,13 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field, fields, replace
-from itertools import compress
-from operator import is_not
 from pathlib import Path
 
 from . import ir as irmod
 from .cfg import (DEFAULT_EDGE_COST, Cfg, calc_set, dump_dot, load_cfg,
                   make_problem, min_calc_count, use_region)
 from .cost import ZERO, sum_costs
-from .dp import eliminated_count, format_solution, solve
+from .dp import format_solution, solve
 from .errors import InputFormatError, LospreError, NoFeasibleSolutionError, WidthExceededError
 from .oracle import (BRUTE_LOSPRE_MAX_NODES, BRUTE_SAFETY_FIXPOINT_MAX_NODES, STYLES,
                      InstanceGenerator, brute_lospre, brute_safety, brute_safety_fixpoint, generate)
@@ -249,8 +247,10 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     Each pass re-derives candidates on the current program and applies the
     first one whose solution uses fewer calculations than it has
     occurrences; a rewrite strictly reduces the static computation count,
-    which bounds the number of passes.  Safety routing follows the config:
-    auto enlarges the invalidation set for loads and divisions.  When every
+    which bounds the number of passes, so a run that reaches the bound
+    without a pass that applies nothing is an internal error.  Safety
+    routing follows the config: auto enlarges the invalidation set for
+    loads and divisions.  When every
     cost of the input graph is finite, a candidate with one occurrence, or
     whose minimum cut (``min_calc_count``) reaches its occurrence count,
     cannot gain under any costs and is not solved; otherwise every
@@ -291,14 +291,13 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     """
     applied = []
     verify_failures = []
-    passes = 0
     pass_limit = 2 * len(program.instructions) + 8
     cfg = irmod.build_cfg(program)
+    tmp_names = irmod.tmp_names(program)
     certify = cfg.has_finite_costs()
     verdicts = set()  # keys of the candidates that cannot gain
     touched = last_loaded = ()  # what the last pass changed, for _carried
-    while passes < pass_limit:
-        passes += 1
+    for passes in range(1, pass_limit + 1):
         chosen = None
         derived = irmod.derive_problems(program, cfg)
         loaded = last_loaded | derived.load_results if last_loaded else ()
@@ -333,16 +332,18 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
             break
         candidate, solution = chosen
         applied.append((candidate, solution))
-        step = irmod.rewrite(program, cfg, candidate, solution)
+        step = irmod.rewrite(program, cfg, candidate, solution, next(tmp_names))
         program, cfg = step.program, step.cfg
         rewritten = program.instructions
         program = irmod.copy_propagate(program, cfg)
         # copy propagation replaces each instruction it changes
-        changed = compress(zip(rewritten, program.instructions),
-                           map(is_not, rewritten, program.instructions))
+        changed = ((old, new) for old, new in zip(rewritten, program.instructions)
+                   if old is not new)
         touched = {(candidate.op, candidate.left, candidate.right)}
         touched.update(irmod.candidate_key(ins) for pair in changed for ins in pair)
         last_loaded = derived.load_results if candidate.op == "load" else ()
+    else:
+        raise LospreError(f"internal error: no fixpoint after {pass_limit} passes")
     return PipelineResult(program=program, cfg=cfg, applied=applied, passes=passes,
                           verify_failures=verify_failures)
 
@@ -359,11 +360,14 @@ def cmd_run(config: RunConfig, path: Path, text: str) -> int:
     program = irmod.parse_ir(text)
     result = run_pipeline(program, config)
 
-    stats = eliminated_count(result.applied)
     lines = []
-    for display, uses, calcs, delta in stats.per_candidate:
-        lines.append(f"candidate {display} uses={uses} calcs={calcs} eliminated={delta}")
-    lines.append(f"total eliminated={stats.total}")
+    total = 0
+    for candidate, solution in result.applied:
+        uses, calcs = len(candidate.occurrence_nodes), len(solution.calc_set)
+        lines.append(f"candidate {candidate.display()} uses={uses} calcs={calcs} "
+                     f"eliminated={uses - calcs}")
+        total += uses - calcs
+    lines.append(f"total eliminated={total}")
     lines.append(f"passes={result.passes}")
     stats_text = "\n".join(lines) + "\n"
     sys.stdout.write(stats_text)

@@ -54,7 +54,7 @@ every node the lowest permitted (bl, br) pair of minimum cost for its value bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add, lt
 from typing import Callable, Optional
 
@@ -372,25 +372,6 @@ def solve_extended(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec,
                           life_left=frozenset(v for v in range(n) if chosen[v] & 2),
                           life_right=frozenset(v for v in range(n) if chosen[v] & 4),
                           transitions=transitions)
-
-
-@dataclass
-class EliminationStats:
-    """Static computation-count deltas, per candidate and in total."""
-
-    per_candidate: list = field(default_factory=list)  # (display, uses, calcs, delta)
-    total: int = 0
-
-
-def eliminated_count(before) -> EliminationStats:
-    """Sum |use set| - |calculation set| over solved (candidate, solution) pairs."""
-    stats = EliminationStats()
-    for candidate, solution in before:
-        uses = len(candidate.occurrence_nodes)
-        calcs = len(solution.calc_set)
-        stats.per_candidate.append((candidate.display(), uses, calcs, uses - calcs))
-        stats.total += uses - calcs
-    return stats
 
 
 def format_solution(solution: LospreSolution, *, index: Optional[int] = None) -> str:

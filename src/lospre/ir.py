@@ -491,16 +491,15 @@ def _computation_instr(candidate: ExprCandidate, tmp: str) -> Instruction:
                        left=candidate.left, right=candidate.right)
 
 
-def next_tmp_name(program) -> str:
-    """The first ``__lospreK`` that is neither a label nor a variable of ``program``."""
-    names = set()  # labels, variables and integer operands
+def tmp_names(program):
+    """The ``__lospreK`` names, K ascending, that are neither a label nor a
+    variable of ``program``.  A run draws each rewrite's temporary from one
+    such stream over its input: a rewrite and copy propagation delete no
+    name, so each name drawn stays in use."""
+    taken = set()  # labels, variables and integer operands
     for ins in program.instructions:
-        names.update((ins.label, ins.dest, ins.left, ins.right))
-    taken = {name for name in names if type(name) is str and name.startswith("__lospre")}
-    k = 0
-    while f"__lospre{k}" in taken:
-        k += 1
-    return f"__lospre{k}"
+        taken.update((ins.label, ins.dest, ins.left, ins.right))
+    return (name for name in map("__lospre{}".format, count()) if name not in taken)
 
 
 @dataclass(frozen=True)
@@ -527,10 +526,10 @@ class Rewrite:
     cfg: Cfg
 
 
-def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> Rewrite:
-    """Apply a solution: subdivide every calculation edge with a fresh
-    computation of the candidate into a new temporary, and replace every
-    occurrence with an assignment from that temporary.
+def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution, tmp: str) -> Rewrite:
+    """Apply a solution: subdivide every calculation edge with a computation
+    of the candidate into the temporary ``tmp``, a name the program does not
+    use, and replace every occurrence with an assignment from it.
 
     A calculation edge is one of three kinds.  A source edge, into the
     entry or into the head of an unreachable region, gets the computation
@@ -561,7 +560,6 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution) -> R
     if not candidate.occurrence_nodes:
         return Rewrite(program, list(range(sink + 1)), {}, cfg)
 
-    tmp = next_tmp_name(program)
     comp = _computation_instr(candidate, tmp)
     labels = program.labels()
     fresh_labels = (name for name in map("__L{}".format, count()) if name not in labels)

@@ -34,7 +34,7 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Optional
 
 from .cfg import Cfg
@@ -224,27 +224,17 @@ def make_nice(td: TreeDec) -> NiceTreeDec:
         raise DecompositionError("decomposition has no bags")
     if len(td.edges) != m - 1:
         raise DecompositionError("decomposition tree must have exactly len(bags)-1 edges")
-    # the tree as flat arrays: the neighbours of bag a are nbr[first[a]:first[a + 1]],
-    # in the order of the edges, as a list per bag would hold them
-    first = [0] * (m + 1)
+    nbr = [[] for _ in range(m)]  # the neighbours of each bag, in edge order
     for (a, b) in td.edges:
-        first[a + 1] += 1
-        first[b + 1] += 1
-    first = list(accumulate(first))
-    end = first[:]
-    nbr = [0] * first[m]
-    for (a, b) in td.edges:
-        nbr[end[a]] = b
-        end[a] += 1
-        nbr[end[b]] = a
-        end[b] += 1
+        nbr[a].append(b)
+        nbr[b].append(a)
     parent = [-1] * m
     parent[0] = 0
     topo = [0]
     stack = [0]
     while stack:
         a = stack.pop()
-        for c in nbr[first[a]:first[a + 1]]:
+        for c in nbr[a]:
             if parent[c] == -1:
                 parent[c] = a
                 topo.append(c)
@@ -278,7 +268,7 @@ def make_nice(td: TreeDec) -> NiceTreeDec:
     top = [None] * m
     for a in reversed(topo):
         bag = frozenset(td.bags[a])
-        kids = nbr[first[a]:first[a + 1]]
+        kids = nbr[a]
         if a:
             kids.remove(parent[a])
         kids.sort()

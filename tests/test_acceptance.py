@@ -17,7 +17,7 @@ import pytest
 from lospre.cfg import Cfg, ExprProblem, make_problem
 from lospre.cli import RunConfig, run_pipeline
 from lospre.cost import CostVec
-from lospre.dp import eliminated_count, solve, solve_extended
+from lospre.dp import solve, solve_extended
 from lospre.interp import equivalent_states, interpret
 from lospre.ir import BINOP, BRANCH, LOAD, build_cfg, parse_ir
 from lospre.oracle import (InstanceGenerator, STYLES, brute_extended,
@@ -247,7 +247,7 @@ def test_end_to_end_two_arm_function():
     program = parse_ir(TWO_ARM)
     result = run_pipeline(program, RunConfig())
     rewritten = result.program
-    assert eliminated_count(result.applied).total == 3
+    assert sum(len(c.occurrence_nodes) - len(s.calc_set) for c, s in result.applied) == 3
 
     instructions = list(rewritten)
     branch_at = next(i for i, ins in enumerate(instructions) if ins.kind == BRANCH)

@@ -8,7 +8,7 @@ from lospre.cfg import (Cfg, ExprProblem, calc_set, dump_dot, load_cfg,
                         make_problem, min_calc_count, total_cost)
 from lospre.cost import CostVec, INFINITY
 from lospre.dp import LospreSolution, solve
-from lospre.errors import CfgError, GraphFormatError
+from lospre.errors import CfgError, GraphFormatError, NoFeasibleSolutionError
 from lospre.oracle import STYLES, InstanceGenerator, generate, generate_program_text
 from lospre.safety import apply_safety, solve_safety
 from lospre.treedec import decompose, make_nice
@@ -279,3 +279,46 @@ def test_min_calc_count_hand_cases(diamond):
                       (6, 2), (7, 9), (8, 9)])
     problem = make_problem(ladder, use=[7, 8])
     assert min_calc_count(ladder, problem, 9) == 2 == len(_solved(ladder, problem).calc_set)
+
+
+def _edge_order_instances():
+    for style in STYLES:
+        for seed in range(4):
+            cfg, problem = generate(InstanceGenerator(seed=seed, node_range=(8, 40), style=style))
+            yield cfg, [problem]
+    for seed in (0, 3, 7):
+        program = irmod.parse_ir(generate_program_text(seed))
+        cfg = irmod.build_cfg(program)
+        yield cfg, [problem for _, problem in irmod.derive_problems(program, cfg)]
+
+
+def _edge_order_results(cfg, problems):
+    """What the solvers report on one graph: min-fill's bags, the nice form,
+    and per problem the solution, the enlarged set and the minimum cut."""
+    td = decompose(cfg)
+    nice = make_nice(td)
+    rows = []
+    for problem in problems:
+        try:
+            sol = solve(cfg, problem, nice)
+            solved = (sol.life_set, sol.calc_set, sol.cost, sol.transitions)
+        except NoFeasibleSolutionError:
+            solved = None
+        enlarged = solve_safety(cfg, problem)
+        rows.append((solved, enlarged.i_prime, enlarged.added,
+                     min_calc_count(cfg, problem, len(cfg.edges) + 1)))
+    return td.bags, td.edges, nice, rows
+
+
+def test_edge_order_changes_no_result():
+    # successors and predecessors follow the order the edges are given in;
+    # no solver result may read that order
+    for cfg, problems in _edge_order_instances():
+        expected = _edge_order_results(cfg, problems)
+        assert expected[3], "an instance with no problem checks nothing"
+        edges = sorted(cfg.edges)
+        shuffled = edges[:]
+        random.Random(cfg.node_count).shuffle(shuffled)
+        for order in (edges, edges[::-1], shuffled):
+            same = Cfg(cfg.node_count, order, cfg.edge_cost, cfg.node_cost)
+            assert _edge_order_results(same, problems) == expected

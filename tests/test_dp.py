@@ -4,10 +4,9 @@ import pytest
 
 from lospre.cfg import Cfg, calc_set, make_problem, total_cost
 from lospre.cost import CostVec, INFINITY
-from lospre.dp import assign_edges_to_forgets, eliminated_count, solve, solve_extended
+from lospre.dp import assign_edges_to_forgets, solve, solve_extended
 from lospre.errors import (DecompositionError, LospreError, NoFeasibleSolutionError,
                            WidthExceededError)
-from lospre.ir import ExprCandidate
 from lospre.oracle import (InstanceGenerator, STYLES, brute_extended,
                            brute_extended_full, brute_lospre, generate)
 from lospre.treedec import (FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDec, TreeDec, decompose,
@@ -576,29 +575,6 @@ def test_extended_transitions_equal_base():
                              lambda v, b, bl, br: cfg.node_cost[v] if b else CostVec(0, 0))
         assert ext.transitions == base.transitions, n
         assert (ext.cost, ext.life_set) == (base.cost, base.life_set), n
-
-
-# -- statistics ---------------------------------------------------------------
-
-def _candidate(nodes):
-    return ExprCandidate(op="+", left="a", right="b",
-                         occurrence_nodes=frozenset(nodes), safety_required=False)
-
-
-def _solution(calc):
-    from lospre.dp import LospreSolution
-    return LospreSolution(life_set=frozenset(), calc_set=frozenset(calc),
-                          cost=CostVec(len(calc), 0))
-
-
-def test_eliminated_count():
-    pairs = [(_candidate({1, 2}), _solution({(0, 1)})),
-             (_candidate({3}), _solution({(2, 3)}))]
-    stats = eliminated_count(pairs)
-    assert stats.total == 1
-    assert stats.per_candidate[0][3] == 1
-    assert stats.per_candidate[1][3] == 0
-    assert eliminated_count([]).total == 0
 
 
 def test_solve_rejects_a_root_first_decomposition():

@@ -10,7 +10,7 @@ from lospre.interp import equivalent_states, interpret
 from lospre.ir import (ASSIGN, BINOP, BRANCH, LOAD, RET, STORE, UNOP,
                        UnreachableCodeWarning, build_cfg, candidate_key,
                        copy_propagate, derive_problems, format_ir, instr_node,
-                       next_tmp_name, parse_ir, rewrite)
+                       parse_ir, rewrite, tmp_names)
 from lospre.oracle import generate_inputs, generate_program_text
 from lospre.treedec import decompose, make_nice
 
@@ -149,7 +149,7 @@ def test_rewrite_refuses_a_computation_on_a_fake_edge():
     sol = LospreSolution(life_set=frozenset({4}), calc_set=frozenset({(3, 4)}),
                          cost=CostVec(1, 1))
     with pytest.raises(LospreError, match="fake edge"):
-        rewrite(prog, cfg, cand, sol)
+        rewrite(prog, cfg, cand, sol, "__lospre0")
     # the same loop followed by an unreachable ret: goto L (node 2) is not last
     with pytest.warns(UnreachableCodeWarning):
         prog = parse_ir("L: y = a / d\ngoto L\nret\n")
@@ -158,7 +158,7 @@ def test_rewrite_refuses_a_computation_on_a_fake_edge():
     sol = LospreSolution(life_set=frozenset({4}), calc_set=frozenset({(2, 4)}),
                          cost=CostVec(1, 1))
     with pytest.raises(LospreError, match="fake edge"):
-        rewrite(prog, cfg, derive_problems(prog, cfg)[0][0], sol)
+        rewrite(prog, cfg, derive_problems(prog, cfg)[0][0], sol, "__lospre0")
 
 
 def test_rewrite_refuses_inputs_that_do_not_fit_the_program():
@@ -173,13 +173,13 @@ def test_rewrite_refuses_inputs_that_do_not_fit_the_program():
         return LospreSolution(frozenset(), frozenset(edges), CostVec(len(edges), 0))
 
     with pytest.raises(LospreError, match="not an edge of the graph"):
-        rewrite(prog, cfg, cand, solution((1, 3)))
+        rewrite(prog, cfg, cand, solution((1, 3)), "__lospre0")
     with pytest.raises(LospreError, match="size mismatch"):
-        rewrite(prog, build_cfg(parse_ir("x = a + b\nret\n")), cand, solution())
+        rewrite(prog, build_cfg(parse_ir("x = a + b\nret\n")), cand, solution(), "__lospre0")
     # a graph of the program's size whose edge (1, 3) skips an instruction
     skipping = Cfg(cfg.node_count, [(0, 1), (1, 3), (2, 3), (3, 4), (4, 5), (1, 2)])
     with pytest.raises(LospreError, match="does not leave instruction 0"):
-        rewrite(prog, skipping, cand, solution((1, 3)))
+        rewrite(prog, skipping, cand, solution((1, 3)), "__lospre0")
 
 
 def test_empty_function():
@@ -276,7 +276,7 @@ def test_rewrite_empty_use_returns_program_unchanged():
     from lospre.ir import ExprCandidate
     cand = ExprCandidate("+", "a", "b", frozenset(), False)
     sol = LospreSolution(frozenset(), frozenset(), CostVec(0, 0))
-    assert rewrite(prog, cfg, cand, sol).program is prog
+    assert rewrite(prog, cfg, cand, sol, "__lospre0").program is prog
 
 
 def test_rewrite_two_arm_once():
@@ -286,7 +286,7 @@ def test_rewrite_two_arm_once():
     cand, problem = pairs[0]
     sol = _solve_for(prog, cfg, cand, problem)
     assert len(sol.calc_set) == 1
-    out = rewrite(prog, cfg, cand, sol).program
+    out = rewrite(prog, cfg, cand, sol, "__lospre0").program
     shifts = [ins for ins in out if ins.kind == BINOP and ins.op == "<<"]
     assert len(shifts) == 1
     assert shifts[0].dest == "__lospre0"
@@ -306,7 +306,7 @@ def test_rewrite_degenerate_no_motion():
     life = frozenset()
     cs = calc_set(cfg, problem, life)
     sol = LospreSolution(life, cs, CostVec(len(cs), 0))
-    out = rewrite(prog, cfg, cand, sol).program
+    out = rewrite(prog, cfg, cand, sol, "__lospre0").program
     assert len(out) == len(prog) + len(cs)
     r0 = interpret(prog, {"a": 3, "b": 4})
     r1 = interpret(out, {"a": 3, "b": 4})
@@ -322,7 +322,7 @@ def test_rewrite_subdivides_branch_edge():
     pairs = dict((c.display(), (c, p)) for c, p in derive_problems(prog, cfg))
     cand, problem = pairs["a + b"]
     sol = _solve_for(prog, cfg, cand, problem)
-    out = rewrite(prog, cfg, cand, sol).program
+    out = rewrite(prog, cfg, cand, sol, "__lospre0").program
     for init in ({"c": 0, "a": 1, "b": 2}, {"c": 1, "a": 1, "b": 2}):
         r0 = interpret(prog, init)
         r1 = interpret(out, init)
@@ -336,7 +336,7 @@ def test_rewrite_loop_edge():
     pairs = dict((c.display(), (c, p)) for c, p in derive_problems(prog, cfg))
     cand, problem = pairs["a + b"]
     sol = _solve_for(prog, cfg, cand, problem)
-    out = rewrite(prog, cfg, cand, sol).program
+    out = rewrite(prog, cfg, cand, sol, "__lospre0").program
     r0 = interpret(prog, {"a": 2, "b": 5})
     r1 = interpret(out, {"a": 2, "b": 5})
     assert equivalent_states(r0, r1, ["x", "y", "n", "a", "b"])
@@ -352,7 +352,7 @@ def test_rewrite_turns_a_ret_into_a_jump_to_its_computation():
     ((cand, problem),) = derive_problems(prog, cfg)
     sol = _solve_for(prog, cfg, cand, problem)
     assert sol.calc_set == {(0, 1), (4, 7)}
-    out = rewrite(prog, cfg, cand, sol).program
+    out = rewrite(prog, cfg, cand, sol, "__lospre0").program
     with warnings.catch_warnings():
         warnings.simplefilter("error", UnreachableCodeWarning)
         build_cfg(out)
@@ -382,17 +382,33 @@ def test_rewrite_keeps_the_last_instruction_out_of_appended_blocks():
     cfg = build_cfg(prog)
     ((cand, _),) = derive_problems(prog, cfg)
     sol = LospreSolution(frozenset(), frozenset({(0, 1), (3, 5)}), CostVec(2, 0))
-    out = rewrite(prog, cfg, cand, sol).program
+    out = rewrite(prog, cfg, cand, sol, "__lospre0").program
     for c in (0, 1):
         init = {"a": 1, "b": 2, "c": c}
         assert equivalent_states(interpret(prog, init), interpret(out, init),
                                  ["a", "b", "c", "x", "y", "z"])
 
 
-def test_next_tmp_name_skips_names_in_use():
-    prog = parse_ir("__lospre0 = a + b\n__lospre1: y = __lospre0\nret\n")
-    assert next_tmp_name(prog) == "__lospre2"
-    assert next_tmp_name(parse_ir("x = __lospre1\nret\n")) == "__lospre0"
+def test_tmp_names_skip_names_in_use():
+    names = tmp_names(parse_ir("__lospre0 = a + b\n__lospre1: y = __lospre0\n"
+                               "x = __lospre3\nret\n"))
+    assert [next(names) for _ in range(3)] == ["__lospre2", "__lospre4", "__lospre5"]
+    assert next(tmp_names(parse_ir("x = __lospre1\nret\n"))) == "__lospre0"
+
+
+def test_a_run_draws_its_temporaries_past_the_names_of_its_input():
+    # __lospre0 and __lospre3 are variables and __lospre1 a label of the
+    # input, so the run's two rewrites take __lospre2 and __lospre4
+    from lospre.cli import RunConfig, run_pipeline
+    text = ("__lospre0 = a + b\n__lospre3 = 1\nx = a + b\n__lospre1: y = c * d\n"
+            "z = c * d\nn = n - 1\nif n goto __lospre1\nw = a + b\nv = c * d\nret\n")
+    result = run_pipeline(parse_ir(text), RunConfig())
+    assert [c.display() for c, _ in result.applied] == ["a + b", "c * d"]
+    assert format_ir(result.program) == (
+        "    __lospre2 = a + b\n    __lospre0 = __lospre2\n    __lospre3 = 1\n"
+        "    x = __lospre2\n    __lospre4 = c * d\n__lospre1: y = __lospre4\n"
+        "    z = __lospre4\n    n = n - 1\n    if n goto __lospre1\n    w = __lospre2\n"
+        "    v = __lospre4\n    ret\n")
 
 
 # -- copy propagation ---------------------------------------------------------

@@ -468,7 +468,7 @@ def test_a_rewrite_that_appends_a_ret_is_patched(calcs, placed):
     cfg = build_cfg(prog)
     ((cand, _),) = derive_problems(prog, cfg)
     sol = LospreSolution(frozenset(), frozenset(calcs), CostVec(len(calcs), 0))
-    step = rewrite(prog, cfg, cand, sol)
+    step = rewrite(prog, cfg, cand, sol, "__lospre0")
     assert step.program[-3].kind == RET  # the appended ret, before the trailing block
     assert step.inserted[(5, 6)] == placed  # the ret after the computation, if any
     assert same_graph(step.cfg, build_cfg(step.program))

@@ -5,7 +5,7 @@ from lospre.cost import CostVec
 from lospre.dp import solve
 from lospre.errors import DecompositionError
 from lospre.oracle import InstanceGenerator, STYLES, generate
-from lospre.treedec import (FORGET, INTRODUCE, LEAF, NiceTreeDec, TreeDec, decompose,
+from lospre.treedec import (FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDec, TreeDec, decompose,
                             dump_dot_treedec, make_nice, validate, validate_nice)
 
 
@@ -101,6 +101,56 @@ def test_validate_nice_requires_children_numbered_first():
 def test_make_nice_rejects_broken_tree():
     with pytest.raises(DecompositionError):
         make_nice(TreeDec(bags=[frozenset({0}), frozenset({1})], edges=[]))
+
+
+_F = frozenset
+_KIND = {"L": LEAF, "I": INTRODUCE, "F": FORGET, "J": JOIN}
+# hand-built decompositions and the exact nice forms make_nice gives them:
+# the DFS walks each bag's neighbours in edge order, so the node numbering
+# (and with it the solvers' sweep order and transitions) depends on it
+NICE_FORMS = {
+    "star": (
+        TreeDec(bags=[_F({0, 1}), _F({1, 2}), _F({1, 3}), _F({0, 4}), _F({0, 5})],
+                edges=[(0, 1), (0, 2), (0, 3), (0, 4)]),
+        "LIILIILIILIIFIFIFIFIJJJFF",
+        [None, 0, 5, None, 0, 4, None, 1, 3, None, 1, 2, 2, 0, 3, 0, 4, 1, 5, 1,
+         None, None, None, 0, 1],
+        [(), (0,), (0, 5), (), (0,), (0, 4), (), (1,), (1, 3), (), (1,), (1, 2), (1,),
+         (0, 1), (1,), (0, 1), (0,), (0, 1), (0,), (0, 1), (0, 1), (0, 1), (0, 1), (1,), ()],
+        [(), (0,), (1,), (), (3,), (4,), (), (6,), (7,), (), (9,), (10,), (11,), (12,),
+         (8,), (14,), (5,), (16,), (2,), (18,), (13, 15), (20, 17), (21, 19), (22,), (23,)],
+        24),
+    "path": (
+        TreeDec(bags=[_F({1, 2}), _F({0, 1}), _F({2, 3}), _F({3, 4})],
+                edges=[(1, 0), (0, 2), (2, 3)]),
+        "LIIFILIIFIFIJFF",
+        [None, 3, 4, 4, 2, None, 0, 1, 0, 2, 3, 1, None, 1, 2],
+        [(), (3,), (3, 4), (3,), (2, 3), (), (0,), (0, 1), (1,), (1, 2), (2,), (1, 2),
+         (1, 2), (2,), ()],
+        [(), (0,), (1,), (2,), (3,), (), (5,), (6,), (7,), (8,), (4,), (10,), (9, 11),
+         (12,), (13,)],
+        14),
+    "children_first": (
+        TreeDec(bags=[_F({0, 1, 2}), _F({1, 2, 3}), _F({0, 4}), _F({3, 5}), _F({2, 3, 6})],
+                edges=[(3, 1), (4, 1), (2, 0), (1, 0)]),
+        "LIIILIIFIIFIJLIIFIFIIJFFF",
+        [None, 2, 3, 6, None, 3, 5, 5, 1, 2, 6, 1, None, None, 0, 4, 3, 0, 4, 1, 2,
+         None, 0, 1, 2],
+        [(), (2,), (2, 3), (2, 3, 6), (), (3,), (3, 5), (3,), (1, 3), (1, 2, 3), (2, 3),
+         (1, 2, 3), (1, 2, 3), (), (0,), (0, 4), (1, 2), (0, 1, 2), (0,), (0, 1),
+         (0, 1, 2), (0, 1, 2), (1, 2), (2,), ()],
+        [(), (0,), (1,), (2,), (), (4,), (5,), (6,), (7,), (8,), (3,), (10,), (9, 11),
+         (), (13,), (14,), (12,), (16,), (15,), (18,), (19,), (17, 20), (21,), (22,),
+         (23,)],
+        24),
+}
+
+
+@pytest.mark.parametrize("name", NICE_FORMS)
+def test_make_nice_forms_are_pinned(name):
+    td, kinds, vertex, bags, children, root = NICE_FORMS[name]
+    assert make_nice(td) == NiceTreeDec(kinds=[_KIND[k] for k in kinds], vertex=vertex,
+                                        bags=bags, children=children, root=root)
 
 
 @pytest.mark.parametrize("style", STYLES)
@@ -438,7 +488,8 @@ def test_subdivide_patches_every_insertion_shape(edges, text):
     assert set(edges) <= cfg.edges
     cand = derive_problems(prog, cfg)[0][0]
     step = rewrite(prog, cfg, cand,
-                   LospreSolution(frozenset(), frozenset(edges), CostVec(len(edges), 0)))
+                   LospreSolution(frozenset(), frozenset(edges), CostVec(len(edges), 0)),
+                   "__lospre0")
     assert format_ir(step.program) == text
     new_cfg = build_cfg(step.program)
     assert step.cfg.edges == new_cfg.edges

@@ -26,11 +26,11 @@ class Cfg:
     """Immutable weighted directed graph with a unique source.
 
     Node ids are dense integers ``0..node_count-1``.  Parallel edges are
-    rejected (the edge set is a set); self-loops are allowed.  Sinks are
-    computed, not stored: any node with no successors.  ``successors`` and
-    ``predecessors`` list a node's neighbours in the order the edges were
-    given.  All queries are read-only, so instances are safe to share
-    across threads.
+    rejected; self-loops are allowed.  ``edges`` is the key view of
+    ``edge_cost``, in the order the edges were given.  ``succ[v]`` and
+    ``pred[v]`` are tuples of v's neighbours in that order, and ``sinks``
+    is the frozenset of nodes without successors.  Nothing is mutated after
+    construction, so instances are safe to share across threads.
 
     The constructor checks every input: duplicate edges, edge ends and
     cost keys outside the nodes, a source that is not unique, and edge
@@ -40,7 +40,7 @@ class Cfg:
     """
 
     __slots__ = ("node_count", "edges", "edge_cost", "node_cost", "source",
-                 "_succ", "_pred", "_sinks")
+                 "succ", "pred", "sinks")
 
     def __init__(self, node_count: int, edges: Iterable[Edge],
                  edge_cost: Optional[dict] = None,
@@ -48,8 +48,8 @@ class Cfg:
         if node_count <= 0:
             raise CfgError("a CFG must have at least one node")
         edge_list = list(edges)
-        edge_set = frozenset(edge_list)
-        if len(edge_set) != len(edge_list):
+        self.edge_cost = dict.fromkeys(edge_list, DEFAULT_EDGE_COST)
+        if len(self.edge_cost) != len(edge_list):
             seen = set()
             for e in edge_list:
                 if e in seen:
@@ -69,12 +69,11 @@ class Cfg:
                 f" ({sources[:8]}{'...' if len(sources) > 8 else ''})")
 
         self.node_count = node_count
-        self.edges = edge_set
-        # a key the defaults lack adds an entry: the first such key is unknown
-        self.edge_cost = dict.fromkeys(edge_set, DEFAULT_EDGE_COST)
+        self.edges = self.edge_cost.keys()
+        # a key the defaults lack adds an entry after theirs: the first is unknown
         self.edge_cost.update(edge_cost or ())
-        if len(self.edge_cost) != len(edge_set):
-            e = next(e for e in edge_cost if e not in edge_set)
+        if len(self.edge_cost) != len(edge_list):
+            e = [*self.edge_cost][len(edge_list)]
             raise CfgError(f"cost given for unknown edge {e}")
         if edge_cost and min(map(_PAIR, edge_cost.values())) < (0, 0):
             (u, v), c = next((e, c) for e, c in edge_cost.items() if c < ZERO)
@@ -87,32 +86,22 @@ class Cfg:
             raise CfgError(f"cost given for unknown node {v}")
         self.source = sources[0]
         # tuple(list): tuple(generator) resizes, so small ones pile up on free lists
-        self._succ = tuple([tuple(s) for s in succ])
-        self._pred = tuple([tuple(p) for p in pred])
-        self._sinks = frozenset(v for v in range(node_count) if not succ[v])
-
-    def successors(self, v: int) -> tuple:
-        return self._succ[v]
-
-    def predecessors(self, v: int) -> tuple:
-        return self._pred[v]
-
-    @property
-    def sinks(self) -> frozenset:
-        return self._sinks
+        self.succ = tuple([tuple(s) for s in succ])
+        self.pred = tuple([tuple(p) for p in pred])
+        self.sinks = frozenset(v for v in range(node_count) if not succ[v])
 
     def has_finite_costs(self) -> bool:
         return not any(c.infinite for c in self.edge_cost.values()) and \
             not any(c.infinite for c in self.node_cost.values())
 
     def is_acyclic(self) -> bool:
-        indeg = [len(self._pred[v]) for v in range(self.node_count)]
+        indeg = [len(p) for p in self.pred]
         stack = [v for v in range(self.node_count) if indeg[v] == 0]
         seen = 0
         while stack:
             v = stack.pop()
             seen += 1
-            for w in self._succ[v]:
+            for w in self.succ[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     stack.append(w)
@@ -169,7 +158,7 @@ def calc_set(cfg: Cfg, problem: ExprProblem, life: Iterable[int]) -> frozenset:
 def use_region(cfg: Cfg, problem: ExprProblem) -> set:
     """B: the uses, and every node that reaches one without passing an
     invalidating node.  A node of B that is not a use is not invalidating."""
-    inv, pred = problem.invalidation_set, cfg._pred
+    inv, pred = problem.invalidation_set, cfg.pred
     found, stack = set(problem.use_set), list(problem.use_set)
     while stack:
         for p in pred[stack.pop()]:
@@ -209,7 +198,7 @@ def min_calc_count(cfg: Cfg, problem: ExprProblem, limit: int) -> int:
     for y, w in index.items():
         if y in use:
             w = sink
-        for x in cfg._pred[y]:
+        for x in cfg.pred[y]:
             u = source if x in inv else None if x in use else index[x]
             if u is None or u == w:
                 continue

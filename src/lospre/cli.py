@@ -84,8 +84,8 @@ def _unit_costs(cfg) -> bool:
 def _enlarge(cfg, problem, label: str, safety_oracle, failures: list):
     """The problem with its safety-enlarged invalidation set, checked against
     ``safety_oracle`` unless it is None; a mismatch is appended to ``failures``.
-    ``_verify_pass`` and ``graph --verify`` pass an oracle; ``run_pipeline``
-    enlarges without one."""
+    ``_verify_pass`` and ``graph --verify`` pass an oracle; ``graph`` without
+    ``--verify`` enlarges without one."""
     safety_sol = solve_safety(cfg, problem)
     if safety_oracle is not None:
         oracle_sol = safety_oracle(cfg, problem)
@@ -142,7 +142,7 @@ def _use_region(cfg, problem):
     edge_cost, node_cost, constant = {}, {}, ZERO
     for i, v in enumerate(region):
         cost, entered = cfg.node_cost[v], False
-        for p in cfg.predecessors(v):
+        for p in cfg.pred[v]:
             c = cfg.edge_cost[(p, v)]
             if p in index:
                 edge_cost[(index[p], i)] = c
@@ -496,10 +496,10 @@ def cmd_oracle_check(checked: range, size: int, style: str) -> int:
 
 _OPTIONS = {
     "--safety": dict(),
-    "--max-width": dict(type=width_guard, default=16),
+    "--max-width": dict(type=width_guard, default=RunConfig.max_width),
     "--emit": dict(default=""),
     "--verify": dict(action="store_true"),
-    "--out-dir": dict(type=Path, default=Path(".")),
+    "--out-dir": dict(type=Path, default=RunConfig.out_dir),
     "--seeds": dict(type=seed_range, default="0..99"),
     "--size": dict(type=int, choices=range(4, BRUTE_LOSPRE_MAX_NODES + 1),
                    metavar=f"4..{BRUTE_LOSPRE_MAX_NODES}", default=10),

@@ -16,7 +16,7 @@ child bag; ``assign_edges_to_forgets`` is the reference of that charging.
 The kernel only detects defects of the decomposition, with checks a valid
 form pays anyway: a missing child table, a vertex outside the graph or
 forgotten twice, a failed lookup, and after the sweep a vertex never
-forgotten, an uncharged edge, a root that is not the last node or not
+forgotten, an uncharged edge, a root (the last node) whose bag is not
 empty, and a node the root does not reach.  ``validate_nice`` words each
 as a ``DecompositionError``; if it accepts the form, the kernel's own
 error stands.
@@ -178,7 +178,7 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
     inf = bound << shift
 
     edge_cost = cfg.edge_cost
-    succ, pred = cfg.successors, cfg.predecessors
+    succ, pred = cfg.succ, cfg.pred
     maps = _SHARED_MAPS if width < 8 else {}
 
     kinds = nice.kinds
@@ -234,7 +234,7 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
                 # self-loop, or an edge whose other end is not yet forgotten
                 edges = 0
                 cx = -1 if v in inv else p
-                for y in succ(v):
+                for y in succ[v]:
                     if y == v or not forgotten[y] and y in child_bag:
                         pc = key(edge_cost[v, y]) << shift
                         shape = ("edge", k, cx, -1 if y in use else child_bag.index(y))
@@ -242,7 +242,7 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
                             child[g] += pc
                         edges += 1
                 cy = -1 if v in use else p
-                for x in pred(v):
+                for x in pred[v]:
                     if not forgotten[x] and x in child_bag:
                         pc = key(edge_cost[x, v]) << shift
                         shape = ("edge", k, -1 if x in inv else child_bag.index(x), cy)
@@ -263,10 +263,9 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
     except (IndexError, TypeError, ValueError) as exc:
         raise _defect(cfg, nice, exc)
 
-    if 0 in forgotten or charged != len(cfg.edges) or nice.root != nice.node_count - 1 or \
-            len(tables[nice.root]) != 1:
+    if 0 in forgotten or charged != len(cfg.edges) or len(tables[-1]) != 1:
         raise _defect(cfg, nice)
-    root_cost = tables[nice.root][0]
+    root_cost = tables[-1][0]
     if root_cost >= inf:
         raise NoFeasibleSolutionError("no feasible solution: all assignments have infinite cost")
 
@@ -274,9 +273,9 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
     # descending scan reaches each node after its parent has set its entry;
     # an entry left at -1 marks a node the root does not reach
     life = set()
-    entry = [-1] * (nice.root + 1)
-    entry[nice.root] = 0
-    for i in range(nice.root, -1, -1):
+    entry = [-1] * nice.node_count
+    entry[-1] = 0
+    for i in range(nice.node_count - 1, -1, -1):
         m = entry[i]
         if m < 0:
             raise _defect(cfg, nice)

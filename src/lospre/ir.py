@@ -53,6 +53,9 @@ class UnreachableCodeWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Instruction:
+    """One instruction: ``dest`` is set on assign, binop, unop and load
+    alone, and ``left`` and ``right`` hold every operand it reads."""
+
     kind: str
     label: Optional[str] = None
     dest: Optional[str] = None
@@ -61,22 +64,9 @@ class Instruction:
     right: Optional[Operand] = None
     target: Optional[str] = None
 
-    def defines(self) -> Optional[str]:
-        """Variable written by this instruction, if any."""
-        return self.dest if self.kind in (ASSIGN, BINOP, UNOP, LOAD) else None
-
     def uses(self) -> tuple:
         """Variable operands read by this instruction."""
-        ops = ()
-        if self.kind == ASSIGN:
-            ops = (self.left,)
-        elif self.kind == BINOP:
-            ops = (self.left, self.right)
-        elif self.kind in (UNOP, LOAD, BRANCH):
-            ops = (self.left,)
-        elif self.kind == STORE:
-            ops = (self.left, self.right)
-        return tuple(o for o in ops if isinstance(o, str))
+        return tuple(o for o in (self.left, self.right) if isinstance(o, str))
 
 
 @dataclass
@@ -109,9 +99,8 @@ class Program:
         out = set()
         for ins in self.instructions:
             out.update(ins.uses())
-            d = ins.defines()
-            if d:
-                out.add(d)
+            if ins.dest:
+                out.add(ins.dest)
         return out
 
 
@@ -435,18 +424,23 @@ def derive_problems(program, cfg: Cfg) -> "Derivation":
     """
     occurrences = {}
     defining_nodes = {}  # variable -> nodes assigning to it
-    for i, ins in enumerate(program):
-        dest = ins.defines()
-        if dest is not None:
-            defining_nodes.setdefault(dest, []).append(instr_node(i))
+    stores, loads, load_results = [], [], set()
+    for v, ins in enumerate(program, instr_node(0)):
+        if ins.dest is not None:
+            defining_nodes.setdefault(ins.dest, []).append(v)
+        if ins.kind == STORE:
+            stores.append(v)
+        elif ins.kind == LOAD:
+            loads.append(v)
+            load_results.add(ins.dest)
         key = candidate_key(ins)
         if key is not None:
-            occurrences.setdefault(key, []).append(instr_node(i))
+            occurrences.setdefault(key, []).append(v)
     candidates = [ExprCandidate(op=op, left=left, right=right,
                                 occurrence_nodes=frozenset(nodes),
                                 safety_required=op in ("load", "/"))
                   for (op, left, right), nodes in occurrences.items()]
-    return Derivation(program, cfg, candidates, defining_nodes)
+    return Derivation(cfg, candidates, defining_nodes, stores, loads, load_results)
 
 
 class Derivation(Sequence):
@@ -455,11 +449,10 @@ class Derivation(Sequence):
     a caller that dismisses one by its occurrences builds no problem for it;
     ``load_results`` holds the variables that a load defines."""
 
-    def __init__(self, program, cfg: Cfg, candidates: list, defining_nodes: dict):
+    def __init__(self, cfg: Cfg, candidates: list, defining_nodes: dict,
+                 stores: list, loads: list, load_results: set):
         self.candidates, self._cfg, self._defining = candidates, cfg, defining_nodes
-        self.load_results = {ins.dest for ins in program if ins.kind == LOAD}
-        self._stores = [instr_node(i) for i, ins in enumerate(program) if ins.kind == STORE]
-        self._loads = [instr_node(i) for i, ins in enumerate(program) if ins.kind == LOAD]
+        self._stores, self._loads, self.load_results = stores, loads, load_results
         self._problems = [None] * len(candidates)
 
     def __len__(self):
@@ -506,23 +499,20 @@ def tmp_names(program):
 class Rewrite:
     """A rewritten program, its graph, and where the old graph's nodes went.
 
-    ``cfg`` is the next pass's graph: the edges of the graph the rewrite
-    was applied to, with each edge (u, v) of ``inserted`` replaced by the
-    path u, *inserted, v, in new node ids, costed by the new program's
-    directives.  Its fake edges and source edges are those of the old
-    graph, mapped; every other edge is one ``build_cfg`` gives.
-
-    ``node_map[v]`` is the new id of old node v.  ``inserted`` maps each
-    edge that new nodes were placed on to those nodes, in path order: on a
-    calculation edge the computation, then, on a jump edge, the jump or
-    ret that follows it; on the edge from a last instruction that fell off
-    the end into the sink, the ``ret`` appended after it (after the
-    computation, if that edge is also a calculation edge).
+    ``node_map[v]`` is the new id of old node v.  ``cfg`` is the next
+    pass's graph: the edges of the graph the rewrite was applied to, mapped,
+    with each edge (u, v) that new nodes were placed on replaced by the path
+    from u through those nodes to v, costed by the new program's
+    directives.  On a calculation edge the path holds the computation, then,
+    on a jump edge, the jump or ret that follows it; on the edge from a last
+    instruction that fell off the end into the sink, the ``ret`` appended
+    after it (after the computation, if that edge is also a calculation
+    edge).  Its fake edges and source edges are those of the old graph,
+    mapped; every other edge is one ``build_cfg`` gives.
     """
 
     program: Program
     node_map: list
-    inserted: dict
     cfg: Cfg
 
 
@@ -558,7 +548,7 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution, tmp:
         if v == sink and u != SOURCE_NODE and not _exits(instructions, node_instr(u)):
             raise LospreError(f"solution edge ({u}, {v}) is a fake edge out of an infinite loop")
     if not candidate.occurrence_nodes:
-        return Rewrite(program, list(range(sink + 1)), {}, cfg)
+        return Rewrite(program, list(range(sink + 1)), cfg)
 
     comp = _computation_instr(candidate, tmp)
     labels = program.labels()
@@ -595,7 +585,7 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution, tmp:
 
     occurrence_indices = {node_instr(v) for v in candidate.occurrence_nodes}
     out = []
-    inserted = {}
+    inserted = {}   # edge -> the new nodes placed on it, in path order
 
     def place(edge, block):
         inserted[edge] = tuple(instr_node(len(out) + k) for k in range(len(block)))
@@ -629,7 +619,7 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution, tmp:
     for (u, v), path in inserted.items():
         nodes = (node_map[u], *path, node_map[v])
         edges.update(zip(nodes, nodes[1:]))
-    return Rewrite(new, node_map, inserted, _weighted(new, edges))
+    return Rewrite(new, node_map, _weighted(new, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +645,7 @@ def copy_propagate(program: Program, cfg: Cfg) -> Program:
     instructions = list(program.instructions)
     n = len(instructions)
     # node v is instruction v - 1; the source (node 0) makes no copy available
-    preds = [cfg.predecessors(v) for v in range(n + 2)]
-    succ = [cfg.successors(v) for v in range(n + 2)]
+    pred, succ = cfg.pred, cfg.succ
     changed = True
     while changed:
         # availability is over (dest, source) pairs, so identical copies on
@@ -677,10 +666,9 @@ def copy_propagate(program: Program, cfg: Cfg) -> Program:
             touch_mask[src] = touch_mask.get(src, 0) | 1 << c
         gen, kill = [0] * (n + 2), [0] * (n + 2)
         for v, ins in enumerate(instructions, 1):
-            d = ins.defines()
-            if d is None:
+            if ins.dest is None:
                 continue
-            kill[v] = touch_mask.get(d, 0)
+            kill[v] = touch_mask.get(ins.dest, 0)
             if ins.kind == ASSIGN and ins.dest != ins.left:
                 gen[v] = 1 << pair_id[(ins.dest, ins.left)]
         # forward must analysis: IN = AND of predecessor OUTs
@@ -689,7 +677,7 @@ def copy_propagate(program: Program, cfg: Cfg) -> Program:
         while work:
             v = work.pop()
             new_in = all_mask
-            for p in preds[v]:
+            for p in pred[v]:
                 new_in &= out_sets[p]
             new_out = (new_in & ~kill[v]) | gen[v]
             if new_in != in_sets[v] or new_out != out_sets[v]:

@@ -126,13 +126,13 @@ def brute_safety(cfg: Cfg, problem: ExprProblem) -> SafetySolution:
     fwd = set()
     stack = []
     for a in inv:
-        for x in cfg.successors(a):
+        for x in cfg.succ[a]:
             if x not in use and x not in fwd:
                 fwd.add(x)
                 stack.append(x)
     while stack:
         x = stack.pop()
-        for y in cfg.successors(x):
+        for y in cfg.succ[x]:
             if y not in use and y not in fwd:
                 fwd.add(y)
                 stack.append(y)
@@ -140,13 +140,13 @@ def brute_safety(cfg: Cfg, problem: ExprProblem) -> SafetySolution:
     bwd = set()
     stack = []
     for b in inv - use:
-        for x in cfg.predecessors(b):
+        for x in cfg.pred[b]:
             if x not in use and x not in bwd:
                 bwd.add(x)
                 stack.append(x)
     while stack:
         x = stack.pop()
-        for y in cfg.predecessors(x):
+        for y in cfg.pred[x]:
             if y not in use and y not in bwd:
                 bwd.add(y)
                 stack.append(y)
@@ -173,8 +173,8 @@ def brute_safety_fixpoint(cfg: Cfg, problem: ExprProblem) -> SafetySolution:
                              f"{BRUTE_SAFETY_FIXPOINT_MAX_NODES} nodes, got {n}")
     use, inv = problem.use_set, problem.invalidation_set
     eligible = [v for v in range(n) if v not in use and v not in inv]
-    succ = {v: [w for (x, w) in cfg.edges if x == v and w != v] for v in eligible}
-    pred = {v: [u for (u, x) in cfg.edges if x == v and u != v] for v in eligible}
+    succ = {v: [w for w in cfg.succ[v] if w != v] for v in eligible}
+    pred = {v: [u for u in cfg.pred[v] if u != v] for v in eligible}
     best = frozenset()
     for mask in range(1 << len(eligible)):
         added = frozenset(v for k, v in enumerate(eligible) if mask >> k & 1)

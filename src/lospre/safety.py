@@ -49,27 +49,27 @@ def solve_safety(cfg: Cfg, problem: ExprProblem, nice=None) -> SafetySolution:
     use = problem.use_set
     inv = problem.invalidation_set
     n = cfg.node_count
-    succ, pred = cfg.successors, cfg.predecessors
+    succ, pred = cfg.succ, cfg.pred
 
     alive = [v not in use and v not in inv for v in range(n)]
     succ_witness = [alive[w] or (w in inv and w not in use) for w in range(n)]
     pred_witness = [alive[u] or u in inv for u in range(n)]
     # a self-loop does not let a node witness itself
-    succ_count = [sum(succ_witness[w] for w in succ(v) if w != v) for v in range(n)]
-    pred_count = [sum(pred_witness[u] for u in pred(v) if u != v) for v in range(n)]
+    succ_count = [sum(succ_witness[w] for w in succ[v] if w != v) for v in range(n)]
+    pred_count = [sum(pred_witness[u] for u in pred[v] if u != v) for v in range(n)]
 
     stack = [v for v in range(n) if alive[v] and not (succ_count[v] and pred_count[v])]
     for v in stack:
         alive[v] = False
     while stack:
         v = stack.pop()
-        for u in pred(v):
+        for u in pred[v]:
             if alive[u]:
                 succ_count[u] -= 1
                 if not succ_count[u]:
                     alive[u] = False
                     stack.append(u)
-        for w in succ(v):
+        for w in succ[v]:
             if alive[w]:
                 pred_count[w] -= 1
                 if not pred_count[w]:

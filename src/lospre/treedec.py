@@ -23,7 +23,7 @@ only when that probe misses.  The solvers are correct for any valid
 decomposition, so the heuristic only affects table sizes, never results.
 ``make_nice`` converts to a rooted form with empty root and leaf bags and
 only introduce/forget/join steps, preserving the width exactly; it reads
-the tree from two flat arrays, not a list per bag.  ``validate`` and
+the tree from one neighbour list per bag.  ``validate`` and
 ``validate_nice`` word every defect of a decomposition; the solvers take
 a form that ``validate_nice`` accepts, and report its message for one
 they detect as defective.
@@ -65,14 +65,13 @@ class NiceTreeDec:
     ``vertex[i]`` is the vertex introduced or forgotten at node ``i`` (None
     for leaves and joins).  Children are numbered before their parents
     (every child id is below its parent's), so ascending ids sweep the tree
-    bottom-up.
+    bottom-up and the root is the last node.
     """
 
     kinds: list
     vertex: list
     bags: list
     children: list
-    root: int
 
     @property
     def node_count(self) -> int:
@@ -80,7 +79,7 @@ class NiceTreeDec:
 
     @property
     def width(self) -> int:
-        return max(map(len, self.bags)) - 1
+        return max(map(len, self.bags), default=0) - 1
 
     def forget_map(self) -> dict:
         """Map each forgotten vertex to its forget node, the only one in a
@@ -280,8 +279,8 @@ def make_nice(td: TreeDec) -> NiceTreeDec:
             for nxt in adapted[1:]:
                 acc = add(JOIN, None, bags[acc], (acc, nxt))
             top[a] = acc
-    root = lift(top[0], frozenset())
-    nice = NiceTreeDec(kinds=kinds, vertex=vertex, bags=bags, children=children, root=root)
+    lift(top[0], frozenset())  # the root: the last node added
+    nice = NiceTreeDec(kinds=kinds, vertex=vertex, bags=bags, children=children)
     if nice.width != td.width:
         raise DecompositionError("internal error: width changed during nice conversion")
     return nice
@@ -291,16 +290,16 @@ def validate_nice(cfg: Cfg, nice: NiceTreeDec) -> Optional[str]:
     """Check a nice decomposition of ``cfg``; None means valid.
 
     The returned message names the first defect and a witness.  The nodes
-    must form one tree under an empty root bag, each child numbered below
-    its parent, and each bag must be its node kind's step from its
+    must form one tree under the last node, whose bag is empty, each child
+    numbered below its parent, and each bag must be its node kind's step from its
     children's bags; ``validate`` then checks the bags as a decomposition.
     Together these make every vertex forgotten exactly once: a vertex in no
     bag is never forgotten, and one forgotten twice occupies two subtrees.
     The solvers only detect a defect and report the message this returns.
     """
-    if not 0 <= nice.root < nice.node_count:
-        return f"root {nice.root} is not a node of the decomposition"
-    if nice.bags[nice.root]:
+    if not nice.node_count:
+        return "decomposition has no nodes"
+    if nice.bags[-1]:
         return "root bag is not empty"
     referenced = set()
     for i in range(nice.node_count):
@@ -335,10 +334,8 @@ def validate_nice(cfg: Cfg, nice: NiceTreeDec) -> Optional[str]:
                 return f"join node {i} has unequal child bags"
         else:
             return f"unknown node kind {kind!r}"
-    if nice.root in referenced:
-        return "root node is a child of another node"
     if len(referenced) != nice.node_count - 1:
-        orphan = min(set(range(nice.node_count)) - referenced - {nice.root})
+        orphan = min(set(range(nice.node_count - 1)) - referenced)
         return f"node {orphan} is not below the root"
     td = TreeDec(bags=[frozenset(bag) for bag in nice.bags],
                  edges=[(i, c) for i in range(nice.node_count) for c in nice.children[i]])

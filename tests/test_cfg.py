@@ -5,7 +5,7 @@ import pytest
 
 from lospre import ir as irmod
 from lospre.cfg import (Cfg, ExprProblem, calc_set, dump_dot, load_cfg,
-                        make_problem, min_calc_count, total_cost)
+                        make_problem, min_calc_count, total_cost, validate_problem)
 from lospre.cost import CostVec, INFINITY
 from lospre.dp import LospreSolution, solve
 from lospre.errors import CfgError, GraphFormatError, NoFeasibleSolutionError
@@ -23,8 +23,11 @@ def diamond():
 def test_source_and_sinks(diamond):
     assert diamond.source == 0
     assert diamond.sinks == {4}
-    assert diamond.successors(1) == (2, 3)
-    assert diamond.predecessors(4) == (2, 3)
+    assert diamond.succ[1] == (2, 3)
+    assert diamond.pred[4] == (2, 3)
+    # the edges are the cost map's keys, in the order they were given
+    assert diamond.edges == diamond.edge_cost.keys()
+    assert list(diamond.edges) == [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]
 
 
 def test_unique_source_enforced():
@@ -35,8 +38,9 @@ def test_unique_source_enforced():
 
 
 def test_duplicate_edge_rejected():
-    with pytest.raises(CfgError):
+    with pytest.raises(CfgError) as info:
         Cfg(2, [(0, 1), (0, 1)])
+    assert str(info.value) == "duplicate edge 0 -> 1"
 
 
 def test_self_loop_allowed():
@@ -61,6 +65,35 @@ def test_edge_costs_below_zero_rejected():
     edges = [(0, 1), (1, 2)]
     cfg = Cfg(3, edges, {(0, 1): CostVec(0, 0), (1, 2): INFINITY}, {1: CostVec(-2, -1)})
     assert cfg.edge_cost == {(0, 1): CostVec(0, 0), (1, 2): INFINITY}
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, []), "a CFG must have at least one node"),
+    ((2, [(0, 1), (1, 2)]), "edge (1, 2) references an unknown node id"),
+    ((2, [(0, 1)], {(0, 1): CostVec(2, 0), (1, 0): CostVec(1, 0)}),
+     "cost given for unknown edge (1, 0)"),
+    ((2, [(0, 1)], None, {1: CostVec(0, 2), 5: CostVec(0, 1)}),
+     "cost given for unknown node 5"),
+], ids=["no-nodes", "unknown-edge-end", "unknown-edge-cost",
+        "unknown-node-cost"])
+def test_constructor_rejects_each_bad_input(args, message):
+    with pytest.raises(CfgError) as info:
+        Cfg(*args)
+    assert str(info.value) == message
+
+
+def test_validate_problem_rejects_hand_built_problems(diamond):
+    cases = [
+        (ExprProblem(frozenset({2, 9}), frozenset({0, 4})), "problem references unknown node id 9"),
+        (ExprProblem(frozenset({2}), frozenset({1})),
+         "invalidation set must contain the source and all sinks; missing [0, 4]"),
+        (ExprProblem(frozenset({2}), frozenset({0})),
+         "invalidation set must contain the source and all sinks; missing [4]"),
+    ]
+    for problem, message in cases:
+        with pytest.raises(CfgError) as info:
+            validate_problem(diamond, problem)
+        assert str(info.value) == message
 
 
 def test_problem_invariants(diamond):
@@ -311,8 +344,8 @@ def _edge_order_results(cfg, problems):
 
 
 def test_edge_order_changes_no_result():
-    # successors and predecessors follow the order the edges are given in;
-    # no solver result may read that order
+    # edges, succ and pred follow the order the edges are given in; no
+    # solver result may read that order
     for cfg, problems in _edge_order_instances():
         expected = _edge_order_results(cfg, problems)
         assert expected[3], "an instance with no problem checks nothing"

@@ -45,11 +45,22 @@ def test_a_run_that_reaches_the_pass_limit_is_an_internal_error(tmp_path, capsys
     from lospre.errors import LospreError
 
     monkeypatch.setattr(ir, "rewrite", lambda program, cfg, candidate, solution, tmp:
-                        ir.Rewrite(program, list(range(cfg.node_count)), {}, cfg))
+                        ir.Rewrite(program, list(range(cfg.node_count)), cfg))
     with pytest.raises(LospreError, match="internal error: no fixpoint after"):
         run_pipeline(parse_ir(TWO_ARM), RunConfig())
     assert main(["run", str(SAMPLES / "redundant_load.ir")]) == EXIT_ERROR
     assert "internal error" in capsys.readouterr().err
+
+
+def test_run_without_flags_builds_the_default_config(tmp_path, monkeypatch):
+    from lospre import cli
+
+    built = []
+    monkeypatch.setitem(cli._DISPATCH, "run", lambda config, path, text: built.append(config) or 0)
+    src = tmp_path / "f.ir"
+    src.write_text(TWO_ARM)
+    assert main(["run", str(src)]) == EXIT_OK
+    assert built == [RunConfig()]
 
 
 def test_graph_mode_solves_each_problem(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from lospre.cfg import Cfg, calc_set, make_problem, total_cost
 from lospre.cost import CostVec, INFINITY
-from lospre.dp import assign_edges_to_forgets, solve, solve_extended
+from lospre.dp import assign_edges_to_forgets, format_solution, solve, solve_extended
 from lospre.errors import (DecompositionError, LospreError, NoFeasibleSolutionError,
                            WidthExceededError)
 from lospre.oracle import (InstanceGenerator, STYLES, brute_extended,
@@ -145,7 +145,7 @@ def _nice_path(steps):
         kinds.append(kind)
         vertex.append(v)
         bags.append(bag)
-    return NiceTreeDec(kinds, vertex, bags, children, len(kinds) - 1)
+    return NiceTreeDec(kinds, vertex, bags, children)
 
 
 def _joined(a, b):
@@ -154,7 +154,7 @@ def _joined(a, b):
     return NiceTreeDec(a.kinds + b.kinds + [JOIN], a.vertex + b.vertex + [None],
                        a.bags + b.bags + [()],
                        a.children + [tuple(c + shift for c in ch) for ch in b.children] +
-                       [(a.root, b.root + shift)], a.node_count + b.node_count)
+                       [(shift - 1, shift + b.node_count - 1)])
 
 
 def _solver_errors(cfg, nice):
@@ -202,11 +202,7 @@ def test_sweep_checks_raise_the_reference_messages():
         (path, _replaced(_nice_path(PATH3), "vertex", 3, None),
          "forget node 3 does not drop exactly its vertex"),
         (path, _nice_path([(LEAF, None)] + PATH3), "node 0 is not below the root"),
-        # a root outside the nodes: past the end, or negative, which must not
-        # wrap round to the last node
-        (path, replace(_nice_path(PATH3), root=len(PATH3) + 5),
-         f"root {len(PATH3) + 5} is not a node of the decomposition"),
-        (path, replace(_nice_path(PATH3), root=-1), "root -1 is not a node of the decomposition"),
+        (path, NiceTreeDec([], [], [], []), "decomposition has no nodes"),
     ]
     for cfg, nice, message in cases:
         assert validate_nice(cfg, nice) == message
@@ -346,7 +342,7 @@ def test_costs_beyond_int64_stay_exact():
 
 def test_root_table_entry_is_unique(diamond):
     nice = make_nice(decompose(diamond))
-    assert nice.bags[nice.root] == ()
+    assert nice.bags[-1] == ()
 
 
 def test_work_bound():
@@ -432,6 +428,15 @@ def test_extended_allowed_combos_hook():
                          allowed_combos=allowed)
     assert 1 not in ext.life_set
     assert ext.cost == CostVec(2, 0)
+
+
+def test_format_solution_prints_the_operand_life_sets(diamond):
+    # a live left operand pays back at nodes 0 and 1, a live right one at 3 and 4
+    p = make_problem(diamond, use=[2, 3])
+    sol = solve_extended(diamond, p, make_nice(decompose(diamond)),
+                         lambda v, b, bl, br: CostVec(0, b - (bl and v <= 1) - (br and v >= 3)))
+    assert format_solution(sol, index=0) == (
+        "problem 0\ncost [1,-3]\nlife 1\ncalc 0->1\nlife_left 0 1\nlife_right 3 4\n")
 
 
 def test_extended_tie_rule_does_not_depend_on_graph_size():
@@ -584,7 +589,7 @@ def test_solve_rejects_a_root_first_decomposition():
     nice = NiceTreeDec(kinds=[FORGET, FORGET, INTRODUCE, INTRODUCE, LEAF],
                        vertex=[1, 0, 1, 0, None],
                        bags=[(), (1,), (0, 1), (0,), ()],
-                       children=[(1,), (2,), (3,), (4,), ()], root=0)
+                       children=[(1,), (2,), (3,), (4,), ()])
     message = validate_nice(cfg, nice)
     assert message == "node 0 is numbered before its child"
     assert _solver_errors(cfg, nice) == [message, message]

@@ -39,6 +39,17 @@ def test_parse_forms():
     assert prog[6].label == "L"
 
 
+def test_instruction_roles_come_from_their_fields():
+    # only assign, binop, unop and load write a variable; the operands read
+    # are the variables among left and right, for every kind
+    prog = parse_ir("x = i << y\ny = x\nz = - y\nw = *p\n*p = w\n*3 = 4\nif x goto L\n"
+                    "goto L\nL: ret\n")
+    assert [ins.dest for ins in prog] == ["x", "y", "z", "w", None, None, None, None, None]
+    assert [ins.uses() for ins in prog] == \
+        [("i", "y"), ("x",), ("y",), ("p",), ("p", "w"), (), ("x",), (), ()]
+    assert prog.variables() == {"i", "p", "w", "x", "y", "z"}
+
+
 def test_parse_negative_literal_vs_unop():
     prog = parse_ir("x = -5\ny = - x\nret\n")
     assert prog[0].kind == ASSIGN and prog[0].left == -5
@@ -92,14 +103,14 @@ def test_straight_line_is_a_path():
 def test_two_arm_shape():
     cfg = build_cfg(parse_ir(TWO_ARM))
     branch_node = instr_node(0)
-    assert len(cfg.successors(branch_node)) == 2
+    assert len(cfg.succ[branch_node]) == 2
     assert len(cfg.sinks) == 1
 
 
 def test_branch_to_next_collapses_parallel_edges():
     prog = parse_ir("if x goto L\nL: y = 1\nret\n")
     cfg = build_cfg(prog)
-    assert len(cfg.successors(instr_node(0))) == 1
+    assert len(cfg.succ[instr_node(0)]) == 1
 
 
 def test_unreachable_code_warns_but_keeps_nodes():
@@ -121,7 +132,7 @@ def test_unreachable_loop_gets_a_source_edge():
         v = stack.pop()
         if v not in reached:
             reached.add(v)
-            stack.extend(cfg.successors(v))
+            stack.extend(cfg.succ[v])
     assert reached == set(range(cfg.node_count))
 
 
@@ -470,6 +481,20 @@ def test_interpreter_basics():
     assert r.variables["y"] == 42
     assert r.memory == {3: 42}
     assert r.variables["z"] == 42
+
+
+def test_equivalent_states_compares_memory_and_listed_variables():
+    base = interpret(parse_ir("x = a + 1\n*x = a\nret\n"), {"a": 2})
+    assert (base.variables, base.memory) == ({"a": 2, "x": 3}, {3: 2})
+    other_memory = interpret(parse_ir("x = a + 1\n*x = 5\nret\n"), {"a": 2})
+    assert not equivalent_states(base, other_memory, [])
+    other_x = interpret(parse_ir("x = a + 2\n*3 = a\nret\n"), {"a": 2})
+    assert other_x.memory == base.memory
+    assert not equivalent_states(base, other_x, ["a", "x"])
+    assert equivalent_states(base, other_x, ["a"])
+    # a rewrite's temporary is not listed, so it may differ
+    with_temp = interpret(parse_ir("t = a * 5\nx = a + 1\n*x = a\nret\n"), {"a": 2})
+    assert equivalent_states(base, with_temp, ["a", "x"])
 
 
 def test_interpreter_total_semantics():

@@ -56,9 +56,8 @@ def reference_copy_propagate(program):
             touch_mask[src] = touch_mask.get(src, 0) | 1 << c
         gen, kill = [0] * n, [0] * n
         for i, ins in enumerate(instructions):
-            d = ins.defines()
-            if d is not None:
-                kill[i] = touch_mask.get(d, 0)
+            if ins.dest is not None:
+                kill[i] = touch_mask.get(ins.dest, 0)
                 if ins.kind == ASSIGN and ins.dest != ins.left:
                     gen[i] = 1 << pair_id[(ins.dest, ins.left)]
         out_sets, in_sets = [all_mask] * n, [0] * n
@@ -93,7 +92,7 @@ def reference_invalidation(program, candidate):
     inv = set()
     for i, ins in enumerate(program):
         kind = ins.kind
-        if ins.defines() in operands or \
+        if ins.dest in operands or \
                 kind == STORE and (candidate.op == "load" or load_results & set(operands)) or \
                 kind == LOAD and load_results & set(operands):
             inv.add(instr_node(i))
@@ -470,7 +469,10 @@ def test_a_rewrite_that_appends_a_ret_is_patched(calcs, placed):
     sol = LospreSolution(frozenset(), frozenset(calcs), CostVec(len(calcs), 0))
     step = rewrite(prog, cfg, cand, sol, "__lospre0")
     assert step.program[-3].kind == RET  # the appended ret, before the trailing block
-    assert step.inserted[(5, 6)] == placed  # the ret after the computation, if any
+    # the edge from node 5 into the sink runs through the ret, after the computation if any
+    path = (step.node_map[5], *placed, step.node_map[6])
+    assert set(zip(path, path[1:])) <= step.cfg.edges
+    assert (step.node_map[5], step.node_map[6]) not in step.cfg.edges
     assert same_graph(step.cfg, build_cfg(step.program))
 
 

@@ -108,8 +108,8 @@ def test_added_nodes_have_witnesses():
         assert inv <= sol.i_prime
         for v in sol.added:
             assert any(w in sol.added or (w in inv and w not in use)
-                       for w in cfg.successors(v))
-            assert any(u in sol.added or u in inv for u in cfg.predecessors(v))
+                       for w in cfg.succ[v])
+            assert any(u in sol.added or u in inv for u in cfg.pred[v])
 
 
 def test_oracle_equivalence_all_styles():

@@ -155,17 +155,25 @@ def calc_set(cfg: Cfg, problem: ExprProblem, life: Iterable[int]) -> frozenset:
                      if not (x in life and x not in inv) and (y in use or y in life))
 
 
+def reach(starts: Iterable[int], nexts, blocked=()) -> set:
+    """``starts``, each kept and expanded even when blocked, and every node
+    reached from them through ``nexts[v]`` without entering a node of
+    ``blocked``.  ``nexts`` is ``Cfg.succ``, ``Cfg.pred`` or any sequence
+    of neighbour lists indexed by node."""
+    found = set(starts)
+    stack = list(found)
+    while stack:
+        for w in nexts[stack.pop()]:
+            if w not in found and w not in blocked:
+                found.add(w)
+                stack.append(w)
+    return found
+
+
 def use_region(cfg: Cfg, problem: ExprProblem) -> set:
     """B: the uses, and every node that reaches one without passing an
     invalidating node.  A node of B that is not a use is not invalidating."""
-    inv, pred = problem.invalidation_set, cfg.pred
-    found, stack = set(problem.use_set), list(problem.use_set)
-    while stack:
-        for p in pred[stack.pop()]:
-            if p not in found and p not in inv:
-                found.add(p)
-                stack.append(p)
-    return found
+    return reach(problem.use_set, cfg.pred, problem.invalidation_set)
 
 
 def min_calc_count(cfg: Cfg, problem: ExprProblem, limit: int) -> int:

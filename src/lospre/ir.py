@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from itertools import count
 from typing import Optional, Union
 
-from .cfg import Cfg, DEFAULT_EDGE_COST, DEFAULT_NODE_COST, make_problem
+from .cfg import Cfg, DEFAULT_EDGE_COST, DEFAULT_NODE_COST, make_problem, reach
 from .cost import CostVec, parse_cost, format_cost
 from .errors import IrParseError, LospreError
 
@@ -64,10 +64,6 @@ class Instruction:
     right: Optional[Operand] = None
     target: Optional[str] = None
 
-    def uses(self) -> tuple:
-        """Variable operands read by this instruction."""
-        return tuple(o for o in (self.left, self.right) if isinstance(o, str))
-
 
 @dataclass
 class Program:
@@ -96,12 +92,9 @@ class Program:
         return {ins.label: i for i, ins in enumerate(self.instructions) if ins.label}
 
     def variables(self) -> set:
-        out = set()
-        for ins in self.instructions:
-            out.update(ins.uses())
-            if ins.dest:
-                out.add(ins.dest)
-        return out
+        """Every variable an instruction writes or reads."""
+        return {o for ins in self.instructions for o in (ins.dest, ins.left, ins.right)
+                if isinstance(o, str)}
 
 
 def _operand(tok: str) -> Operand:
@@ -307,42 +300,31 @@ def build_cfg(program: Program) -> Cfg:
     edges = {(SOURCE_NODE, instr_node(0))}
     edges.update((instr_node(i), instr_node(o)) for i, outs in enumerate(succ) for o in outs)
 
-    # floods over instruction indices; index n stands for the sink
+    # searches over instruction indices; index n stands for the sink
     preds = [[] for _ in range(n + 1)]
     for i, outs in enumerate(succ):
         for o in outs:
             preds[o].append(i)
 
-    def flood(start, seen, nexts):
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            if not seen[i]:
-                seen[i] = True
-                stack.extend(nexts[i])
-
     forward = succ + [[]]
-    reachable = [False] * (n + 1)
-    if n:
-        flood(0, reachable, forward)
-    unreachable = [i for i in range(n) if not reachable[i]]
+    reachable = reach([0], forward)
+    unreachable = [i for i in range(n) if i not in reachable]
     if unreachable:
         warnings.warn(f"unreachable instructions at indices {unreachable}",
                       UnreachableCodeWarning, stacklevel=2)
         heads = [i for i in unreachable if not preds[i]]
         for i in heads + unreachable:
-            if not reachable[i]:
+            if i not in reachable:
                 edges.add((SOURCE_NODE, instr_node(i)))
-                flood(i, reachable, forward)
+                reachable |= reach([i], forward, reachable)
 
-    # fake edges: flood backwards from the sink, then from each instruction
+    # fake edges: search backwards from the sink, then from each instruction
     # not reached yet, highest index first, after linking it to the sink
-    reaches_sink = [False] * (n + 1)
-    for start in range(n, -1, -1):
-        if not reaches_sink[start]:
-            if start < n:
-                edges.add((instr_node(start), sink))
-            flood(start, reaches_sink, preds)
+    reaches_sink = reach([n], preds)
+    for start in range(n - 1, -1, -1):
+        if start not in reaches_sink:
+            edges.add((instr_node(start), sink))
+            reaches_sink |= reach([start], preds, reaches_sink)
     return _weighted(program, edges)
 
 
@@ -386,13 +368,8 @@ class ExprCandidate:
         if self.op == "load":
             return f"*{self.left}"
         if self.right is None:
-            return f"{_UNARY_SPELLING[self.op]} {self.left}"
+            return f"{self.op} {self.left}"
         return f"{self.left} {self.op} {self.right}"
-
-
-# a unary candidate's op is its key name, which tells unary "-" from binary "-"
-_UNARY_KEYS = {"-": "neg", "~": "not"}
-_UNARY_SPELLING = {name: op for op, name in _UNARY_KEYS.items()}
 
 
 def _operand_key(o: Operand):
@@ -400,14 +377,15 @@ def _operand_key(o: Operand):
 
 
 def candidate_key(ins: Instruction):
-    """Canonical (op, left, right) triple; commutative operands are sorted."""
+    """Canonical (op, left, right) triple; commutative operands are sorted.
+    Only a binop has a right operand, which tells unary ``-`` from binary ``-``."""
     if ins.kind == BINOP:
         left, right = ins.left, ins.right
         if ins.op in COMMUTATIVE and _operand_key(right) < _operand_key(left):
             left, right = right, left
         return (ins.op, left, right)
     if ins.kind == UNOP:
-        return (_UNARY_KEYS[ins.op], ins.left, None)
+        return (ins.op, ins.left, None)
     if ins.kind == LOAD:
         return ("load", ins.left, None)
     return None
@@ -479,7 +457,7 @@ def _computation_instr(candidate: ExprCandidate, tmp: str) -> Instruction:
     if candidate.op == "load":
         return Instruction(LOAD, dest=tmp, left=candidate.left)
     if candidate.right is None:
-        return Instruction(UNOP, dest=tmp, op=_UNARY_SPELLING[candidate.op], left=candidate.left)
+        return Instruction(UNOP, dest=tmp, op=candidate.op, left=candidate.left)
     return Instruction(BINOP, dest=tmp, op=candidate.op,
                        left=candidate.left, right=candidate.right)
 
@@ -613,8 +591,7 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution, tmp:
     node_map.append(instr_node(len(out)))
     overrides = {(a, b): c for (a, b), c in program.edge_cost_overrides.items()
                  if (instr_node(labels[a]), instr_node(labels[b])) not in solution.calc_set}
-    new = Program(out, program.default_edge_cost, program.default_node_cost,
-                  overrides, dict(program.node_cost_overrides))
+    new = replace(program, instructions=out, edge_cost_overrides=overrides)
     edges = {(node_map[u], node_map[v]) for (u, v) in cfg.edges if (u, v) not in inserted}
     for (u, v), path in inserted.items():
         nodes = (node_map[u], *path, node_map[v])
@@ -686,7 +663,8 @@ def copy_propagate(program: Program, cfg: Cfg) -> Program:
                 work.extend(succ[v])
 
         def sub(v, o):
-            # of several available copies into one variable, the latest-numbered wins
+            # at most one copy into o is available: every node is reachable
+            # from the source, and a write to o kills every copy into o
             m = in_sets[v] & dest_mask.get(o, 0)
             return copies[m.bit_length() - 1][1] if m else o
 
@@ -697,5 +675,4 @@ def copy_propagate(program: Program, cfg: Cfg) -> Program:
                 if left != ins.left or right != ins.right:
                     instructions[v - 1] = replace(ins, left=left, right=right)
                     changed |= ins.kind == ASSIGN
-    return Program(instructions, program.default_edge_cost, program.default_node_cost,
-                   dict(program.edge_cost_overrides), dict(program.node_cost_overrides))
+    return replace(program, instructions=instructions)

@@ -2,11 +2,14 @@
 
 These are the ground truth the solvers are checked against.  They share no
 code with the solver modules beyond the objective definition itself
-(``calc_set``/``total_cost``) and the exact integer keys of costs
-(``dp.cost_keys``).  ``brute_lospre`` and ``brute_extended`` share one
-enumeration of all 2**|V| life sets, a Gray-code walk over a restatement of
-the objective in those keys; the reported cost is recomputed from the
-objective, and the tests check the walk against a plain ``total_cost`` loop.
+(``calc_set``/``total_cost``), the exact integer keys of costs
+(``dp.cost_keys``) and the graph search ``cfg.reach``, which
+``brute_safety`` shares with the use-region code; the peel that
+``brute_safety`` checks does not use it.  ``brute_lospre`` and
+``brute_extended`` share one enumeration of all 2**|V| life sets, a
+Gray-code walk over a restatement of the objective in those keys; the
+reported cost is recomputed from the objective, and the tests check the
+walk against a plain ``total_cost`` loop.
 When every assignment has infinite cost, both raise NoFeasibleSolutionError,
 as the solvers do.
 
@@ -23,7 +26,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .cfg import Cfg, DEFAULT_EDGE_COST, DEFAULT_NODE_COST, ExprProblem, calc_set, make_problem, total_cost
+from .cfg import (Cfg, DEFAULT_EDGE_COST, DEFAULT_NODE_COST, ExprProblem, calc_set, make_problem,
+                  reach, total_cost)
 from .cost import INFINITY, ZERO, CostVec, sum_costs
 from .dp import LospreSolution, cost_keys
 from .errors import NoFeasibleSolutionError, SizeGuardError
@@ -116,42 +120,13 @@ def brute_safety(cfg: Cfg, problem: ExprProblem) -> SafetySolution:
     writes) ends no corridor: computing the expression there is not
     speculative.  Computed by forward reachability from the invalidation
     set and backward reachability from its non-use part, both on the graph
-    restricted to non-use nodes: two linear sweeps, at any size.  On acyclic
-    graphs this equals the greatest fixpoint of ``safety.solve_safety``; on
-    cyclic graphs the solver's set may be larger.
+    restricted to non-use nodes: two linear ``reach`` searches, at any
+    size.  On acyclic graphs this equals the greatest fixpoint of
+    ``safety.solve_safety``; on cyclic graphs the solver's set may be larger.
     """
-    use = problem.use_set
-    inv = problem.invalidation_set
-
-    fwd = set()
-    stack = []
-    for a in inv:
-        for x in cfg.succ[a]:
-            if x not in use and x not in fwd:
-                fwd.add(x)
-                stack.append(x)
-    while stack:
-        x = stack.pop()
-        for y in cfg.succ[x]:
-            if y not in use and y not in fwd:
-                fwd.add(y)
-                stack.append(y)
-
-    bwd = set()
-    stack = []
-    for b in inv - use:
-        for x in cfg.pred[b]:
-            if x not in use and x not in bwd:
-                bwd.add(x)
-                stack.append(x)
-    while stack:
-        x = stack.pop()
-        for y in cfg.pred[x]:
-            if y not in use and y not in bwd:
-                bwd.add(y)
-                stack.append(y)
-
-    added = frozenset((fwd & bwd) - inv)
+    use, inv = problem.use_set, problem.invalidation_set
+    # reach keeps and expands its starts, a use among them; "- inv" drops them
+    added = frozenset((reach(inv, cfg.succ, use) & reach(inv - use, cfg.pred, use)) - inv)
     return SafetySolution(i_prime=frozenset(inv | added), added=added)
 
 
@@ -196,11 +171,8 @@ def _extended_solution(cfg, problem, bits, lifetime_cost) -> LospreSolution:
     """The solution for per-node (b, bl, br) bits, its cost recomputed."""
     life = frozenset(v for v, t in enumerate(bits) if t[0])
     cset = calc_set(cfg, problem, life)
-    cost = CostVec(0, 0)
-    for e in cset:
-        cost = cost + cfg.edge_cost[e]
-    for v, t in enumerate(bits):
-        cost = cost + lifetime_cost(v, *t)
+    cost = sum_costs([cfg.edge_cost[e] for e in cset] +
+                     [lifetime_cost(v, *t) for v, t in enumerate(bits)])
     return LospreSolution(life_set=life, calc_set=cset, cost=cost,
                           life_left=frozenset(v for v, t in enumerate(bits) if t[1]),
                           life_right=frozenset(v for v, t in enumerate(bits) if t[2]))

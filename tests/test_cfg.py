@@ -5,7 +5,7 @@ import pytest
 
 from lospre import ir as irmod
 from lospre.cfg import (Cfg, ExprProblem, calc_set, dump_dot, load_cfg,
-                        make_problem, min_calc_count, total_cost, validate_problem)
+                        make_problem, min_calc_count, reach, total_cost, validate_problem)
 from lospre.cost import CostVec, INFINITY
 from lospre.dp import LospreSolution, solve
 from lospre.errors import CfgError, GraphFormatError, NoFeasibleSolutionError
@@ -115,6 +115,18 @@ def test_calc_set_range_check(diamond):
     p = make_problem(diamond, use=[2, 3])
     with pytest.raises(CfgError):
         calc_set(diamond, p, [9])
+
+
+def test_reach_on_index_lists():
+    # 0 -> 1, 1 -> 1 (a self-loop), 1 -> 2, 2 -> 3, 3 -> 1
+    nexts = [[1], [2, 1], [3], [1], []]
+    assert reach([0], nexts) == {0, 1, 2, 3}
+    assert reach([4], nexts) == {4}
+    # a blocked node is never entered
+    assert reach([0], nexts, {2}) == {0, 1}
+    # a blocked start is kept and expanded
+    assert reach([1], nexts, {1, 3}) == {1, 2}
+    assert reach([3, 0], nexts, {0, 3}) == {0, 1, 2, 3}
 
 
 def test_total_cost_cases(diamond):

@@ -203,10 +203,23 @@ def test_sweep_checks_raise_the_reference_messages():
          "forget node 3 does not drop exactly its vertex"),
         (path, _nice_path([(LEAF, None)] + PATH3), "node 0 is not below the root"),
         (path, NiceTreeDec([], [], [], []), "decomposition has no nodes"),
+        (path, _replaced(_nice_path(PATH3), "kinds", 1, LEAF),
+         "leaf node 1 has children or a non-empty bag"),
+        (path, _replaced(_nice_path(PATH3), "children", 3, ()),
+         "forget node 3 must have one child"),
+        (path, _replaced(_nice_path(PATH3), "kinds", 3, JOIN),
+         "join node 3 must have two children"),
+        (path, _joined(_nice_path(PATH3[:5]), _nice_path(PATH3)),
+         "join node 13 has unequal child bags"),
     ]
     for cfg, nice, message in cases:
         assert validate_nice(cfg, nice) == message
         assert _solver_errors(cfg, nice) == [message, message]
+    # a leaf's bag and a node's kind, checked by validate_nice alone
+    assert validate_nice(path, _replaced(_nice_path(PATH3), "bags", 0, (0,))) == \
+        "leaf node 0 has children or a non-empty bag"
+    assert validate_nice(path, _replaced(_nice_path(PATH3), "kinds", 3, "split")) == \
+        "unknown node kind 'split'"
     # a bag naming a vertex outside the graph: validate words it, for the
     # decomposition and for its nice form
     td = TreeDec(bags=[frozenset({0, 1}), frozenset({1, 2, 7})], edges=[(0, 1)])

@@ -3,11 +3,12 @@ import warnings
 import pytest
 
 from lospre.cfg import calc_set
+from lospre.cli import RunConfig, run_pipeline
 from lospre.cost import CostVec
 from lospre.dp import solve
-from lospre.errors import IrParseError
+from lospre.errors import IrParseError, LospreError
 from lospre.interp import equivalent_states, interpret
-from lospre.ir import (ASSIGN, BINOP, BRANCH, LOAD, RET, STORE, UNOP,
+from lospre.ir import (ASSIGN, BINOP, BRANCH, LOAD, RET, STORE, UNOP, Instruction, Program,
                        UnreachableCodeWarning, build_cfg, candidate_key,
                        copy_propagate, derive_problems, format_ir, instr_node,
                        parse_ir, rewrite, tmp_names)
@@ -45,8 +46,9 @@ def test_instruction_roles_come_from_their_fields():
     prog = parse_ir("x = i << y\ny = x\nz = - y\nw = *p\n*p = w\n*3 = 4\nif x goto L\n"
                     "goto L\nL: ret\n")
     assert [ins.dest for ins in prog] == ["x", "y", "z", "w", None, None, None, None, None]
-    assert [ins.uses() for ins in prog] == \
-        [("i", "y"), ("x",), ("y",), ("p",), ("p", "w"), (), ("x",), (), ()]
+    assert [Program([ins]).variables() for ins in prog] == \
+        [{"x", "i", "y"}, {"y", "x"}, {"z", "y"}, {"w", "p"}, {"p", "w"}, set(), {"x"},
+         set(), set()]
     assert prog.variables() == {"i", "p", "w", "x", "y", "z"}
 
 
@@ -239,6 +241,37 @@ def test_commutative_canonicalization():
     displays = [c.display() for c, _ in pairs]
     assert displays.count("a + b") == 1
     assert "b - a" in displays and "a - b" in displays
+
+
+def test_unary_and_binary_minus_are_two_candidates():
+    # a unary key has no right operand; the rewritten text is the one the
+    # pipeline gave when unary keys were spelt "neg" and "not"
+    prog = parse_ir("""\
+        x = - a
+        if c goto other
+        y = a - b
+        goto end
+other:  z = - a
+end:    w = a - b
+        ret
+""")
+    candidates = derive_problems(prog, build_cfg(prog)).candidates
+    assert [(c.op, c.left, c.right, len(c.occurrence_nodes)) for c in candidates] == \
+        [("-", "a", None, 2), ("-", "a", "b", 2)]
+    assert [c.display() for c in candidates] == ["- a", "a - b"]
+    result = run_pipeline(prog, RunConfig())
+    assert [c.display() for c, _ in result.applied] == ["- a", "a - b"]
+    assert format_ir(result.program) == """\
+    __lospre0 = - a
+    x = __lospre0
+    __lospre1 = a - b
+    if c goto other
+    y = __lospre1
+    goto end
+other: z = __lospre0
+end: w = __lospre1
+    ret
+"""
 
 
 def test_stores_invalidate_loads():
@@ -495,6 +528,13 @@ def test_equivalent_states_compares_memory_and_listed_variables():
     # a rewrite's temporary is not listed, so it may differ
     with_temp = interpret(parse_ir("t = a * 5\nx = a + 1\n*x = a\nret\n"), {"a": 2})
     assert equivalent_states(base, with_temp, ["a", "x"])
+
+
+def test_interpreter_rejects_an_operator_the_parser_never_gives():
+    prog = Program([Instruction(BINOP, dest="x", op="%", left=7, right=2), Instruction(RET)])
+    with pytest.raises(LospreError) as info:
+        interpret(prog)
+    assert str(info.value) == "unknown operator '%'"
 
 
 def test_interpreter_total_semantics():

@@ -150,6 +150,19 @@ def test_brute_size_guards():
     nine = Cfg(9, [(i, i + 1) for i in range(8)])
     with pytest.raises(SizeGuardError):
         brute_extended(nine, make_problem(nine, use=[]), lambda v, b, bl, br: CostVec(0, 0))
+    six = Cfg(6, [(i, i + 1) for i in range(5)])
+    with pytest.raises(SizeGuardError, match=r"^brute_extended_full is limited to 5 nodes, got 6$"):
+        brute_extended_full(six, make_problem(six, use=[]), lambda v, b, bl, br: CostVec(0, 0))
+
+
+def test_generate_rejects_a_bad_description():
+    with pytest.raises(ValueError) as info:
+        generate(InstanceGenerator(seed=0, node_range=(6, 6), style="chained-diamonds"))
+    assert str(info.value) == "chained-diamonds sizes must be positive multiples of 4"
+    with pytest.raises(ValueError) as info:
+        generate(InstanceGenerator(seed=0, style="grid"))
+    assert str(info.value) == ("unknown style 'grid'; expected one of "
+                               "('series-parallel', 'random-sparse', 'chained-diamonds')")
 
 
 def test_brute_extended_matches_full_enumeration():

@@ -100,6 +100,12 @@ def test_validate_nice_requires_children_numbered_first():
 def test_make_nice_rejects_broken_tree():
     with pytest.raises(DecompositionError):
         make_nice(TreeDec(bags=[frozenset({0}), frozenset({1})], edges=[]))
+    with pytest.raises(DecompositionError, match=r"^decomposition has no bags$"):
+        make_nice(TreeDec(bags=[], edges=[]))
+    # len(bags) - 1 edges, one of them a loop on a bag the others miss
+    with pytest.raises(DecompositionError, match=r"^decomposition tree is not connected$"):
+        make_nice(TreeDec(bags=[frozenset({0}), frozenset({1}), frozenset({2})],
+                          edges=[(0, 1), (2, 2)]))
 
 
 _F = frozenset

@@ -808,3 +808,20 @@ def test_carried_verdicts_agree_with_a_fresh_cut(monkeypatch):
             problem = cli._enlarge(cfg, problem, candidate.display(), None, [])
         occurrences = len(candidate.occurrence_nodes)
         assert min_calc_count(cfg, problem, occurrences) >= occurrences
+
+
+def test_a_region_cost_that_disagrees_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # a use region whose constant is one computation off: the lift recomputes
+    # the cost on the whole graph and refuses the region's
+    from lospre import cli
+    from lospre.cost import CostVec
+    use_region = cli._use_region
+
+    def off_by_one(cfg, problem):
+        region_cfg, region_problem, region, constant = use_region(cfg, problem)
+        return region_cfg, region_problem, region, constant + CostVec(1, 0)
+
+    monkeypatch.setattr(cli, "_use_region", off_by_one)
+    assert main(["graph", str(SAMPLES / "diamond.graph")]) == EXIT_ERROR
+    assert capsys.readouterr().err == \
+        "error: internal error: region cost disagrees with recomputed objective\n"

@@ -744,3 +744,28 @@ def test_reported_life_set_is_the_least_optimal_one():
         assert all(sol.life_set <= life for life in optimal), seed
         ties += len(optimal) > 1
     assert ties >= 40, ties
+
+
+def test_a_table_cost_that_disagrees_is_an_internal_error(diamond, monkeypatch):
+    from lospre import dp
+    total_cost = dp.total_cost
+    monkeypatch.setattr(dp, "total_cost", lambda *args: total_cost(*args) + CostVec(1, 0))
+    with pytest.raises(LospreError) as info:
+        solved(diamond, make_problem(diamond, use=[2, 3]))
+    assert str(info.value) == "internal error: table cost disagrees with recomputed objective"
+
+
+def test_a_defect_validate_nice_accepts_is_the_kernels_own_error(monkeypatch):
+    # with validate_nice blind, a defect the sweep detects is an internal
+    # error, and one a lookup or comparison detects keeps its own error
+    from lospre import dp
+    monkeypatch.setattr(dp, "validate_nice", lambda cfg, nice: None)
+    path = Cfg(3, [(0, 1), (1, 2)])
+    problem = make_problem(path, use=[1])
+    with pytest.raises(LospreError) as info:
+        solve(path, problem, _nice_path(PATH3[:5]))
+    assert str(info.value) == \
+        "internal error: the sweep rejected a form that validate_nice accepts"
+    with pytest.raises(TypeError) as info:
+        solve(path, problem, _replaced(_nice_path(PATH3), "vertex", 3, None))
+    assert str(info.value) == "'<=' not supported between instances of 'int' and 'NoneType'"

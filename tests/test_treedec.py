@@ -503,3 +503,19 @@ def test_subdivide_patches_every_insertion_shape(edges, text):
     # the old nodes map one to one onto the new nodes that are not added instructions
     added = len(step.program) - len(prog)
     assert len(set(step.node_map)) == len(step.node_map) == new_cfg.node_count - added
+
+
+def test_an_invalid_heuristic_decomposition_is_an_internal_error(monkeypatch):
+    from lospre import treedec
+    monkeypatch.setattr(treedec, "validate", lambda cfg, td: "x")
+    with pytest.raises(DecompositionError) as info:
+        decompose(path_graph(3))
+    assert str(info.value) == "internal error: heuristic produced an invalid decomposition: x"
+
+
+def test_a_nice_form_of_another_width_is_an_internal_error(monkeypatch):
+    td = decompose(path_graph(3))
+    monkeypatch.setattr(TreeDec, "width", 99)
+    with pytest.raises(DecompositionError) as info:
+        make_nice(td)
+    assert str(info.value) == "internal error: width changed during nice conversion"

@@ -261,21 +261,21 @@ def total_cost(cfg: Cfg, problem: ExprProblem, life: Iterable[int]) -> CostVec:
 # Unlisted nodes default to l=[0,1], edges default to c=[1,0].
 
 
-def _parse_ids(text: str, line: int) -> list:
+def _parse_ids(text: str) -> list:
     text = text.strip()
     if not text:
         return []
     try:
         return [int(t) for t in text.split(",")]
     except ValueError:
-        raise GraphFormatError(f"malformed id list {text!r}", line)
+        raise ValueError(f"malformed id list {text!r}")
 
 
-def _node_id(token: str, line: int) -> int:
+def _node_id(token: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise GraphFormatError(f"malformed node id {token!r}", line)
+        raise ValueError(f"malformed node id {token!r}")
 
 
 def load_cfg(text: str):
@@ -296,58 +296,55 @@ def load_cfg(text: str):
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "cfg":
-            if node_count is not None:
-                raise GraphFormatError("duplicate 'cfg' header", lineno)
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise GraphFormatError("expected 'cfg <node_count>'", lineno)
-            node_count = int(parts[1])
-            if node_count == 0:
-                raise GraphFormatError("a graph must have at least one node", lineno)
-        elif node_count is None:
-            raise GraphFormatError("file must start with 'cfg <node_count>'", lineno)
-        elif parts[0] == "node":
-            if len(parts) != 3 or not parts[2].startswith("l="):
-                raise GraphFormatError("expected 'node <id> l=<cost>'", lineno)
-            v = _node_id(parts[1], lineno)
-            try:
+        try:
+            if parts[0] == "cfg":
+                if node_count is not None:
+                    raise ValueError("duplicate 'cfg' header")
+                if len(parts) != 2 or not parts[1].isdecimal():
+                    raise ValueError("expected 'cfg <node_count>'")
+                node_count = int(parts[1])
+                if node_count == 0:
+                    raise ValueError("a graph must have at least one node")
+            elif node_count is None:
+                raise ValueError("file must start with 'cfg <node_count>'")
+            elif parts[0] == "node":
+                if len(parts) != 3 or not parts[2].startswith("l="):
+                    raise ValueError("expected 'node <id> l=<cost>'")
+                v = _node_id(parts[1])
                 cost = parse_cost(parts[2][2:])
-            except ValueError as exc:
-                raise GraphFormatError(str(exc), lineno)
-            if not (0 <= v < node_count):
-                raise GraphFormatError(f"unknown node id {v}", lineno)
-            node_cost[v] = cost
-        elif parts[0] == "edge":
-            if len(parts) != 4 or not parts[3].startswith("c="):
-                raise GraphFormatError("expected 'edge <from> <to> c=<cost>'", lineno)
-            u, v = _node_id(parts[1], lineno), _node_id(parts[2], lineno)
-            try:
-                cost = parse_cost(parts[3][2:], edge=True)
-            except ValueError as exc:
-                raise GraphFormatError(str(exc), lineno)
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise GraphFormatError(f"edge ({u}, {v}) references an unknown node id", lineno)
-            if (u, v) in edge_cost:
-                raise GraphFormatError(f"duplicate edge {u} -> {v}", lineno)
-            edges.append((u, v))
-            edge_cost[(u, v)] = cost
-        elif parts[0] == "problem":
-            use = inv = None
-            for p in parts[1:]:
-                if p.startswith("use="):
-                    use = _parse_ids(p[4:], lineno)
-                elif p.startswith("invalidate="):
-                    inv = _parse_ids(p[11:], lineno)
-                else:
-                    raise GraphFormatError(f"unexpected token {p!r}", lineno)
-            if use is None or inv is None:
-                raise GraphFormatError("expected 'problem use=<ids> invalidate=<ids>'", lineno)
-            for v in use + inv:
                 if not (0 <= v < node_count):
-                    raise GraphFormatError(f"unknown node id {v}", lineno)
-            raw_problems.append((use, inv, lineno))
-        else:
-            raise GraphFormatError(f"unknown directive {parts[0]!r}", lineno)
+                    raise ValueError(f"unknown node id {v}")
+                node_cost[v] = cost
+            elif parts[0] == "edge":
+                if len(parts) != 4 or not parts[3].startswith("c="):
+                    raise ValueError("expected 'edge <from> <to> c=<cost>'")
+                u, v = _node_id(parts[1]), _node_id(parts[2])
+                cost = parse_cost(parts[3][2:], edge=True)
+                if not (0 <= u < node_count and 0 <= v < node_count):
+                    raise ValueError(f"edge ({u}, {v}) references an unknown node id")
+                if (u, v) in edge_cost:
+                    raise ValueError(f"duplicate edge {u} -> {v}")
+                edges.append((u, v))
+                edge_cost[(u, v)] = cost
+            elif parts[0] == "problem":
+                use = inv = None
+                for p in parts[1:]:
+                    if p.startswith("use="):
+                        use = _parse_ids(p[4:])
+                    elif p.startswith("invalidate="):
+                        inv = _parse_ids(p[11:])
+                    else:
+                        raise ValueError(f"unexpected token {p!r}")
+                if use is None or inv is None:
+                    raise ValueError("expected 'problem use=<ids> invalidate=<ids>'")
+                for v in use + inv:
+                    if not (0 <= v < node_count):
+                        raise ValueError(f"unknown node id {v}")
+                raw_problems.append((use, inv, lineno))
+            else:
+                raise ValueError(f"unknown directive {parts[0]!r}")
+        except ValueError as exc:
+            raise GraphFormatError(str(exc), lineno)
     if node_count is None:
         raise GraphFormatError("file must start with 'cfg <node_count>'")
 

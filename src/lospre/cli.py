@@ -230,12 +230,12 @@ def _carried(verdicts: set, touched: set, loaded: set) -> set:
     carry to this pass: not ``touched`` and with no operand in ``loaded``.
 
     ``touched`` holds the key the last pass applied and every key that copy
-    propagation took from or gave to an instruction; ``loaded`` holds every
-    variable that was or is a load result when the last pass applied a
-    load, and is empty otherwise.  Any other candidate has, mapped through
-    the rewrite, the use and invalidation sets it had: a rewrite defines
-    only a fresh temporary, moves no store, and moves a load only when it
-    applies one; copy propagation changes reads only.
+    propagation took from or gave to an instruction; ``loaded`` holds the
+    last pass's load results when it applied a load, and is empty
+    otherwise.  Any other candidate has, mapped through the rewrite, the use
+    and invalidation sets it had: a rewrite defines only a fresh temporary,
+    which no key of the last pass names, moves no store, and moves a load
+    only when it applies one; copy propagation changes reads only.
     """
     return {key for key in verdicts
             if key not in touched and key[1] not in loaded and key[2] not in loaded}
@@ -259,30 +259,22 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     override only of a calculation edge, which is finite, and costs the
     edges and nodes it adds by the directives' defaults, which already cost
     the source edge and the source node, so no rewrite changes whether
-    every cost is finite.
-
-    Each solve goes through ``_region_solve``: it decomposes and solves the
-    candidate's use region (``_use_region``) and recomputes calculation set
-    and cost on the whole graph; the optimum is the least optimal life set
-    either way.  The width guard (exit 3) reads the region's width.  The
-    cut runs on B alone (``min_calc_count``).
+    every cost is finite.  Each solve goes through ``_region_solve``, and
+    the width guard (exit 3) reads the width of the region it solves.
 
     A "cannot gain" verdict carries to the next pass, which skips the
     candidate before building its problem, when ``_carried`` finds that the
     last pass left the candidate's use and invalidation sets as they were,
     mapped through the rewrite: its key is not the one applied, copy
     propagation neither took it from an instruction nor gave it to one,
-    and, when a load was applied, no operand was or is a load result.
-    Every new node then lies outside both sets, and subdividing an edge
-    with such a node keeps the minimum cut, enlarged or not.  Only the
-    first pass calls ``build_cfg``; each later one takes the graph the last
-    rewrite returned (``Rewrite.cfg``): the last graph with each
-    calculation edge subdivided by the computation placed on it, before
-    the head of a source edge, inline on a fallthrough edge or in a
-    trailing block on a jump edge.  Its fake edges and source edges are
-    those of the input; the result keeps the last graph.  Copy propagation
-    runs on the pass's graph, and a candidate's problem is built only when
-    the pass looks past its occurrence count.
+    and, when a load was applied, no operand is one of that pass's load
+    results.  Every new node then lies outside both sets, and subdividing
+    an edge with such a node keeps the minimum cut, enlarged or not.  So
+    only the first pass calls ``build_cfg``; each later one takes the graph
+    the last rewrite returned (``Rewrite.cfg``), whose fake edges and source
+    edges are those of the input, and the result keeps the last graph.
+    Copy propagation runs on the pass's graph, and a candidate's problem is
+    built only when the pass looks past its occurrence count.
 
     The candidate loop decides alone.  Once a pass has decided,
     ``_verify_pass`` re-checks it under --verify and changes nothing but
@@ -295,13 +287,12 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     cfg = irmod.build_cfg(program)
     tmp_names = irmod.tmp_names(program)
     certify = cfg.has_finite_costs()
-    verdicts = set()  # keys of the candidates that cannot gain
-    touched = last_loaded = ()  # what the last pass changed, for _carried
+    verdicts = set()  # keys of the candidates that cannot gain; empty unless certify
+    touched = loaded = ()  # what the last pass changed, for _carried
     for passes in range(1, pass_limit + 1):
         chosen = None
         derived = irmod.derive_problems(program, cfg)
-        loaded = last_loaded | derived.load_results if last_loaded else ()
-        carried = _carried(verdicts, touched, loaded) if certify and verdicts else ()
+        carried = _carried(verdicts, touched, loaded) if verdicts else ()
         verdicts = set()
         for k, candidate in enumerate(derived.candidates):
             occurrences = len(candidate.occurrence_nodes)
@@ -341,7 +332,7 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
                    if old is not new)
         touched = {(candidate.op, candidate.left, candidate.right)}
         touched.update(irmod.candidate_key(ins) for pair in changed for ins in pair)
-        last_loaded = derived.load_results if candidate.op == "load" else ()
+        loaded = derived.load_results if candidate.op == "load" else ()
     else:
         raise LospreError(f"internal error: no fixpoint after {pass_limit} passes")
     return PipelineResult(program=program, cfg=cfg, applied=applied, passes=passes,

@@ -14,10 +14,11 @@ yet forgotten (a bytearray marks the forgotten vertices) and is in the
 child bag; ``assign_edges_to_forgets`` is the reference of that charging.
 
 The kernel only detects defects of the decomposition, with checks a valid
-form pays anyway: a missing child table, a vertex outside the graph or
-forgotten twice, a failed lookup, and after the sweep a vertex never
-forgotten, an uncharged edge, a root (the last node) whose bag is not
-empty, and a node the root does not reach.  ``validate_nice`` words each
+form pays anyway: a leaf with a non-empty bag, a node of unknown kind, a
+missing child table, a vertex outside the graph or forgotten twice, a
+failed lookup, and after the sweep a vertex never forgotten, an uncharged
+edge, a root (the last node) whose bag is not empty, and a node the root
+does not reach.  ``validate_nice`` words each
 as a ``DecompositionError``; if it accepts the form, the kernel's own
 error stands.
 
@@ -62,7 +63,7 @@ from .cfg import Cfg, ExprProblem, calc_set, total_cost, validate_problem
 from .cost import INFINITY, ZERO, CostVec, format_cost, sum_costs
 from .errors import (DecompositionError, LospreError, NoFeasibleSolutionError,
                      WidthExceededError)
-from .treedec import INTRODUCE, JOIN, LEAF, NiceTreeDec, validate_nice
+from .treedec import FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDec, validate_nice
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def assign_edges_to_forgets(cfg: Cfg, nice: NiceTreeDec) -> dict:
     assigns it, without building the assignment.  ``nice`` must be a form
     that ``validate_nice`` accepts.
     """
-    fm = nice.forget_map()
+    fm = {v: i for i, (kind, v) in enumerate(zip(nice.kinds, nice.vertex)) if kind == FORGET}
     assignment = {i: [] for i in fm.values()}
     for (x, y) in sorted(cfg.edges):
         assignment[min(fm[x], fm[y])].append((x, y))
@@ -201,6 +202,8 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
         for i in range(nice.node_count):
             kind = kinds[i]
             if kind == LEAF:
+                if bags[i]:
+                    raise _defect(cfg, nice)
                 tables[i] = [0]
                 transitions += 1
                 continue
@@ -222,7 +225,7 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
                 tables[ch[1]] = None
                 tables[i] = list(map(add, child, other))
                 transitions += len(child)
-            else:  # forget: charge v's edges on the child table, then minimize
+            elif kind == FORGET:  # charge v's edges on the child table, then minimize
                 v = vertex[i]
                 if not 0 <= v < n or forgotten[v]:
                     raise _defect(cfg, nice)
@@ -260,6 +263,8 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
                 tables[i] = [a if a <= b else b for a, b in zip(d, lv)]
                 choices[i] = bytes(map(lt, lv, d))
                 transitions += 2 * len(d) * (1 + edges)
+            else:
+                raise _defect(cfg, nice)
     except (IndexError, TypeError, ValueError) as exc:
         raise _defect(cfg, nice, exc)
 
@@ -373,12 +378,9 @@ def solve_extended(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec,
                           transitions=transitions)
 
 
-def format_solution(solution: LospreSolution, *, index: Optional[int] = None) -> str:
-    """Serialize a solution: cost pair, life node ids, calculation edges."""
-    lines = []
-    if index is not None:
-        lines.append(f"problem {index}")
-    lines.append(f"cost {format_cost(solution.cost)}")
+def format_solution(solution: LospreSolution, *, index: int) -> str:
+    """Serialize a solution: problem index, cost pair, life node ids, calculation edges."""
+    lines = [f"problem {index}", f"cost {format_cost(solution.cost)}"]
     lines.append("life " + " ".join(str(v) for v in sorted(solution.life_set)))
     lines.append("calc " + " ".join(f"{u}->{v}" for (u, v) in sorted(solution.calc_set)))
     if solution.life_left is not None:

@@ -9,6 +9,7 @@ semantics, and shift amounts are masked to 0..63.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, and_, mul, or_, sub, xor
 
 from .errors import LospreError
 from .ir import ASSIGN, BINOP, BRANCH, JUMP, LOAD, RET, STORE, UNOP
@@ -22,29 +23,17 @@ class StepLimitExceeded(LospreError):
 class InterpResult:
     variables: dict
     memory: dict = field(default_factory=dict)
-    steps: int = 0
+
+
+_BINOPS = {"+": add, "-": sub, "*": mul, "/": lambda a, b: 0 if b == 0 else a // b,
+           "<<": lambda a, b: a << (b & 63), ">>": lambda a, b: a >> (b & 63),
+           "&": and_, "|": or_, "^": xor}
 
 
 def _binop(op, a, b):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return 0 if b == 0 else a // b
-    if op == "<<":
-        return a << (b & 63)
-    if op == ">>":
-        return a >> (b & 63)
-    if op == "&":
-        return a & b
-    if op == "|":
-        return a | b
-    if op == "^":
-        return a ^ b
-    raise LospreError(f"unknown operator {op!r}")
+    if op not in _BINOPS:
+        raise LospreError(f"unknown operator {op!r}")
+    return _BINOPS[op](a, b)
 
 
 def interpret(program, initial_vars=None, memory=None, *, max_steps=100000) -> InterpResult:
@@ -88,8 +77,7 @@ def interpret(program, initial_vars=None, memory=None, *, max_steps=100000) -> I
         elif kind == RET:
             break
         pc += 1
-    return InterpResult(variables=variables, memory={a: v for a, v in mem.items() if v != 0},
-                        steps=steps)
+    return InterpResult(variables=variables, memory={a: v for a, v in mem.items() if v != 0})
 
 
 def equivalent_states(before: InterpResult, after: InterpResult, variables) -> bool:

@@ -107,9 +107,9 @@ def _operand(tok: str) -> Operand:
     raise ValueError(f"malformed operand {tok!r}")
 
 
-def _var(tok: str, lineno: int) -> str:
+def _var(tok: str) -> str:
     if not tok.isidentifier():
-        raise IrParseError(f"expected a variable name, got {tok!r}", lineno)
+        raise ValueError(f"expected a variable name, got {tok!r}")
     return tok
 
 
@@ -124,25 +124,25 @@ def parse_ir(text: str) -> Program:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("!"):
-            names = _parse_directive(line, lineno, program)
-            if names:
-                named.setdefault(names, lineno)
-            continue
-        label = None
-        if ":" in line.split()[0]:
-            head, _, rest = line.partition(":")
-            label = head.strip()
-            if not label.isidentifier():
-                raise IrParseError(f"malformed label {head!r}", lineno)
-            if label in labels:
-                raise IrParseError(f"duplicate label {label!r}", lineno)
-            labels[label] = len(instructions)
-            line = rest.strip()
-            if not line:
-                raise IrParseError("a label must be followed by an instruction on the same line", lineno)
         try:
-            instructions.append(_parse_instruction(line, lineno, label))
+            if line.startswith("!"):
+                names = _parse_directive(line, program)
+                if names:
+                    named.setdefault(names, lineno)
+                continue
+            label = None
+            if ":" in line.split()[0]:
+                head, _, rest = line.partition(":")
+                label = head.strip()
+                if not label.isidentifier():
+                    raise ValueError(f"malformed label {head!r}")
+                if label in labels:
+                    raise ValueError(f"duplicate label {label!r}")
+                labels[label] = len(instructions)
+                line = rest.strip()
+                if not line:
+                    raise ValueError("a label must be followed by an instruction on the same line")
+            instructions.append(_parse_instruction(line, label))
         except ValueError as exc:
             raise IrParseError(str(exc), lineno)
         linenos.append(lineno)
@@ -161,45 +161,42 @@ def parse_ir(text: str) -> Program:
     return program
 
 
-def _parse_directive(line: str, lineno: int, program: Program) -> tuple:
+def _parse_directive(line: str, program: Program) -> tuple:
     """Apply one directive to ``program``; the override's directive and labels, if any."""
     parts = line.split()
-    try:
-        if parts[0] == "!edgecost" and len(parts) == 2:
-            program.default_edge_cost = parse_cost(parts[1], edge=True)
-        elif parts[0] == "!edgecost" and len(parts) == 4:
-            program.edge_cost_overrides[(parts[1], parts[2])] = parse_cost(parts[3], edge=True)
-            return tuple(parts[:3])
-        elif parts[0] == "!nodecost" and len(parts) == 2:
-            program.default_node_cost = parse_cost(parts[1])
-        elif parts[0] == "!nodecost" and len(parts) == 3:
-            program.node_cost_overrides[parts[1]] = parse_cost(parts[2])
-            return tuple(parts[:2])
-        else:
-            raise IrParseError(f"malformed directive {line!r}", lineno)
-    except ValueError as exc:
-        raise IrParseError(str(exc), lineno)
+    if parts[0] == "!edgecost" and len(parts) == 2:
+        program.default_edge_cost = parse_cost(parts[1], edge=True)
+    elif parts[0] == "!edgecost" and len(parts) == 4:
+        program.edge_cost_overrides[(parts[1], parts[2])] = parse_cost(parts[3], edge=True)
+        return tuple(parts[:3])
+    elif parts[0] == "!nodecost" and len(parts) == 2:
+        program.default_node_cost = parse_cost(parts[1])
+    elif parts[0] == "!nodecost" and len(parts) == 3:
+        program.node_cost_overrides[parts[1]] = parse_cost(parts[2])
+        return tuple(parts[:2])
+    else:
+        raise ValueError(f"malformed directive {line!r}")
     return ()
 
 
-def _parse_instruction(line: str, lineno: int, label: Optional[str]) -> Instruction:
+def _parse_instruction(line: str, label: Optional[str]) -> Instruction:
     toks = line.split()
     if toks == ["ret"]:
         return Instruction(RET, label)
     if toks[0] == "goto":
         if len(toks) != 2:
-            raise IrParseError("expected 'goto L'", lineno)
-        return Instruction(JUMP, label, target=_var(toks[1], lineno))
+            raise ValueError("expected 'goto L'")
+        return Instruction(JUMP, label, target=_var(toks[1]))
     if toks[0] == "if":
         if len(toks) != 4 or toks[2] != "goto":
-            raise IrParseError("expected 'if x goto L'", lineno)
-        return Instruction(BRANCH, label, left=_operand(toks[1]), target=_var(toks[3], lineno))
+            raise ValueError("expected 'if x goto L'")
+        return Instruction(BRANCH, label, left=_operand(toks[1]), target=_var(toks[3]))
     if toks[0].startswith("*"):
         if len(toks) != 3 or toks[1] != "=":
-            raise IrParseError("expected '*p = y'", lineno)
+            raise ValueError("expected '*p = y'")
         return Instruction(STORE, label, left=_operand(toks[0][1:]), right=_operand(toks[2]))
     if len(toks) >= 3 and toks[1] == "=":
-        dest = _var(toks[0], lineno)
+        dest = _var(toks[0])
         rhs = toks[2:]
         if len(rhs) == 1:
             if rhs[0].startswith("*"):
@@ -210,21 +207,17 @@ def _parse_instruction(line: str, lineno: int, label: Optional[str]) -> Instruct
         if len(rhs) == 3 and rhs[1] in BINARY_OPS:
             return Instruction(BINOP, label, dest=dest, op=rhs[1],
                                left=_operand(rhs[0]), right=_operand(rhs[2]))
-        raise IrParseError(f"malformed right-hand side {' '.join(rhs)!r}", lineno)
-    raise IrParseError(f"unrecognized instruction {line!r}", lineno)
+        raise ValueError(f"malformed right-hand side {' '.join(rhs)!r}")
+    raise ValueError(f"unrecognized instruction {line!r}")
+
+
+_SYNTAX = {RET: "ret", JUMP: "goto {target}", BRANCH: "if {left} goto {target}",
+           STORE: "*{left} = {right}", LOAD: "{dest} = *{left}", ASSIGN: "{dest} = {left}",
+           UNOP: "{dest} = {op} {left}", BINOP: "{dest} = {left} {op} {right}"}
 
 
 def format_instruction(ins: Instruction) -> str:
-    body = {
-        RET: lambda: "ret",
-        JUMP: lambda: f"goto {ins.target}",
-        BRANCH: lambda: f"if {ins.left} goto {ins.target}",
-        STORE: lambda: f"*{ins.left} = {ins.right}",
-        LOAD: lambda: f"{ins.dest} = *{ins.left}",
-        ASSIGN: lambda: f"{ins.dest} = {ins.left}",
-        UNOP: lambda: f"{ins.dest} = {ins.op} {ins.left}",
-        BINOP: lambda: f"{ins.dest} = {ins.left} {ins.op} {ins.right}",
-    }[ins.kind]()
+    body = _SYNTAX[ins.kind].format_map(vars(ins))
     return f"{ins.label}: {body}" if ins.label else body
 
 

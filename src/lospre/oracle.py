@@ -257,7 +257,6 @@ class InstanceGenerator:
 
     seed: int
     node_range: tuple = (4, 12)
-    edge_density: float = 0.25
     style: str = "random-sparse"
     cost_style: str = "unit"  # or "random"
 
@@ -303,11 +302,10 @@ def generate(gen: InstanceGenerator):
         edges = _series_parallel_edges(rng, n)
     elif gen.style == "random-sparse":
         n = rng.randint(max(2, lo), max(2, hi))
-        density = min(gen.edge_density, 1.0)
         edges = set()
         for i in range(n):
             for j in range(i + 1, n):
-                if rng.random() < density:
+                if rng.random() < 0.25:
                     edges.add((i, j))
         for j in range(1, n):
             if not any(e[1] == j for e in edges):

@@ -81,11 +81,6 @@ class NiceTreeDec:
     def width(self) -> int:
         return max(map(len, self.bags), default=0) - 1
 
-    def forget_map(self) -> dict:
-        """Map each forgotten vertex to its forget node, the only one in a
-        form that ``validate_nice`` accepts."""
-        return {v: i for i, (kind, v) in enumerate(zip(self.kinds, self.vertex)) if kind == FORGET}
-
 
 def _undirected_adjacency(cfg: Cfg) -> list:
     adj = [set() for _ in range(cfg.node_count)]

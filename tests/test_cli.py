@@ -150,6 +150,8 @@ GRAPH_ERRORS = [
     ("cfg 2\nedge 0 1 c=[1,0]\nproblem use=a invalidate=\n", "line 3: malformed id list 'a'"),
     ("cfg 2\ncfg 2\n", "line 2: duplicate 'cfg' header"),
     ("cfg two\n", "line 1: expected 'cfg <node_count>'"),
+    # a digit that int() does not read
+    ("cfg \u00b2\n", "line 1: expected 'cfg <node_count>'"),
     ("cfg 0\n", "line 1: a graph must have at least one node"),
     ("node 0 l=[0,1]\n", "line 1: file must start with 'cfg <node_count>'"),
     ("# no header\n", "file must start with 'cfg <node_count>'"),

@@ -44,12 +44,6 @@ def test_chained_diamonds_exact_size_and_width():
         assert td.width <= 2
 
 
-def test_density_clamped():
-    cfg, _ = generate(InstanceGenerator(seed=2, node_range=(6, 6), edge_density=7.5))
-    n = cfg.node_count
-    assert len(cfg.edges) <= n * (n - 1) // 2
-
-
 def test_brute_lospre_known_diamond():
     cfg = Cfg(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
     sol = brute_lospre(cfg, make_problem(cfg, use=[2, 3]))

@@ -175,8 +175,8 @@ def test_every_vertex_forgotten_once():
     for seed in range(30):
         cfg, _ = generate(InstanceGenerator(seed=seed, node_range=(4, 12)))
         nice = make_nice(decompose(cfg))
-        fm = nice.forget_map()
-        assert set(fm) == set(range(cfg.node_count))
+        forgotten = [v for kind, v in zip(nice.kinds, nice.vertex) if kind == FORGET]
+        assert sorted(forgotten) == list(range(cfg.node_count))
 
 
 def test_dot_export():

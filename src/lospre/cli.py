@@ -23,8 +23,8 @@ from .cfg import (DEFAULT_EDGE_COST, Cfg, calc_set, dump_dot, load_cfg,
 from .cost import ZERO, sum_costs
 from .dp import format_solution, solve
 from .errors import InputFormatError, LospreError, NoFeasibleSolutionError, WidthExceededError
-from .oracle import (BRUTE_LOSPRE_MAX_NODES, BRUTE_SAFETY_FIXPOINT_MAX_NODES, STYLES,
-                     InstanceGenerator, brute_lospre, brute_safety, brute_safety_fixpoint, generate)
+from .oracle import (BRUTE_LOSPRE_MAX_NODES, STYLES, InstanceGenerator, brute_lospre,
+                     brute_safety, generate)
 from .safety import apply_safety, solve_safety
 from .treedec import decompose, dump_dot_treedec, make_nice
 
@@ -65,30 +65,19 @@ class PipelineResult:
     verify_failures: list
 
 
-def _safety_oracle(cfg):
-    """The safety reference ``--verify`` uses on ``cfg``: the path closure on any
-    acyclic graph, the fixpoint on a cyclic one of at most 12 nodes, else None."""
-    if cfg.is_acyclic():
-        return brute_safety
-    if cfg.node_count <= BRUTE_SAFETY_FIXPOINT_MAX_NODES:
-        return brute_safety_fixpoint
-    return None
-
-
 def _unit_costs(cfg) -> bool:
     """Every edge costs [1,0] and every node cost has primary 0: the cut is the optimum."""
     return all(c == DEFAULT_EDGE_COST for c in cfg.edge_cost.values()) and \
         all(not c.infinite and c.primary == 0 for c in cfg.node_cost.values())
 
 
-def _enlarge(cfg, problem, label: str, safety_oracle, failures: list):
-    """The problem with its safety-enlarged invalidation set, checked against
-    ``safety_oracle`` unless it is None; a mismatch is appended to ``failures``.
-    ``_verify_pass`` and ``graph --verify`` pass an oracle; ``graph`` without
-    ``--verify`` enlarges without one."""
+def _enlarge(cfg, problem, label: str, failures=None):
+    """The problem with its safety-enlarged invalidation set.  When
+    ``failures`` is a list (``_verify_pass`` and ``graph --verify``), the set
+    is checked against ``brute_safety`` and a mismatch is appended to it."""
     safety_sol = solve_safety(cfg, problem)
-    if safety_oracle is not None:
-        oracle_sol = safety_oracle(cfg, problem)
+    if failures is not None:
+        oracle_sol = brute_safety(cfg, problem)
         if oracle_sol.i_prime != safety_sol.i_prime:
             failures.append(
                 f"safety mismatch for {label}: "
@@ -198,18 +187,17 @@ def _verify_pass(cfg, derived, chosen, config: RunConfig, failures: list) -> Non
     decided, deciding nothing: ``derived`` is its derivation on ``cfg`` and
     ``chosen`` the (candidate, solution) it applies, or None.  Each candidate
     up to the applied one, or every one when none was applied, is enlarged
-    against ``_safety_oracle`` where --safety asks, solved by
+    and checked against ``brute_safety`` where --safety asks, solved by
     ``_region_solve`` and checked by ``_verify_solution``; above the plain
     run's --max-width, brute force checks it on at most VERIFY_MAX_NODES
     nodes, and stderr calls it "unchecked" on more.  One that gains but was
     not applied is a verdict mismatch.  Failures go to ``failures``."""
     if not config.verify:
         return
-    safety_oracle = _safety_oracle(cfg)
     for k, candidate in enumerate(derived.candidates):
         label, problem = candidate.display(), derived[k][1]
         if _wants_safety(config, candidate):
-            problem = _enlarge(cfg, problem, label, safety_oracle, failures)
+            problem = _enlarge(cfg, problem, label, failures)
         solution, width = _region_solve(cfg, problem, config.max_width)
         if solution is not None:
             failures.extend(_verify_solution(cfg, problem, label, solution))
@@ -379,12 +367,11 @@ def cmd_run(config: RunConfig, path: Path, text: str) -> int:
 
 def cmd_graph(config: RunConfig, path: Path, text: str) -> int:
     cfg, problems = load_cfg(text)
-    safety_oracle = _safety_oracle(cfg) if config.verify else None
     failures, solutions = [], []
     for k, problem in enumerate(problems):
         label = f"problem {k}"
         if config.safety == "always":
-            problem = _enlarge(cfg, problem, label, safety_oracle, failures)
+            problem = _enlarge(cfg, problem, label, failures if config.verify else None)
         solution, width = _region_solve(cfg, problem, config.max_width)
         if solution is None:
             raise _too_wide(width, config)
@@ -424,7 +411,7 @@ def cmd_safety(config: RunConfig, path: Path, text: str) -> int:
         cfg = irmod.build_cfg(program)
         pairs = [(f"candidate {candidate.display()}", problem)
                  for candidate, problem in irmod.derive_problems(program, cfg)
-                 if candidate.safety_required or config.safety == "always"]
+                 if _wants_safety(config, candidate)]
     elif config.safety == "always":
         # graph files carry no "safety required" mark: auto already enlarges every problem
         sys.stderr.write("error: --safety always needs IR input; "
@@ -476,7 +463,6 @@ def cmd_oracle_check(checked: range, size: int, style: str) -> int:
         nice = make_nice(decompose(cfg))
         solution = solve(cfg, problem, nice)
         reference = brute_lospre(cfg, problem)
-        # generated graphs are acyclic, where the path closure is exact
         ok = (solution.cost, solution.life_set) == (reference.cost, reference.life_set) and \
             solve_safety(cfg, problem).i_prime == brute_safety(cfg, problem).i_prime
         failed += not ok

@@ -2,10 +2,9 @@
 
 These are the ground truth the solvers are checked against.  They share no
 code with the solver modules beyond the objective definition itself
-(``calc_set``/``total_cost``), the exact integer keys of costs
-(``dp.cost_keys``) and the graph search ``cfg.reach``, which
-``brute_safety`` shares with the use-region code; the peel that
-``brute_safety`` checks does not use it.  ``brute_lospre`` and
+(``calc_set``/``total_cost``) and the exact integer keys of costs
+(``dp.cost_keys``); ``brute_safety`` sweeps its own fixpoints and shares
+no graph search with ``solve_safety``.  ``brute_lospre`` and
 ``brute_extended`` share one enumeration of all 2**|V| life sets, a
 Gray-code walk over a restatement of the objective in those keys; the
 reported cost is recomputed from the objective, and the tests check the
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cfg import (Cfg, DEFAULT_EDGE_COST, DEFAULT_NODE_COST, ExprProblem, calc_set, make_problem,
-                  reach, total_cost)
+                  total_cost)
 from .cost import INFINITY, ZERO, CostVec, sum_costs
 from .dp import LospreSolution, cost_keys
 from .errors import NoFeasibleSolutionError, SizeGuardError
@@ -35,7 +34,6 @@ from .safety import SafetySolution
 
 
 BRUTE_LOSPRE_MAX_NODES = 20
-BRUTE_SAFETY_FIXPOINT_MAX_NODES = 12
 
 
 def _least_optimal_life(cfg: Cfg, problem: ExprProblem, dead_costs: list,
@@ -111,54 +109,36 @@ def brute_lospre(cfg: Cfg, problem: ExprProblem) -> LospreSolution:
 
 
 def brute_safety(cfg: Cfg, problem: ExprProblem) -> SafetySolution:
-    """Path-closure reference for invalidation enlargement.
+    """Dataflow reference for invalidation enlargement, on any graph at any size.
 
-    A node joins the enlarged set iff it is outside the use set and lies on
-    a directed path from an invalidating node to an invalidating non-use
-    node whose nodes strictly between the endpoints all avoid the use set.
-    A node that both uses and invalidates (``v = *v`` reads before it
-    writes) ends no corridor: computing the expression there is not
-    speculative.  Computed by forward reachability from the invalidation
-    set and backward reachability from its non-use part, both on the graph
-    restricted to non-use nodes: two linear ``reach`` searches, at any
-    size.  On acyclic graphs this equals the greatest fixpoint of
-    ``safety.solve_safety``; on cyclic graphs the solver's set may be larger.
+    Two must-analyses on node entry, each swept until a sweep changes
+    nothing.  Up-safety, a greatest fixpoint swept in node order: the value
+    is available at v when every predecessor other than v itself uses it or
+    has it available, and does not invalidate.  Down-safety, a least
+    fixpoint swept in reverse order, so that a use-free cycle never becomes
+    down-safe: v is down-safe when it uses the value, or invalidates
+    nothing and every successor other than v itself is down-safe.  A node
+    outside the use and invalidation sets that is neither joins the set.
     """
-    use, inv = problem.use_set, problem.invalidation_set
-    # reach keeps and expands its starts, a use among them; "- inv" drops them
-    added = frozenset((reach(inv, cfg.succ, use) & reach(inv - use, cfg.pred, use)) - inv)
+    n, use, inv = cfg.node_count, problem.use_set, problem.invalidation_set
+    up, down = [True] * n, [False] * n
+    changed = True
+    while changed:
+        changed = False
+        for v in range(n):
+            new = all((u in use or up[u]) and u not in inv for u in cfg.pred[v] if u != v)
+            changed |= new != up[v]
+            up[v] = new
+    changed = True
+    while changed:
+        changed = False
+        for v in reversed(range(n)):
+            new = v in use or v not in inv and all(down[w] for w in cfg.succ[v] if w != v)
+            changed |= new != down[v]
+            down[v] = new
+    added = frozenset(v for v in range(n)
+                      if v not in use and v not in inv and not up[v] and not down[v])
     return SafetySolution(i_prime=frozenset(inv | added), added=added)
-
-
-def brute_safety_fixpoint(cfg: Cfg, problem: ExprProblem) -> SafetySolution:
-    """Largest set of eligible nodes meeting both witness conditions.
-
-    A node outside the use and invalidation sets is eligible.  In the set,
-    every node needs a successor other than itself that is in the set or
-    invalidates without using, and a predecessor other than itself that is
-    in the set or invalidates.  Enumerates every subset of the eligible
-    nodes, so it is limited to ``BRUTE_SAFETY_FIXPOINT_MAX_NODES`` nodes.
-    Written from the definition alone, independent of the solver's peel;
-    unlike the path closure of ``brute_safety`` it matches that definition
-    on cyclic graphs too.
-    """
-    n = cfg.node_count
-    if n > BRUTE_SAFETY_FIXPOINT_MAX_NODES:
-        raise SizeGuardError(f"brute_safety_fixpoint is limited to "
-                             f"{BRUTE_SAFETY_FIXPOINT_MAX_NODES} nodes, got {n}")
-    use, inv = problem.use_set, problem.invalidation_set
-    eligible = [v for v in range(n) if v not in use and v not in inv]
-    succ = {v: [w for w in cfg.succ[v] if w != v] for v in eligible}
-    pred = {v: [u for u in cfg.pred[v] if u != v] for v in eligible}
-    best = frozenset()
-    for mask in range(1 << len(eligible)):
-        added = frozenset(v for k, v in enumerate(eligible) if mask >> k & 1)
-        if len(added) <= len(best):
-            continue
-        if all(any(w in added or (w in inv and w not in use) for w in succ[v]) and
-               any(u in added or u in inv for u in pred[v]) for v in added):
-            best = added
-    return SafetySolution(i_prime=frozenset(inv | best), added=best)
 
 
 def _permits(allowed_combos):

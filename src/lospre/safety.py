@@ -1,29 +1,29 @@
 """Invalidation-set enlargement for safety-required expressions.
 
 An expression that may trap or touch I/O must never be computed on operand
-values the original program would not compute on.  That is enforced by
-enlarging the invalidation set: nodes lying in unguarded corridors between
-invalidating nodes, whose interiors avoid the use set, become invalidating
-themselves, which walls off exactly the unsafe speculation corridors.
+values the original program would not compute on.  In the terms of lazy
+code motion (Knoop, Ruething and Steffen, PLDI 1992), a node is up-safe
+when every path from the source to it passes a use after the last
+invalidation, and down-safe when every path from it reaches a use before an
+invalidation; a path that cycles without a use reaches none, and a node's
+own self-loop is ignored.  A node that uses and invalidates (``v = *v``
+reads before it writes) counts as a use for down-safety and as an
+invalidation for up-safety.  Every node outside the use and invalidation
+sets that is neither up-safe nor down-safe becomes invalidating, which
+walls off exactly the unsafe speculation corridors.
 
-The added set is the largest set A of eligible nodes (outside both the use
-set and the invalidation set) in which every node v has
-  - a successor w != v with w in A, or w invalidating and not a use, and
-  - a predecessor u != v with u in A, or u invalidating.
-Both conditions are monotone in A, so admissible sets are closed under
-union and the largest one is the greatest fixpoint.  It is computed in
-O(|V| + |E|) by a peel: start from every eligible node, count each node's
-successor and predecessor witnesses, and remove any node whose count
-reaches zero, decrementing the counts of its neighbours.  No decomposition
-is needed.  On acyclic graphs the set equals the path closure of
-``oracle.brute_safety``; in loops, mutually supporting nodes can make it a
-superset of the closure.
+"Not up-safe" is forward reachability from the invalidation set through
+non-use nodes.  "Not down-safe" is the largest set of eligible nodes in
+which every node v has a successor w != v in the set, or invalidating and
+not a use: a peel counts each node's successor witnesses and removes any
+node whose count reaches zero.  Both take O(|V| + |E|) and no
+decomposition; ``oracle.brute_safety`` checks them as two dataflow sweeps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfg import Cfg, ExprProblem, validate_problem
+from .cfg import Cfg, ExprProblem, reach, validate_problem
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,11 @@ def apply_safety(problem: ExprProblem, sol: SafetySolution) -> ExprProblem:
 
 
 def solve_safety(cfg: Cfg, problem: ExprProblem, nice=None) -> SafetySolution:
-    """Compute the enlarged invalidation set as a greatest fixpoint.
+    """The enlarged invalidation set: every eligible node that is neither
+    up-safe nor down-safe joins it.
 
-    ``nice`` is accepted and ignored: the peel runs in linear time on any
-    graph, so it needs no decomposition and has no width limit.
+    ``nice`` is accepted and ignored: both halves run in linear time on any
+    graph, so they need no decomposition and have no width limit.
     """
     validate_problem(cfg, problem)
     use = problem.use_set
@@ -52,29 +53,20 @@ def solve_safety(cfg: Cfg, problem: ExprProblem, nice=None) -> SafetySolution:
     succ, pred = cfg.succ, cfg.pred
 
     alive = [v not in use and v not in inv for v in range(n)]
-    succ_witness = [alive[w] or (w in inv and w not in use) for w in range(n)]
-    pred_witness = [alive[u] or u in inv for u in range(n)]
+    witness = [alive[w] or (w in inv and w not in use) for w in range(n)]
     # a self-loop does not let a node witness itself
-    succ_count = [sum(succ_witness[w] for w in succ[v] if w != v) for v in range(n)]
-    pred_count = [sum(pred_witness[u] for u in pred[v] if u != v) for v in range(n)]
+    count = [sum(witness[w] for w in succ[v] if w != v) for v in range(n)]
 
-    stack = [v for v in range(n) if alive[v] and not (succ_count[v] and pred_count[v])]
+    stack = [v for v in range(n) if alive[v] and not count[v]]
     for v in stack:
         alive[v] = False
     while stack:
-        v = stack.pop()
-        for u in pred[v]:
+        for u in pred[stack.pop()]:
             if alive[u]:
-                succ_count[u] -= 1
-                if not succ_count[u]:
+                count[u] -= 1
+                if not count[u]:
                     alive[u] = False
                     stack.append(u)
-        for w in succ[v]:
-            if alive[w]:
-                pred_count[w] -= 1
-                if not pred_count[w]:
-                    alive[w] = False
-                    stack.append(w)
 
-    added = frozenset(v for v in range(n) if alive[v])
+    added = frozenset(v for v in reach(inv, succ, use) if alive[v])
     return SafetySolution(i_prime=frozenset(inv | added), added=added)

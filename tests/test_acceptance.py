@@ -25,6 +25,7 @@ from lospre.oracle import (InstanceGenerator, STYLES, brute_extended,
                            generate_inputs, generate_program_text)
 from lospre.safety import apply_safety, solve_safety
 from lospre.treedec import decompose, make_nice, validate, validate_nice
+from test_safety import cyclic_variant
 
 WORK_BOUND_K = 8
 
@@ -85,32 +86,36 @@ def test_lifetime_optimality(optimality_suite):
 
 
 def test_safety_equivalence():
-    """Every generated instance, and again with some uses also invalidating
-    (as ``v = *v`` does), against the path closure."""
-    failures = 0
-    checked = 0
+    """Every generated instance, again with some uses also invalidating (as
+    ``v = *v`` does), and 600 ``cyclic_variant`` instances with back edges
+    and self-loops, against the dataflow reference."""
+    failures = checked = cyclic = 0
     for style in STYLES:
         rng_range = (4, 8) if style == "chained-diamonds" else (4, 10)
         for seed in range(334):
             cfg, problem = generate(InstanceGenerator(seed=seed, node_range=rng_range, style=style))
-            nice = make_nice(decompose(cfg))
             rng = random.Random(seed)
             overlap = frozenset(v for v in sorted(problem.use_set) if rng.random() < 0.5)
-            variants = [problem]
+            instances = [(cfg, problem)]
             if overlap:
-                variants.append(ExprProblem(problem.use_set, problem.invalidation_set | overlap))
-            for problem in variants:
+                instances.append((cfg, ExprProblem(problem.use_set,
+                                                   problem.invalidation_set | overlap)))
+            if seed < 200:
+                instances.append(cyclic_variant(seed, style))
+            for cfg, problem in instances:
+                nice = make_nice(decompose(cfg))
                 sol = solve_safety(cfg, problem, nice)
                 ref = brute_safety(cfg, problem)
                 checked += 1
+                cyclic += not cfg.is_acyclic()
                 if sol.i_prime != ref.i_prime or sol.added != ref.added:
                     failures += 1
                     continue
                 again = solve_safety(cfg, apply_safety(problem, sol), nice)
                 if again.added:
                     failures += 1
-    _report("safety-equivalence", failures == 0 and checked >= 1000,
-            f"({checked} instances, {failures} failures)")
+    _report("safety-equivalence", failures == 0 and checked >= 1000 and cyclic >= 200,
+            f"({checked} instances, {cyclic} cyclic, {failures} failures)")
 
 
 def test_extended_variant():

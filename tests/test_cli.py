@@ -463,25 +463,31 @@ def test_verify_reports_a_wrong_verdict_but_keeps_it(tmp_path, capsys, monkeypat
 
 
 def test_verify_checks_safety_on_cyclic_graphs(tmp_path, capsys, monkeypatch):
-    # the counter loop 2 <-> 3 holds no use of *5: the greatest fixpoint
-    # adds it, the path closure does not (its only entry passes the use at
-    # node 1), so only the fixpoint oracle agrees with the solver
+    # a load, a counter loop of 8 instructions and the load again: 13 nodes,
+    # cyclic.  Every entry to the loop passes the first load, so the loop is
+    # up-safe and nothing is added; a reference that adds it, as the earlier
+    # two-sided witness peel did, must be caught at this size
     import lospre.cli as cli
-    from lospre.ir import build_cfg, derive_problems
-    from lospre.oracle import brute_safety, brute_safety_fixpoint
+    from lospre.ir import build_cfg
+    from lospre.safety import SafetySolution
+    from test_safety import witness_peel
 
-    text = "x = *5\nL: c = c - 1\nif c goto L\ny = *5\nret\n"
-    program = parse_ir(text)
-    cfg = build_cfg(program)
-    [problem] = [p for c, p in derive_problems(program, cfg) if c.safety_required]
-    assert not cfg.is_acyclic()
-    assert brute_safety_fixpoint(cfg, problem).i_prime != brute_safety(cfg, problem).i_prime
+    text = ("x = *5\nL: c = c - 1\n" + "".join(f"w = w + {k}\n" for k in range(6)) +
+            "if c goto L\ny = *5\nret\n")
+    cfg = build_cfg(parse_ir(text))
+    assert cfg.node_count > 12 and not cfg.is_acyclic()
     src = tmp_path / "f.ir"
     src.write_text(text)
-    assert main(["run", str(src), "--verify"]) == EXIT_OK
-    monkeypatch.setattr(cli, "brute_safety_fixpoint", brute_safety)
-    assert main(["run", str(src), "--verify"]) == EXIT_VERIFY
-    assert "safety mismatch" in capsys.readouterr().err
+    assert main(["run", str(src), "--verify", "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert "total eliminated=1" in capsys.readouterr().out
+
+    def two_sided(cfg, problem):
+        added = witness_peel(cfg, problem, pred_side=True, self_witness=False)
+        return SafetySolution(problem.invalidation_set | added, added)
+
+    monkeypatch.setattr(cli, "brute_safety", two_sided)
+    assert main(["run", str(src), "--verify", "--out-dir", str(tmp_path)]) == EXIT_VERIFY
+    assert "safety mismatch for *5" in capsys.readouterr().err
 
 
 def test_verify_checks_safety_on_acyclic_graphs_of_any_size(tmp_path, capsys, monkeypatch):
@@ -807,7 +813,7 @@ def test_carried_verdicts_agree_with_a_fresh_cut(monkeypatch):
     assert len(carried) >= 250
     for cfg, candidate, problem in carried:
         if candidate.safety_required:
-            problem = cli._enlarge(cfg, problem, candidate.display(), None, [])
+            problem = cli._enlarge(cfg, problem, candidate.display())
         occurrences = len(candidate.occurrence_nodes)
         assert min_calc_count(cfg, problem, occurrences) >= occurrences
 

@@ -1,11 +1,8 @@
 import random
 
-import pytest
-
-from lospre.cfg import Cfg, make_problem
-from lospre.errors import SizeGuardError
-from lospre.oracle import (InstanceGenerator, STYLES, brute_safety, brute_safety_fixpoint,
-                           generate)
+from lospre.cfg import Cfg, make_problem, reach
+from lospre.ir import build_cfg, derive_problems, parse_ir
+from lospre.oracle import InstanceGenerator, STYLES, brute_safety, generate
 from lospre.safety import apply_safety, solve_safety
 from lospre.treedec import decompose, make_nice
 
@@ -123,7 +120,7 @@ def test_oracle_equivalence_all_styles():
 
 
 def test_oracle_equivalence_above_sixteen_nodes():
-    # the path closure has no size limit: it is two linear sweeps
+    # the dataflow reference has no size limit
     cfg = line(17)
     problem = make_problem(cfg, use=[])
     assert brute_safety(cfg, problem) == solve_safety(cfg, problem)
@@ -185,34 +182,97 @@ def test_loop_that_reaches_no_use_is_added():
     cfg = Cfg(4, [(0, 1), (1, 2), (2, 1), (0, 3)])
     problem = make_problem(cfg, use=[])
     assert solved(cfg, problem).added == {1, 2}
-    assert brute_safety_fixpoint(cfg, problem).added == {1, 2}
+    assert brute_safety(cfg, problem).added == {1, 2}
+
+
+def test_use_free_cycle_behind_an_invalidation_is_added():
+    # the use at 1 precedes the loop, but node 2 invalidates on the way in:
+    # the loop 3 <-> 4 is neither up-safe nor down-safe, and 5 is down-safe
+    cfg = Cfg(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 3), (3, 5), (5, 6), (6, 7)])
+    problem = make_problem(cfg, use=[1, 6], invalidate=[2])
+    assert solved(cfg, problem).added == {3, 4} == brute_safety(cfg, problem).added
+    # without the invalidation the use at 1 makes the loop up-safe
+    problem = make_problem(cfg, use=[1, 6])
+    assert solved(cfg, problem).added == frozenset() == brute_safety(cfg, problem).added
+
+
+def roadmap_loop():
+    """``x = *5`` / a counter loop / ``y = *5``: the graph and the load's problem."""
+    program = parse_ir("x = *5\nL: c = c - 1\nif c goto L\ny = *5\nret\n")
+    cfg = build_cfg(program)
+    [problem] = [p for c, p in derive_problems(program, cfg) if c.safety_required]
+    return cfg, problem
+
+
+def test_an_up_safe_cycle_is_not_added():
+    # every path into the loop 2 <-> 3 passes the load at node 1 and nothing
+    # invalidates *5 after it, so the loop is up-safe though it holds no use
+    cfg, problem = roadmap_loop()
+    assert problem.use_set == {1, 4} and not cfg.is_acyclic()
+    assert solve_safety(cfg, problem).added == frozenset() == brute_safety(cfg, problem).added
 
 
 def test_self_loop_is_not_its_own_witness():
     # the sink 2 both uses and invalidates, so node 1's only other successor
     # witness would be itself
     cfg = Cfg(3, [(0, 1), (1, 1), (1, 2)])
-    assert solved(cfg, make_problem(cfg, use=[2])).added == frozenset()
-    assert solved(cfg, make_problem(cfg, use=[])).added == {1}
+    for use, added in (([2], frozenset()), ([], {1})):
+        problem = make_problem(cfg, use=use)
+        assert solved(cfg, problem).added == added == brute_safety(cfg, problem).added
 
 
-def test_exhaustive_oracle_on_cyclic_and_overlap_instances():
+def cyclic_instances():
+    """600 ``cyclic_variant`` instances, 200 per style."""
+    return [cyclic_variant(seed, style) for style in STYLES for seed in range(200)]
+
+
+def test_dataflow_oracle_on_cyclic_and_overlap_instances():
     counts = {"cyclic": 0, "self-loop": 0, "overlap": 0}
-    for style in STYLES:
-        for seed in range(200):
-            cfg, problem = cyclic_variant(seed, style)
-            sol = solve_safety(cfg, problem)
-            assert sol.added == brute_safety_fixpoint(cfg, problem).added, (style, seed)
-            assert sol.i_prime == problem.invalidation_set | sol.added
-            counts["cyclic"] += not cfg.is_acyclic()
-            counts["self-loop"] += any(u == v for (u, v) in cfg.edges)
-            counts["overlap"] += bool(problem.use_set & problem.invalidation_set)
+    for cfg, problem in cyclic_instances():
+        sol = solve_safety(cfg, problem)
+        assert sol == brute_safety(cfg, problem)
+        assert sol.i_prime == problem.invalidation_set | sol.added
+        counts["cyclic"] += not cfg.is_acyclic()
+        counts["self-loop"] += any(u == v for (u, v) in cfg.edges)
+        counts["overlap"] += bool(problem.use_set & problem.invalidation_set)
     assert min(counts.values()) >= 50, counts
 
 
-def test_fixpoint_oracle_size_guard():
-    cfg = line(13)
-    with pytest.raises(SizeGuardError):
-        brute_safety_fixpoint(cfg, make_problem(cfg, use=[]))
-    assert brute_safety_fixpoint(line(12), make_problem(line(12), use=[])).added == \
-        frozenset(range(1, 11))
+def witness_peel(cfg, problem, pred_side, self_witness):
+    """The greatest set of eligible nodes in which every node has a successor
+    in the set or invalidating and not a use (itself too if ``self_witness``)
+    and, if ``pred_side``, a predecessor other than itself in the set or
+    invalidating."""
+    use, inv = problem.use_set, problem.invalidation_set
+    added = {v for v in range(cfg.node_count) if v not in use and v not in inv}
+    while True:
+        kept = {v for v in added
+                if any(w in added or (w in inv and w not in use)
+                       for w in cfg.succ[v] if self_witness or w != v)
+                and (not pred_side or any(u in added or u in inv for u in cfg.pred[v] if u != v))}
+        if kept == added:
+            return frozenset(added)
+        added = kept
+
+
+def not_up_safe(cfg, problem):
+    return reach(problem.invalidation_set, cfg.succ, problem.use_set)
+
+
+MUTANTS = {
+    # the two-sided peel of the earlier definition, which adds up-safe loops
+    "two-sided peel": lambda cfg, problem: witness_peel(cfg, problem, True, False),
+    # the path closure alone, which drops use-free cycles that never exit
+    "closure": lambda cfg, problem: (not_up_safe(cfg, problem) - problem.invalidation_set) &
+    reach(problem.invalidation_set - problem.use_set, cfg.pred, problem.use_set),
+    # a self-loop counted as the node's own successor witness
+    "self-loop witness": lambda cfg, problem:
+    witness_peel(cfg, problem, False, True) & not_up_safe(cfg, problem),
+}
+
+
+def test_the_oracle_rejects_each_mutant():
+    instances = cyclic_instances() + [roadmap_loop()]
+    for name, mutant in MUTANTS.items():
+        assert any(mutant(cfg, problem) != brute_safety(cfg, problem).added
+                   for cfg, problem in instances), name

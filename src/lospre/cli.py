@@ -72,9 +72,9 @@ def _unit_costs(cfg) -> bool:
 
 
 def _enlarge(cfg, problem, label: str, failures=None):
-    """The problem with its safety-enlarged invalidation set.  When
-    ``failures`` is a list (``_verify_pass`` and ``graph --verify``), the set
-    is checked against ``brute_safety`` and a mismatch is appended to it."""
+    """The problem with its safety-enlarged invalidation set.  When ``failures``
+    is a list (under --verify, and in oracle-check), the set is checked
+    against ``brute_safety`` and a mismatch is appended to it."""
     safety_sol = solve_safety(cfg, problem)
     if failures is not None:
         oracle_sol = brute_safety(cfg, problem)
@@ -294,7 +294,7 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
                 continue
             problem = derived[k][1]
             if _wants_safety(config, candidate):
-                problem = apply_safety(problem, solve_safety(cfg, problem))
+                problem = _enlarge(cfg, problem, candidate.display())
             if certify and min_calc_count(cfg, problem, occurrences) >= occurrences:
                 # every life set has at least as many calculation edges as
                 # there are occurrences, the optimum included
@@ -463,8 +463,10 @@ def cmd_oracle_check(checked: range, size: int, style: str) -> int:
         nice = make_nice(decompose(cfg))
         solution = solve(cfg, problem, nice)
         reference = brute_lospre(cfg, problem)
+        failures = []
+        _enlarge(cfg, problem, f"seed {seed}", failures)
         ok = (solution.cost, solution.life_set) == (reference.cost, reference.life_set) and \
-            solve_safety(cfg, problem).i_prime == brute_safety(cfg, problem).i_prime
+            not failures
         failed += not ok
         sys.stdout.write(f"seed {seed} {'ok' if ok else 'FAIL'}\n")
     sys.stdout.write(f"checked {len(checked)} failed {failed}\n")

@@ -347,30 +347,28 @@ def solve_extended(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec,
     allowed = {v: set(map(tuple, combos)) for v, combos in (allowed_combos or {}).items()}
     if any(not 0 <= v < n for v in allowed):
         raise LospreError("allowed_combos names a node outside the graph")
-    rows, picks, dead_costs, live_costs = [], [], [], []
+    picks, dead_costs, live_costs = [], [], []
     for v in range(n):
-        row = [lifetime_cost(v, *combo) for combo in _COMBOS]
         permitted = allowed.get(v)
-        pick = [None, None]
+        pick, best = [None, None], [INFINITY, INFINITY]
         for d in _SCAN:
-            c = row[d]
+            c = lifetime_cost(v, *_COMBOS[d])
             if not isinstance(c, CostVec):
                 raise LospreError("lifetime_cost must return CostVec values")
             # strict < keeps the first of equal costs: the lowest (bl, br) pair
             if (permitted is None or _COMBOS[d] in permitted) and \
-                    (pick[d & 1] is None or c < row[pick[d & 1]]):
-                pick[d & 1] = d
-        d0, d1 = pick
-        rows.append(row)
+                    (pick[d & 1] is None or c < best[d & 1]):
+                pick[d & 1], best[d & 1] = d, c
         picks.append(pick)
-        dead_costs.append(INFINITY if d0 is None else row[d0])
-        live_costs.append(INFINITY if d1 is None else row[d1])
+        dead_costs.append(best[0])
+        live_costs.append(best[1])
 
     life, root_key, key, transitions = _life_dp(cfg, problem, nice, dead_costs, live_costs)
 
     chosen = [picks[v][v in life] for v in range(n)]
     cset = calc_set(cfg, problem, life)
-    cost = sum_costs([cfg.edge_cost[e] for e in cset] + [rows[v][d] for v, d in enumerate(chosen)])
+    cost = sum_costs([cfg.edge_cost[e] for e in cset] +
+                     [live_costs[v] if v in life else dead_costs[v] for v in range(n)])
     _check_optimum(key, cost, root_key)
     return LospreSolution(life_set=life, calc_set=cset, cost=cost,
                           life_left=frozenset(v for v in range(n) if chosen[v] & 2),

@@ -23,6 +23,7 @@ class StepLimitExceeded(LospreError):
 class InterpResult:
     variables: dict
     memory: dict = field(default_factory=dict)
+    evaluated: set = field(default_factory=set)  # ("*", address) of loads, ("/", a, b) of divisions
 
 
 _BINOPS = {"+": add, "-": sub, "*": mul, "/": lambda a, b: 0 if b == 0 else a // b,
@@ -42,6 +43,7 @@ def interpret(program, initial_vars=None, memory=None, *, max_steps=100000) -> I
     labels = {ins.label: i for i, ins in enumerate(instructions) if ins.label}
     variables = dict(initial_vars or {})
     mem = dict(memory or {})
+    evaluated = set()
 
     def value(operand):
         if isinstance(operand, int):
@@ -60,10 +62,14 @@ def interpret(program, initial_vars=None, memory=None, *, max_steps=100000) -> I
         if kind == ASSIGN:
             variables[ins.dest] = value(ins.left)
         elif kind == BINOP:
-            variables[ins.dest] = _binop(ins.op, value(ins.left), value(ins.right))
+            a, b = value(ins.left), value(ins.right)
+            if ins.op == "/":
+                evaluated.add(("/", a, b))
+            variables[ins.dest] = _binop(ins.op, a, b)
         elif kind == UNOP:
             variables[ins.dest] = -value(ins.left) if ins.op == "-" else ~value(ins.left)
         elif kind == LOAD:
+            evaluated.add(("*", value(ins.left)))
             variables[ins.dest] = mem.get(value(ins.left), 0)
         elif kind == STORE:
             mem[value(ins.left)] = value(ins.right)
@@ -77,7 +83,7 @@ def interpret(program, initial_vars=None, memory=None, *, max_steps=100000) -> I
         elif kind == RET:
             break
         pc += 1
-    return InterpResult(variables=variables, memory={a: v for a, v in mem.items() if v != 0})
+    return InterpResult(variables, {a: v for a, v in mem.items() if v != 0}, evaluated)
 
 
 def equivalent_states(before: InterpResult, after: InterpResult, variables) -> bool:

@@ -386,7 +386,7 @@ def candidate_key(ins: Instruction):
 
 def derive_problems(program, cfg: Cfg) -> "Derivation":
     """One (candidate, problem) pair per distinct computed expression, in
-    order of first occurrence; each problem is built when first looked at.
+    order of first occurrence; each problem is built when looked at.
 
     The invalidation set contains the source and sinks, every node
     assigning to an operand variable, every store when the candidate reads
@@ -416,31 +416,28 @@ def derive_problems(program, cfg: Cfg) -> "Derivation":
 
 class Derivation(Sequence):
     """The (candidate, problem) pairs of ``derive_problems``; a problem is built
-    on first access and kept.  ``candidates`` lists the candidates alone, so
-    a caller that dismisses one by its occurrences builds no problem for it;
+    on access.  ``candidates`` lists the candidates alone, so a caller that
+    dismisses one by its occurrences builds no problem for it;
     ``load_results`` holds the variables that a load defines."""
 
     def __init__(self, cfg: Cfg, candidates: list, defining_nodes: dict,
                  stores: list, loads: list, load_results: set):
         self.candidates, self._cfg, self._defining = candidates, cfg, defining_nodes
         self._stores, self._loads, self.load_results = stores, loads, load_results
-        self._problems = [None] * len(candidates)
 
     def __len__(self):
         return len(self.candidates)
 
     def __getitem__(self, k: int):
-        candidate, problem = self.candidates[k], self._problems[k]
-        if problem is None:
-            operands = [o for o in (candidate.left, candidate.right) if isinstance(o, str)]
-            inv = {v for var in operands for v in self._defining.get(var, ())}
-            loaded = self.load_results.intersection(operands)
-            if candidate.op == "load" or loaded:
-                inv.update(self._stores)
-            if loaded:
-                inv.update(self._loads)
-            problem = self._problems[k] = make_problem(self._cfg, candidate.occurrence_nodes, inv)
-        return candidate, problem
+        candidate = self.candidates[k]
+        operands = [o for o in (candidate.left, candidate.right) if isinstance(o, str)]
+        inv = {v for var in operands for v in self._defining.get(var, ())}
+        loaded = self.load_results.intersection(operands)
+        if candidate.op == "load" or loaded:
+            inv.update(self._stores)
+        if loaded:
+            inv.update(self._loads)
+        return candidate, make_problem(self._cfg, candidate.occurrence_nodes, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +515,6 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution, tmp:
             raise LospreError(f"solution edge ({u}, {v}) is not an edge of the graph")
         if v == sink and u != SOURCE_NODE and not _exits(instructions, node_instr(u)):
             raise LospreError(f"solution edge ({u}, {v}) is a fake edge out of an infinite loop")
-    if not candidate.occurrence_nodes:
-        return Rewrite(program, list(range(sink + 1)), cfg)
 
     comp = _computation_instr(candidate, tmp)
     labels = program.labels()
@@ -624,8 +619,6 @@ def copy_propagate(program: Program, cfg: Cfg) -> Program:
         for ins in instructions:
             if ins.kind == ASSIGN and ins.dest != ins.left:
                 pair_id.setdefault((ins.dest, ins.left), len(pair_id))
-        if not pair_id:
-            break
         copies = list(pair_id)
         all_mask = (1 << len(copies)) - 1
         dest_mask = {}     # variable -> copies writing it

@@ -222,6 +222,37 @@ def test_linear_scaling():
             f"(slope={slope:.3f}, t(65536)={t64k:.2f}s; layer slopes {layers})")
 
 
+def _band(width, n):
+    """The band graph i -> j for 1 <= j - i <= width, every third node a use."""
+    cfg = Cfg(n, [(i, j) for i in range(n) for j in range(i + 1, min(n, i + width + 1))])
+    return cfg, make_problem(cfg, range(1, n - 1, 3))
+
+
+def test_work_per_node_is_constant():
+    # the deterministic side of linear scaling: DP transitions, nice nodes and
+    # table entries per graph node stay within 1 % across 1k-16k nodes
+    sizes = [1024, 2048, 4096, 8192, 16384]
+    families = {
+        "chained-diamonds": [generate(InstanceGenerator(seed=0, node_range=(n, n),
+                                                        style="chained-diamonds")) for n in sizes],
+        "band-2": [_band(2, n) for n in sizes],
+        "band-4": [_band(4, n) for n in sizes],
+    }
+    spreads = {}
+    for name, instances in families.items():
+        per_node = []
+        for cfg, problem in instances:
+            nice = make_nice(decompose(cfg))
+            solution = solve(cfg, problem, nice)
+            entries = sum(1 << len(bag) for bag in nice.bags)
+            per_node.append([count / cfg.node_count
+                             for count in (solution.transitions, nice.node_count, entries)])
+        spreads[name] = max(max(column) / min(column) for column in zip(*per_node))
+    _report("work-per-node", all(spread <= 1.01 for spread in spreads.values()),
+            "(largest max/min per node: "
+            + ", ".join(f"{name}={spread:.4f}" for name, spread in spreads.items()) + ")")
+
+
 def test_work_bound(optimality_suite):
     records, _ = optimality_suite
     worst = 0.0

@@ -491,8 +491,9 @@ def test_verify_checks_safety_on_cyclic_graphs(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_checks_safety_on_acyclic_graphs_of_any_size(tmp_path, capsys, monkeypatch):
-    # 19 nodes, acyclic: the path closure is exact here whatever the size,
-    # and a reference that drops the enlargement after the join must be caught
+    # 19 nodes, acyclic: the safety oracle, the dataflow sweep of
+    # brute_safety, checks any size, and a reference that drops the
+    # enlargement after the join must be caught
     import lospre.cli as cli
     from lospre.ir import build_cfg
     from lospre.safety import SafetySolution

@@ -320,7 +320,10 @@ def test_rewrite_empty_use_returns_program_unchanged():
     from lospre.ir import ExprCandidate
     cand = ExprCandidate("+", "a", "b", frozenset(), False)
     sol = LospreSolution(frozenset(), frozenset(), CostVec(0, 0))
-    assert rewrite(prog, cfg, cand, sol, "__lospre0").program is prog
+    step = rewrite(prog, cfg, cand, sol, "__lospre0")
+    assert step.program == prog
+    assert step.node_map == list(range(cfg.node_count))
+    assert (step.cfg.edge_cost, step.cfg.node_cost) == (cfg.edge_cost, cfg.node_cost)
 
 
 def test_rewrite_two_arm_once():

@@ -498,7 +498,7 @@ def test_every_problem_built_on_demand_is_the_eager_one():
         for k in reversed(range(len(derived))):
             candidate, problem = derived[k]
             assert candidate is derived.candidates[k]
-            assert derived[k][1] is problem
+            assert derived[k][1] == problem
             assert problem == make_problem(cfg, candidate.occurrence_nodes,
                                            reference_invalidation(program, candidate))
         assert [c for c, _ in derived] == derived.candidates

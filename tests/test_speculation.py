@@ -1,65 +1,39 @@
 """`run` under --safety auto and always evaluates no load and no division
 that the input program does not.
 
-A small stepper records the operand values of every load and division a
-program evaluates.  Each frozen-corpus program and each never-returning
-program of ``test_never_returns`` runs on four seeded inputs whose values
-lean to 0 and ±1, so divisions by zero and reads of addresses the program
-does not otherwise touch occur.  Where the input halts, the rewritten
-program must evaluate a subset of what the input evaluated; where the input
-runs past the step limit, the rewritten program must too.  ``--safety
-never`` lets the solver speculate, and the check must flag it somewhere.
+``interpret`` reports the operand values of every load and division a run
+evaluates.  Each frozen-corpus program, each never-returning program of
+``test_never_returns`` and each program of ``GUARDED`` runs on seeded
+inputs whose values lean to 0 and ±1, so divisions by zero and reads of
+addresses the program does not otherwise touch occur.  Where the input
+halts, the rewritten program must evaluate a subset of what the input
+evaluated; where the input runs past the step limit, the rewritten program
+must too.  ``--safety never`` lets the solver speculate, and the check must
+flag it on every guarded program.
 """
 import random
 
 import pytest
 
 from lospre.cli import RunConfig, run_pipeline
-from lospre.interp import _binop
-from lospre.ir import ASSIGN, BINOP, BRANCH, JUMP, LOAD, RET, STORE, UNOP, parse_ir
+from lospre.interp import StepLimitExceeded, interpret
+from lospre.ir import parse_ir
 from test_never_returns import CASES as NEVER_RETURNING
 from test_pipeline_frozen import cases
 
 pytestmark = pytest.mark.filterwarnings("ignore::lospre.ir.UnreachableCodeWarning")
 
 MAX_STEPS = 5000
-TRIALS = 4
+TRIALS = 16
 
 
 def evaluations(program, values, memory):
     """The set of ("*", address) and ("/", a, b) that ``program`` evaluates
     from ``values`` and ``memory``, or None when it runs past MAX_STEPS."""
-    instructions, labels = list(program), program.labels()
-    env, mem, seen = dict(values), dict(memory), set()
-
-    def value(operand):
-        return operand if isinstance(operand, int) else env.get(operand, 0)
-
-    pc = 0
-    for _ in range(MAX_STEPS):
-        if pc == len(instructions):
-            return seen
-        ins = instructions[pc]
-        pc += 1
-        if ins.kind == ASSIGN:
-            env[ins.dest] = value(ins.left)
-        elif ins.kind == BINOP:
-            a, b = value(ins.left), value(ins.right)
-            if ins.op == "/":
-                seen.add(("/", a, b))
-            env[ins.dest] = _binop(ins.op, a, b)
-        elif ins.kind == UNOP:
-            env[ins.dest] = -value(ins.left) if ins.op == "-" else ~value(ins.left)
-        elif ins.kind == LOAD:
-            seen.add(("*", value(ins.left)))
-            env[ins.dest] = mem.get(value(ins.left), 0)
-        elif ins.kind == STORE:
-            mem[value(ins.left)] = value(ins.right)
-        elif ins.kind == JUMP or ins.kind == BRANCH and value(ins.left) != 0:
-            pc = labels[ins.target]
-        elif ins.kind == RET:
-            return seen
-    return None
+    try:
+        return interpret(program, values, memory, max_steps=MAX_STEPS).evaluated
+    except StepLimitExceeded:
+        return None
 
 
 def leaning_inputs(name, trial, variables):
@@ -74,7 +48,19 @@ def leaning_inputs(name, trial, variables):
     return {v: pick() for v in sorted(variables)}, {a: pick() for a in range(16)}
 
 
-PROGRAMS = list(cases()) + [(f"never/{seed}", text) for seed, text in NEVER_RETURNING]
+# a division or a load behind a test of its operand: computing it once
+# before the test removes a computation, and speculates wherever the test fails
+GUARDED = [
+    ("guarded/division",
+     "if d goto T\nx = 0\ngoto J\nT: x = a / d\nJ: if d goto U\nret\nU: y = a / d\nret\n"),
+    ("guarded/load",
+     "if p goto T\nx = 0\ngoto J\nT: x = *p\nJ: if p goto U\nret\nU: y = *p\nret\n"),
+    ("guarded/loop",
+     "i = 4\nL: if d goto T\ngoto N\nT: x = a / d\nN: if d goto U\ngoto M\n"
+     "U: y = a / d\nM: i = i - 1\nif i goto L\nret\n"),
+]
+
+PROGRAMS = list(cases()) + [(f"never/{seed}", text) for seed, text in NEVER_RETURNING] + GUARDED
 
 
 def speculations(safety):
@@ -100,9 +86,10 @@ def speculations(safety):
 def test_safe_runs_evaluate_nothing_the_input_does_not(safety):
     flagged, halted, diverged = speculations(safety)
     assert not flagged
-    assert halted >= 2500 and diverged >= 60, (halted, diverged)
+    assert halted >= 10000 and diverged >= 400, (halted, diverged)
 
 
 def test_the_check_flags_speculation_under_safety_never():
     flagged, _, _ = speculations("never")
-    assert flagged
+    expected = {"corpus/90", "corpus/262", *(name for name, _ in GUARDED)}
+    assert {name for name, _ in flagged} >= expected

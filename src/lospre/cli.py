@@ -20,7 +20,7 @@ from pathlib import Path
 from . import ir as irmod
 from .cfg import (DEFAULT_EDGE_COST, Cfg, calc_set, dump_dot, load_cfg,
                   make_problem, min_calc_count, use_region)
-from .cost import ZERO, sum_costs
+from .cost import ZERO, CostVec, sum_costs
 from .dp import format_solution, solve
 from .errors import InputFormatError, LospreError, NoFeasibleSolutionError, WidthExceededError
 from .oracle import (BRUTE_LOSPRE_MAX_NODES, STYLES, InstanceGenerator, brute_lospre,
@@ -110,50 +110,97 @@ def _report(failures: list) -> int:
 
 
 def _use_region(cfg, problem):
-    """The problem on its use region B: ``(region cfg, its problem, B, constant)``.
+    """The problem on its use region B, with B's chains contracted:
+    ``(region cfg, its problem, kept, constant, chains)``.
 
-    B, in ``cfg``'s id order (region node i is ``B[i]``), is the uses and
-    every node that reaches one without passing an invalidating node, or
-    every node when a node cost is below [0,0] (``Cfg`` refuses such edge
-    costs).  With costs of at least [0,0] the least optimal life set lies
-    in B, so an edge leaving B is never a calculation edge.  An edge entering B comes from an invalidating node:
-    into a use it is a calculation edge under every life set, and its cost
-    joins ``constant``; else its cost joins its head's node cost.  A node of
-    B with no predecessor in B gets a zero-cost self-loop, and the region's
-    source is one more node, isolated.
+    B is the uses and every node that reaches one without passing an
+    invalidating node, or every node when a node cost is below [0,0]
+    (``Cfg`` refuses such edge costs).  With costs of at least [0,0] the least
+    optimal life set lies in B, so an edge leaving B is never a calculation
+    edge.  An edge entering B comes from an invalidating node: into a use it
+    is a calculation edge under every life set, and its cost joins
+    ``constant``; else its cost joins its head's node cost.
+
+    Only when the region is B, a chain is a maximal run x1..xk, k > 1, of
+    nodes of B with one predecessor and one successor in B, neither itself,
+    and no use.  Its least optimal part is dead unless its successor y is a
+    use or live, and else live from some xj on: at best A, the least over j
+    of c(x(j-1), xj) plus the node costs from xj on (x0 is its predecessor
+    p, and j = k+1 computes on (xk, y)), or C = min(A, all its node costs)
+    when p is live and valid.  One node of cost C stands for it, entered at
+    A - C and left at A, which costs what the chain does in every state of p
+    and y; as the optimal life sets are closed under intersection, the
+    region's least optimal set is B's without the chains.  ``chains`` holds
+    (p, y, nodes, j when p is live and valid, j else) per chain, with j the
+    index in ``nodes`` of its first live node when y is a use or live.
+
+    Region node i is ``kept[i]``, in ``cfg``'s id order, and chain j is
+    node ``len(kept) + j``.  A node of B with no predecessor in B gets a
+    zero-cost self-loop, and the region's source is one more node, isolated.
     """
     use, inv = problem.use_set, problem.invalidation_set
-    if any(c.primary < 0 or c.primary == 0 and c.secondary < 0 for c in cfg.node_cost.values()):
-        region = range(cfg.node_count)
-    else:
-        region = sorted(use_region(cfg, problem))
-    index = {v: i for i, v in enumerate(region)}
-    edge_cost, node_cost, constant = {}, {}, ZERO
-    for i, v in enumerate(region):
-        cost, entered = cfg.node_cost[v], False
+    whole = any(c.primary < 0 or c.primary == 0 and c.secondary < 0 for c in cfg.node_cost.values())
+    inside = range(cfg.node_count) if whole else use_region(cfg, problem)
+    edge_cost, node_cost, preds, succ, constant = cfg.edge_cost, {}, {}, {}, ZERO
+    for v in inside if whole else sorted(inside):
+        node_cost[v], preds[v] = cfg.node_cost[v], []
         for p in cfg.pred[v]:
-            c = cfg.edge_cost[(p, v)]
-            if p in index:
-                edge_cost[(index[p], i)] = c
-                entered = True
+            if p in inside:
+                preds[v].append(p)
             elif v in use:
-                constant = constant + c
+                constant = constant + edge_cost[(p, v)]
             else:
-                cost = cost + c
-        node_cost[i] = cost
-        if not entered:
-            edge_cost[(i, i)] = ZERO
-    region_cfg = Cfg(len(region) + 1, edge_cost, edge_cost, node_cost)
+                node_cost[v] = node_cost[v] + edge_cost[(p, v)]
+        # a node of B that is not a use reaches one, so it is not its own only successor
+        if len(preds[v]) == 1 and v not in use and not whole:
+            out = [w for w in cfg.succ[v] if w in inside]
+            if len(out) == 1:
+                succ[v] = out[0]
+    chain = {v: y for v, y in succ.items() if y in succ or preds[v][0] in succ}
+    kept = [v for v in preds if v not in chain]
+    index = {v: i for i, v in enumerate(kept)}
+    edges, costs, chains, ends = {}, {i: node_cost[v] for i, v in enumerate(kept)}, [], {}
+    for x, y in chain.items():
+        p, nodes = preds[x][0], [x]
+        if p in chain:
+            continue
+        while y in chain:
+            nodes.append(y)
+            y = chain[y]
+        # costs as (infinite, primary, secondary), summed from xk back to x1
+        e = edge_cost[(nodes[-1], y)]
+        best, j, total = (e.infinite, e.primary, e.secondary), len(nodes), (False, 0, 0)
+        for i in range(len(nodes) - 1, -1, -1):
+            c, e = node_cost[nodes[i]], edge_cost[(nodes[i - 1] if i else p, nodes[i])]
+            total = (total[0] or c.infinite, total[1] + c.primary, total[2] + c.secondary)
+            into = (total[0] or e.infinite, total[1] + e.primary, total[2] + e.secondary)
+            if i and into < best:
+                best, j = into, i
+        a, unavailable = (into, 0) if into < best else (best, j)
+        c, available = (total, 0) if total < best else (best, j)
+        z = len(kept) + len(chains)
+        ends[nodes[-1]] = z, CostVec(a[1], a[2], a[0])
+        edges[(index[p], z)] = CostVec(a[1] - c[1], a[2] - c[2], a[0])  # infinite when A is, as C <= A
+        costs[z] = CostVec(c[1], c[2], c[0])
+        chains.append((p, y, nodes, available, unavailable))
+    for i, v in enumerate(kept):
+        for p in preds[v]:
+            z, c = ends[p] if p in chain else (index[p], edge_cost[(p, v)])
+            edges[(z, i)] = c
+        if not preds[v]:
+            edges[(i, i)] = ZERO
+    region_cfg = Cfg(len(kept) + len(chains) + 1, edges, edges, costs)
     region_problem = make_problem(region_cfg, [index[u] for u in use],
-                                  [i for i, v in enumerate(region) if v in inv])
-    return region_cfg, region_problem, region, constant
+                                  [i for i, v in enumerate(kept) if v in inv])
+    return region_cfg, region_problem, kept, constant, chains
 
 
-def _lift(cfg, problem, region, constant, part):
+def _lift(cfg, problem, life, constant, part):
     """``part``, a solution of the region problem, as one of ``problem`` on
-    ``cfg``: its life set in ``cfg`` ids, calculation set and cost recomputed,
-    the cost summed over that one calculation set."""
-    life = frozenset(region[v] for v in part.life_set)
+    ``cfg`` with ``life``, the life set it stands for in ``cfg`` ids: the
+    calculation set and cost recomputed, the cost summed over that one
+    calculation set, which must equal ``part``'s plus ``constant``."""
+    life = frozenset(life)
     calcs = calc_set(cfg, problem, life)
     cost = sum_costs([cfg.edge_cost[e] for e in calcs] + [cfg.node_cost[v] for v in life])
     if cost.infinite:
@@ -165,16 +212,22 @@ def _lift(cfg, problem, region, constant, part):
 
 
 def _region_solve(cfg, problem, max_width: int):
-    """``(solution, width)``: ``problem`` solved on its use region
-    (``_use_region``) and lifted to ``cfg`` (``_lift``), and the width of the
-    region's nice decomposition; the solution is None when that width is
-    above ``max_width``, and nothing is solved then."""
-    region_cfg, region_problem, region, constant = _use_region(cfg, problem)
+    """``(solution, width)``: ``problem`` solved on its contracted use region
+    (``_use_region``), each chain completed by the states of its ends, and
+    lifted to ``cfg`` (``_lift``), and the width of the region's nice
+    decomposition; the solution is None when that width is above
+    ``max_width``, and nothing is solved then."""
+    region_cfg, region_problem, kept, constant, chains = _use_region(cfg, problem)
     nice = make_nice(decompose(region_cfg))
     if nice.width > max_width:
         return None, nice.width
     part = solve(region_cfg, region_problem, nice, max_width=max_width)
-    return _lift(cfg, problem, region, constant, part), nice.width
+    life = {kept[i] for i in part.life_set if i < len(kept)}
+    for p, y, nodes, available, unavailable in chains:
+        if y in problem.use_set or y in life:
+            valid = p in life and p not in problem.invalidation_set
+            life.update(nodes[available if valid else unavailable:])
+    return _lift(cfg, problem, life, constant, part), nice.width
 
 
 def _wants_safety(config: RunConfig, candidate) -> bool:
@@ -242,7 +295,9 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     cost of the input graph is finite, a candidate with one occurrence, or
     whose minimum cut (``min_calc_count``) reaches its occurrence count,
     cannot gain under any costs and is not solved; otherwise every
-    candidate is solved, so an infeasible one fails.  The input graph
+    candidate is solved, so an infeasible one fails.  Enlarging only raises
+    the cut, so the plain problem is cut first, and only a candidate whose
+    plain cut is below its occurrence count is enlarged and cut again.  The input graph
     decides this for the whole run: a rewrite drops the ``!edgecost``
     override only of a calculation edge, which is finite, and costs the
     edges and nodes it adds by the directives' defaults, which already cost
@@ -292,12 +347,14 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
             if key in carried:
                 verdicts.add(key)
                 continue
+            # every life set has at least as many calculation edges as the
+            # minimum cut, the optimum included, enlarged or not
             problem = derived[k][1]
-            if _wants_safety(config, candidate):
+            stuck = certify and min_calc_count(cfg, problem, occurrences) >= occurrences
+            if not stuck and _wants_safety(config, candidate):
                 problem = _enlarge(cfg, problem, candidate.display())
-            if certify and min_calc_count(cfg, problem, occurrences) >= occurrences:
-                # every life set has at least as many calculation edges as
-                # there are occurrences, the optimum included
+                stuck = certify and min_calc_count(cfg, problem, occurrences) >= occurrences
+            if stuck:
                 verdicts.add(key)
                 continue
             solution, width = _region_solve(cfg, problem, config.max_width)

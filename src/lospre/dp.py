@@ -241,7 +241,8 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
                     if y == v or not forgotten[y] and y in child_bag:
                         pc = key(edge_cost[v, y]) << shift
                         shape = ("edge", k, cx, -1 if y in use else child_bag.index(y))
-                        for g in maps.get(shape) or _index_map(maps, shape):
+                        idx = maps.get(shape)
+                        for g in _index_map(maps, shape) if idx is None else idx:
                             child[g] += pc
                         edges += 1
                 cy = -1 if v in use else p
@@ -249,7 +250,8 @@ def _life_dp(cfg: Cfg, problem: ExprProblem, nice: NiceTreeDec, dead_costs: list
                     if not forgotten[x] and x in child_bag:
                         pc = key(edge_cost[x, v]) << shift
                         shape = ("edge", k, -1 if x in inv else child_bag.index(x), cy)
-                        for g in maps.get(shape) or _index_map(maps, shape):
+                        idx = maps.get(shape)
+                        for g in _index_map(maps, shape) if idx is None else idx:
                             child[g] += pc
                         edges += 1
                 charged += edges

@@ -819,6 +819,40 @@ def test_carried_verdicts_agree_with_a_fresh_cut(monkeypatch):
         assert min_calc_count(cfg, problem, occurrences) >= occurrences
 
 
+@pytest.mark.filterwarnings("ignore::lospre.ir.UnreachableCodeWarning")
+def test_the_plain_cut_runs_before_safety(monkeypatch):
+    # enlarging only raises the minimum cut, so a candidate whose plain cut
+    # reaches its occurrence count is never enlarged; under default costs the
+    # cut is the optimum's calculation count, so with the enlarged problem cut
+    # again, only a candidate that gains is solved
+    import lospre.cli as cli
+    from lospre.cfg import min_calc_count
+    from test_pipeline_frozen import cases
+
+    enlarged, solved = [], []
+    solve_safety, region_solve = cli.solve_safety, cli._region_solve
+
+    def checked_safety(cfg, problem):
+        occurrences = len(problem.use_set)
+        enlarged.append(min_calc_count(cfg, problem, occurrences) < occurrences)
+        return solve_safety(cfg, problem)
+
+    def counted_solve(*args):
+        solved.append(args)
+        return region_solve(*args)
+
+    monkeypatch.setattr(cli, "solve_safety", checked_safety)
+    monkeypatch.setattr(cli, "_region_solve", counted_solve)
+    applied = 0
+    for name, text in cases():
+        solved.clear()
+        result = run_pipeline(parse_ir(text), RunConfig())
+        if not name.startswith("costs/"):
+            assert len(solved) == len(result.applied), name
+            applied += len(result.applied)
+    assert all(enlarged) and len(enlarged) >= 50 and applied >= 400
+
+
 def test_a_region_cost_that_disagrees_is_an_internal_error(tmp_path, capsys, monkeypatch):
     # a use region whose constant is one computation off: the lift recomputes
     # the cost on the whole graph and refuses the region's
@@ -827,8 +861,8 @@ def test_a_region_cost_that_disagrees_is_an_internal_error(tmp_path, capsys, mon
     use_region = cli._use_region
 
     def off_by_one(cfg, problem):
-        region_cfg, region_problem, region, constant = use_region(cfg, problem)
-        return region_cfg, region_problem, region, constant + CostVec(1, 0)
+        region_cfg, region_problem, kept, constant, chains = use_region(cfg, problem)
+        return region_cfg, region_problem, kept, constant + CostVec(1, 0), chains
 
     monkeypatch.setattr(cli, "_use_region", off_by_one)
     assert main(["graph", str(SAMPLES / "diamond.graph")]) == EXIT_ERROR

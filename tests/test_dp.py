@@ -753,6 +753,22 @@ def test_a_table_cost_that_disagrees_is_an_internal_error(diamond, monkeypatch):
     assert str(info.value) == "internal error: table cost disagrees with recomputed objective"
 
 
+def test_an_empty_index_map_is_built_once(monkeypatch):
+    # the self-loop on 1, which neither uses nor invalidates, is charged
+    # through the edge shape with bit p both clear and set: no entry, so its
+    # cached map is empty, and a second solve finds it as it finds the others
+    from lospre import dp
+    cfg = Cfg(4, [(0, 1), (1, 1), (1, 2), (2, 3)])
+    problem = make_problem(cfg, use=[2])
+    nice = make_nice(decompose(cfg))
+    first = solve(cfg, problem, nice)
+    built, index_map = [], dp._index_map
+    monkeypatch.setattr(dp, "_index_map",
+                        lambda maps, shape: built.append(shape) or index_map(maps, shape))
+    assert solve(cfg, problem, nice) == first
+    assert built == []
+
+
 def test_a_defect_validate_nice_accepts_is_the_kernels_own_error(monkeypatch):
     # with validate_nice blind, a defect the sweep detects is an internal
     # error, and one a lookup or comparison detects keeps its own error

@@ -1,10 +1,13 @@
 """Solving a candidate on its use region gives the whole-graph solve's answer.
 
-``run_pipeline`` solves each candidate on its use region (``cli._use_region``)
-and lifts the solution back to the whole graph (``cli._lift``).  Life set,
-calculation set and cost must equal those of ``solve`` on the whole graph,
-and a region solve must fail exactly when the whole-graph solve finds no
-feasible solution.
+``run_pipeline`` solves each candidate on its use region B with B's chains
+contracted (``cli._use_region``), completes each chain and lifts the
+solution back to the whole graph (``cli._region_solve``, ``cli._lift``).
+Life set, calculation set and cost must equal those of the uncontracted
+region, kept here as the reference (``uncontracted_region``), and those of
+``solve`` on the whole graph; a region solve must fail exactly when the
+whole-graph solve finds no feasible solution.  On at most 12 nodes they
+must also equal brute force.
 """
 import random
 import warnings
@@ -12,12 +15,13 @@ import warnings
 import pytest
 
 import lospre.cli as cli
-from lospre.cfg import Cfg, make_problem
-from lospre.cost import INFINITY, CostVec
+from lospre.cfg import Cfg, make_problem, use_region
+from lospre.cost import INFINITY, ZERO, CostVec
 from lospre.dp import solve
 from lospre.errors import NoFeasibleSolutionError
-from lospre.ir import UnreachableCodeWarning, parse_ir
-from lospre.oracle import InstanceGenerator, generate
+from lospre.ir import (UnreachableCodeWarning, build_cfg, derive_problems, instr_node,
+                       parse_ir)
+from lospre.oracle import STYLES, InstanceGenerator, brute_lospre, generate
 from lospre.treedec import decompose, make_nice
 
 
@@ -25,10 +29,45 @@ def whole_solve(cfg, problem):
     return solve(cfg, problem, make_nice(decompose(cfg)))
 
 
-def region_solve(cfg, problem):
-    region_cfg, region_problem, region, constant = cli._use_region(cfg, problem)
+def uncontracted_region(cfg, problem):
+    """The region ``cli._use_region`` builds, with no chain contracted:
+    ``(region cfg, its problem, B, constant)``, region node i being ``B[i]``."""
+    use, inv = problem.use_set, problem.invalidation_set
+    if any(c.primary < 0 or c.primary == 0 and c.secondary < 0 for c in cfg.node_cost.values()):
+        region = range(cfg.node_count)
+    else:
+        region = sorted(use_region(cfg, problem))
+    index = {v: i for i, v in enumerate(region)}
+    edge_cost, node_cost, constant = {}, {}, ZERO
+    for i, v in enumerate(region):
+        cost, entered = cfg.node_cost[v], False
+        for p in cfg.pred[v]:
+            c = cfg.edge_cost[(p, v)]
+            if p in index:
+                edge_cost[(index[p], i)] = c
+                entered = True
+            elif v in use:
+                constant = constant + c
+            else:
+                cost = cost + c
+        node_cost[i] = cost
+        if not entered:
+            edge_cost[(i, i)] = ZERO
+    region_cfg = Cfg(len(region) + 1, edge_cost, edge_cost, node_cost)
+    region_problem = make_problem(region_cfg, [index[u] for u in use],
+                                  [i for i, v in enumerate(region) if v in inv])
+    return region_cfg, region_problem, region, constant
+
+
+def reference_solve(cfg, problem):
+    region_cfg, region_problem, region, constant = uncontracted_region(cfg, problem)
     part = solve(region_cfg, region_problem, make_nice(decompose(region_cfg)))
-    return cli._lift(cfg, problem, region, constant, part)
+    return cli._lift(cfg, problem, {region[v] for v in part.life_set}, constant, part)
+
+
+def region_solve(cfg, problem):
+    solution, _ = cli._region_solve(cfg, problem, 16)
+    return solution
 
 
 def outcome(run, cfg, problem):
@@ -68,20 +107,97 @@ def region_instance(seed):
 
 def test_region_solve_equals_the_whole_graph_solve_on_generated_instances():
     counts = dict.fromkeys(("cyclic", "overlap", "negative", "infeasible",
-                            "infinite constant", "smaller region"), 0)
+                            "infinite constant", "smaller region", "contracted"), 0)
     for seed in range(160):
         cfg, problem = region_instance(seed)
         assert 25 <= cfg.node_count <= 200
         expected = outcome(whole_solve, cfg, problem)
+        assert outcome(reference_solve, cfg, problem) == expected, seed
         assert outcome(region_solve, cfg, problem) == expected, seed
-        _, _, region, constant = cli._use_region(cfg, problem)
+        _, _, region, constant = uncontracted_region(cfg, problem)
         counts["cyclic"] += not cfg.is_acyclic()
         counts["overlap"] += bool(problem.use_set & problem.invalidation_set)
         counts["negative"] += min(cfg.node_cost.values()) < CostVec(0, 0)
         counts["infeasible"] += expected == "infeasible"
         counts["infinite constant"] += constant.infinite
         counts["smaller region"] += len(region) < cfg.node_count
+        counts["contracted"] += bool(cli._use_region(cfg, problem)[4])
     assert min(counts.values()) >= 5, counts
+
+
+def small_chained_instance(seed):
+    """A graph of at most 12 nodes, some of whose edges are subdivided into
+    chains of two or three nodes, with random costs: zero costs, so that
+    optima tie, and about 5 % infinite ones."""
+    rng = random.Random(f"chained/{seed}")
+    cfg, problem = generate(InstanceGenerator(seed=seed, node_range=(4, 7),
+                                              style=STYLES[seed % 3]))
+    n, edges = cfg.node_count, []
+    for (u, v) in sorted(cfg.edges):
+        k = min(rng.choice((0, 2, 3)), 12 - n)
+        path = [u, *range(n, n + k), v]
+        n += k
+        edges += zip(path, path[1:])
+
+    def cost(high):
+        return INFINITY if rng.random() < 0.05 else CostVec(rng.randint(0, high),
+                                                            rng.randint(0, 2))
+
+    chained = Cfg(n, edges, {e: cost(3) for e in edges}, {v: cost(2) for v in range(n)})
+    inv = problem.invalidation_set - {cfg.source} - cfg.sinks
+    return chained, make_problem(chained, problem.use_set, inv)
+
+
+def edgecost_program(seed):
+    """An IR program of at most 12 graph nodes: a loop whose body is a chain
+    of three to five instructions, every instruction labeled, and random
+    ``!edgecost`` and ``!nodecost`` directives, some edge costs infinite."""
+    rng = random.Random(f"edgecost/{seed}")
+
+    def statement():
+        if rng.random() < 0.7:
+            return f"{rng.choice('xyz')} = a {rng.choice('+*')} b"
+        return f"{rng.choice('ab')} = {rng.randint(0, 9)}"
+
+    body = [statement() for _ in range(rng.randint(3, 5))]
+    lines = [statement(), *body, "if c goto I1", statement(), "ret"]
+    text = "".join(f"I{k}: {line}\n" for k, line in enumerate(lines))
+    labels = {instr_node(k): f"I{k}" for k in range(len(lines))}
+    directives = [f"!nodecost I{k} [{rng.randint(0, 2)},{rng.randint(0, 2)}]"
+                  for k in range(len(lines)) if rng.random() < 0.3]
+    for (u, v) in sorted(build_cfg(parse_ir(text)).edges):
+        if u in labels and v in labels and rng.random() < 0.4:
+            cost = "inf" if rng.random() < 0.1 else f"[{rng.randint(0, 4)},{rng.randint(0, 2)}]"
+            directives.append(f"!edgecost {labels[u]} {labels[v]} {cost}")
+    return "".join(d + "\n" for d in directives) + text
+
+
+def brute_outcome(cfg, problem):
+    try:
+        sol = brute_lospre(cfg, problem)
+    except NoFeasibleSolutionError:
+        return "infeasible"
+    return sol.life_set, sol.cost
+
+
+def test_contracted_region_solve_equals_brute_force_on_small_instances():
+    counts = dict.fromkeys(("solves", "contracted", "infeasible", "edgecost"), 0)
+    instances = [small_chained_instance(seed) for seed in range(400)]
+    for seed in range(150):
+        program = parse_ir(edgecost_program(seed))
+        cfg = build_cfg(program)
+        counts["edgecost"] += any(c != CostVec(1, 0) for c in cfg.edge_cost.values())
+        instances += [(cfg, problem) for _, problem in derive_problems(program, cfg)]
+    for cfg, problem in instances:
+        assert cfg.node_count <= 12
+        expected = brute_outcome(cfg, problem)
+        found = outcome(region_solve, cfg, problem)
+        assert (found if found == "infeasible" else (found[0], found[2])) == expected
+        counts["solves"] += 1
+        counts["contracted"] += bool(cli._use_region(cfg, problem)[4])
+        counts["infeasible"] += expected == "infeasible"
+    assert counts["solves"] >= 600 and counts["infeasible"] >= 5, counts
+    assert counts["contracted"] >= 100 and counts["edgecost"] >= 100, counts
 
 
 def test_an_infinite_edge_into_a_use_from_outside_the_region_is_infeasible():
@@ -89,11 +205,11 @@ def test_an_infinite_edge_into_a_use_from_outside_the_region_is_infeasible():
     # whose only entering edge is infinite, so every life set is infinite
     cfg = Cfg(4, [(0, 1), (1, 2), (2, 3)], edge_cost={(1, 2): INFINITY})
     problem = make_problem(cfg, use=[2], invalidate=[1])
-    region_cfg, region_problem, region, constant = cli._use_region(cfg, problem)
-    assert list(region) == [2] and constant == INFINITY
+    region_cfg, region_problem, kept, constant, chains = cli._use_region(cfg, problem)
+    assert kept == [2] and chains == [] and constant == INFINITY
     assert solve(region_cfg, region_problem, make_nice(decompose(region_cfg))).cost == \
         CostVec(0, 0)
-    for run in (whole_solve, region_solve):
+    for run in (whole_solve, reference_solve, region_solve):
         with pytest.raises(NoFeasibleSolutionError):
             run(cfg, problem)
 
@@ -105,28 +221,48 @@ def test_an_edge_entering_the_region_charges_its_head_when_live():
     edges = [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]
     cfg = Cfg(6, edges, edge_cost={(1, 2): CostVec(5, 0), (1, 3): CostVec(5, 0)})
     problem = make_problem(cfg, use=[4], invalidate=[1])
-    region_cfg, _, region, constant = cli._use_region(cfg, problem)
-    assert list(region) == [2, 3, 4] and constant == CostVec(0, 0)
+    region_cfg, _, kept, constant, chains = cli._use_region(cfg, problem)
+    assert kept == [2, 3, 4] and chains == [] and constant == CostVec(0, 0)
     assert [region_cfg.node_cost[i] for i in range(3)] == [CostVec(5, 1), CostVec(5, 1),
                                                           CostVec(0, 1)]
     assert outcome(region_solve, cfg, problem) == outcome(whole_solve, cfg, problem) == \
         (frozenset(), {(2, 4), (3, 4)}, CostVec(2, 0))
 
 
-def lifted_solves(monkeypatch):
-    """Every solve ``run_pipeline`` lifts, with the whole-graph solve of its
-    candidate, as (region size, graph size, lifted, whole) tuples."""
+def test_a_chain_becomes_one_node_costing_its_best():
+    # 0 -> 1 -> 2 -> 3 -> 4 -> 5 -> 6 with uses 1 and 5: the chain 2, 3, 4
+    # lies between the use 1, live when the value crosses the chain, and the
+    # use 5.  Keeping it live costs [0,3]; computing on an edge costs [1,0]
+    # plus the node costs after it, least on (4, 5).  So A = [1,0], C = [0,3],
+    # and the optimum keeps 1 through 4 live: one calculation, on (0, 1)
+    cfg = Cfg(7, [(v, v + 1) for v in range(6)])
+    problem = make_problem(cfg, use=[1, 5])
+    region_cfg, _, kept, _, chains = cli._use_region(cfg, problem)
+    assert kept == [1, 5] and chains == [(1, 5, [2, 3, 4], 0, 3)]
+    assert region_cfg.edge_cost[(0, 2)] == CostVec(1, -3)
+    assert region_cfg.node_cost[2] == CostVec(0, 3)
+    assert region_cfg.edge_cost[(2, 1)] == CostVec(1, 0)
+    assert outcome(region_solve, cfg, problem) == outcome(whole_solve, cfg, problem) == \
+        (frozenset({1, 2, 3, 4}), {(0, 1)}, CostVec(1, 4))
+
+
+def region_solves(monkeypatch):
+    """Every region solve ``run_pipeline`` makes, as (contracted region size,
+    uncontracted region size, graph size, chains, outcome, reference outcome,
+    whole-graph outcome) tuples."""
     seen = []
-    lift = cli._lift
+    solve_region = cli._region_solve
 
-    def checked(cfg, problem, region, constant, part):
-        lifted = lift(cfg, problem, region, constant, part)
-        seen.append((len(region), cfg.node_count,
-                     (lifted.life_set, lifted.calc_set, lifted.cost),
-                     outcome(whole_solve, cfg, problem)))
-        return lifted
+    def checked(cfg, problem, max_width):
+        solution, width = solve_region(cfg, problem, max_width)
+        region_cfg, _, _, _, chains = cli._use_region(cfg, problem)
+        seen.append((region_cfg.node_count - 1, len(uncontracted_region(cfg, problem)[2]),
+                     cfg.node_count, len(chains),
+                     (solution.life_set, solution.calc_set, solution.cost),
+                     outcome(reference_solve, cfg, problem), outcome(whole_solve, cfg, problem)))
+        return solution, width
 
-    monkeypatch.setattr(cli, "_lift", checked)
+    monkeypatch.setattr(cli, "_region_solve", checked)
     return seen
 
 
@@ -134,20 +270,21 @@ def test_region_solve_equals_the_whole_graph_solve_on_the_frozen_corpus(monkeypa
     from test_pipeline_frozen import cases
 
     warnings.simplefilter("ignore", UnreachableCodeWarning)
-    seen = lifted_solves(monkeypatch)
+    seen = region_solves(monkeypatch)
     for _, text in cases():
         cli.run_pipeline(parse_ir(text), cli.RunConfig())
     assert len(seen) >= 500
-    assert all(lifted == whole for _, _, lifted, whole in seen)
-    assert sum(size for size, _, _, _ in seen) < sum(n for _, n, _, _ in seen) / 2
+    assert all(found == reference == whole for *_, found, reference, whole in seen)
+    contracted, region, graph, chains = (sum(row[k] for row in seen) for k in range(4))
+    assert region < graph / 2 and contracted < region and chains >= 500
 
 
 def test_negative_node_costs_solve_on_the_whole_graph(monkeypatch):
     # the program of test_rewrite_turns_a_ret_into_a_jump_to_its_computation
     text = ("!nodecost [-2,0]\n!nodecost R [5,0]\nx = a + b\nif c goto L\n"
             "y = a + b\nR: ret\nL: z = a + b\nret\n")
-    seen = lifted_solves(monkeypatch)
+    seen = region_solves(monkeypatch)
     result = cli.run_pipeline(parse_ir(text), cli.RunConfig())
     assert result.applied and seen
-    for size, n, lifted, whole in seen:
-        assert size == n and lifted == whole
+    for contracted, size, n, chains, found, reference, whole in seen:
+        assert contracted == size == n and chains == 0 and found == reference == whole

@@ -8,8 +8,15 @@ of the rewritten IR, the stats text and the solution text that
 finite ``!edgecost`` and ``!nodecost`` directives, and
 ``samples/redundant_load.ir``.  A change that
 only avoids work must leave every digest as it is, and ``--verify`` may
-change only the exit status, never an artifact.  After an intended change
-of output, rewrite ``data/pipeline_digests.json`` with
+change only the exit status, never an artifact.
+
+``--emit dot`` draws the last pass graph, the one artifact that shows every
+node and edge of it.  ``data/dot_digests.json`` pins its bytes on a fixed
+slice of the cases: the first 60 programs outside ``costs/`` that apply two
+or more rewrites, and the first 6 ``costs/`` variants that do.
+
+After an intended change of output, rewrite ``data/pipeline_digests.json``
+and ``data/dot_digests.json`` with
 
     PYTHONPATH=src python tests/test_pipeline_frozen.py --write
 """
@@ -27,6 +34,7 @@ from lospre.oracle import generate_program_text
 
 ROOT = Path(__file__).resolve().parent
 DIGESTS = ROOT / "data" / "pipeline_digests.json"
+DOT_DIGESTS = ROOT / "data" / "dot_digests.json"
 SAMPLE = ROOT.parent / "samples" / "redundant_load.ir"
 
 
@@ -85,12 +93,52 @@ def run_digest(text, work_dir):
     return h.hexdigest()
 
 
+def dot_run(text, work_dir):
+    """The exit status, the rewrite count and the ``--emit dot`` bytes of one run."""
+    src = work_dir / "case.ir"
+    src.write_text(text)
+    (work_dir / "case.dot").unlink(missing_ok=True)
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        rc = main(["run", str(src), "--emit", "dot", "--out-dir", str(work_dir)])
+    rewrites = sum(line.startswith("candidate ") for line in out.getvalue().splitlines())
+    return rc, rewrites, (work_dir / "case.dot").read_bytes()
+
+
+def dot_digest(rc, dot):
+    return hashlib.sha256(f"exit {rc}\n".encode() + b"\0" + dot).hexdigest()
+
+
+def dot_slice(work_dir):
+    """The digests of the fixed slice of cases that ``data/dot_digests.json`` pins."""
+    picked, costs = {}, {}
+    for name, text in cases():
+        rc, rewrites, dot = dot_run(text, work_dir)
+        chosen = costs if name.startswith("costs/") else picked
+        if rewrites >= 2 and len(chosen) < (6 if chosen is costs else 60):
+            chosen[name] = dot_digest(rc, dot)
+    return {**picked, **costs}
+
+
 def test_pipeline_outputs_are_frozen(tmp_path):
     frozen = json.loads(DIGESTS.read_text())
     got = {name: run_digest(text, tmp_path) for name, text in cases()}
     assert set(got) == set(frozen)
     changed = sorted(name for name in got if got[name] != frozen[name])
     assert not changed, f"{len(changed)} programs changed output: {changed[:10]}"
+
+
+def test_dot_outputs_are_frozen(tmp_path):
+    frozen = json.loads(DOT_DIGESTS.read_text())
+    assert len(frozen) == 66 and sum(name.startswith("costs/") for name in frozen) == 6
+    texts = dict(cases())
+    changed = []
+    for name, digest in frozen.items():
+        rc, rewrites, dot = dot_run(texts[name], tmp_path)
+        assert rewrites >= 2, name
+        if dot_digest(rc, dot) != digest:
+            changed.append(name)
+    assert not changed, f"{len(changed)} programs changed their dot: {changed[:10]}"
 
 
 def test_verify_changes_only_the_exit_status(tmp_path):
@@ -113,6 +161,8 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_pipeline_frozen.py --write")
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: run_digest(text, Path(tmp)) for name, text in cases()}
+        dots = dot_slice(Path(tmp))
     DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps(digests, indent=0, sort_keys=True) + "\n")
-    sys.stdout.write(f"wrote {len(digests)} digests to {DIGESTS}\n")
+    for path, written in ((DIGESTS, digests), (DOT_DIGESTS, dots)):
+        path.write_text(json.dumps(written, indent=0, sort_keys=True) + "\n")
+        sys.stdout.write(f"wrote {len(written)} digests to {path}\n")

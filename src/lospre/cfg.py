@@ -90,6 +90,43 @@ class Cfg:
         self.pred = tuple([tuple(p) for p in pred])
         self.sinks = frozenset(v for v in range(node_count) if not succ[v])
 
+    def subdivided(self, paths: dict, edge_cost: CostVec, node_cost: CostVec) -> "Cfg":
+        """A new graph: this one with each edge (u, v) of ``paths`` replaced
+        by the path from u through the new nodes ``paths[(u, v)]`` to v, each
+        new edge costing ``edge_cost`` and each new node ``node_cost``.
+
+        The new nodes must be ``node_count`` on, each on one non-empty path.
+        Only the ends of the subdivided edges get new adjacency tuples; every
+        other tuple is shared and every other cost copied at C speed, and
+        this graph is left as it is.  A new node has a predecessor and a
+        successor, so the source and the sinks stay.  The slots a subclass
+        adds are left unset, for its caller to fill.
+        """
+        added = [w for path in paths.values() for w in path]
+        count = self.node_count + len(added)
+        if sorted(added) != list(range(self.node_count, count)) or not all(paths.values()):
+            raise CfgError(f"new nodes must be {self.node_count} on, each on one path")
+        if edge_cost < ZERO:
+            raise CfgError(f"new edges cost {format_cost(edge_cost)}, below [0,0]")
+        succ, pred = list(self.succ) + [()] * len(added), list(self.pred) + [()] * len(added)
+        edges, node_costs = dict(self.edge_cost), dict(self.node_cost)
+        node_costs.update(dict.fromkeys(added, node_cost))
+        for (u, v), path in paths.items():
+            if edges.pop((u, v), None) is None:
+                raise CfgError(f"no edge {u} -> {v} to subdivide")
+            nodes = (u, *path, v)
+            edges.update(dict.fromkeys(zip(nodes, nodes[1:]), edge_cost))
+            succ[u] = tuple([path[0] if w == v else w for w in succ[u]])
+            pred[v] = tuple([path[-1] if w == u else w for w in pred[v]])
+            for k, w in enumerate(path):
+                succ[w], pred[w] = (nodes[k + 2],), (nodes[k],)
+        new = object.__new__(type(self))
+        new.node_count, new.edges = count, edges.keys()
+        new.edge_cost, new.node_cost = edges, node_costs
+        new.source, new.sinks = self.source, self.sinks
+        new.succ, new.pred = tuple(succ), tuple(pred)
+        return new
+
     def has_finite_costs(self) -> bool:
         return not any(c.infinite for c in self.edge_cost.values()) and \
             not any(c.infinite for c in self.node_cost.values())
@@ -176,8 +213,9 @@ def use_region(cfg: Cfg, problem: ExprProblem) -> set:
     return reach(problem.use_set, cfg.pred, problem.invalidation_set)
 
 
-def min_calc_count(cfg: Cfg, problem: ExprProblem, limit: int) -> int:
-    """Fewest calculation edges that any life set has, capped at ``limit``.
+def min_calc_count(cfg: Cfg, problem: ExprProblem, region: set, limit: int) -> int:
+    """Fewest calculation edges that any life set has, capped at ``limit``;
+    ``region`` is the problem's use region, ``use_region(cfg, problem)``.
 
     A path that leaves an invalidating node, passes only through nodes
     outside the invalidation set and ends at the first use it enters holds
@@ -192,13 +230,14 @@ def min_calc_count(cfg: Cfg, problem: ExprProblem, limit: int) -> int:
     optimum's calculation count; under any finite costs it is a lower bound
     for it.
 
-    Every node of such a path after its first is in the use region B
-    (``use_region``), so the flow network has one arc per edge into B and
-    no other: an arc into a node outside B carries no flow.  The work is
-    in proportion to B's nodes and in-edges, not to the graph.
+    Every node of such a path after its first is in the use region B, so
+    the flow network has one arc per edge into B and no other: an arc into
+    a node outside B carries no flow.  The work is in proportion to B's
+    nodes and in-edges, not to the graph.  The caller walks B, so that a
+    solve after the cut can build its region from the same set.
     """
     use, inv = problem.use_set, problem.invalidation_set
-    index = {v: i for i, v in enumerate(use_region(cfg, problem))}
+    index = {v: i for i, v in enumerate(region)}
     source, sink = len(index), len(index) + 1
     flow = 0
     head = []                       # arc a runs to head[a]; a ^ 1 is its reverse

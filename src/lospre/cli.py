@@ -59,8 +59,9 @@ def _too_wide(width: int, config: RunConfig) -> WidthExceededError:
 class PipelineResult:
     """What ``run_pipeline`` did, with the graph its last pass used."""
     program: object
-    cfg: Cfg                # the input's graph with every rewrite subdivided
-    applied: list           # (candidate, solution) pairs, in application order
+    cfg: Cfg                # the input's graph with every rewrite subdivided, in run ids
+    applied: list           # (candidate, solution) pairs, in application order, each
+                            # in its pass's position ids (``ir.positions``)
     passes: int
     verify_failures: list
 
@@ -85,8 +86,9 @@ def _enlarge(cfg, problem, label: str, failures=None):
     return apply_safety(problem, safety_sol)
 
 
-def _verify_solution(cfg, problem, label: str, solution) -> list:
-    """Failures found by checking one solve against brute force and the cut bound."""
+def _verify_solution(cfg, problem, region, label: str, solution) -> list:
+    """Failures found by checking one solve against brute force and the cut
+    bound; ``region`` is the problem's use region."""
     failures = []
     if cfg.node_count <= VERIFY_MAX_NODES:
         oracle_sol = brute_lospre(cfg, problem)
@@ -95,7 +97,7 @@ def _verify_solution(cfg, problem, label: str, solution) -> list:
                 f"optimality mismatch for {label}: "
                 f"cost {solution.cost} vs oracle {oracle_sol.cost}")
     calcs = len(solution.calc_set)
-    cut = min_calc_count(cfg, problem, calcs + 1)
+    cut = min_calc_count(cfg, problem, region, calcs + 1)
     if cut > calcs or (cut < calcs and _unit_costs(cfg)):
         failures.append(
             f"certificate mismatch for {label}: "
@@ -109,17 +111,18 @@ def _report(failures: list) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
-def _use_region(cfg, problem):
+def _use_region(cfg, problem, region):
     """The problem on its use region B, with B's chains contracted:
     ``(region cfg, its problem, kept, constant, chains)``.
 
-    B is the uses and every node that reaches one without passing an
-    invalidating node, or every node when a node cost is below [0,0]
-    (``Cfg`` refuses such edge costs).  With costs of at least [0,0] the least
-    optimal life set lies in B, so an edge leaving B is never a calculation
-    edge.  An edge entering B comes from an invalidating node: into a use it
-    is a calculation edge under every life set, and its cost joins
-    ``constant``; else its cost joins its head's node cost.
+    B is ``region``, ``use_region(cfg, problem)``: the uses and every node
+    that reaches one without passing an invalidating node.  It is every node
+    instead when a node cost is below [0,0] (``Cfg`` refuses such edge
+    costs).  With costs of at least [0,0] the least optimal life set lies in
+    B, so an edge leaving B is never a calculation edge.  An edge entering
+    B comes from an invalidating node: into a use it is a calculation edge
+    under every life set, and its cost joins ``constant``; else its cost
+    joins its head's node cost.
 
     Only when the region is B, a chain is a maximal run x1..xk, k > 1, of
     nodes of B with one predecessor and one successor in B, neither itself,
@@ -140,7 +143,7 @@ def _use_region(cfg, problem):
     """
     use, inv = problem.use_set, problem.invalidation_set
     whole = any(c.primary < 0 or c.primary == 0 and c.secondary < 0 for c in cfg.node_cost.values())
-    inside = range(cfg.node_count) if whole else use_region(cfg, problem)
+    inside = range(cfg.node_count) if whole else region
     edge_cost, node_cost, preds, succ, constant = cfg.edge_cost, {}, {}, {}, ZERO
     for v in inside if whole else sorted(inside):
         node_cost[v], preds[v] = cfg.node_cost[v], []
@@ -211,13 +214,13 @@ def _lift(cfg, problem, life, constant, part):
     return replace(part, life_set=life, calc_set=calcs, cost=cost)
 
 
-def _region_solve(cfg, problem, max_width: int):
+def _region_solve(cfg, problem, region, max_width: int):
     """``(solution, width)``: ``problem`` solved on its contracted use region
-    (``_use_region``), each chain completed by the states of its ends, and
-    lifted to ``cfg`` (``_lift``), and the width of the region's nice
-    decomposition; the solution is None when that width is above
-    ``max_width``, and nothing is solved then."""
-    region_cfg, region_problem, kept, constant, chains = _use_region(cfg, problem)
+    (``_use_region`` of ``region``), each chain completed by the states of
+    its ends, and lifted to ``cfg`` (``_lift``), and the width of the
+    region's nice decomposition; the solution is None when that width is
+    above ``max_width``, and nothing is solved then."""
+    region_cfg, region_problem, kept, constant, chains = _use_region(cfg, problem, region)
     nice = make_nice(decompose(region_cfg))
     if nice.width > max_width:
         return None, nice.width
@@ -251,9 +254,10 @@ def _verify_pass(cfg, derived, chosen, config: RunConfig, failures: list) -> Non
         label, problem = candidate.display(), derived[k][1]
         if _wants_safety(config, candidate):
             problem = _enlarge(cfg, problem, label, failures)
-        solution, width = _region_solve(cfg, problem, config.max_width)
+        region = use_region(cfg, problem)
+        solution, width = _region_solve(cfg, problem, region, config.max_width)
         if solution is not None:
-            failures.extend(_verify_solution(cfg, problem, label, solution))
+            failures.extend(_verify_solution(cfg, problem, region, label, solution))
         elif cfg.node_count <= VERIFY_MAX_NODES:
             solution = brute_lospre(cfg, problem)
         else:
@@ -273,10 +277,11 @@ def _carried(verdicts: set, touched: set, loaded: set) -> set:
     ``touched`` holds the key the last pass applied and every key that copy
     propagation took from or gave to an instruction; ``loaded`` holds the
     last pass's load results when it applied a load, and is empty
-    otherwise.  Any other candidate has, mapped through the rewrite, the use
-    and invalidation sets it had: a rewrite defines only a fresh temporary,
-    which no key of the last pass names, moves no store, and moves a load
-    only when it applies one; copy propagation changes reads only.
+    otherwise.  Any other candidate has the use and invalidation sets it
+    had, node for node (a rewrite keeps every id): a rewrite defines only a
+    fresh temporary, which no key of the last pass names, moves no store,
+    and moves a load only when it applies one; copy propagation changes
+    reads only.
     """
     return {key for key in verdicts
             if key not in touched and key[1] not in loaded and key[2] not in loaded}
@@ -297,25 +302,32 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     cannot gain under any costs and is not solved; otherwise every
     candidate is solved, so an infeasible one fails.  Enlarging only raises
     the cut, so the plain problem is cut first, and only a candidate whose
-    plain cut is below its occurrence count is enlarged and cut again.  The input graph
-    decides this for the whole run: a rewrite drops the ``!edgecost``
-    override only of a calculation edge, which is finite, and costs the
-    edges and nodes it adds by the directives' defaults, which already cost
-    the source edge and the source node, so no rewrite changes whether
-    every cost is finite.  Each solve goes through ``_region_solve``, and
-    the width guard (exit 3) reads the width of the region it solves.
+    plain cut is below its occurrence count is enlarged and cut again.  The
+    input graph decides this for the whole run: a rewrite drops the
+    ``!edgecost`` override only of a calculation edge, which is finite, and
+    costs the edges and nodes it adds by the directives' defaults, which
+    already cost the source edge and the source node, so no rewrite changes
+    whether every cost is finite.  Each solve goes through ``_region_solve``, and
+    the width guard (exit 3) reads the width of the region it solves.  Each
+    cut walks its problem's use region B once, and the solve builds its
+    region from the B of the candidate's last cut.
 
     A "cannot gain" verdict carries to the next pass, which skips the
     candidate before building its problem, when ``_carried`` finds that the
     last pass left the candidate's use and invalidation sets as they were,
-    mapped through the rewrite: its key is not the one applied, copy
-    propagation neither took it from an instruction nor gave it to one,
-    and, when a load was applied, no operand is one of that pass's load
-    results.  Every new node then lies outside both sets, and subdividing
-    an edge with such a node keeps the minimum cut, enlarged or not.  So
-    only the first pass calls ``build_cfg``; each later one takes the graph
+    node for node: its key is not the one applied, copy propagation
+    neither took it from an instruction nor gave it to one, and, when a
+    load was applied, no operand is one of that pass's load results.  Every
+    new node then lies outside both sets, and subdividing an edge with such
+    a node keeps the minimum cut, enlarged or not.  So only the first pass
+    calls ``build_cfg``; each later one takes the graph
     the last rewrite returned (``Rewrite.cfg``), whose fake edges and source
     edges are those of the input, and the result keeps the last graph.
+    Node ids are fixed for the run: the input's keep theirs and each
+    rewrite numbers its new nodes after the highest, so a pass graph's
+    ``order`` maps its program's positions to ids.  ``applied`` names each
+    solution's nodes by position in its pass's program
+    (``ir.positional_pair``), as ``build_cfg`` of that program would.
     Copy propagation runs on the pass's graph, and a candidate's problem is
     built only when the pass looks past its occurrence count.
 
@@ -350,14 +362,17 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
             # every life set has at least as many calculation edges as the
             # minimum cut, the optimum included, enlarged or not
             problem = derived[k][1]
-            stuck = certify and min_calc_count(cfg, problem, occurrences) >= occurrences
+            region = use_region(cfg, problem)
+            stuck = certify and min_calc_count(cfg, problem, region, occurrences) >= occurrences
             if not stuck and _wants_safety(config, candidate):
                 problem = _enlarge(cfg, problem, candidate.display())
-                stuck = certify and min_calc_count(cfg, problem, occurrences) >= occurrences
+                region = use_region(cfg, problem)
+                stuck = certify and min_calc_count(cfg, problem, region, occurrences) >= occurrences
             if stuck:
                 verdicts.add(key)
                 continue
-            solution, width = _region_solve(cfg, problem, config.max_width)
+            # the solve builds its region from the B the last cut walked
+            solution, width = _region_solve(cfg, problem, region, config.max_width)
             if solution is None:
                 raise _too_wide(width, config)
             if len(solution.calc_set) < occurrences:
@@ -367,7 +382,7 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
         if chosen is None:
             break
         candidate, solution = chosen
-        applied.append((candidate, solution))
+        applied.append(irmod.positional_pair(cfg, candidate, solution))
         step = irmod.rewrite(program, cfg, candidate, solution, next(tmp_names))
         program, cfg = step.program, step.cfg
         rewritten = program.instructions
@@ -414,7 +429,7 @@ def cmd_run(config: RunConfig, path: Path, text: str) -> int:
     if "rewritten-ir" in config.emit:
         _emit(config, f"{stem}.out.ir", irmod.format_ir(result.program))
     if "dot" in config.emit:
-        _emit(config, f"{stem}.dot", dump_dot(result.cfg))
+        _emit(config, f"{stem}.dot", dump_dot(irmod.positional(result.cfg)))
     if "solution" in config.emit:
         text = "".join(format_solution(sol, index=k)
                        for k, (_, sol) in enumerate(result.applied))
@@ -429,11 +444,12 @@ def cmd_graph(config: RunConfig, path: Path, text: str) -> int:
         label = f"problem {k}"
         if config.safety == "always":
             problem = _enlarge(cfg, problem, label, failures if config.verify else None)
-        solution, width = _region_solve(cfg, problem, config.max_width)
+        region = use_region(cfg, problem)
+        solution, width = _region_solve(cfg, problem, region, config.max_width)
         if solution is None:
             raise _too_wide(width, config)
         if config.verify:
-            failures.extend(_verify_solution(cfg, problem, label, solution))
+            failures.extend(_verify_solution(cfg, problem, region, label, solution))
         solutions.append(solution)
     text = "".join(format_solution(solution, index=k) for k, solution in enumerate(solutions))
     sys.stdout.write(text)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import count
+from itertools import chain, count
 from typing import Optional, Union
 
 from .cfg import Cfg, DEFAULT_EDGE_COST, DEFAULT_NODE_COST, make_problem, reach
@@ -238,18 +238,61 @@ def format_ir(program: Program) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Graph extraction.  Node ids: 0 is the synthetic source, instruction i maps
-# to node i+1, and the synthetic sink is the last id.
+# Graph extraction.  Node ids are fixed for a run: ``build_cfg`` numbers the
+# synthetic source 0, instruction i node i+1 and the synthetic sink last, and
+# every rewrite keeps each id and numbers the nodes it adds after the highest.
+# A program's graph records the node of each instruction (``ProgramCfg.order``);
+# only this module turns positions into ids.
 
 SOURCE_NODE = 0
 
 
 def instr_node(index: int) -> int:
+    """The node ``build_cfg`` gives instruction ``index``."""
     return index + 1
 
 
-def node_instr(node: int) -> int:
-    return node - 1
+class ProgramCfg(Cfg):
+    """A program's graph: a ``Cfg`` whose ``order[i]`` is the node of
+    instruction i.  ``build_cfg`` makes the order the identity (instruction
+    i is node i+1), and ``rewrite`` splices the nodes it adds into it."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, order, *args):
+        super().__init__(*args)
+        self.order = tuple(order)
+
+
+def positions(cfg: ProgramCfg) -> dict:
+    """The id ``build_cfg`` would give each node of ``cfg`` on its program as
+    it now is: 0 for the source, i+1 for the node of instruction i, and the
+    instruction count plus 1 for the sink."""
+    n = len(cfg.order)
+    rank = dict(zip(cfg.order, range(1, n + 1)))
+    rank[cfg.source] = SOURCE_NODE
+    rank.update(dict.fromkeys(cfg.sinks, n + 1))
+    return rank
+
+
+def positional(cfg: ProgramCfg) -> ProgramCfg:
+    """``cfg`` with each node renamed to its position id (``positions``): the
+    graph that emitted artifacts draw.  Built from scratch; a run calls it
+    only to write ``--emit dot``."""
+    rank = positions(cfg)
+    edge_cost = {(rank[u], rank[v]): c for (u, v), c in cfg.edge_cost.items()}
+    return ProgramCfg(range(1, len(cfg.order) + 1), cfg.node_count, edge_cost, edge_cost,
+                      {rank[v]: c for v, c in cfg.node_cost.items()})
+
+
+def positional_pair(cfg: ProgramCfg, candidate, solution):
+    """``candidate`` and ``solution``, found on ``cfg``, with each node
+    renamed to its position id (``positions``)."""
+    rank = positions(cfg)
+    occurrences = frozenset(rank[v] for v in candidate.occurrence_nodes)
+    return (replace(candidate, occurrence_nodes=occurrences),
+            replace(solution, life_set=frozenset(rank[v] for v in solution.life_set),
+                    calc_set=frozenset((rank[u], rank[v]) for u, v in solution.calc_set)))
 
 
 def _successor_indices(program) -> list:
@@ -269,8 +312,8 @@ def _successor_indices(program) -> list:
     return succ
 
 
-def build_cfg(program: Program) -> Cfg:
-    """Extract the weighted graph.
+def build_cfg(program: Program) -> ProgramCfg:
+    """Extract the weighted graph, with instruction i as node i+1.
 
     Instructions that are unreachable from the entry are kept as nodes and
     reported with an UnreachableCodeWarning.  Each unreachable instruction
@@ -283,8 +326,9 @@ def build_cfg(program: Program) -> Cfg:
     whose every instruction can reach a ret gets none.  ``rewrite`` refuses
     a computation on a fake edge.  ``run_pipeline`` calls this once, on its
     input: a later pass's graph is the one the last rewrite returned
-    (``Rewrite.cfg``), so fake edges and source edges are chosen on the
-    input and carried through every rewrite.
+    (``Rewrite.cfg``), whose ids are this graph's plus the nodes each
+    rewrite added, so fake edges and source edges are chosen on the input
+    and carried through every rewrite.
     """
     n = len(program)
     sink = instr_node(n)
@@ -318,12 +362,7 @@ def build_cfg(program: Program) -> Cfg:
         if start not in reaches_sink:
             edges.add((instr_node(start), sink))
             reaches_sink |= reach([start], preds, reaches_sink)
-    return _weighted(program, edges)
 
-
-def _weighted(program: Program, edges) -> Cfg:
-    """The graph of ``program`` on ``edges``, with the costs of its directives."""
-    sink = instr_node(len(program))
     edge_cost = dict.fromkeys(edges, program.default_edge_cost)
     node_cost = dict.fromkeys(range(sink + 1), program.default_node_cost)
     labels = program.labels()
@@ -331,7 +370,7 @@ def _weighted(program: Program, edges) -> Cfg:
         edge_cost[(instr_node(labels[a]), instr_node(labels[b]))] = c
     for a, c in program.node_cost_overrides.items():
         node_cost[instr_node(labels[a])] = c
-    return Cfg(sink + 1, edges, edge_cost, node_cost)
+    return ProgramCfg(range(1, sink), sink + 1, edges, edge_cost, node_cost)
 
 
 def _exits(program, i: int) -> bool:
@@ -384,9 +423,10 @@ def candidate_key(ins: Instruction):
     return None
 
 
-def derive_problems(program, cfg: Cfg) -> "Derivation":
+def derive_problems(program, cfg: ProgramCfg) -> "Derivation":
     """One (candidate, problem) pair per distinct computed expression, in
-    order of first occurrence; each problem is built when looked at.
+    order of first occurrence; each problem is built when looked at, in the
+    ids of ``cfg``, the program's graph.
 
     The invalidation set contains the source and sinks, every node
     assigning to an operand variable, every store when the candidate reads
@@ -396,7 +436,7 @@ def derive_problems(program, cfg: Cfg) -> "Derivation":
     occurrences = {}
     defining_nodes = {}  # variable -> nodes assigning to it
     stores, loads, load_results = [], [], set()
-    for v, ins in enumerate(program, instr_node(0)):
+    for v, ins in zip(cfg.order, program):
         if ins.dest is not None:
             defining_nodes.setdefault(ins.dest, []).append(v)
         if ins.kind == STORE:
@@ -465,55 +505,66 @@ def tmp_names(program):
 
 @dataclass(frozen=True)
 class Rewrite:
-    """A rewritten program, its graph, and where the old graph's nodes went.
+    """A rewritten program and its graph.
 
-    ``node_map[v]`` is the new id of old node v.  ``cfg`` is the next
-    pass's graph: the edges of the graph the rewrite was applied to, mapped,
-    with each edge (u, v) that new nodes were placed on replaced by the path
-    from u through those nodes to v, costed by the new program's
-    directives.  On a calculation edge the path holds the computation, then,
-    on a jump edge, the jump or ret that follows it; on the edge from a last
-    instruction that fell off the end into the sink, the ``ret`` appended
-    after it (after the computation, if that edge is also a calculation
-    edge).  Its fake edges and source edges are those of the old graph,
-    mapped; every other edge is one ``build_cfg`` gives.
+    ``cfg`` is the next pass's graph: the graph the rewrite was applied to,
+    patched (``Cfg.subdivided``), with each edge (u, v) that new nodes were
+    placed on replaced by the path from u through those nodes to v.  Every
+    old node keeps its id, the new nodes are numbered after the highest id
+    in program order, and ``cfg.order`` has them spliced in where their
+    instructions went.  On a calculation edge the path holds the
+    computation, then, on a jump edge, the jump or ret that follows it; on
+    the edge from a last instruction that fell off the end into the sink,
+    the ``ret`` appended after it (after the computation, if that edge is
+    also a calculation edge).  New edges and nodes take the default costs of
+    the program's directives; every other cost, and every fake edge and
+    source edge, is the old graph's.  Its other edges are those
+    ``build_cfg`` gives the new program, renamed through the order.
     """
 
     program: Program
-    node_map: list
-    cfg: Cfg
+    cfg: ProgramCfg
 
 
-def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution, tmp: str) -> Rewrite:
+def rewrite(program: Program, cfg: ProgramCfg, candidate: ExprCandidate, solution,
+            tmp: str) -> Rewrite:
     """Apply a solution: subdivide every calculation edge with a computation
     of the candidate into the temporary ``tmp``, a name the program does not
     use, and replace every occurrence with an assignment from it.
+
+    ``cfg`` is the program's graph, and the solution is in its ids.  The
+    rewrite copies the instruction list and ``cfg.order``, changes only the
+    occurrences and the retargeted jumps, inserts its blocks and patches the
+    graph; it maps no other node and no other edge.
 
     A calculation edge is one of three kinds.  A source edge, into the
     entry or into the head of an unreachable region, gets the computation
     just before the head; the head keeps its label, so a jump back to the
     entry skips the computation and a directive naming the head still
-    names it.  A fallthrough edge (u, u+1) out of an instruction that is
-    neither a ret nor a goto gets it inline after the instruction; a
-    branch whose target is u+1 too is retargeted to a fresh label on the
-    insert.  A jump edge, out of a ret, out of a goto or a branch's taken
-    edge, gets a fresh labeled block at the end of the program, the
-    computation then a ret or a jump to the original target, and the
-    instruction is retargeted to it.  When trailing blocks are added and
-    the last instruction falls off the end, a ``ret`` on its edge into the
-    sink keeps it from falling into them.  A subdivided edge loses its
-    ``!edgecost`` override: the edges that replace it take the default
-    cost, like every edge a rewrite creates.
+    names it.  A fallthrough edge (u, v), v the node of the instruction
+    after u's or the sink after the last, out of an instruction that is
+    neither a ret nor a goto gets it inline after the instruction; a branch
+    whose target is that next instruction too is retargeted to a fresh
+    label on the insert.  A jump edge, out of a ret, out of a goto or a
+    branch's taken edge, gets a fresh labeled block at the end of the
+    program, the computation then a ret or a jump to the original target,
+    and the instruction is retargeted to it.  Trailing blocks and fresh
+    labels follow the positions of their edges' ends, the sink last.  When
+    trailing blocks are added and the last instruction falls off the end, a
+    ``ret`` on its edge into the sink keeps it from falling into them.  A
+    subdivided edge loses its ``!edgecost`` override: the edges that replace
+    it take the default cost, like every edge a rewrite creates.
     """
-    instructions = program.instructions
+    instructions, order = program.instructions, cfg.order
     n = len(instructions)
-    sink = instr_node(n)
-    if cfg.node_count != sink + 1:
+    if len(order) != n:
         raise LospreError("solution/graph/program size mismatch")
+    (sink,) = cfg.sinks
+    rank = positions(cfg)
     for (u, v) in solution.calc_set:
         if (u, v) not in cfg.edges:
             raise LospreError(f"solution edge ({u}, {v}) is not an edge of the graph")
-        if v == sink and u != SOURCE_NODE and not _exits(instructions, node_instr(u)):
+        if v == sink and u != SOURCE_NODE and not _exits(instructions, rank[u] - 1):
             raise LospreError(f"solution edge ({u}, {v}) is a fake edge out of an infinite loop")
 
     comp = _computation_instr(candidate, tmp)
@@ -521,27 +572,26 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution, tmp:
     fresh_labels = (name for name in map("__L{}".format, count()) if name not in labels)
 
     # each block is placed on one calculation edge
-    before = {}     # instruction index -> (edge, block placed just before it)
-    after = {}      # instruction index -> (edge, block placed just after it)
+    gaps = {}       # position -> the (edge, block) pairs inserted before it, in order
     appended = []   # (edge, block) at the end of the program
     retarget = {}   # instruction index -> the fresh label it jumps to
-    for edge in sorted(solution.calc_set):
+    for edge in sorted(solution.calc_set, key=lambda e: (rank[e[0]], rank[e[1]])):
         u, v = edge
         if u == SOURCE_NODE:
             # a source edge: the computation goes before the head
-            before[node_instr(v)] = (edge, [comp])
+            gaps.setdefault(rank[v] - 1, []).append((edge, [comp]))
             continue
-        ui = node_instr(u)
+        ui = rank[u] - 1
         ins = instructions[ui]
         # a ret, a goto and a branch's taken edge jump to the computation
-        jumps = ins.kind in (RET, JUMP) or ins.kind == BRANCH and v == instr_node(labels[ins.target])
+        jumps = ins.kind in (RET, JUMP) or ins.kind == BRANCH and v == order[labels[ins.target]]
         block = [comp]
         if jumps:
             retarget[ui] = next(fresh_labels)
             block = [replace(comp, label=retarget[ui])]
-        if v == u + 1 and ins.kind not in (RET, JUMP):
+        if rank[v] == rank[u] + 1 and ins.kind not in (RET, JUMP):
             # a fallthrough edge, a collapsed branch's taken edge with it: inline
-            after[ui] = (edge, block)
+            gaps.setdefault(ui + 1, []).append((edge, block))
         elif jumps:
             # a jump edge: a trailing block that returns or jumps on
             tail = Instruction(RET) if ins.kind == RET else Instruction(JUMP, target=ins.target)
@@ -549,51 +599,50 @@ def rewrite(program: Program, cfg: Cfg, candidate: ExprCandidate, solution, tmp:
         else:
             raise LospreError(f"edge ({u}, {v}) does not leave instruction {ui}")
 
-    occurrence_indices = {node_instr(v) for v in candidate.occurrence_nodes}
-    out = []
-    inserted = {}   # edge -> the new nodes placed on it, in path order
+    out = list(instructions)
+    for i, label in retarget.items():
+        out[i] = replace(out[i], kind=JUMP if out[i].kind == RET else out[i].kind, target=label)
+    for v in candidate.occurrence_nodes:
+        ins = out[rank[v] - 1]
+        out[rank[v] - 1] = Instruction(ASSIGN, label=ins.label, dest=ins.dest, left=tmp)
+    if appended:
+        if out[-1].kind not in (JUMP, RET):
+            # the ret subdivides the last instruction's edge into the sink
+            gaps.setdefault(n, []).append(((order[-1], sink), [Instruction(RET)]))
+        gaps.setdefault(n, []).extend(appended)
 
-    def place(edge, block):
-        inserted[edge] = tuple(instr_node(len(out) + k) for k in range(len(block)))
-        out.extend(block)
-
-    node_map = [SOURCE_NODE]
-    for i, ins in enumerate(instructions):
-        if i in before:
-            place(*before[i])
-        if i in retarget:
-            ins = replace(ins, kind=JUMP if ins.kind == RET else ins.kind, target=retarget[i])
-        if i in occurrence_indices:
-            ins = Instruction(ASSIGN, label=ins.label, dest=ins.dest, left=tmp)
-        node_map.append(instr_node(len(out)))
-        out.append(ins)
-        if i in after:
-            place(*after[i])
-    if appended and out[-1].kind not in (JUMP, RET):
-        # the ret subdivides the last instruction's edge into the sink
-        edge = (instr_node(n - 1), sink)
-        inserted[edge] = inserted.get(edge, ()) + (instr_node(len(out)),)
-        out.append(Instruction(RET))
-    for edge, block in appended:
-        place(edge, block)
-    node_map.append(instr_node(len(out)))
+    # splice, numbering the new nodes after the highest id in program order
+    pieces, ids, inserted = [], [], {}   # inserted: edge -> its new nodes, in path order
+    start, fresh = 0, cfg.node_count
+    for p in sorted(gaps):
+        pieces.append(out[start:p])
+        ids.append(order[start:p])
+        start = p
+        for edge, block in gaps[p]:
+            added = range(fresh, fresh + len(block))
+            fresh += len(block)
+            inserted[edge] = inserted.get(edge, ()) + tuple(added)
+            pieces.append(block)
+            ids.append(added)
+    pieces.append(out[start:])
+    ids.append(order[start:])
     overrides = {(a, b): c for (a, b), c in program.edge_cost_overrides.items()
-                 if (instr_node(labels[a]), instr_node(labels[b])) not in solution.calc_set}
-    new = replace(program, instructions=out, edge_cost_overrides=overrides)
-    edges = {(node_map[u], node_map[v]) for (u, v) in cfg.edges if (u, v) not in inserted}
-    for (u, v), path in inserted.items():
-        nodes = (node_map[u], *path, node_map[v])
-        edges.update(zip(nodes, nodes[1:]))
-    return Rewrite(new, node_map, _weighted(new, edges))
+                 if (order[labels[a]], order[labels[b]]) not in solution.calc_set}
+    new = replace(program, instructions=list(chain.from_iterable(pieces)),
+                  edge_cost_overrides=overrides)
+    patched = cfg.subdivided(inserted, program.default_edge_cost, program.default_node_cost)
+    patched.order = tuple(chain.from_iterable(ids))
+    return Rewrite(new, patched)
 
 
 # ---------------------------------------------------------------------------
 # Copy propagation (pipeline glue between rewriting passes)
 
-def copy_propagate(program: Program, cfg: Cfg) -> Program:
+def copy_propagate(program: Program, cfg: ProgramCfg) -> Program:
     """Replace variable reads with their copy sources where a copy is
     available on every path from the source of ``cfg``, the program's graph,
-    until a round changes no copy instruction.
+    until a round changes no copy instruction.  The analysis runs on the
+    graph's ids; instruction i is node ``cfg.order[i]``.
 
     An elimination pass leaves ``x = tmp`` assignments at the former
     occurrences; propagating tmp into downstream reads is what lets
@@ -608,8 +657,7 @@ def copy_propagate(program: Program, cfg: Cfg) -> Program:
     ``y = z`` is available at that ``x = y``, which this round changed.
     """
     instructions = list(program.instructions)
-    n = len(instructions)
-    # node v is instruction v - 1; the source (node 0) makes no copy available
+    order, size = cfg.order, cfg.node_count
     pred, succ = cfg.pred, cfg.succ
     changed = True
     while changed:
@@ -627,16 +675,18 @@ def copy_propagate(program: Program, cfg: Cfg) -> Program:
             dest_mask[dest] = dest_mask.get(dest, 0) | 1 << c
             touch_mask[dest] = touch_mask.get(dest, 0) | 1 << c
             touch_mask[src] = touch_mask.get(src, 0) | 1 << c
-        gen, kill = [0] * (n + 2), [0] * (n + 2)
-        for v, ins in enumerate(instructions, 1):
+        gen, kill = [0] * size, [0] * size
+        for v, ins in zip(order, instructions):
             if ins.dest is None:
                 continue
             kill[v] = touch_mask.get(ins.dest, 0)
             if ins.kind == ASSIGN and ins.dest != ins.left:
                 gen[v] = 1 << pair_id[(ins.dest, ins.left)]
-        # forward must analysis: IN = AND of predecessor OUTs
-        out_sets, in_sets = [0] + [all_mask] * (n + 1), [0] * (n + 2)
-        work = list(range(n, 0, -1))  # popped in program order
+        # forward must analysis: IN = AND of predecessor OUTs; the source
+        # makes no copy available
+        out_sets, in_sets = [all_mask] * size, [0] * size
+        out_sets[cfg.source] = 0
+        work = list(reversed(order))  # popped in program order
         while work:
             v = work.pop()
             new_in = all_mask
@@ -655,10 +705,10 @@ def copy_propagate(program: Program, cfg: Cfg) -> Program:
             return copies[m.bit_length() - 1][1] if m else o
 
         changed = False
-        for v, ins in enumerate(instructions, 1):
+        for i, (v, ins) in enumerate(zip(order, instructions)):
             if in_sets[v]:
                 left, right = sub(v, ins.left), sub(v, ins.right)
                 if left != ins.left or right != ins.right:
-                    instructions[v - 1] = replace(ins, left=left, right=right)
+                    instructions[i] = replace(ins, left=left, right=right)
                     changed |= ins.kind == ASSIGN
     return replace(program, instructions=instructions)

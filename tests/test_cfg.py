@@ -5,13 +5,19 @@ import pytest
 
 from lospre import ir as irmod
 from lospre.cfg import (Cfg, ExprProblem, calc_set, dump_dot, load_cfg,
-                        make_problem, min_calc_count, reach, total_cost, validate_problem)
+                        make_problem, min_calc_count, reach, total_cost, use_region,
+                        validate_problem)
 from lospre.cost import CostVec, INFINITY
 from lospre.dp import LospreSolution, solve
 from lospre.errors import CfgError, GraphFormatError, NoFeasibleSolutionError
 from lospre.oracle import STYLES, InstanceGenerator, generate, generate_program_text
 from lospre.safety import apply_safety, solve_safety
 from lospre.treedec import decompose, make_nice
+
+
+def _cut(cfg, problem, limit):
+    """``min_calc_count`` on the problem's use region."""
+    return min_calc_count(cfg, problem, use_region(cfg, problem), limit)
 
 
 @pytest.fixture
@@ -47,6 +53,35 @@ def test_self_loop_allowed():
     cfg = Cfg(3, [(0, 1), (1, 1), (1, 2)])
     assert (1, 1) in cfg.edges
     assert not cfg.is_acyclic()
+
+
+def test_subdivided_rewires_only_the_ends_of_its_paths():
+    # a diamond 0 -> 1 -> {2, 3} -> 4 with the self-loop 2 -> 2: the edges
+    # (1, 3) and (2, 2) get paths through the new nodes 5 and 6, 7
+    cfg = Cfg(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (2, 2)], {(1, 3): CostVec(4, 0)},
+              {3: CostVec(0, 9)})
+    before = (cfg.succ, cfg.pred, dict(cfg.edge_cost), dict(cfg.node_cost))
+    new = cfg.subdivided({(1, 3): (5,), (2, 2): (6, 7)}, CostVec(2, 0), CostVec(0, 3))
+    assert (cfg.succ, cfg.pred, cfg.edge_cost, cfg.node_cost) == before  # left as it was
+    assert new.node_count == 8 and (new.source, new.sinks) == (0, {4})
+    assert set(new.edges) == {(0, 1), (1, 2), (1, 5), (5, 3), (2, 4), (3, 4), (2, 6), (6, 7),
+                              (7, 2)}
+    assert new.succ[1] == (2, 5) and new.pred[3] == (5,)  # in place of 3 and of 1
+    assert (new.succ[2], new.pred[2]) == ((4, 6), (1, 7))
+    assert (new.succ[6], new.pred[6], new.succ[7], new.pred[7]) == ((7,), (2,), (2,), (6,))
+    for v in (0, 4):
+        assert new.succ[v] is cfg.succ[v] and new.pred[v] is cfg.pred[v]
+    assert new.edge_cost[(1, 5)] == new.edge_cost[(7, 2)] == CostVec(2, 0)
+    assert new.edge_cost[(0, 1)] == CostVec(1, 0) and new.node_cost[3] == CostVec(0, 9)
+    assert [new.node_cost[v] for v in (5, 6, 7)] == [CostVec(0, 3)] * 3
+    for paths, costs, message in [
+            ({(1, 3): (6,)}, CostVec(1, 0), "new nodes must be 5 on"),
+            ({(1, 3): (5,), (2, 4): (5,)}, CostVec(1, 0), "new nodes must be 5 on"),
+            ({(1, 3): ()}, CostVec(1, 0), "new nodes must be 5 on"),
+            ({(3, 1): (5,)}, CostVec(1, 0), "no edge 3 -> 1 to subdivide"),
+            ({(1, 3): (5,)}, CostVec(-1, 0), r"new edges cost \[-1,0\], below \[0,0\]")]:
+        with pytest.raises(CfgError, match=message):
+            cfg.subdivided(paths, costs, CostVec(0, 1))
 
 
 def test_edge_costs_below_zero_rejected():
@@ -270,12 +305,12 @@ def test_min_calc_count_equals_optimum_under_unit_costs():
     for style in STYLES:
         for seed in range(100):
             cfg, problem = _cyclic_instance(seed, style)
-            assert min_calc_count(cfg, problem, 10 ** 6) == \
+            assert _cut(cfg, problem, 10 ** 6) == \
                 len(_solved(cfg, problem).calc_set), (style, seed)
             counts["cyclic"] += not cfg.is_acyclic()
             counts["overlap"] += bool(problem.use_set & problem.invalidation_set)
     for cfg, problem in _ir_candidates(range(60)):
-        assert min_calc_count(cfg, problem, 10 ** 6) == len(_solved(cfg, problem).calc_set)
+        assert _cut(cfg, problem, 10 ** 6) == len(_solved(cfg, problem).calc_set)
         counts["ir"] += 1
     assert min(counts.values()) >= 50, counts
 
@@ -285,7 +320,7 @@ def test_min_calc_count_bounds_optimum_under_finite_costs():
     for style in STYLES:
         for seed in range(100):
             cfg, problem = _cyclic_instance(seed, style, cost_style="random")
-            cut = min_calc_count(cfg, problem, 10 ** 6)
+            cut = _cut(cfg, problem, 10 ** 6)
             calcs = len(_solved(cfg, problem).calc_set)
             assert cut <= calcs, (style, seed)
             below += cut < calcs
@@ -294,36 +329,36 @@ def test_min_calc_count_bounds_optimum_under_finite_costs():
 
 def test_min_calc_count_limit_caps_the_search():
     cfg, problem = _cyclic_instance(10, "random-sparse")
-    full = min_calc_count(cfg, problem, 10 ** 6)
+    full = _cut(cfg, problem, 10 ** 6)
     assert full >= 4
     for limit in range(full + 3):
-        assert min_calc_count(cfg, problem, limit) == min(full, limit)
+        assert _cut(cfg, problem, limit) == min(full, limit)
     # edges from an invalidating node straight into a use count before the search
     fan = Cfg(4, [(0, 1), (0, 2), (0, 3)])
-    assert min_calc_count(fan, make_problem(fan, use=[1, 2]), 1) == 1
+    assert _cut(fan, make_problem(fan, use=[1, 2]), 1) == 1
 
 
 def test_min_calc_count_hand_cases(diamond):
     # the two uses merge above the branch: one calculation on 0->1 serves both
-    assert min_calc_count(diamond, make_problem(diamond, use=[2, 3]), 9) == 1
+    assert _cut(diamond, make_problem(diamond, use=[2, 3]), 9) == 1
     # invalidating the branch node splits them again
-    assert min_calc_count(diamond, make_problem(diamond, use=[2, 3], invalidate=[1]), 9) == 2
-    assert min_calc_count(diamond, make_problem(diamond, use=[]), 9) == 0
+    assert _cut(diamond, make_problem(diamond, use=[2, 3], invalidate=[1]), 9) == 2
+    assert _cut(diamond, make_problem(diamond, use=[]), 9) == 0
     # node 1 uses and invalidates (v = *v): its own entry and the edge to the
     # next use each need a calculation
     line = Cfg(4, [(0, 1), (1, 2), (2, 3)])
-    assert min_calc_count(line, make_problem(line, use=[1, 2]), 9) == 1
-    assert min_calc_count(line, make_problem(line, use=[1, 2], invalidate=[1]), 9) == 2
+    assert _cut(line, make_problem(line, use=[1, 2]), 9) == 1
+    assert _cut(line, make_problem(line, use=[1, 2], invalidate=[1]), 9) == 2
     # a self-loop on such a node is a calculation edge of its own
     loop = Cfg(3, [(0, 1), (1, 1), (1, 2)])
-    assert min_calc_count(loop, make_problem(loop, use=[1], invalidate=[1]), 9) == 2
-    assert min_calc_count(loop, make_problem(loop, use=[1]), 9) == 1
+    assert _cut(loop, make_problem(loop, use=[1], invalidate=[1]), 9) == 2
+    assert _cut(loop, make_problem(loop, use=[1]), 9) == 1
     # the unique shortest path 0-1-2-7 blocks both disjoint paths 0-1-3-4-8
     # and 0-5-6-2-7; only the residual reverse arc 2->1 finds the second
     ladder = Cfg(10, [(0, 1), (1, 2), (2, 7), (1, 3), (3, 4), (4, 8), (0, 5), (5, 6),
                       (6, 2), (7, 9), (8, 9)])
     problem = make_problem(ladder, use=[7, 8])
-    assert min_calc_count(ladder, problem, 9) == 2 == len(_solved(ladder, problem).calc_set)
+    assert _cut(ladder, problem, 9) == 2 == len(_solved(ladder, problem).calc_set)
 
 
 def _edge_order_instances():
@@ -351,7 +386,7 @@ def _edge_order_results(cfg, problems):
             solved = None
         enlarged = solve_safety(cfg, problem)
         rows.append((solved, enlarged.i_prime, enlarged.added,
-                     min_calc_count(cfg, problem, len(cfg.edges) + 1)))
+                     _cut(cfg, problem, len(cfg.edges) + 1)))
     return td.bags, td.edges, nice, rows
 
 

@@ -45,7 +45,7 @@ def test_a_run_that_reaches_the_pass_limit_is_an_internal_error(tmp_path, capsys
     from lospre.errors import LospreError
 
     monkeypatch.setattr(ir, "rewrite", lambda program, cfg, candidate, solution, tmp:
-                        ir.Rewrite(program, list(range(cfg.node_count)), cfg))
+                        ir.Rewrite(program, cfg))
     with pytest.raises(LospreError, match="internal error: no fixpoint after"):
         run_pipeline(parse_ir(TWO_ARM), RunConfig())
     assert main(["run", str(SAMPLES / "redundant_load.ir")]) == EXIT_ERROR
@@ -420,10 +420,10 @@ def test_verify_checks_the_cut_certificate(tmp_path, capsys, monkeypatch):
     src = tmp_path / "f.ir"
     src.write_text(TWO_ARM)
     assert main(["run", str(src), "--verify"]) == EXIT_OK
-    monkeypatch.setattr(cli, "min_calc_count", lambda cfg, problem, limit: limit)
+    monkeypatch.setattr(cli, "min_calc_count", lambda cfg, problem, region, limit: limit)
     assert main(["run", str(src), "--verify"]) == EXIT_VERIFY
     assert "certificate mismatch" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "min_calc_count", lambda cfg, problem, limit: 0)
+    monkeypatch.setattr(cli, "min_calc_count", lambda cfg, problem, region, limit: 0)
     assert main(["run", str(src), "--verify"]) == EXIT_VERIFY
     src.write_text("!edgecost [2,0]\n" + TWO_ARM)
     assert main(["run", str(src), "--verify"]) == EXIT_OK
@@ -437,7 +437,7 @@ CARRIED_THEN_GAINS = "y = x\nr = x * 2\nt = y * 2\nx = 5\ns = x * 2\np = a + b\n
 
 
 @pytest.mark.parametrize("name, sabotage, text", [
-    ("min_calc_count", lambda cfg, problem, limit: limit, TWO_ARM),
+    ("min_calc_count", lambda cfg, problem, region, limit: limit, TWO_ARM),
     ("_carried", lambda verdicts, touched, loaded: verdicts, CARRIED_THEN_GAINS),
 ], ids=["cut", "carried"])
 def test_verify_reports_a_wrong_verdict_but_keeps_it(tmp_path, capsys, monkeypatch,
@@ -602,7 +602,7 @@ def test_graph_verify_checks_the_cut_certificate(tmp_path, capsys, monkeypatch):
     src = tmp_path / "g.graph"
     src.write_text(DIAMOND)
     assert main(["graph", str(src), "--verify"]) == EXIT_OK
-    monkeypatch.setattr(cli, "min_calc_count", lambda cfg, problem, limit: limit)
+    monkeypatch.setattr(cli, "min_calc_count", lambda cfg, problem, region, limit: limit)
     assert main(["graph", str(src), "--verify"]) == EXIT_VERIFY
     assert "certificate mismatch for problem 0" in capsys.readouterr().err
     assert main(["graph", str(src)]) == EXIT_OK
@@ -727,8 +727,9 @@ def test_the_width_guard_stops_a_verified_run_as_it_stops_a_plain_one(tmp_path, 
 def test_verify_makes_no_decision(monkeypatch):
     # with _verify_pass replaced by a recorder, a run under --verify makes the
     # plain run's calls, in the same order, and each pass hands the recorder
-    # the candidate the result says it applied
+    # the candidate the result says it applied (there in position ids)
     import lospre.cli as cli
+    import lospre.ir as irmod
     from test_pipeline_frozen import cases
 
     calls, chosen = [], []
@@ -742,8 +743,8 @@ def test_verify_makes_no_decision(monkeypatch):
 
     for name in ("min_calc_count", "solve_safety", "_region_solve"):
         monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
-    monkeypatch.setattr(cli, "_verify_pass",
-                        lambda cfg, derived, pair, config, failures: chosen.append(pair))
+    monkeypatch.setattr(cli, "_verify_pass", lambda cfg, derived, pair, config, failures:
+                        chosen.append(pair and irmod.positional_pair(cfg, *pair)))
     texts = [text for _, text in cases()]
     runs = []
     for verify in (False, True):
@@ -786,7 +787,7 @@ def test_carried_verdicts_agree_with_a_fresh_cut(monkeypatch):
 
     import lospre.cli as cli
     import lospre.ir as irmod
-    from lospre.cfg import min_calc_count
+    from lospre.cfg import min_calc_count, use_region
     from test_pipeline_frozen import cases
 
     warnings.simplefilter("ignore", irmod.UnreachableCodeWarning)
@@ -816,7 +817,7 @@ def test_carried_verdicts_agree_with_a_fresh_cut(monkeypatch):
         if candidate.safety_required:
             problem = cli._enlarge(cfg, problem, candidate.display())
         occurrences = len(candidate.occurrence_nodes)
-        assert min_calc_count(cfg, problem, occurrences) >= occurrences
+        assert min_calc_count(cfg, problem, use_region(cfg, problem), occurrences) >= occurrences
 
 
 @pytest.mark.filterwarnings("ignore::lospre.ir.UnreachableCodeWarning")
@@ -826,7 +827,7 @@ def test_the_plain_cut_runs_before_safety(monkeypatch):
     # cut is the optimum's calculation count, so with the enlarged problem cut
     # again, only a candidate that gains is solved
     import lospre.cli as cli
-    from lospre.cfg import min_calc_count
+    from lospre.cfg import min_calc_count, use_region
     from test_pipeline_frozen import cases
 
     enlarged, solved = [], []
@@ -834,7 +835,8 @@ def test_the_plain_cut_runs_before_safety(monkeypatch):
 
     def checked_safety(cfg, problem):
         occurrences = len(problem.use_set)
-        enlarged.append(min_calc_count(cfg, problem, occurrences) < occurrences)
+        enlarged.append(min_calc_count(cfg, problem, use_region(cfg, problem), occurrences)
+                        < occurrences)
         return solve_safety(cfg, problem)
 
     def counted_solve(*args):
@@ -853,6 +855,38 @@ def test_the_plain_cut_runs_before_safety(monkeypatch):
     assert all(enlarged) and len(enlarged) >= 50 and applied >= 400
 
 
+@pytest.mark.filterwarnings("ignore::lospre.ir.UnreachableCodeWarning")
+def test_the_solve_reuses_the_use_region_of_the_last_cut(monkeypatch):
+    # the candidate loop walks the use region B once per cut, and a solve
+    # builds its region from the B the candidate's last cut walked
+    import lospre.cli as cli
+    from test_pipeline_frozen import cases
+
+    walks, cuts, reused = [], [], []
+    walk, cut, region_solve = cli.use_region, cli.min_calc_count, cli._region_solve
+
+    def counted_walk(cfg, problem):
+        walks.append(walk(cfg, problem))
+        return walks[-1]
+
+    def counted_cut(cfg, problem, region, limit):
+        cuts.append(region)
+        return cut(cfg, problem, region, limit)
+
+    def counted_solve(cfg, problem, region, max_width):
+        reused.append(region is cuts[-1] is walks[-1])
+        return region_solve(cfg, problem, region, max_width)
+
+    monkeypatch.setattr(cli, "use_region", counted_walk)
+    monkeypatch.setattr(cli, "min_calc_count", counted_cut)
+    monkeypatch.setattr(cli, "_region_solve", counted_solve)
+    for _, text in cases():
+        run_pipeline(parse_ir(text), RunConfig())
+    assert len(walks) == len(cuts) >= 1000
+    assert all(w is c for w, c in zip(walks, cuts))
+    assert all(reused) and len(reused) >= 400
+
+
 def test_a_region_cost_that_disagrees_is_an_internal_error(tmp_path, capsys, monkeypatch):
     # a use region whose constant is one computation off: the lift recomputes
     # the cost on the whole graph and refuses the region's
@@ -860,8 +894,8 @@ def test_a_region_cost_that_disagrees_is_an_internal_error(tmp_path, capsys, mon
     from lospre.cost import CostVec
     use_region = cli._use_region
 
-    def off_by_one(cfg, problem):
-        region_cfg, region_problem, kept, constant, chains = use_region(cfg, problem)
+    def off_by_one(cfg, problem, region):
+        region_cfg, region_problem, kept, constant, chains = use_region(cfg, problem, region)
         return region_cfg, region_problem, kept, constant + CostVec(1, 0), chains
 
     monkeypatch.setattr(cli, "_use_region", off_by_one)

@@ -175,9 +175,9 @@ def test_rewrite_refuses_a_computation_on_a_fake_edge():
 
 
 def test_rewrite_refuses_inputs_that_do_not_fit_the_program():
-    from lospre.cfg import Cfg
     from lospre.dp import LospreSolution
     from lospre.errors import LospreError
+    from lospre.ir import ProgramCfg
     prog = parse_ir("x = a + b\ny = a + b\nz = 1\nret\n")  # nodes 1..4, sink 5
     cfg = build_cfg(prog)
     cand = derive_problems(prog, cfg)[0][0]
@@ -190,7 +190,8 @@ def test_rewrite_refuses_inputs_that_do_not_fit_the_program():
     with pytest.raises(LospreError, match="size mismatch"):
         rewrite(prog, build_cfg(parse_ir("x = a + b\nret\n")), cand, solution(), "__lospre0")
     # a graph of the program's size whose edge (1, 3) skips an instruction
-    skipping = Cfg(cfg.node_count, [(0, 1), (1, 3), (2, 3), (3, 4), (4, 5), (1, 2)])
+    skipping = ProgramCfg(cfg.order, cfg.node_count,
+                          [(0, 1), (1, 3), (2, 3), (3, 4), (4, 5), (1, 2)])
     with pytest.raises(LospreError, match="does not leave instruction 0"):
         rewrite(prog, skipping, cand, solution((1, 3)), "__lospre0")
 
@@ -322,7 +323,7 @@ def test_rewrite_empty_use_returns_program_unchanged():
     sol = LospreSolution(frozenset(), frozenset(), CostVec(0, 0))
     step = rewrite(prog, cfg, cand, sol, "__lospre0")
     assert step.program == prog
-    assert step.node_map == list(range(cfg.node_count))
+    assert (step.cfg.node_count, step.cfg.order) == (cfg.node_count, cfg.order)
     assert (step.cfg.edge_cost, step.cfg.node_cost) == (cfg.edge_cost, cfg.node_cost)
 
 

@@ -1,7 +1,9 @@
 """Each `run` pass reuses the last one: the patched graph, problems built on
 demand, copy propagation stopped at its fixpoint, the cut on the use region
 and verdicts carried without a problem give exactly what the whole-program
-constructions give."""
+constructions give.  Node ids are fixed for a run, so a reference that
+compares two passes compares ids as they are, and one that compares with
+``build_cfg`` renames the pass graph through its order (``positional``)."""
 import warnings
 from dataclasses import replace
 
@@ -9,15 +11,15 @@ import pytest
 
 import lospre.cli as cli
 import lospre.ir as irmod
-from lospre.cfg import make_problem
+from lospre.cfg import make_problem, use_region
 from lospre.cli import RunConfig, run_pipeline
 from lospre.cost import CostVec
 from lospre.dp import LospreSolution
 from lospre.errors import NoFeasibleSolutionError
 from lospre.interp import equivalent_states, interpret
 from lospre.ir import (ASSIGN, BINOP, BRANCH, JUMP, LOAD, RET, STORE, UnreachableCodeWarning,
-                       build_cfg, copy_propagate, derive_problems, format_ir, instr_node,
-                       parse_ir, rewrite)
+                       build_cfg, candidate_key, copy_propagate, derive_problems, format_ir,
+                       parse_ir, positional, positions, rewrite)
 from lospre.oracle import generate_program_text
 from test_pipeline_frozen import cases, cost_variant
 
@@ -85,8 +87,9 @@ def reference_copy_propagate(program):
     return instructions
 
 
-def reference_invalidation(program, candidate):
-    """The invalidation set ``derive_problems`` documents, without source and sink."""
+def reference_invalidation(program, cfg, candidate):
+    """The invalidation set ``derive_problems`` documents, without source and
+    sink, in the ids of ``cfg``, the program's graph."""
     operands = [o for o in (candidate.left, candidate.right) if isinstance(o, str)]
     load_results = {ins.dest for ins in program if ins.kind == LOAD}
     inv = set()
@@ -95,7 +98,7 @@ def reference_invalidation(program, candidate):
         if ins.dest in operands or \
                 kind == STORE and (candidate.op == "load" or load_results & set(operands)) or \
                 kind == LOAD and load_results & set(operands):
-            inv.add(instr_node(i))
+            inv.add(cfg.order[i])
     return inv
 
 
@@ -144,13 +147,12 @@ def whole_graph_cut(cfg, problem, limit):
     return min(flow, limit)
 
 
-def reference_carries(verdict, problem, node_map):
+def reference_carries(verdict, problem):
     """Whether ``problem`` has the use and invalidation sets of ``verdict``,
-    the last pass's (use, invalidation) pair, mapped through ``node_map``:
-    the test a pass made on a carried verdict after building its problem."""
-    use, inv = verdict
-    return ({node_map[v] for v in use} == problem.use_set and
-            {node_map[v] for v in inv} == problem.invalidation_set)
+    the last pass's (use, invalidation) pair: the test a pass made on a
+    carried verdict after building its problem.  A rewrite keeps every
+    node's id, so the sets compare as they are."""
+    return verdict == (problem.use_set, problem.invalidation_set)
 
 
 def key_of(candidate):
@@ -168,51 +170,46 @@ def reference_runs_of(programs):
     ``reference_carries`` on each candidate that a carried verdict skips."""
     runs = {"cuts": 0, "cut_mismatches": [], "skipped": 0, "carry_failures": [],
             "carried_keys": {}}
-    cut, derive, apply, carried = (cli.min_calc_count, irmod.derive_problems, irmod.rewrite,
-                                   cli._carried)
-    # [derivation, rewrite, carried keys (None: _carried not called)] per
-    # pass of the current run
+    cut, derive, carried = cli.min_calc_count, irmod.derive_problems, cli._carried
+    # [derivation, carried keys (None: _carried not called)] per pass of the
+    # current run
     passes = []
 
-    def checking_cut(cfg, problem, limit):
-        got, expected = cut(cfg, problem, limit), whole_graph_cut(cfg, problem, limit)
+    def checking_cut(cfg, problem, region, limit):
+        got, expected = cut(cfg, problem, region, limit), whole_graph_cut(cfg, problem, limit)
         runs["cuts"] += 1
         if got != expected:
             runs["cut_mismatches"].append((sorted(problem.use_set), limit, got, expected))
         return got
 
     def recording_derive(program, cfg):
-        passes.append([derive(program, cfg), None, None])
+        passes.append([derive(program, cfg), None])
         return passes[-1][0]
 
-    def recording_rewrite(*args):
-        passes[-1][1] = apply(*args)
-        return passes[-1][1]
-
     def recording_carried(*args):
-        passes[-1][2] = carried(*args)
-        return passes[-1][2]
+        passes[-1][1] = carried(*args)
+        return passes[-1][1]
 
     def check_skips(name, applied):
         # pass p skips the carried candidates before the one it applies
         for p in range(1, len(passes)):
-            (last, step, _), (now, _, keys) = passes[p - 1], passes[p]
+            (last, _), (now, keys) = passes[p - 1], passes[p]
             runs["carried_keys"][name, p + 1] = keys
             last_index = {key_of(c): k for k, c in enumerate(last.candidates)}
-            stop = now.candidates.index(applied[p][0]) if p < len(applied) else None
+            keys_now = [key_of(c) for c in now.candidates]
+            # the result names the applied candidate in positions, so find it by its key
+            stop = keys_now.index(key_of(applied[p][0])) if p < len(applied) else None
             for k, candidate in enumerate(now.candidates[:stop]):
                 key = key_of(candidate)
                 if keys is not None and key in keys:
                     runs["skipped"] += 1
                     old = last[last_index[key]][1]
-                    if not reference_carries((old.use_set, old.invalidation_set), now[k][1],
-                                             step.node_map):
+                    if not reference_carries((old.use_set, old.invalidation_set), now[k][1]):
                         runs["carry_failures"].append((name, p + 1, key))
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(cli, "min_calc_count", checking_cut)
         monkeypatch.setattr(irmod, "derive_problems", recording_derive)
-        monkeypatch.setattr(irmod, "rewrite", recording_rewrite)
         monkeypatch.setattr(cli, "_carried", recording_carried)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UnreachableCodeWarning)
@@ -256,8 +253,8 @@ def same_graph(a, b):
 
 
 def fake_edges(program, cfg):
-    """The edges of ``cfg`` into the sink from an instruction that is not a
-    ``ret`` and does not fall off the end."""
+    """The edges of ``cfg``, a graph in position ids, into the sink from an
+    instruction that is not a ``ret`` and does not fall off the end."""
     sink, n = cfg.node_count - 1, len(program)
     return {(u, v) for (u, v) in cfg.edges if v == sink and u != 0 and
             program[u - 1].kind != RET and (u < n or program[u - 1].kind == JUMP)}
@@ -270,23 +267,65 @@ def real_part(program, cfg):
             {e: c for e, c in cfg.edge_cost.items() if e not in fakes})
 
 
+def beyond_the_change(program, cfg, solution, step):
+    """What ``step``, the rewrite of ``program`` on ``cfg`` by ``solution``,
+    changed beyond the edges it subdivides, as a list of faults.
+
+    Its new ids must be exactly ``range(cfg.node_count, new node_count)``,
+    one per added instruction.  The edges it removes must be the calculation
+    edges and, when a ``ret`` is appended, the last instruction's edge into
+    the sink.  Every old node keeps its ``succ`` and ``pred`` tuples, except
+    the ends of those edges, and its cost; every old edge left keeps its
+    cost, and new nodes and edges cost the program's defaults."""
+    new, faults = step.cfg, []
+    added = range(cfg.node_count, new.node_count)
+    if sorted(new.order) != sorted(cfg.order) + list(added) or \
+            len(added) != len(step.program) - len(program):
+        faults.append(f"new ids {sorted(set(new.order) - set(cfg.order))}, not {added}")
+    last, (sink,) = cfg.order[-1], cfg.sinks
+    removed = set(cfg.edges) - set(new.edges)
+    subdivided = set(solution.calc_set)
+    if program[-1].kind not in (JUMP, RET) and len(new.order) > new.order.index(last) + 1:
+        # blocks follow a last instruction that falls off the end: the
+        # computation on its edge into the sink, or the ret appended there
+        subdivided.add((last, sink))
+    if removed != subdivided:
+        faults.append(f"removed edges {sorted(removed)}, subdivided {sorted(subdivided)}")
+    ends = {v for edge in subdivided for v in edge}
+    for v in range(cfg.node_count):
+        if v not in ends and (new.succ[v], new.pred[v]) != (cfg.succ[v], cfg.pred[v]):
+            faults.append(f"node {v} rewired")
+        if new.node_cost[v] != cfg.node_cost[v]:
+            faults.append(f"node {v} recosted")
+    for v in added:
+        if new.node_cost[v] != program.default_node_cost:
+            faults.append(f"new node {v} costs {new.node_cost[v]}")
+    for e, c in new.edge_cost.items():
+        if c != cfg.edge_cost.get(e, program.default_edge_cost):
+            faults.append(f"edge {e} costs {c}")
+    return faults
+
+
 class Recorder:
     """Wraps the library's pass steps inside ``run_pipeline`` and checks each
-    pass's graph and each copy propagation against the references.
+    rewrite, each pass's graph and each copy propagation against the
+    references.
 
-    A pass graph must be ``build_cfg`` of the pass's program when the input
-    graph has no fake edge; otherwise it must have the same real edges and
-    costs, and its fake edges must be the input's, mapped through the node
-    maps of the rewrites since.  ``moved`` counts the passes whose graph
-    ``build_cfg`` would have given other fake edges.  ``finiteness`` holds,
-    for each pass after the first, whether the input graph and the pass's
-    graph have only finite costs: ``run_pipeline`` asks the input graph
-    once for the whole run."""
+    A rewrite must touch nothing beyond the edges it subdivides
+    (``beyond_the_change``; ``touch_faults``).  A pass graph, renamed through
+    its order (``positional``), must be ``build_cfg`` of the pass's program
+    when the input graph has no fake edge; otherwise it must have the same
+    real edges and costs, and its fake edges must be the input's, which keep
+    their ids.  ``moved`` counts the passes whose graph ``build_cfg`` would
+    have given other fake edges.  ``finiteness`` holds, for each pass after
+    the first, whether the input graph and the pass's graph have only finite
+    costs: ``run_pipeline`` asks the input graph once for the whole run."""
 
     def __init__(self, monkeypatch):
         self.passes = self.built = self.candidates = self.problems = self.propagations = 0
-        self.moved = 0
+        self.moved = self.rewrites = 0
         self.graph_mismatches, self.copy_mismatches, self.finiteness = [], [], []
+        self.touch_faults = []
         build, derive, propagate, make, apply = (irmod.build_cfg, irmod.derive_problems,
                                                  irmod.copy_propagate, irmod.make_problem,
                                                  irmod.rewrite)
@@ -298,28 +337,28 @@ class Recorder:
         def checking_derive(program, cfg):
             self.passes += 1
             if self.input_fakes is None:
+                # the input graph: its ids are the positions
                 self.input_fakes = fake_edges(program, cfg)
-                self.node_map = list(range(cfg.node_count))
                 self.input_finite = cfg.has_finite_costs()
             else:
                 self.finiteness.append((self.input_finite, cfg.has_finite_costs()))
-            rebuilt = build(program)
+            rebuilt, seen, rank = build(program), positional(cfg), positions(cfg)
             if self.input_fakes:
-                m = self.node_map
-                ok = real_part(program, cfg) == real_part(program, rebuilt) and \
-                    fake_edges(program, cfg) == {(m[u], m[v]) for (u, v) in self.input_fakes}
-                self.moved += cfg.edges != rebuilt.edges
+                ok = real_part(program, seen) == real_part(program, rebuilt) and \
+                    fake_edges(program, seen) == {(rank[u], rank[v]) for (u, v) in self.input_fakes}
+                self.moved += seen.edges != rebuilt.edges
             else:
-                ok = same_graph(cfg, rebuilt)
+                ok = same_graph(seen, rebuilt)
             if not ok:
                 self.graph_mismatches.append(format_ir(program))
             result = derive(program, cfg)
             self.candidates += len(result)
             return result
 
-        def mapping_rewrite(*args):
-            step = apply(*args)
-            self.node_map = [step.node_map[v] for v in self.node_map]
+        def checking_rewrite(program, cfg, candidate, solution, tmp):
+            step = apply(program, cfg, candidate, solution, tmp)
+            self.rewrites += 1
+            self.touch_faults += beyond_the_change(program, cfg, solution, step)
             return step
 
         def checking_propagate(program, cfg=None):
@@ -335,7 +374,7 @@ class Recorder:
 
         monkeypatch.setattr(irmod, "build_cfg", counting_build)
         monkeypatch.setattr(irmod, "derive_problems", checking_derive)
-        monkeypatch.setattr(irmod, "rewrite", mapping_rewrite)
+        monkeypatch.setattr(irmod, "rewrite", checking_rewrite)
         monkeypatch.setattr(irmod, "copy_propagate", checking_propagate)
         monkeypatch.setattr(irmod, "make_problem", counting_make)
 
@@ -358,6 +397,9 @@ def corpus_run():
 
 
 def test_patched_graphs_equal_build_cfg_on_the_frozen_corpus(corpus_run):
+    # every rewrite touches only what it subdivides, and every pass graph,
+    # renamed through its order, is the graph build_cfg gives its program
+    assert corpus_run.rewrites >= 450 and not corpus_run.touch_faults
     assert not corpus_run.graph_mismatches
     # no corpus graph has an extra edge, so only the first pass of each
     # program builds its graph
@@ -414,7 +456,7 @@ def test_every_pass_graph_has_finite_costs_when_the_input_graph_does(corpus_run,
 def test_graphs_with_extra_edges_are_patched(monkeypatch, text):
     recorder = Recorder(monkeypatch)
     result = recorder.run(text)
-    assert result.applied and not recorder.graph_mismatches
+    assert result.applied and not recorder.graph_mismatches and not recorder.touch_faults
     assert recorder.passes == 2 and recorder.built == 1
 
 
@@ -433,9 +475,9 @@ def test_a_carried_fake_edge_keeps_its_verdicts(monkeypatch):
         graphs.append((program, cfg))
         return derive(program, cfg)
 
-    def recording_cut(cfg, problem, bound):
+    def recording_cut(cfg, problem, region, bound):
         cuts[-1].append(sorted(problem.use_set))
-        return cut(cfg, problem, bound)
+        return cut(cfg, problem, region, bound)
 
     def recording_carried(*args):
         carried.append(carry(*args))
@@ -450,17 +492,18 @@ def test_a_carried_fake_edge_keeps_its_verdicts(monkeypatch):
     assert cuts == [[[1, 3], [4, 5, 6]], []]
     assert carried == [{("+", "d", "e")}]  # pass 2 carries d + e
     program, cfg = graphs[1]
-    assert fake_edges(program, cfg) == {(9, 12)}  # the goto's, as on pass 1
+    # the goto's, node 8 into the sink 9 as on pass 1, at positions 9 and 12 now
+    assert (8, 9) in cfg.edges and fake_edges(program, positional(cfg)) == {(9, 12)}
     assert fake_edges(program, build_cfg(program)) == {(11, 12)}  # the appended block's
     ((_, problem),) = [(c, p) for c, p in derive_problems(program, cfg) if key_of(c) == ("+", "d", "e")]
-    assert cut(cfg, problem, 2) == 2
+    assert cut(cfg, problem, use_region(cfg, problem), 2) == 2
 
 
 # the program and solution of
 # test_ir.py::test_rewrite_keeps_the_last_instruction_out_of_appended_blocks,
 # and the same with a computation on the last instruction's edge into the sink
-@pytest.mark.parametrize("calcs, placed", [({(0, 1), (3, 5)}, (7,)),
-                                           ({(0, 1), (3, 5), (5, 6)}, (7, 8))],
+@pytest.mark.parametrize("calcs, placed", [({(0, 1), (3, 5)}, (8,)),
+                                           ({(0, 1), (3, 5), (5, 6)}, (8, 9))],
                          ids=["alone", "after-a-computation"])
 def test_a_rewrite_that_appends_a_ret_is_patched(calcs, placed):
     prog = parse_ir("if c goto L\nx = a + b\ngoto M\nL: z = 1\nM: y = a + b\n")
@@ -469,11 +512,13 @@ def test_a_rewrite_that_appends_a_ret_is_patched(calcs, placed):
     sol = LospreSolution(frozenset(), frozenset(calcs), CostVec(len(calcs), 0))
     step = rewrite(prog, cfg, cand, sol, "__lospre0")
     assert step.program[-3].kind == RET  # the appended ret, before the trailing block
-    # the edge from node 5 into the sink runs through the ret, after the computation if any
-    path = (step.node_map[5], *placed, step.node_map[6])
-    assert set(zip(path, path[1:])) <= step.cfg.edges
-    assert (step.node_map[5], step.node_map[6]) not in step.cfg.edges
-    assert same_graph(step.cfg, build_cfg(step.program))
+    # the edge from node 5 into the sink 6 runs through the ret, after the
+    # computation if any; node 7 is the computation on the source edge
+    path = (5, *placed, 6)
+    assert set(zip(path, path[1:])) <= step.cfg.edges and (5, 6) not in step.cfg.edges
+    assert step.cfg.order[0] == 7 and RET == step.program[step.cfg.order.index(placed[-1])].kind
+    assert not beyond_the_change(prog, cfg, sol, step)
+    assert same_graph(positional(step.cfg), build_cfg(step.program))
 
 
 def test_patched_graph_drops_the_override_of_a_subdivided_edge(monkeypatch):
@@ -483,25 +528,35 @@ def test_patched_graph_drops_the_override_of_a_subdivided_edge(monkeypatch):
     recorder = Recorder(monkeypatch)
     result = recorder.run(text)
     assert len(result.applied) == 1 and not recorder.graph_mismatches
+    assert recorder.rewrites == 1 and not recorder.touch_faults
     assert recorder.passes == 2 and recorder.built == 1
 
 
 def test_every_problem_built_on_demand_is_the_eager_one():
+    # on each input graph and on the last pass graph of its run, whose ids
+    # are not the positions once a rewrite has inserted a block
     texts = [text for _, text in cases()][::5]
     texts += ["t1 = *p\nt2 = t1 + 4\nt3 = *t2\n*q = t3\nu = t1 + 4\nv = *t2\nw = *p\n"
               "x = - t1\ny = - t1\nret\n"]
+    spliced = 0
     for text in texts:
         program = parse_ir(text)
-        cfg = build_cfg(program)
-        derived = derive_problems(program, cfg)
-        assert len(derived) == len(derived.candidates)
-        for k in reversed(range(len(derived))):
-            candidate, problem = derived[k]
-            assert candidate is derived.candidates[k]
-            assert derived[k][1] == problem
-            assert problem == make_problem(cfg, candidate.occurrence_nodes,
-                                           reference_invalidation(program, candidate))
-        assert [c for c, _ in derived] == derived.candidates
+        result = run_pipeline(program, RunConfig())
+        spliced += result.cfg.order != tuple(range(1, len(result.program) + 1))
+        for program, cfg in ((program, build_cfg(program)), (result.program, result.cfg)):
+            derived = derive_problems(program, cfg)
+            assert len(derived) == len(derived.candidates)
+            for k in reversed(range(len(derived))):
+                candidate, problem = derived[k]
+                assert candidate is derived.candidates[k]
+                assert derived[k][1] == problem
+                key = key_of(candidate)
+                assert candidate.occurrence_nodes == {
+                    v for v, ins in zip(cfg.order, program) if candidate_key(ins) == key}
+                assert problem == make_problem(cfg, candidate.occurrence_nodes,
+                                               reference_invalidation(program, cfg, candidate))
+            assert [c for c, _ in derived] == derived.candidates
+    assert spliced >= 50
 
 
 @pytest.mark.parametrize("text, reads", [

@@ -65,8 +65,13 @@ def reference_solve(cfg, problem):
     return cli._lift(cfg, problem, {region[v] for v in part.life_set}, constant, part)
 
 
+def contracted(cfg, problem):
+    """``cli._use_region`` on the problem's use region."""
+    return cli._use_region(cfg, problem, use_region(cfg, problem))
+
+
 def region_solve(cfg, problem):
-    solution, _ = cli._region_solve(cfg, problem, 16)
+    solution, _ = cli._region_solve(cfg, problem, use_region(cfg, problem), 16)
     return solution
 
 
@@ -121,7 +126,7 @@ def test_region_solve_equals_the_whole_graph_solve_on_generated_instances():
         counts["infeasible"] += expected == "infeasible"
         counts["infinite constant"] += constant.infinite
         counts["smaller region"] += len(region) < cfg.node_count
-        counts["contracted"] += bool(cli._use_region(cfg, problem)[4])
+        counts["contracted"] += bool(contracted(cfg, problem)[4])
     assert min(counts.values()) >= 5, counts
 
 
@@ -194,7 +199,7 @@ def test_contracted_region_solve_equals_brute_force_on_small_instances():
         found = outcome(region_solve, cfg, problem)
         assert (found if found == "infeasible" else (found[0], found[2])) == expected
         counts["solves"] += 1
-        counts["contracted"] += bool(cli._use_region(cfg, problem)[4])
+        counts["contracted"] += bool(contracted(cfg, problem)[4])
         counts["infeasible"] += expected == "infeasible"
     assert counts["solves"] >= 600 and counts["infeasible"] >= 5, counts
     assert counts["contracted"] >= 100 and counts["edgecost"] >= 100, counts
@@ -205,7 +210,7 @@ def test_an_infinite_edge_into_a_use_from_outside_the_region_is_infeasible():
     # whose only entering edge is infinite, so every life set is infinite
     cfg = Cfg(4, [(0, 1), (1, 2), (2, 3)], edge_cost={(1, 2): INFINITY})
     problem = make_problem(cfg, use=[2], invalidate=[1])
-    region_cfg, region_problem, kept, constant, chains = cli._use_region(cfg, problem)
+    region_cfg, region_problem, kept, constant, chains = contracted(cfg, problem)
     assert kept == [2] and chains == [] and constant == INFINITY
     assert solve(region_cfg, region_problem, make_nice(decompose(region_cfg))).cost == \
         CostVec(0, 0)
@@ -221,7 +226,7 @@ def test_an_edge_entering_the_region_charges_its_head_when_live():
     edges = [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]
     cfg = Cfg(6, edges, edge_cost={(1, 2): CostVec(5, 0), (1, 3): CostVec(5, 0)})
     problem = make_problem(cfg, use=[4], invalidate=[1])
-    region_cfg, _, kept, constant, chains = cli._use_region(cfg, problem)
+    region_cfg, _, kept, constant, chains = contracted(cfg, problem)
     assert kept == [2, 3, 4] and chains == [] and constant == CostVec(0, 0)
     assert [region_cfg.node_cost[i] for i in range(3)] == [CostVec(5, 1), CostVec(5, 1),
                                                           CostVec(0, 1)]
@@ -237,7 +242,7 @@ def test_a_chain_becomes_one_node_costing_its_best():
     # and the optimum keeps 1 through 4 live: one calculation, on (0, 1)
     cfg = Cfg(7, [(v, v + 1) for v in range(6)])
     problem = make_problem(cfg, use=[1, 5])
-    region_cfg, _, kept, _, chains = cli._use_region(cfg, problem)
+    region_cfg, _, kept, _, chains = contracted(cfg, problem)
     assert kept == [1, 5] and chains == [(1, 5, [2, 3, 4], 0, 3)]
     assert region_cfg.edge_cost[(0, 2)] == CostVec(1, -3)
     assert region_cfg.node_cost[2] == CostVec(0, 3)
@@ -253,9 +258,10 @@ def region_solves(monkeypatch):
     seen = []
     solve_region = cli._region_solve
 
-    def checked(cfg, problem, max_width):
-        solution, width = solve_region(cfg, problem, max_width)
-        region_cfg, _, _, _, chains = cli._use_region(cfg, problem)
+    def checked(cfg, problem, region, max_width):
+        assert region == use_region(cfg, problem)
+        solution, width = solve_region(cfg, problem, region, max_width)
+        region_cfg, _, _, _, chains = contracted(cfg, problem)
         seen.append((region_cfg.node_count - 1, len(uncontracted_region(cfg, problem)[2]),
                      cfg.node_count, len(chains),
                      (solution.life_set, solution.calc_set, solution.cost),

@@ -482,12 +482,12 @@ __L3: __lospre0 = a + b
                          [(list(SHAPE_EDGES.values()), SHAPE_TEXTS["all"])],
                          ids=list(SHAPE_EDGES) + ["all"])
 def test_subdivide_patches_every_insertion_shape(edges, text):
-    # verdicts carry across a rewrite through its node map when the new
-    # graph is the old one with each calculation edge subdivided
+    # verdicts carry across a rewrite, whose nodes keep their ids, when the
+    # new graph is the old one with each calculation edge subdivided
     import warnings
     from lospre.dp import LospreSolution
     from lospre.ir import (UnreachableCodeWarning, build_cfg, derive_problems, format_ir,
-                           parse_ir, rewrite)
+                           parse_ir, positional, rewrite)
 
     warnings.simplefilter("ignore", UnreachableCodeWarning)
     prog = parse_ir(SHAPES)
@@ -499,10 +499,11 @@ def test_subdivide_patches_every_insertion_shape(edges, text):
                    "__lospre0")
     assert format_ir(step.program) == text
     new_cfg = build_cfg(step.program)
-    assert step.cfg.edges == new_cfg.edges
-    # the old nodes map one to one onto the new nodes that are not added instructions
-    added = len(step.program) - len(prog)
-    assert len(set(step.node_map)) == len(step.node_map) == new_cfg.node_count - added
+    assert positional(step.cfg).edges == new_cfg.edges
+    # the old nodes keep their ids, and the added instructions are numbered after them
+    added = range(cfg.node_count, new_cfg.node_count)
+    assert len(added) == len(step.program) - len(prog)
+    assert sorted(step.cfg.order) == sorted(cfg.order) + list(added)
 
 
 def test_an_invalid_heuristic_decomposition_is_an_internal_error(monkeypatch):

@@ -387,17 +387,11 @@ def load_cfg(text: str):
     if node_count is None:
         raise GraphFormatError("file must start with 'cfg <node_count>'")
 
-    has_pred = [False] * node_count
-    for (u, v) in edges:
-        has_pred[v] = True
-    sources = [v for v in range(node_count) if not has_pred[v]]
+    sources = sorted(set(range(node_count)).difference(v for _, v in edges))
     if len(sources) != 1:
-        new = node_count
+        # a new source, its edges at the default cost
+        edges += [(node_count, t) for t in sources or [0]]
         node_count += 1
-        targets = sources if sources else [0]
-        for t in targets:
-            edges.append((new, t))
-            edge_cost[(new, t)] = DEFAULT_EDGE_COST
 
     cfg = Cfg(node_count, edges, edge_cost, node_cost)
     problems = []

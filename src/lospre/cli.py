@@ -60,8 +60,8 @@ class PipelineResult:
     """What ``run_pipeline`` did, with the graph its last pass used."""
     program: object
     cfg: Cfg                # the input's graph with every rewrite subdivided, in run ids
-    applied: list           # (candidate, solution) pairs, in application order, each
-                            # in its pass's position ids (``ir.positions``)
+    applied: list           # (candidate, solution) pairs, in application order, in run ids
+    orders: list            # the order of each applied pair's pass graph
     passes: int
     verify_failures: list
 
@@ -112,7 +112,7 @@ def _report(failures: list) -> int:
 
 
 def _use_region(cfg, problem, region):
-    """The problem on its use region B, with B's chains contracted:
+    """The problem on its use region B, with each chain of B made one edge:
     ``(region cfg, its problem, kept, constant, chains)``.
 
     B is ``region``, ``use_region(cfg, problem)``: the uses and every node
@@ -130,16 +130,18 @@ def _use_region(cfg, problem, region):
     use or live, and else live from some xj on: at best A, the least over j
     of c(x(j-1), xj) plus the node costs from xj on (x0 is its predecessor
     p, and j = k+1 computes on (xk, y)), or C = min(A, all its node costs)
-    when p is live and valid.  One node of cost C stands for it, entered at
-    A - C and left at A, which costs what the chain does in every state of p
-    and y; as the optimal life sets are closed under intersection, the
-    region's least optimal set is B's without the chains.  ``chains`` holds
-    (p, y, nodes, j when p is live and valid, j else) per chain, with j the
-    index in ``nodes`` of its first live node when y is a use or live.
+    when p is live and valid.  So it costs A when y needs the value and p
+    does not hold it, C when p does, and 0 when y does not need it: it is
+    the edge (p, y), a self-loop when p is y, costing A - C and added to
+    any edge p -> y, with C in ``constant`` when y is a use and on y's node
+    cost else.  The optimal life sets are closed under intersection, so the
+    region's least one is B's without the chains.  ``chains`` holds (p, y,
+    nodes, j when p is live and valid, j else) per chain, j the index in
+    ``nodes`` of its first live node when y is a use or live.
 
-    Region node i is ``kept[i]``, in ``cfg``'s id order, and chain j is
-    node ``len(kept) + j``.  A node of B with no predecessor in B gets a
-    zero-cost self-loop, and the region's source is one more node, isolated.
+    Region node i is ``kept[i]``, in ``cfg``'s id order.  A node of B with
+    no predecessor in B gets a zero-cost self-loop, and the region's source
+    is one more node, isolated.
     """
     use, inv = problem.use_set, problem.invalidation_set
     whole = any(c.primary < 0 or c.primary == 0 and c.secondary < 0 for c in cfg.node_cost.values())
@@ -162,7 +164,13 @@ def _use_region(cfg, problem, region):
     chain = {v: y for v, y in succ.items() if y in succ or preds[v][0] in succ}
     kept = [v for v in preds if v not in chain]
     index = {v: i for i, v in enumerate(kept)}
-    edges, costs, chains, ends = {}, {i: node_cost[v] for i, v in enumerate(kept)}, [], {}
+    edges, costs, chains = {}, {i: node_cost[v] for i, v in enumerate(kept)}, []
+    for i, v in enumerate(kept):
+        for p in preds[v]:
+            if p not in chain:
+                edges[(index[p], i)] = edge_cost[(p, v)]
+        if not preds[v]:
+            edges[(i, i)] = ZERO
     for x, y in chain.items():
         p, nodes = preds[x][0], [x]
         if p in chain:
@@ -181,18 +189,15 @@ def _use_region(cfg, problem, region):
                 best, j = into, i
         a, unavailable = (into, 0) if into < best else (best, j)
         c, available = (total, 0) if total < best else (best, j)
-        z = len(kept) + len(chains)
-        ends[nodes[-1]] = z, CostVec(a[1], a[2], a[0])
-        edges[(index[p], z)] = CostVec(a[1] - c[1], a[2] - c[2], a[0])  # infinite when A is, as C <= A
-        costs[z] = CostVec(c[1], c[2], c[0])
+        edge, cost = (index[p], index[y]), CostVec(a[1] - c[1], a[2] - c[2], a[0])
+        edges[edge] = edges[edge] + cost if edge in edges else cost  # infinite when A is
+        cost = CostVec(c[1], c[2], c[0])
+        if y in use:
+            constant = constant + cost
+        else:
+            costs[index[y]] = costs[index[y]] + cost
         chains.append((p, y, nodes, available, unavailable))
-    for i, v in enumerate(kept):
-        for p in preds[v]:
-            z, c = ends[p] if p in chain else (index[p], edge_cost[(p, v)])
-            edges[(z, i)] = c
-        if not preds[v]:
-            edges[(i, i)] = ZERO
-    region_cfg = Cfg(len(kept) + len(chains) + 1, edges, edges, costs)
+    region_cfg = Cfg(len(kept) + 1, edges, edges, costs)
     region_problem = make_problem(region_cfg, [index[u] for u in use],
                                   [i for i, v in enumerate(kept) if v in inv])
     return region_cfg, region_problem, kept, constant, chains
@@ -326,8 +331,9 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     Node ids are fixed for the run: the input's keep theirs and each
     rewrite numbers its new nodes after the highest, so a pass graph's
     ``order`` maps its program's positions to ids.  ``applied`` names each
-    solution's nodes by position in its pass's program
-    (``ir.positional_pair``), as ``build_cfg`` of that program would.
+    solution's nodes by run id, and ``orders`` keeps its pass's order (a
+    tuple no later pass changes), from which an artifact renames it to
+    positions (``ir.positional_solution``).
     Copy propagation runs on the pass's graph, and a candidate's problem is
     built only when the pass looks past its occurrence count.
 
@@ -336,7 +342,7 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
     ``verify_failures`` and stderr; a pass the width guard stops is not
     re-checked.
     """
-    applied = []
+    applied, orders = [], []
     verify_failures = []
     pass_limit = 2 * len(program.instructions) + 8
     cfg = irmod.build_cfg(program)
@@ -382,7 +388,8 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
         if chosen is None:
             break
         candidate, solution = chosen
-        applied.append(irmod.positional_pair(cfg, candidate, solution))
+        applied.append(chosen)
+        orders.append(cfg.order)
         step = irmod.rewrite(program, cfg, candidate, solution, next(tmp_names))
         program, cfg = step.program, step.cfg
         rewritten = program.instructions
@@ -395,8 +402,8 @@ def run_pipeline(program, config: RunConfig) -> PipelineResult:
         loaded = derived.load_results if candidate.op == "load" else ()
     else:
         raise LospreError(f"internal error: no fixpoint after {pass_limit} passes")
-    return PipelineResult(program=program, cfg=cfg, applied=applied, passes=passes,
-                          verify_failures=verify_failures)
+    return PipelineResult(program=program, cfg=cfg, applied=applied, orders=orders,
+                          passes=passes, verify_failures=verify_failures)
 
 
 def _read(path: Path) -> str:
@@ -431,8 +438,8 @@ def cmd_run(config: RunConfig, path: Path, text: str) -> int:
     if "dot" in config.emit:
         _emit(config, f"{stem}.dot", dump_dot(irmod.positional(result.cfg)))
     if "solution" in config.emit:
-        text = "".join(format_solution(sol, index=k)
-                       for k, (_, sol) in enumerate(result.applied))
+        text = "".join(format_solution(irmod.positional_solution(result.cfg, order, sol), index=k)
+                       for k, ((_, sol), order) in enumerate(zip(result.applied, result.orders)))
         _emit(config, f"{stem}.solution", text)
     return _report(result.verify_failures)
 

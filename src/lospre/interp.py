@@ -88,9 +88,5 @@ def interpret(program, initial_vars=None, memory=None, *, max_steps=100000) -> I
 
 def equivalent_states(before: InterpResult, after: InterpResult, variables) -> bool:
     """Compare final memory and the given variables (rewrites add fresh temps)."""
-    if before.memory != after.memory:
-        return False
-    for v in variables:
-        if before.variables.get(v, 0) != after.variables.get(v, 0):
-            return False
-    return True
+    return before.memory == after.memory and \
+        all(before.variables.get(v, 0) == after.variables.get(v, 0) for v in variables)

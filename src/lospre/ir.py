@@ -264,12 +264,13 @@ class ProgramCfg(Cfg):
         self.order = tuple(order)
 
 
-def positions(cfg: ProgramCfg) -> dict:
-    """The id ``build_cfg`` would give each node of ``cfg`` on its program as
-    it now is: 0 for the source, i+1 for the node of instruction i, and the
-    instruction count plus 1 for the sink."""
-    n = len(cfg.order)
-    rank = dict(zip(cfg.order, range(1, n + 1)))
+def positions(cfg: ProgramCfg, order) -> dict:
+    """The id ``build_cfg`` would give each node on the program of the pass
+    graph of ``cfg``'s run whose order is ``order``: 0 for the source, i+1
+    for the node of instruction i, and the instruction count plus 1 for the
+    sink."""
+    n = len(order)
+    rank = dict(zip(order, range(1, n + 1)))
     rank[cfg.source] = SOURCE_NODE
     rank.update(dict.fromkeys(cfg.sinks, n + 1))
     return rank
@@ -279,20 +280,19 @@ def positional(cfg: ProgramCfg) -> ProgramCfg:
     """``cfg`` with each node renamed to its position id (``positions``): the
     graph that emitted artifacts draw.  Built from scratch; a run calls it
     only to write ``--emit dot``."""
-    rank = positions(cfg)
+    rank = positions(cfg, cfg.order)
     edge_cost = {(rank[u], rank[v]): c for (u, v), c in cfg.edge_cost.items()}
     return ProgramCfg(range(1, len(cfg.order) + 1), cfg.node_count, edge_cost, edge_cost,
                       {rank[v]: c for v, c in cfg.node_cost.items()})
 
 
-def positional_pair(cfg: ProgramCfg, candidate, solution):
-    """``candidate`` and ``solution``, found on ``cfg``, with each node
-    renamed to its position id (``positions``)."""
-    rank = positions(cfg)
-    occurrences = frozenset(rank[v] for v in candidate.occurrence_nodes)
-    return (replace(candidate, occurrence_nodes=occurrences),
-            replace(solution, life_set=frozenset(rank[v] for v in solution.life_set),
-                    calc_set=frozenset((rank[u], rank[v]) for u, v in solution.calc_set)))
+def positional_solution(cfg: ProgramCfg, order, solution):
+    """``solution``, found on the pass graph of ``cfg``'s run whose order was
+    ``order``, with each node renamed to its position id on that pass's
+    program (``positions``)."""
+    rank = positions(cfg, order)
+    return replace(solution, life_set=frozenset(rank[v] for v in solution.life_set),
+                   calc_set=frozenset((rank[u], rank[v]) for u, v in solution.calc_set))
 
 
 def _successor_indices(program) -> list:
@@ -560,7 +560,7 @@ def rewrite(program: Program, cfg: ProgramCfg, candidate: ExprCandidate, solutio
     if len(order) != n:
         raise LospreError("solution/graph/program size mismatch")
     (sink,) = cfg.sinks
-    rank = positions(cfg)
+    rank = positions(cfg, order)
     for (u, v) in solution.calc_set:
         if (u, v) not in cfg.edges:
             raise LospreError(f"solution edge ({u}, {v}) is not an edge of the graph")

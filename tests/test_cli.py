@@ -727,9 +727,9 @@ def test_the_width_guard_stops_a_verified_run_as_it_stops_a_plain_one(tmp_path, 
 def test_verify_makes_no_decision(monkeypatch):
     # with _verify_pass replaced by a recorder, a run under --verify makes the
     # plain run's calls, in the same order, and each pass hands the recorder
-    # the candidate the result says it applied (there in position ids)
+    # the candidate the result says it applied, on the graph whose order the
+    # result keeps with it
     import lospre.cli as cli
-    import lospre.ir as irmod
     from test_pipeline_frozen import cases
 
     calls, chosen = [], []
@@ -744,7 +744,7 @@ def test_verify_makes_no_decision(monkeypatch):
     for name in ("min_calc_count", "solve_safety", "_region_solve"):
         monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
     monkeypatch.setattr(cli, "_verify_pass", lambda cfg, derived, pair, config, failures:
-                        chosen.append(pair and irmod.positional_pair(cfg, *pair)))
+                        chosen.append(pair and (pair, cfg.order)))
     texts = [text for _, text in cases()]
     runs = []
     for verify in (False, True):
@@ -753,7 +753,8 @@ def test_verify_makes_no_decision(monkeypatch):
             chosen.clear()
             result = run_pipeline(parse_ir(text), RunConfig(verify=verify))
             assert len(chosen) == result.passes
-            assert [pair for pair in chosen if pair is not None] == result.applied
+            assert [pair for pair in chosen if pair is not None] == \
+                list(zip(result.applied, result.orders))
         runs.append(list(calls))
     assert runs[0] == runs[1]
     assert {name for name, *_ in runs[0]} == {"min_calc_count", "solve_safety", "_region_solve"}

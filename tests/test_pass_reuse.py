@@ -197,7 +197,7 @@ def reference_runs_of(programs):
             runs["carried_keys"][name, p + 1] = keys
             last_index = {key_of(c): k for k, c in enumerate(last.candidates)}
             keys_now = [key_of(c) for c in now.candidates]
-            # the result names the applied candidate in positions, so find it by its key
+            # find the applied candidate by its key
             stop = keys_now.index(key_of(applied[p][0])) if p < len(applied) else None
             for k, candidate in enumerate(now.candidates[:stop]):
                 key = key_of(candidate)
@@ -342,7 +342,7 @@ class Recorder:
                 self.input_finite = cfg.has_finite_costs()
             else:
                 self.finiteness.append((self.input_finite, cfg.has_finite_costs()))
-            rebuilt, seen, rank = build(program), positional(cfg), positions(cfg)
+            rebuilt, seen, rank = build(program), positional(cfg), positions(cfg, cfg.order)
             if self.input_fakes:
                 ok = real_part(program, seen) == real_part(program, rebuilt) and \
                     fake_edges(program, seen) == {(rank[u], rank[v]) for (u, v) in self.input_fakes}

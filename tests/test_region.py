@@ -11,6 +11,7 @@ must also equal brute force.
 """
 import random
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -132,8 +133,7 @@ def test_region_solve_equals_the_whole_graph_solve_on_generated_instances():
 
 def small_chained_instance(seed):
     """A graph of at most 12 nodes, some of whose edges are subdivided into
-    chains of two or three nodes, with random costs: zero costs, so that
-    optima tie, and about 5 % infinite ones."""
+    chains of two or three nodes, with ``with_random_costs``."""
     rng = random.Random(f"chained/{seed}")
     cfg, problem = generate(InstanceGenerator(seed=seed, node_range=(4, 7),
                                               style=STYLES[seed % 3]))
@@ -144,13 +144,50 @@ def small_chained_instance(seed):
         n += k
         edges += zip(path, path[1:])
 
+    inv = problem.invalidation_set - {cfg.source} - cfg.sinks
+    return with_random_costs(rng, n, edges, problem.use_set, inv)
+
+
+def with_random_costs(rng, n, edges, use, inv):
+    """The problem with ``use`` and ``inv`` on the graph of ``n`` nodes and
+    ``edges``, with random costs: zero costs, so that optima tie, and about
+    5 % infinite ones."""
     def cost(high):
         return INFINITY if rng.random() < 0.05 else CostVec(rng.randint(0, high),
                                                             rng.randint(0, 2))
 
-    chained = Cfg(n, edges, {e: cost(3) for e in edges}, {v: cost(2) for v in range(n)})
-    inv = problem.invalidation_set - {cfg.source} - cfg.sinks
-    return chained, make_problem(chained, problem.use_set, inv)
+    cfg = Cfg(n, edges, {e: cost(3) for e in edges}, {v: cost(2) for v in range(n)})
+    return cfg, make_problem(cfg, use, inv)
+
+
+def parallel_chained_instance(seed):
+    """A path 0 .. m-1 of four to six nodes with a few more edges between
+    its inner nodes, some of which get one or two chains of two nodes beside
+    them, and some inner nodes a chain of two nodes that leaves and
+    re-enters them: at most 12 nodes, one to three inner uses, about one in
+    five inner nodes invalidating, with ``with_random_costs``."""
+    rng = random.Random(f"parallel/{seed}")
+    m = rng.randint(4, 6)
+    inner = range(1, m - 1)
+    edges = [(v, v + 1) for v in range(m - 1)]
+    for _ in range(rng.randint(0, 2)):
+        u, v = rng.choice(inner), rng.choice(inner)
+        if u != v and (u, v) not in edges:
+            edges.append((u, v))
+    n = m
+    for (u, v) in edges[:]:
+        if u not in inner or v not in inner:
+            continue
+        ends = [(u, v)] * rng.choice((0, 1, 2))
+        if rng.random() < 0.3:
+            ends.append((u, u))
+        for a, b in ends:
+            if n + 2 <= 12:
+                edges += [(a, n), (n, n + 1), (n + 1, b)]
+                n += 2
+    use = rng.sample(inner, min(len(inner), rng.randint(1, 3)))
+    inv = [v for v in inner if rng.random() < 0.2]
+    return with_random_costs(rng, n, edges, use, inv)
 
 
 def edgecost_program(seed):
@@ -185,9 +222,25 @@ def brute_outcome(cfg, problem):
     return sol.life_set, sol.cost
 
 
+def merge_kinds(cfg, problem, chains):
+    """How many chains of a contracted region meet something on their edge
+    (p, y): an edge of the graph, an earlier chain, or p itself (a
+    self-loop); how many put C on a node cost (y is no use); and how many
+    hold an infinite edge."""
+    ends = [(p, y) for p, y, *_ in chains]
+    return {"parallel edge": sum(end in cfg.edges for end in ends),
+            "parallel chain": len(ends) - len(set(ends)),
+            "self-loop": sum(p == y for p, y in ends),
+            "C on y": sum(y not in problem.use_set for _, y in ends),
+            "infinite": sum(any(cfg.edge_cost[e].infinite for e in zip([p, *nodes], [*nodes, y]))
+                            for p, y, nodes, *_ in chains)}
+
+
 def test_contracted_region_solve_equals_brute_force_on_small_instances():
     counts = dict.fromkeys(("solves", "contracted", "infeasible", "edgecost"), 0)
+    merges = Counter()
     instances = [small_chained_instance(seed) for seed in range(400)]
+    instances += [parallel_chained_instance(seed) for seed in range(200)]
     for seed in range(150):
         program = parse_ir(edgecost_program(seed))
         cfg = build_cfg(program)
@@ -199,10 +252,13 @@ def test_contracted_region_solve_equals_brute_force_on_small_instances():
         found = outcome(region_solve, cfg, problem)
         assert (found if found == "infeasible" else (found[0], found[2])) == expected
         counts["solves"] += 1
-        counts["contracted"] += bool(contracted(cfg, problem)[4])
+        chains = contracted(cfg, problem)[4]
+        counts["contracted"] += bool(chains)
         counts["infeasible"] += expected == "infeasible"
+        merges.update(merge_kinds(cfg, problem, chains))
     assert counts["solves"] >= 600 and counts["infeasible"] >= 5, counts
     assert counts["contracted"] >= 100 and counts["edgecost"] >= 100, counts
+    assert len(merges) == 5 and min(merges.values()) >= 50, merges
 
 
 def test_an_infinite_edge_into_a_use_from_outside_the_region_is_infeasible():
@@ -234,21 +290,99 @@ def test_an_edge_entering_the_region_charges_its_head_when_live():
         (frozenset(), {(2, 4), (3, 4)}, CostVec(2, 0))
 
 
-def test_a_chain_becomes_one_node_costing_its_best():
+def test_a_chain_becomes_one_edge_costing_its_best():
     # 0 -> 1 -> 2 -> 3 -> 4 -> 5 -> 6 with uses 1 and 5: the chain 2, 3, 4
     # lies between the use 1, live when the value crosses the chain, and the
     # use 5.  Keeping it live costs [0,3]; computing on an edge costs [1,0]
-    # plus the node costs after it, least on (4, 5).  So A = [1,0], C = [0,3],
-    # and the optimum keeps 1 through 4 live: one calculation, on (0, 1)
+    # plus the node costs after it, least on (4, 5).  So A = [1,0], C = [0,3]:
+    # the edge (1, 5) costs A - C, and C joins the constant, as 5 is a use.
+    # The optimum keeps 1 through 4 live: one calculation, on (0, 1)
     cfg = Cfg(7, [(v, v + 1) for v in range(6)])
     problem = make_problem(cfg, use=[1, 5])
-    region_cfg, _, kept, _, chains = contracted(cfg, problem)
+    region_cfg, _, kept, constant, chains = contracted(cfg, problem)
     assert kept == [1, 5] and chains == [(1, 5, [2, 3, 4], 0, 3)]
-    assert region_cfg.edge_cost[(0, 2)] == CostVec(1, -3)
-    assert region_cfg.node_cost[2] == CostVec(0, 3)
-    assert region_cfg.edge_cost[(2, 1)] == CostVec(1, 0)
+    assert region_cfg.node_count == 3
+    assert dict(region_cfg.edge_cost) == {(0, 0): ZERO, (0, 1): CostVec(1, -3)}
+    assert constant == CostVec(1, 0) + CostVec(0, 3)  # the source edge into 1, and C
     assert outcome(region_solve, cfg, problem) == outcome(whole_solve, cfg, problem) == \
         (frozenset({1, 2, 3, 4}), {(0, 1)}, CostVec(1, 4))
+
+
+def check_merge(cfg, problem):
+    """The contracted region of ``problem`` after asserting that its solve
+    equals brute force and the whole-graph solve."""
+    expected = brute_outcome(cfg, problem)
+    found = outcome(region_solve, cfg, problem)
+    assert (found if found == "infeasible" else (found[0], found[2])) == expected
+    assert found == outcome(whole_solve, cfg, problem)
+    return contracted(cfg, problem)
+
+
+def test_a_chain_parallel_to_an_edge_adds_to_its_cost():
+    # 1 -> 4 directly and through the chain 2, 3, with uses 1 and 4: A = [1,0]
+    # on (3, 4), C = [0,2], and the edge (1, 4) already costs [3,0]
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (4, 5)]
+    cfg = Cfg(6, edges, edge_cost={(1, 4): CostVec(3, 0)})
+    problem = make_problem(cfg, use=[1, 4])
+    region_cfg, _, kept, constant, chains = check_merge(cfg, problem)
+    assert kept == [1, 4] and [c[:3] for c in chains] == [(1, 4, [2, 3])]
+    assert dict(region_cfg.edge_cost) == {(0, 0): ZERO, (0, 1): CostVec(4, -2)}
+    assert constant == CostVec(1, 2)
+
+
+def test_two_parallel_chains_share_one_edge():
+    # 1 -> 6 through the chains 2, 3 and 4, 5, with uses 1 and 6; node 3
+    # costs [0,3], so the first chain has A = [1,0] and C = [0,4], the second
+    # A = [1,0] and C = [0,2]: the edge (1, 6) costs [1,-4] + [1,-2]
+    edges = [(0, 1), (1, 2), (2, 3), (3, 6), (1, 4), (4, 5), (5, 6), (6, 7)]
+    cfg = Cfg(8, edges, node_cost={3: CostVec(0, 3)})
+    problem = make_problem(cfg, use=[1, 6])
+    region_cfg, _, kept, constant, chains = check_merge(cfg, problem)
+    assert kept == [1, 6] and [c[:3] for c in chains] == [(1, 6, [2, 3]), (1, 6, [4, 5])]
+    assert dict(region_cfg.edge_cost) == {(0, 0): ZERO, (0, 1): CostVec(2, -6)}
+    assert constant == CostVec(1, 6)
+
+
+def test_a_chain_back_to_its_predecessor_is_a_self_loop():
+    # the loop 1 -> 2 -> 3 -> 1 with the use 1 at its head: the chain 2, 3
+    # closes onto 1, so the region is node 1 with a self-loop costing
+    # A - C = [1,-2], and C = [0,2] joins the constant
+    cfg = Cfg(5, [(0, 1), (1, 2), (2, 3), (3, 1), (1, 4)])
+    problem = make_problem(cfg, use=[1])
+    region_cfg, _, kept, constant, chains = check_merge(cfg, problem)
+    assert kept == [1] and [c[:3] for c in chains] == [(1, 1, [2, 3])]
+    assert region_cfg.node_count == 2 and dict(region_cfg.edge_cost) == {(0, 0): CostVec(1, -2)}
+    assert constant == CostVec(1, 2)  # with the source edge into the use
+
+
+def test_a_chain_into_a_node_that_is_no_use_charges_that_node():
+    # the chain 2, 3 runs from the use 1 to the branch 4, which is no use:
+    # C = [0,2] joins 4's node cost [0,1] and the edge (1, 4) costs [1,-2]
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 7), (6, 7), (7, 8)]
+    cfg = Cfg(9, edges)
+    problem = make_problem(cfg, use=[1, 5, 6])
+    region_cfg, _, kept, constant, chains = check_merge(cfg, problem)
+    assert kept == [1, 4, 5, 6] and [c[:3] for c in chains] == [(1, 4, [2, 3])]
+    assert region_cfg.edge_cost[(0, 1)] == CostVec(1, -2)
+    assert region_cfg.node_cost[1] == CostVec(0, 3) and constant == CostVec(1, 0)
+
+
+def test_a_chain_with_infinite_edges():
+    # the chain 2, 3, 4 between the uses 1 and 5: with (4, 5) infinite the
+    # best computation is on (3, 4), A = [1,1]; with every edge of the chain
+    # infinite A is too, and so is the edge (1, 5), so 1 must stay live
+    path = [(v, v + 1) for v in range(6)]
+    cfg = Cfg(7, path, edge_cost={(4, 5): INFINITY})
+    problem = make_problem(cfg, use=[1, 5])
+    region_cfg, _, _, constant, _ = check_merge(cfg, problem)
+    assert dict(region_cfg.edge_cost) == {(0, 0): ZERO, (0, 1): CostVec(1, -2)}
+    assert constant == CostVec(1, 3)
+    cfg = Cfg(7, path, edge_cost={e: INFINITY for e in path[1:5]})
+    problem = make_problem(cfg, use=[1, 5])
+    region_cfg, _, _, constant, _ = check_merge(cfg, problem)
+    assert dict(region_cfg.edge_cost) == {(0, 0): ZERO, (0, 1): INFINITY}
+    assert constant == CostVec(1, 3)
+    assert region_solve(cfg, problem).life_set == frozenset({1, 2, 3, 4})
 
 
 def region_solves(monkeypatch):

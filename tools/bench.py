@@ -155,8 +155,12 @@ def measure_pipeline(seed, size):
     counts.update(passes=result.passes, rewrites=len(result.applied))
     seconds, _ = _timed(PIPELINE_REPEATS, (
         "run_pipeline", lambda _: cli.run_pipeline(parse_ir(text), cli.RunConfig())))
+    # a tree whose result has no ``orders`` records ``applied`` in positions already
+    solutions = [ir.positional_solution(result.cfg, order, solution)
+                 for (_, solution), order in zip(result.applied, result.orders)] \
+        if hasattr(result, "orders") else [solution for _, solution in result.applied]
     output = format_ir(result.program) + "".join(
-        format_solution(sol, index=k) for k, (_, sol) in enumerate(result.applied))
+        format_solution(sol, index=k) for k, sol in enumerate(solutions))
     return {"seed": seed, "max_statements": size,
             "instructions": len(parse_ir(text).instructions),
             "counts": counts, "seconds": seconds, "digest": _digest(output)}
